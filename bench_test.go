@@ -158,16 +158,16 @@ func BenchmarkE10FragmentedTopN(b *testing.B) {
 	for i, d := range docs {
 		ix.Add(bat.OID(i+1), "u", d)
 	}
-	const query = "seles champion volley match"
+	ix.Fragmentize(8)
 	for _, frags := range []int{1, 2, 4, 8} {
-		ix.Fragmentize(8)
-		res, quality := ix.TopNFragments(query, 10, frags)
+		req := ir.Request{Query: "seles champion volley match", Plan: ir.EvalPlan{N: 10, Budget: frags}}
+		res, quality := ix.Evaluate(req)
 		b.Run(fmt.Sprintf("cutoff=%d-of-8", frags), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ReportMetric(quality.Value(), "quality")
 			b.ReportMetric(float64(len(res)), "results")
 			for i := 0; i < b.N; i++ {
-				ix.TopNFragments(query, 10, frags)
+				ix.Evaluate(req)
 			}
 		})
 	}
@@ -331,11 +331,12 @@ func BenchmarkE17APrioriRestriction(b *testing.B) {
 	for i := 1; i <= len(docs); i += 100 {
 		candidates[bat.OID(i)] = true
 	}
+	ix.Freeze()
 	const query = "champion winner serve"
 	b.Run("restricted", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ix.TopNRestricted(query, 10, candidates)
+			ix.Evaluate(ir.Request{Query: query, Plan: ir.EvalPlan{N: 10}, Candidates: candidates})
 		}
 	})
 	b.Run("unrestricted-late-filter", func(b *testing.B) {

@@ -198,7 +198,7 @@ func e10() {
 		var res []ir.Result
 		var q ir.QualityEstimate
 		for i := 0; i < iters; i++ {
-			res, q = ix.TopNFragments(query, 10, frags)
+			res, q = ix.Evaluate(ir.Request{Query: query, Plan: ir.EvalPlan{N: 10, Budget: frags}})
 		}
 		el := time.Since(start) / iters
 		fmt.Printf("  %d-of-8  %.3f    %-10s  %d/10\n", frags, q.Value(), el, overlap(res, exact))
@@ -391,10 +391,11 @@ func e17() {
 	for i := 1; i <= len(docs); i += 100 {
 		candidates[bat.OID(i)] = true
 	}
+	ix.Freeze()
 	const iters = 20
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		ix.TopNRestricted("champion winner serve", 10, candidates)
+		ix.Evaluate(ir.Request{Query: "champion winner serve", Plan: ir.EvalPlan{N: 10}, Candidates: candidates})
 	}
 	restricted := time.Since(start) / iters
 	start = time.Now()

@@ -174,12 +174,10 @@ func (e *Engine) QueryWithStats(src string, disableRestriction bool) (*query.Res
 }
 
 // QueryBudgeted evaluates an integrated query under a fragment-
-// budgeted evaluation plan: unrestricted contains predicates touch
-// only the plan's leading idf-descending fragments and the achieved
-// quality estimate is returned alongside the result. Predicates under
-// an a-priori conceptual restriction are evaluated exactly (the
-// executor falls back), so the estimate only accounts for the
-// predicates the budget actually cut.
+// budgeted evaluation plan: contains predicates — under an a-priori
+// conceptual restriction or not — touch only the plan's leading
+// idf-descending fragments and the achieved quality estimate is
+// returned alongside the result.
 func (e *Engine) QueryBudgeted(src string, plan ir.EvalPlan) (*query.Result, ir.QualityEstimate, error) {
 	q, err := query.Parse(src)
 	if err != nil {

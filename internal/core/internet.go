@@ -166,7 +166,7 @@ func (e *InternetEngine) PortraitsOnPagesAbout(word string, related ...string) [
 	}
 	e.Keywords.Freeze()
 	_, oids := e.Cache.Resolve(e.Keywords, queryText)
-	ranked := e.Keywords.TopNTerms(oids, e.Keywords.DocCount())
+	ranked, _ := e.Keywords.Evaluate(ir.Request{Terms: oids, Plan: ir.EvalPlan{N: e.Keywords.DocCount()}})
 	var hits []PortraitHit
 	for _, r := range ranked {
 		url, _ := e.Store.DocURL(r.Doc)

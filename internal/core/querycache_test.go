@@ -172,7 +172,7 @@ func TestRankingCacheReuse(t *testing.T) {
 	if _, ok := qc.Ranking(ix, "winner", 2, global); ok {
 		t.Fatal("hit on empty cache")
 	}
-	res := ix.TopNWithStats("winner", 2, global)
+	res, _ := ix.Evaluate(ir.Request{Query: "winner", Plan: ir.EvalPlan{N: 2}, Stats: &global})
 	qc.StoreRanking(ix, "winner", 2, global, res)
 	got, ok := qc.Ranking(ix, "winner", 2, global)
 	if !ok || len(got) != len(res) {
@@ -187,7 +187,7 @@ func TestRankingCacheReuse(t *testing.T) {
 		t.Fatal("deeper ask served from a possibly truncated ranking")
 	}
 	// A complete ranking (shorter than its n) answers ANY n.
-	full := ix.TopNWithStats("winner", 50, global)
+	full, _ := ix.Evaluate(ir.Request{Query: "winner", Plan: ir.EvalPlan{N: 50}, Stats: &global})
 	qc.StoreRanking(ix, "winner", 50, global, full)
 	if got, ok = qc.Ranking(ix, "winner", 1000, global); !ok || len(got) != len(full) {
 		t.Fatalf("complete ranking should answer any n: %v %v", got, ok)
@@ -210,7 +210,7 @@ func TestRankingCacheInvalidation(t *testing.T) {
 	ix.Freeze()
 	global := ix.StatsLocal()
 	qc := NewQueryCache(8)
-	res := ix.TopNWithStats("winner", 5, global)
+	res, _ := ix.Evaluate(ir.Request{Query: "winner", Plan: ir.EvalPlan{N: 5}, Stats: &global})
 	qc.StoreRanking(ix, "winner", 5, global, res)
 	if _, ok := qc.Ranking(ix, "winner", 5, global); !ok {
 		t.Fatal("fresh entry missed")

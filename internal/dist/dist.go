@@ -9,7 +9,7 @@
 //  1. The central site aggregates the per-partition term statistics
 //     (df, Σdf, |D|) into global statistics and ships them with the
 //     query, so every node scores its local documents exactly as one
-//     global index would (ir.Stats / ir.TopNWithStats).
+//     global index would (ir.Stats / ir.Request.Stats).
 //  2. Every partition evaluates the top-N query over its local
 //     fragment only — no inter-node communication — and returns a
 //     small RES(doc-oid, score) set of at most N rows.

@@ -414,94 +414,66 @@ func (n *LocalNode) Stats(context.Context) (ir.Stats, error) {
 	return n.ix.StatsLocal(), nil
 }
 
-// TopNWithStats implements Node. With a resolver injected the query
-// resolves through it (cached) and scores via the pre-resolved-terms
-// path; either way the result is identical. A ranking cache, when
-// injected, short-circuits repeated exact queries — top-N-aware, so a
-// cached top-50 answers any n ≤ 50.
-func (n *LocalNode) TopNWithStats(_ context.Context, query string, topn int, global ir.Stats) ([]ir.Result, error) {
+// TopNWithStats implements Node: SearchPlan under the exact plan.
+func (n *LocalNode) TopNWithStats(ctx context.Context, query string, topn int, global ir.Stats) ([]ir.Result, error) {
+	res, _, err := n.SearchPlan(ctx, query, ir.EvalPlan{N: topn}, global)
+	return res, err
+}
+
+// SearchPlan implements Node: the node's one scoring path.
+func (n *LocalNode) SearchPlan(_ context.Context, query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
 	if n.met == nil {
-		return n.topNWithStats(query, topn, global), nil
+		res, est := n.evaluate(query, plan, global)
+		return res, est, nil
 	}
 	start := time.Now()
-	res := n.topNWithStats(query, topn, global)
+	res, est := n.evaluate(query, plan, global)
 	n.met.Scoring.ObserveSince(start)
-	return res, nil
+	return res, est, nil
 }
 
-// topNWithStats is TopNWithStats without the instrumentation wrapper.
-func (n *LocalNode) topNWithStats(query string, topn int, global ir.Stats) []ir.Result {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	clean := !n.ix.Dirty()
-	if n.rank != nil && clean {
-		if res, ok := n.rank.Ranking(n.ix, query, topn, global); ok {
-			return res
-		}
-	}
-	var res []ir.Result
-	if n.resolve != nil && clean {
-		stems, oids := n.resolve(n.ix, query)
-		res = n.ix.TopNWithStatsTerms(stems, oids, topn, global)
-	} else {
-		res = n.ix.TopNWithStats(query, topn, global)
-	}
-	if n.rank != nil && clean {
-		n.rank.StoreRanking(n.ix, query, topn, global, res)
-	}
-	return res
-}
-
-// SearchPlan implements Node. An exact plan takes the TopNWithStats
-// path (ranking cache included). A budgeted plan normally evaluates
-// read-only under the read lock; when the index is not ready for the
-// plan (pending adds, or a different fragmentation granularity) the
-// freeze/re-fragment AND the evaluation run under one write-lock
+// evaluate is SearchPlan without the instrumentation wrapper. It runs
+// under the read lock — an exact plan even on a dirty index, so reads
+// run beside ingest. Only a budgeted plan the index is not ready for
+// (pending adds, or a different fragmentation granularity) takes the
+// write lock, with the freeze/re-fragment AND the evaluation under one
 // acquisition, so the budget is always interpreted against the
 // granularity this very plan asked for — never against a concurrent
 // plan's. Re-fragmentation is O(vocabulary log vocabulary): the
 // granularity is meant to be a deployment constant (the coordinator's
 // -frags default), not a per-request variable.
-func (n *LocalNode) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
-	if plan.Exact() {
-		res, err := n.TopNWithStats(ctx, query, plan.N, global)
-		return res, ir.QualityEstimate{}, err
-	}
-	if n.met == nil {
-		res, est := n.searchPlanBudgeted(query, plan, global)
-		return res, est, nil
-	}
-	start := time.Now()
-	res, est := n.searchPlanBudgeted(query, plan, global)
-	n.met.Scoring.ObserveSince(start)
-	return res, est, nil
-}
-
-// searchPlanBudgeted is SearchPlan's budgeted path without the
-// instrumentation wrapper.
-func (n *LocalNode) searchPlanBudgeted(query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate) {
+//
+// On a clean index a resolver, when injected, supplies the (cached)
+// pre-resolved terms, and a ranking cache short-circuits repeated
+// exact queries — top-N-aware, so a cached top-50 answers any n ≤ 50.
+// Either way the result is identical.
+func (n *LocalNode) evaluate(query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate) {
 	n.mu.RLock()
-	if n.ix.PlanReady(plan) {
+	if plan.Exact() || n.ix.PlanReady(plan) {
 		defer n.mu.RUnlock()
-		res, est := n.planWithStats(query, plan, global)
-		return res, est
+	} else {
+		n.mu.RUnlock()
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.ix.Freeze()
+		n.ix.EnsureFragments(plan)
 	}
-	n.mu.RUnlock()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.ix.Freeze()
-	n.ix.EnsureFragments(plan)
-	res, est := n.planWithStats(query, plan, global)
+	clean := !n.ix.Dirty()
+	cacheable := n.rank != nil && clean && plan.Exact()
+	if cacheable {
+		if res, ok := n.rank.Ranking(n.ix, query, plan.N, global); ok {
+			return res, ir.QualityEstimate{}
+		}
+	}
+	req := ir.Request{Query: query, Plan: plan, Stats: &global}
+	if n.resolve != nil && clean {
+		req.Stems, req.Terms = n.resolve(n.ix, query)
+	}
+	res, est := n.ix.Evaluate(req)
+	if cacheable {
+		n.rank.StoreRanking(n.ix, query, plan.N, global, res)
+	}
 	return res, est
-}
-
-// planWithStats evaluates a budgeted plan; the caller holds the lock.
-func (n *LocalNode) planWithStats(query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate) {
-	if n.resolve != nil && !n.ix.Dirty() {
-		stems, oids := n.resolve(n.ix, query)
-		return n.ix.TopNPlanWithStatsTerms(stems, oids, plan, global)
-	}
-	return n.ix.TopNPlanWithStats(query, plan, global)
 }
 
 // Load implements Node. It is always O(1) under the shared read lock:

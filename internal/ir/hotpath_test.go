@@ -139,7 +139,8 @@ func TestFragmentsSurviveAdd(t *testing.T) {
 		t.Fatalf("fragments cover %d terms, vocabulary has %d", total, ix.TermCount())
 	}
 	// Full-fragment evaluation still equals the exact ranking.
-	res, q := ix.TopNFragments("winner melbourne quetzalcoatl", 10, len(frags))
+	ix.Freeze()
+	res, q := ix.Evaluate(Request{Query: "winner melbourne quetzalcoatl", Plan: EvalPlan{N: 10, Budget: len(frags)}})
 	if q.Value() != 1.0 {
 		t.Fatalf("full evaluation quality = %v", q.Value())
 	}

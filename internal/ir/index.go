@@ -453,6 +453,13 @@ func (ix *Index) Dirty() bool { return len(ix.dirty) > 0 }
 // cannot contribute postings here (the global statistics a distributed
 // node receives are keyed by stem, which is why the stems ride along).
 func (ix *Index) ResolveQuery(query string) (stems []string, oids []bat.OID) {
+	return ix.resolveInto(nil, nil, query)
+}
+
+// resolveInto is ResolveQuery appending to the caller's buffers.
+// Queries are a handful of terms, so duplicates are eliminated with a
+// linear scan instead of an allocated seen-set.
+func (ix *Index) resolveInto(stems []string, oids []bat.OID, query string) ([]string, []bat.OID) {
 	for _, t := range Terms(query) {
 		if id, ok := ix.termID[t]; ok && !slices.Contains(oids, id) {
 			stems = append(stems, t)
@@ -490,19 +497,6 @@ func logWeight(lambda float64, tf, df, totalDF, docLen int) float64 {
 	return math.Log(1 + lambda*float64(tf)*float64(totalDF)/((1-lambda)*float64(df)*float64(docLen)))
 }
 
-// queryTermsInto resolves query text to known term oids, reusing buf.
-// Queries are a handful of terms, so duplicates are eliminated with a
-// linear scan instead of an allocated seen-set.
-func (ix *Index) queryTermsInto(buf []bat.OID, query string) []bat.OID {
-	out := buf[:0]
-	for _, t := range Terms(query) {
-		if id, ok := ix.termID[t]; ok && !slices.Contains(out, id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // topNFromScores selects the n best (score desc, doc asc) results
 // from a score map; retained as the naive plan's selection step.
 func topNFromScores(scores map[bat.OID]float64, n int) []Result {
@@ -527,51 +521,23 @@ func topNFromScores(scores map[bat.OID]float64, n int) []Result {
 	return res
 }
 
-// TopN returns the n best-ranking documents for the query using the
-// optimized plan: only the posting lists of the query terms are
-// touched and scores accumulate per candidate document.
+// TopN returns the n best-ranking documents for the query: the one
+// mutating convenience over Evaluate — it freezes pending derived
+// state, then runs the exact plan with local statistics.
 func (ix *Index) TopN(query string, n int) []Result {
-	return ix.TopNRestricted(query, n, nil)
-}
-
-// TopNRestricted is TopN with an optional a-priori candidate
-// restriction (the paper's example: only articles by a certain
-// author). A nil candidate set means no restriction.
-func (ix *Index) TopNRestricted(query string, n int, candidates map[bat.OID]bool) []Result {
 	ix.Freeze()
-	s := ix.getScorer()
-	defer ix.putScorer(s)
-	s.qterms = ix.queryTermsInto(s.qterms, query)
-	for _, id := range s.qterms {
-		ix.scoreTerm(s, id, ix.df[id], ix.totalDF, candidates)
-	}
-	return s.selectTopN(ix.docIDs, n)
-}
-
-// TopNTerms is TopN over pre-resolved term oids (see ResolveQuery),
-// skipping the tokenize/stop/stem pipeline — the entry point for the
-// query-side term cache. The oids must belong to this index.
-func (ix *Index) TopNTerms(terms []bat.OID, n int) []Result {
-	return ix.TopNTermsRestricted(terms, n, nil)
-}
-
-// TopNTermsRestricted is TopNRestricted over pre-resolved term oids.
-func (ix *Index) TopNTermsRestricted(terms []bat.OID, n int, candidates map[bat.OID]bool) []Result {
-	ix.Freeze()
-	s := ix.getScorer()
-	defer ix.putScorer(s)
-	for _, id := range terms {
-		ix.scoreTerm(s, id, ix.df[id], ix.totalDF, candidates)
-	}
-	return s.selectTopN(ix.docIDs, n)
+	res, _ := ix.Evaluate(Request{Query: query, Plan: EvalPlan{N: n}})
+	return res
 }
 
 // TopNNaive computes the same answer with the unoptimized plan: every
 // document is scored against every query term through the DT access
-// path, then the full ranking is cut to n. Experiment E16's baseline.
+// path, then the full ranking is cut to n. The reference the tests
+// compare Evaluate against, and experiment E16's baseline.
 func (ix *Index) TopNNaive(query string, n int) []Result {
 	ix.Freeze()
-	qts := ix.queryTermsInto(nil, query)
+	var stems [8]string // scratch; the naive plan needs only the oids
+	_, qts := ix.resolveInto(stems[:0], nil, query)
 	scores := make(map[bat.OID]float64)
 	for doc, terms := range ix.docTerms {
 		s := 0.0
@@ -702,38 +668,6 @@ func (ix *Index) expandFrag(f int, idf float64) {
 // Fragmentize; afterwards it stays valid across Add through
 // incremental placement).
 func (ix *Index) Fragments() []Fragment { return ix.fragments }
-
-// TopNFragments evaluates the query over only the first maxFrag
-// fragments and returns the results plus the structured quality
-// estimate: the fraction of the query's total idf mass covered by the
-// processed fragments (Value() == 1.0 means the cut-off provably did
-// not change the candidate term set). This is the a-priori
-// cost/quality trade-off of [BHC+01]; EvalPlan is its generalised,
-// pipeline-wide form and this method is now a thin view over it that
-// keeps whatever fragmentation already exists.
-func (ix *Index) TopNFragments(query string, n, maxFrag int) ([]Result, QualityEstimate) {
-	ix.Freeze()
-	if ix.fragments == nil {
-		ix.Fragmentize(1)
-	}
-	s := ix.getScorer()
-	defer ix.putScorer(s)
-	s.qterms = ix.queryTermsInto(s.qterms, query)
-	if maxFrag <= 0 {
-		// Degenerate cut-off: nothing is evaluated (EvalPlan reads a
-		// non-positive budget as "all", so this keeps the historical
-		// maxFrag semantics).
-		est := QualityEstimate{FragsTotal: len(ix.fragments)}
-		for _, id := range s.qterms {
-			if df := ix.df[id]; df > 0 {
-				est.TotalIDF += 1.0 / float64(df)
-			}
-		}
-		return nil, est
-	}
-	est := ix.evalPlan(s, nil, s.qterms, EvalPlan{N: n, Budget: maxFrag}, nil)
-	return s.selectTopN(ix.docIDs, n), est
-}
 
 // Merge folds per-node rankings into a master ranking of size n; the
 // central DBMS of the paper performs exactly this merge over the

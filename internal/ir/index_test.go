@@ -106,9 +106,10 @@ func TestNaiveEqualsOptimized(t *testing.T) {
 	}
 }
 
-func TestTopNRestricted(t *testing.T) {
+func TestEvaluateRestricted(t *testing.T) {
 	ix := smallIndex()
-	res := ix.TopNRestricted("winner", 10, map[bat.OID]bool{2: true})
+	ix.Freeze()
+	res, _ := ix.Evaluate(Request{Query: "winner", Plan: EvalPlan{N: 10}, Candidates: map[bat.OID]bool{2: true}})
 	if len(res) != 1 || res[0].Doc != 2 {
 		t.Fatalf("restricted = %v", res)
 	}
@@ -158,10 +159,10 @@ func TestFragmentizeDegenerate(t *testing.T) {
 	}
 }
 
-func TestTopNFragmentsQuality(t *testing.T) {
+func TestFragmentCutoffQuality(t *testing.T) {
 	ix := smallIndex()
 	ix.Fragmentize(4)
-	full, q := ix.TopNFragments("winner melbourne", 10, len(ix.Fragments()))
+	full, q := ix.Evaluate(Request{Query: "winner melbourne", Plan: EvalPlan{N: 10, Budget: len(ix.Fragments())}})
 	if q.Value() != 1.0 || !q.Exact() {
 		t.Fatalf("full evaluation quality = %+v", q)
 	}
@@ -175,7 +176,7 @@ func TestTopNFragmentsQuality(t *testing.T) {
 	// Cutting fragments can only lower (or keep) quality.
 	prev := 0.0
 	for k := 1; k <= len(ix.Fragments()); k++ {
-		_, qk := ix.TopNFragments("winner melbourne", 10, k)
+		_, qk := ix.Evaluate(Request{Query: "winner melbourne", Plan: EvalPlan{N: 10, Budget: k}})
 		if qk.Value() < prev-1e-12 {
 			t.Fatalf("quality not monotone: %v after %v at k=%d", qk.Value(), prev, k)
 		}
@@ -213,7 +214,7 @@ func TestFragmentCutoffKeepsRareTerms(t *testing.T) {
 	}
 	// Cut off everything after melbourne's fragment: its contribution
 	// survives, winner's is dropped, quality falls below 1.
-	res, q := ix.TopNFragments("melbourne winner", 10, fm+1)
+	res, q := ix.Evaluate(Request{Query: "melbourne winner", Plan: EvalPlan{N: 10, Budget: fm + 1}})
 	if len(res) == 0 || res[0].Doc != 3 {
 		t.Fatalf("melbourne doc should rank, got %v", res)
 	}
@@ -263,7 +264,7 @@ func TestPropertyPlansAgree(t *testing.T) {
 			}
 		}
 		ix.Fragmentize(1 + rng.Intn(5))
-		frag, q := ix.TopNFragments(query, 5, len(ix.Fragments()))
+		frag, q := ix.Evaluate(Request{Query: query, Plan: EvalPlan{N: 5, Budget: len(ix.Fragments())}})
 		if q.Value() != 1.0 {
 			t.Fatalf("iter %d: full-fragment quality %v", iter, q.Value())
 		}

@@ -1,7 +1,6 @@
 package ir
 
 import (
-	"slices"
 	"sort"
 	"time"
 
@@ -129,13 +128,90 @@ func (ix *Index) PlanReady(plan EvalPlan) bool {
 	return plan.Frags <= 0 || ix.fragK == plan.Frags
 }
 
+// Request is one top-N evaluation: what to rank (query text, or the
+// pre-resolved terms a query-side cache holds), how (the plan), with
+// which statistics (local, or the global ones a cluster ships) and
+// over which documents (everything, or an a-priori candidate set —
+// the paper's "only articles by a certain author"). The two a-priori
+// optimisations are independent, so any combination is expressible.
+type Request struct {
+	// Query is the query text, resolved through the tokenize/stop/stem
+	// pipeline unless Terms already holds its resolution.
+	Query string
+	// Stems and Terms are the parallel slices ResolveQuery returns, for
+	// callers that cache resolutions; the oids must belong to the
+	// evaluating index. Stems key the global DF lookups and may be nil
+	// without Stats.
+	Stems []string
+	Terms []bat.OID
+	// Plan carries the ranking size and the fragment budget; the zero
+	// budget is the exact plan.
+	Plan EvalPlan
+	// Stats, when non-nil, replaces the index's local statistics: the
+	// distributed read path, where every node weighs a term identically.
+	Stats *Stats
+	// Candidates, when non-nil, restricts the ranking to these documents.
+	Candidates map[bat.OID]bool
+}
+
+// Evaluate ranks the request against this index: the one evaluation
+// entry point. It never mutates the index, so any number of goroutines
+// may call it concurrently — callers that need fresh derived state
+// Freeze first, and callers of a budgeted plan EnsureFragments first
+// (see PlanReady; an unfragmented index evaluates over one implicit
+// fragment). An exact plan returns the zero QualityEstimate and feeds
+// no cost accounting.
+func (ix *Index) Evaluate(req Request) ([]Result, QualityEstimate) {
+	s := ix.getScorer()
+	defer ix.putScorer(s)
+	stems, oids := req.Stems, req.Terms
+	if oids == nil {
+		s.qstems, s.qterms = ix.resolveInto(s.qstems[:0], s.qterms[:0], req.Query)
+		stems, oids = s.qstems, s.qterms
+	}
+	est := ix.evalPlan(s, stems, oids, &req)
+	return s.selectTopN(ix.docIDs, req.Plan.N), est
+}
+
+// idfMass is a term's share of the query's idf mass: idf = 1/df, and
+// nothing for a term the statistics do not know.
+func idfMass(df int) float64 {
+	if df <= 0 {
+		return 0
+	}
+	return 1.0 / float64(df)
+}
+
 // evalPlan scores the query terms the plan admits and returns the
-// quality accounting. stems (parallel to oids) key global-statistics
-// lookups; nil global scores and weighs with local statistics. Terms
-// are scored in their original query order so a full-budget plan
-// accumulates floating-point scores in exactly the order the exact
-// path does — byte-identical rankings, not just equivalent ones.
-func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, plan EvalPlan, global *Stats) QualityEstimate {
+// quality accounting. Terms are scored in their original query order
+// so a full-budget plan accumulates floating-point scores in exactly
+// the order the exact plan does — byte-identical rankings, not just
+// equivalent ones.
+func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, req *Request) QualityEstimate {
+	// The statistics each term is weighed with. Under global statistics
+	// a term the shipped DF lacks (a document streamed in after the
+	// coordinator cached them) weighs nothing: scoreTerm skips a zero
+	// df, and the accounting below skips it with it.
+	totalDF := ix.totalDF
+	dfs := s.dfs[:0]
+	if g := req.Stats; g != nil {
+		totalDF = g.TotalDF
+		for _, stem := range stems[:len(oids)] {
+			dfs = append(dfs, g.DF[stem])
+		}
+	} else {
+		for _, id := range oids {
+			dfs = append(dfs, ix.df[id])
+		}
+	}
+	s.dfs = dfs
+	plan := req.Plan
+	if plan.Exact() {
+		for i, id := range oids {
+			ix.scoreTerm(s, id, dfs[i], totalDF, req.Candidates)
+		}
+		return QualityEstimate{}
+	}
 	// Cost accounting (cost.go): clock reads only when an observer is
 	// installed, per-fragment counters only when fragmented. Both are
 	// allocation-free on this path.
@@ -147,44 +223,27 @@ func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, plan EvalPl
 	if frags == 0 {
 		frags = 1 // unfragmented: one implicit fragment holding everything
 	}
-	budget := plan.Budget
-	if budget <= 0 || budget > frags {
-		budget = frags
-	}
-	// Per-term idf mass and fragment placement, in the scorer's pooled
-	// buffers. The mass uses global statistics when supplied, so every
-	// node of a cluster weighs a term identically and the merged
-	// estimate is consistent.
-	mass := s.mass[:0]
+	budget := min(plan.Budget, frags)
+	// Per-term fragment placement, in the scorer's pooled buffer, and
+	// the query's total idf mass.
 	frag := s.frag[:0]
 	var total float64
 	for i, id := range oids {
-		df := ix.df[id]
-		if global != nil && stems != nil {
-			if gdf := global.DF[stems[i]]; gdf > 0 {
-				df = gdf
-			}
-		}
-		m := 0.0
-		if df > 0 {
-			m = 1.0 / float64(df)
-		}
 		f := int32(0)
 		if ix.fragments != nil {
 			f = int32(ix.fragOf[id])
 		}
-		mass = append(mass, m)
 		frag = append(frag, f)
-		total += m
+		total += idfMass(dfs[i])
 	}
-	s.mass, s.frag = mass, frag
+	s.frag = frag
 	// Admit the budgeted prefix; then extend fragment by fragment (in
 	// idf-descending order, so the cheapest extensions first) until the
 	// quality floor is met or fragments run out.
 	covered := 0.0
 	for i := range oids {
 		if int(frag[i]) < budget {
-			covered += mass[i]
+			covered += idfMass(dfs[i])
 		}
 	}
 	if plan.MinQuality > 0 && total > 0 {
@@ -201,7 +260,7 @@ func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, plan EvalPl
 		for j := 0; j < len(order) && covered/total < plan.MinQuality-1e-12; {
 			b := int(frag[order[j]]) + 1
 			for ; j < len(order) && int(frag[order[j]]) < b; j++ {
-				covered += mass[order[j]]
+				covered += idfMass(dfs[order[j]])
 			}
 			budget = b
 		}
@@ -209,19 +268,15 @@ func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, plan EvalPl
 	fe := ix.fragEval.Load()
 	postings := 0
 	for i, id := range oids {
-		if int(frag[i]) >= budget {
-			continue // a-priori ignored fragment
+		if int(frag[i]) >= budget || dfs[i] == 0 {
+			continue // a-priori ignored fragment, or weightless term
 		}
 		ldf := ix.df[id] // local posting-list length: the physical cost
 		postings += ldf
 		if fe != nil && int(frag[i]) < len(*fe) {
 			(*fe)[frag[i]].Add(int64(ldf))
 		}
-		df, totalDF := ldf, ix.totalDF
-		if global != nil && stems != nil {
-			df, totalDF = global.DF[stems[i]], global.TotalDF
-		}
-		ix.scoreTerm(s, id, df, totalDF, nil)
+		ix.scoreTerm(s, id, dfs[i], totalDF, req.Candidates)
 	}
 	est := QualityEstimate{CoveredIDF: covered, TotalIDF: total, FragsUsed: budget, FragsTotal: frags}
 	if ix.costObs != nil {
@@ -234,64 +289,4 @@ func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, plan EvalPl
 		})
 	}
 	return est
-}
-
-// TopNPlan evaluates the query under the plan against this index alone
-// (local statistics), fragmenting the vocabulary on demand. This is
-// the single-index entry point of the quality-bounded execution
-// strategy; the distributed pipeline uses TopNPlanWithStats per node.
-func (ix *Index) TopNPlan(query string, plan EvalPlan) ([]Result, QualityEstimate) {
-	ix.Freeze()
-	ix.EnsureFragments(plan)
-	s := ix.getScorer()
-	defer ix.putScorer(s)
-	s.qterms = ix.queryTermsInto(s.qterms, query)
-	est := ix.evalPlan(s, nil, s.qterms, plan, nil)
-	return s.selectTopN(ix.docIDs, plan.N), est
-}
-
-// TopNPlanTerms is TopNPlan over pre-resolved term oids (see
-// ResolveQuery), skipping the tokenize/stop/stem pipeline — the entry
-// point for the query executor's cached budgeted path. The oids must
-// belong to this index.
-func (ix *Index) TopNPlanTerms(terms []bat.OID, plan EvalPlan) ([]Result, QualityEstimate) {
-	ix.Freeze()
-	ix.EnsureFragments(plan)
-	s := ix.getScorer()
-	defer ix.putScorer(s)
-	est := ix.evalPlan(s, nil, terms, plan, nil)
-	return s.selectTopN(ix.docIDs, plan.N), est
-}
-
-// TopNPlanWithStats ranks this node's local documents under the plan
-// using the supplied global statistics: the distributed read path.
-// Like TopNWithStats it never mutates the index — callers ensure
-// Freeze/EnsureFragments ran (see LocalNode); an unfragmented index
-// degrades to exact evaluation over one implicit fragment.
-func (ix *Index) TopNPlanWithStats(query string, plan EvalPlan, global Stats) ([]Result, QualityEstimate) {
-	s := ix.getScorer()
-	defer ix.putScorer(s)
-	qts := s.qterms[:0]
-	stems := make([]string, 0, 8)
-	for _, term := range Terms(query) {
-		id, ok := ix.termID[term]
-		if !ok || slices.Contains(qts, id) {
-			continue
-		}
-		qts = append(qts, id)
-		stems = append(stems, term)
-	}
-	s.qterms = qts
-	est := ix.evalPlan(s, stems, qts, plan, &global)
-	return s.selectTopN(ix.docIDs, plan.N), est
-}
-
-// TopNPlanWithStatsTerms is TopNPlanWithStats over a pre-resolved
-// query (the parallel stem/oid slices ResolveQuery returns) — the
-// cached hot path of the node server.
-func (ix *Index) TopNPlanWithStatsTerms(stems []string, oids []bat.OID, plan EvalPlan, global Stats) ([]Result, QualityEstimate) {
-	s := ix.getScorer()
-	defer ix.putScorer(s)
-	est := ix.evalPlan(s, stems, oids, plan, &global)
-	return s.selectTopN(ix.docIDs, plan.N), est
 }

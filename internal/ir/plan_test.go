@@ -30,6 +30,15 @@ func planCorpus(n int, seed int64) *Index {
 	return ix
 }
 
+// evalText freezes the index, brings its fragmentation in line with
+// the plan and evaluates the query text with local statistics: the
+// steps a single-index caller of Evaluate performs.
+func evalText(ix *Index, q string, plan EvalPlan) ([]Result, QualityEstimate) {
+	ix.Freeze()
+	ix.EnsureFragments(plan)
+	return ix.Evaluate(Request{Query: q, Plan: plan})
+}
+
 func sameResults(t *testing.T, ctx string, got, want []Result) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -42,19 +51,19 @@ func sameResults(t *testing.T, ctx string, got, want []Result) {
 	}
 }
 
-// TestTopNPlanExactEqualsTopN: the zero-budget (exact) plan and the
+// TestEvaluateExactEqualsTopN: the zero-budget (exact) plan and the
 // full-budget plan both return results byte-identical to TopN —
 // scores included, which pins the floating-point accumulation order.
-func TestTopNPlanExactEqualsTopN(t *testing.T) {
+func TestEvaluateExactEqualsTopN(t *testing.T) {
 	ix := planCorpus(300, 11)
 	for _, q := range []string{"champion winner serve", "seles", "melbourne trophy volley match", "nope"} {
 		want := ix.TopN(q, 10)
-		res, est := ix.TopNPlan(q, EvalPlan{N: 10})
+		res, est := evalText(ix, q, EvalPlan{N: 10})
 		sameResults(t, "exact plan "+q, res, want)
 		if est.Value() != 1.0 {
 			t.Fatalf("exact plan quality = %v", est.Value())
 		}
-		full, est := ix.TopNPlan(q, EvalPlan{N: 10, Frags: 4, Budget: 4})
+		full, est := evalText(ix, q, EvalPlan{N: 10, Frags: 4, Budget: 4})
 		sameResults(t, "full budget "+q, full, want)
 		if est.Value() != 1.0 || est.FragsUsed != est.FragsTotal {
 			t.Fatalf("full budget estimate = %+v", est)
@@ -62,23 +71,23 @@ func TestTopNPlanExactEqualsTopN(t *testing.T) {
 	}
 }
 
-// TestTopNPlanWithStatsEqualsWithStats: at full budget the plan path
-// over global statistics is byte-identical to TopNWithStats, including
-// the cached pre-resolved-terms variant.
-func TestTopNPlanWithStatsEqualsWithStats(t *testing.T) {
+// TestEvaluateGlobalStatsBudgetEqualsExact: at full budget the plan
+// path over global statistics is byte-identical to the exact one,
+// including over a pre-resolved query.
+func TestEvaluateGlobalStatsBudgetEqualsExact(t *testing.T) {
 	ix := planCorpus(250, 3)
 	ix.Freeze()
 	global := ix.StatsLocal()
 	const q = "champion winner serve melbourne"
-	want := ix.TopNWithStats(q, 10, global)
+	want, _ := ix.Evaluate(Request{Query: q, Plan: EvalPlan{N: 10}, Stats: &global})
 	ix.EnsureFragments(EvalPlan{Frags: 4})
-	res, est := ix.TopNPlanWithStats(q, EvalPlan{N: 10, Frags: 4, Budget: 4}, global)
+	res, est := ix.Evaluate(Request{Query: q, Plan: EvalPlan{N: 10, Frags: 4, Budget: 4}, Stats: &global})
 	sameResults(t, "plan with stats", res, want)
 	if est.Value() != 1.0 {
 		t.Fatalf("quality = %v", est.Value())
 	}
 	stems, oids := ix.ResolveQuery(q)
-	res2, est2 := ix.TopNPlanWithStatsTerms(stems, oids, EvalPlan{N: 10, Frags: 4, Budget: 4}, global)
+	res2, est2 := ix.Evaluate(Request{Stems: stems, Terms: oids, Plan: EvalPlan{N: 10, Frags: 4, Budget: 4}, Stats: &global})
 	sameResults(t, "plan with stats terms", res2, want)
 	if est2 != est {
 		t.Fatalf("terms-path estimate %+v != %+v", est2, est)
@@ -97,7 +106,7 @@ func TestEvalPlanQualityMonotone(t *testing.T) {
 		query := words[rng.Intn(len(words))] + " " + words[rng.Intn(len(words))] + " " + words[rng.Intn(len(words))]
 		prev := 0.0
 		for b := 1; b <= frags; b++ {
-			_, est := ix.TopNPlan(query, EvalPlan{N: 10, Frags: frags, Budget: b})
+			_, est := evalText(ix, query, EvalPlan{N: 10, Frags: frags, Budget: b})
 			if v := est.Value(); v < prev-1e-12 {
 				t.Fatalf("iter %d: quality %v after %v at budget %d", iter, v, prev, b)
 			} else {
@@ -115,11 +124,11 @@ func TestEvalPlanQualityMonotone(t *testing.T) {
 func TestEvalPlanQualityFloor(t *testing.T) {
 	ix := planCorpus(400, 9)
 	const q = "seles champion match ball"
-	_, cheap := ix.TopNPlan(q, EvalPlan{N: 10, Frags: 8, Budget: 1})
+	_, cheap := evalText(ix, q, EvalPlan{N: 10, Frags: 8, Budget: 1})
 	if cheap.Value() >= 0.9 {
 		t.Skipf("corpus did not produce a low-quality budget-1 plan (%v)", cheap.Value())
 	}
-	res, est := ix.TopNPlan(q, EvalPlan{N: 10, Frags: 8, Budget: 1, MinQuality: 0.9})
+	res, est := evalText(ix, q, EvalPlan{N: 10, Frags: 8, Budget: 1, MinQuality: 0.9})
 	if est.Value() < 0.9 {
 		t.Fatalf("floor not honoured: %+v", est)
 	}
@@ -130,7 +139,7 @@ func TestEvalPlanQualityFloor(t *testing.T) {
 		t.Fatal("no results under floored plan")
 	}
 	// An unreachable floor degrades to exact evaluation.
-	full, est := ix.TopNPlan(q, EvalPlan{N: 10, Frags: 8, Budget: 1, MinQuality: 1.0})
+	full, est := evalText(ix, q, EvalPlan{N: 10, Frags: 8, Budget: 1, MinQuality: 1.0})
 	sameResults(t, "unreachable floor", full, ix.TopN(q, 10))
 	if est.Value() != 1.0 {
 		t.Fatalf("full extension quality = %v", est.Value())
@@ -173,17 +182,18 @@ func TestMemoryBudgetIdenticalRanking(t *testing.T) {
 	queries := []string{"champion winner serve", "seles", "match ball court", "melbourne trophy"}
 	for _, q := range queries {
 		sameResults(t, "budgeted topn "+q, budgeted.TopN(q, 10), plainIx.TopN(q, 10))
-		wantRes, wantEst := plainIx.TopNPlan(q, EvalPlan{N: 10, Frags: 4, Budget: 2})
-		gotRes, gotEst := budgeted.TopNPlan(q, EvalPlan{N: 10, Frags: 4, Budget: 2})
+		wantRes, wantEst := evalText(plainIx, q, EvalPlan{N: 10, Frags: 4, Budget: 2})
+		gotRes, gotEst := evalText(budgeted, q, EvalPlan{N: 10, Frags: 4, Budget: 2})
 		sameResults(t, "budgeted plan "+q, gotRes, wantRes)
 		if gotEst != wantEst {
 			t.Fatalf("plan estimate %+v != %+v", gotEst, wantEst)
 		}
 	}
 	cands := map[bat.OID]bool{1: true, 5: true, 9: true, 40: true}
-	sameResults(t, "budgeted restricted",
-		budgeted.TopNRestricted("champion ball", 10, cands),
-		plainIx.TopNRestricted("champion ball", 10, cands))
+	restricted := Request{Query: "champion ball", Plan: EvalPlan{N: 10}, Candidates: cands}
+	gotRes, _ := budgeted.Evaluate(restricted)
+	wantRes, _ := plainIx.Evaluate(restricted)
+	sameResults(t, "budgeted restricted", gotRes, wantRes)
 	// Adds keep working against compressed terms and re-apply the
 	// budget on the next freeze.
 	plainIx.Add(1000, "d1000", "ball ball champion seles")
@@ -227,7 +237,7 @@ func TestPlanReadyEmptyIndex(t *testing.T) {
 	if !ix.PlanReady(EvalPlan{N: 5, Frags: 4, Budget: 1}) {
 		t.Fatal("empty index not plan-ready")
 	}
-	res, est := ix.TopNPlanWithStats("anything", EvalPlan{N: 5, Frags: 4, Budget: 1}, Stats{})
+	res, est := ix.Evaluate(Request{Query: "anything", Plan: EvalPlan{N: 5, Frags: 4, Budget: 1}, Stats: &Stats{}})
 	if len(res) != 0 || est.Value() != 1.0 {
 		t.Fatalf("empty-index plan eval = %v / %+v", res, est)
 	}

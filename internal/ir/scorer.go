@@ -15,10 +15,11 @@ import (
 type scorer struct {
 	scores  []float64
 	touched []int32
+	qstems  []string // resolved query: stems and, parallel, term oids
 	qterms  []bat.OID
 	heap    []Result
-	mass    []float64 // per-query-term idf mass (plan evaluation)
-	frag    []int32   // per-query-term fragment index (plan evaluation)
+	dfs     []int   // per-query-term df the term is weighed with
+	frag    []int32 // per-query-term fragment index (plan evaluation)
 }
 
 // getScorer fetches a scorer with an all-zero score column covering

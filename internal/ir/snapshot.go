@@ -16,7 +16,7 @@ import (
 // long as the logical relations stay expressible.
 //
 // The state round-trips exactly: ImportState(ExportState()) yields an
-// index whose TopN and TopNPlan rankings (documents AND scores) are
+// index whose exact and budgeted rankings (documents AND scores) are
 // byte-identical to the original's, because scores depend only on
 // (tf, df, Σdf, |d|, λ) and on the doc-sorted posting scan order that
 // export preserves.

@@ -55,9 +55,10 @@ func TestSnapshotRoundTripExact(t *testing.T) {
 	sameResults(t, "naive", got.TopNNaive("champion winner", 10), ix.TopNNaive("champion winner", 10))
 	// Global-statistics scoring (the distributed read path).
 	global := ix.StatsLocal()
-	sameResults(t, "with stats",
-		got.TopNWithStats("champion winner serve", 10, global),
-		ix.TopNWithStats("champion winner serve", 10, global))
+	withStats := Request{Query: "champion winner serve", Plan: EvalPlan{N: 10}, Stats: &global}
+	gotRes, _ := got.Evaluate(withStats)
+	wantRes, _ := ix.Evaluate(withStats)
+	sameResults(t, "with stats", gotRes, wantRes)
 }
 
 // TestSnapshotRoundTripPlans: budgeted evaluation after restore is
@@ -80,8 +81,8 @@ func TestSnapshotRoundTripPlans(t *testing.T) {
 			{N: 10, Budget: 6},
 			{N: 10, Budget: 2, MinQuality: 0.9},
 		} {
-			wantRes, wantEst := ix.TopNPlan(q, plan)
-			gotRes, gotEst := got.TopNPlan(q, plan)
+			wantRes, wantEst := evalText(ix, q, plan)
+			gotRes, gotEst := evalText(got, q, plan)
 			sameResults(t, q, gotRes, wantRes)
 			if gotEst != wantEst {
 				t.Fatalf("%q plan %+v: estimate %+v, want %+v", q, plan, gotEst, wantEst)

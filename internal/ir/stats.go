@@ -1,11 +1,5 @@
 package ir
 
-import (
-	"slices"
-
-	"dlsearch/internal/bat"
-)
-
 // Stats carries collection-wide term statistics keyed by stemmed term.
 // In the distributed setting the central DBMS aggregates the local
 // statistics of every node and ships them with the query, so each node
@@ -37,41 +31,4 @@ func MergeStats(locals ...Stats) Stats {
 		g.Docs += l.Docs
 	}
 	return g
-}
-
-// TopNWithStats ranks this node's local documents using the supplied
-// global statistics instead of local ones. Combined with Merge this
-// yields a distributed ranking identical to a single global index.
-//
-// TopNWithStats never mutates the index, so after a Freeze any number
-// of goroutines may call it concurrently — this is the read path the
-// shared-nothing cluster fans out over its nodes.
-func (ix *Index) TopNWithStats(query string, n int, global Stats) []Result {
-	s := ix.getScorer()
-	defer ix.putScorer(s)
-	qts := s.qterms[:0]
-	for _, term := range Terms(query) {
-		id, ok := ix.termID[term]
-		if !ok || slices.Contains(qts, id) {
-			continue
-		}
-		qts = append(qts, id)
-		ix.scoreTerm(s, id, global.DF[term], global.TotalDF, nil)
-	}
-	s.qterms = qts
-	return s.selectTopN(ix.docIDs, n)
-}
-
-// TopNWithStatsTerms is TopNWithStats over a pre-resolved query: the
-// parallel stem/oid slices ResolveQuery returns. The stems key the
-// global DF lookups; the oids address the local posting lists. This is
-// the cached hot path of the node server — the same query string no
-// longer re-tokenizes and re-stems on every request.
-func (ix *Index) TopNWithStatsTerms(stems []string, terms []bat.OID, n int, global Stats) []Result {
-	s := ix.getScorer()
-	defer ix.putScorer(s)
-	for i, id := range terms {
-		ix.scoreTerm(s, id, global.DF[stems[i]], global.TotalDF, nil)
-	}
-	return s.selectTopN(ix.docIDs, n)
 }

@@ -70,8 +70,9 @@ func TestFileRoundTrip(t *testing.T) {
 		for _, q := range []string{"champion winner serve", "seles", "match court"} {
 			sameResults(t, fmt.Sprintf("mem=%d exact %s", memBudget, q),
 				got.TopN(q, 10), ix.TopN(q, 10))
-			wantRes, wantEst := ix.TopNPlan(q, ir.EvalPlan{N: 10, Budget: 2})
-			gotRes, gotEst := got.TopNPlan(q, ir.EvalPlan{N: 10, Budget: 2})
+			budgeted := ir.Request{Query: q, Plan: ir.EvalPlan{N: 10, Budget: 2}}
+			wantRes, wantEst := ix.Evaluate(budgeted)
+			gotRes, gotEst := got.Evaluate(budgeted)
 			sameResults(t, fmt.Sprintf("mem=%d budgeted %s", memBudget, q), gotRes, wantRes)
 			if gotEst != wantEst {
 				t.Fatalf("mem=%d %s: estimate %+v, want %+v", memBudget, q, gotEst, wantEst)

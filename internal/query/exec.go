@@ -57,13 +57,12 @@ type ContentRanker interface {
 // restrict the candidate set a-priori before the IR ranking runs
 // (DisableRestriction turns this off to quantify the benefit).
 //
-// Plan, when set, makes the executor evaluate unrestricted contains
-// predicates under a fragment-budgeted ir.EvalPlan — the idf cut-off
-// as a first-class execution strategy — accumulating the achieved
-// quality in Quality. Predicates carrying an a-priori candidate
-// restriction fall back to exact evaluation: the conceptual
-// restriction is already the cheaper cut, and stacking a lossy one on
-// top would make the quality accounting lie about it.
+// Plan, when set, makes the executor evaluate contains predicates
+// under a fragment-budgeted ir.EvalPlan — the idf cut-off as a
+// first-class execution strategy — accumulating the achieved quality
+// in Quality. The cut-off composes with the a-priori candidate
+// restriction: the estimate accounts for query terms, not documents,
+// so it is the same with or without the restriction.
 //
 // Ranker, when set, replaces the database's local index scoring for
 // contains predicates (see ContentRanker); nil selects the local
@@ -93,8 +92,7 @@ func (ex *Executor) ranker() ContentRanker {
 // localRanker is the default ContentRanker: it scores the database's
 // own per-attribute indexes, going through the database's term
 // resolver — the engine's query cache — when one is injected, and
-// through the budgeted plan when one is picked and the predicate is
-// unrestricted.
+// under the budgeted plan when one is picked.
 type localRanker Executor
 
 // Collection implements ContentRanker.
@@ -112,22 +110,18 @@ func (r *localRanker) Rank(key, text string, n int, candidates map[bat.OID]bool)
 	if idx == nil {
 		return nil, ir.QualityEstimate{}, fmt.Errorf("query: no full-text index for %s", key)
 	}
-	if r.Plan != nil && candidates == nil {
-		plan := *r.Plan
-		plan.N = n
-		if r.DB.ResolveTerms != nil {
-			idx.Freeze() // resolve against frozen state, like the exact path
-			res, est := idx.TopNPlanTerms(r.DB.ResolveTerms(idx, text), plan)
-			return res, est, nil
-		}
-		res, est := idx.TopNPlan(text, plan)
-		return res, est, nil
+	req := ir.Request{Query: text, Plan: ir.EvalPlan{N: n}, Candidates: candidates}
+	idx.Freeze() // resolve and rank against frozen state
+	if r.Plan != nil {
+		req.Plan = *r.Plan
+		req.Plan.N = n
+		idx.EnsureFragments(req.Plan)
 	}
 	if r.DB.ResolveTerms != nil {
-		idx.Freeze()
-		return idx.TopNTermsRestricted(r.DB.ResolveTerms(idx, text), n, candidates), ir.QualityEstimate{}, nil
+		req.Terms = r.DB.ResolveTerms(idx, text)
 	}
-	return idx.TopNRestricted(text, n, candidates), ir.QualityEstimate{}, nil
+	res, est := idx.Evaluate(req)
+	return res, est, nil
 }
 
 // Run evaluates a parsed query.

@@ -259,9 +259,10 @@ func TestEmptyDatabase(t *testing.T) {
 	}
 }
 
-// TestExecutorBudgetedPlan: the executor evaluates unrestricted
-// contains predicates under an ir.EvalPlan, accumulates the achieved
-// quality, and a full-coverage plan returns exactly the exact answer.
+// TestExecutorBudgetedPlan: the executor evaluates contains
+// predicates, restricted or not, under an ir.EvalPlan, accumulates the
+// achieved quality, and a full-coverage plan returns exactly the exact
+// answer.
 func TestExecutorBudgetedPlan(t *testing.T) {
 	db := fixtureDB(t)
 	const src = "SELECT p.name FROM Player p WHERE contains(p.history, 'winner title')"
@@ -293,14 +294,50 @@ func TestExecutorBudgetedPlan(t *testing.T) {
 			t.Fatalf("row %d score %v, want %v", i, gotRes.Rows[i].Score, wantRes.Rows[i].Score)
 		}
 	}
-	// Restricted predicates fall back to exact: the quality stays
-	// trivially exact and results match the unplanned executor.
-	restricted := NewExecutor(db)
-	restricted.Plan = &ir.EvalPlan{Frags: 2, Budget: 1}
-	if _, err := restricted.Run(q); err != nil {
+	// The cut-off composes with the a-priori restriction: under a
+	// full-coverage plan the restricted predicate is byte-identical to
+	// the unplanned executor and provably exact.
+	wantRes, err = NewExecutor(db).Run(q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if restricted.Quality.TotalIDF != 0 {
-		t.Fatalf("restricted predicates leaked into quality accounting: %+v", restricted.Quality)
+	restricted := NewExecutor(db)
+	restricted.Plan = &ir.EvalPlan{Frags: 2, Budget: 2}
+	gotRes, err = restricted.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restricted.Quality.TotalIDF == 0 || restricted.Quality.Value() != 1.0 {
+		t.Fatalf("restricted full-coverage estimate = %+v", restricted.Quality)
+	}
+	if len(gotRes.Rows) != len(wantRes.Rows) {
+		t.Fatalf("restricted rows = %d, want %d", len(gotRes.Rows), len(wantRes.Rows))
+	}
+	for i, want := range wantRes.Rows {
+		if got := gotRes.Rows[i]; got.Values[0] != want.Values[0] || got.Score != want.Score {
+			t.Fatalf("restricted row %d = %+v, want %+v", i, got, want)
+		}
+	}
+	// A lossy budget: the estimate accounts for query terms, not
+	// documents, so the restricted run reports what the unrestricted
+	// one does. A document outside every class skews the dfs so that
+	// 'title' falls into the trailing fragment.
+	db.IR["Player.history"].Add(9001, "skew", "title title match")
+	lossy := ir.EvalPlan{Frags: 2, Budget: 1}
+	restricted = NewExecutor(db)
+	restricted.Plan = &lossy
+	unrestricted := NewExecutor(db)
+	unrestricted.DisableRestriction = true
+	unrestricted.Plan = &lossy
+	for _, ex := range []*Executor{restricted, unrestricted} {
+		if _, err := ex.Run(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if restricted.Quality.Value() >= 1.0 {
+		t.Fatalf("budget 1 of 2 did not cut a query term: %+v", restricted.Quality)
+	}
+	if restricted.Quality != unrestricted.Quality {
+		t.Fatalf("restricted estimate %+v, unrestricted %+v", restricted.Quality, unrestricted.Quality)
 	}
 }

@@ -77,16 +77,17 @@ func (e *clusterErr) Unwrap() error { return e.err }
 // budgets, failover, tracing, wire codec).
 //
 // Predicates under an a-priori candidate restriction are evaluated by
-// ranking the whole collection exactly and filtering the merged
-// ranking to the candidates. That is byte-identical to the engine's
-// local restricted ranking: per-document scores are independent of the
-// candidate set, and the cluster merge and the local restricted top-n
-// share one comparator (score desc, doc asc) — restricting before or
-// after ranking selects the same documents with the same scores.
+// ranking the whole collection under the same plan and filtering the
+// merged ranking to the candidates. That is byte-identical to the
+// engine's local restricted ranking: per-document scores and the
+// quality estimate are independent of the candidate set, and the
+// cluster merge and the local restricted top-n share one comparator
+// (score desc, doc asc) — restricting before or after ranking selects
+// the same documents with the same scores.
 type clusterRanker struct {
 	co   *Coordinator
 	ctx  context.Context
-	plan ir.EvalPlan // default plan for unrestricted fan-outs; N set per call
+	plan ir.EvalPlan // every fan-out's plan; N set per call
 
 	counts map[string]int   // collection sizes, by index key
 	errs   map[string]error // Collection probe failures, surfaced by Rank
@@ -143,17 +144,11 @@ func (cr *clusterRanker) Rank(key, text string, n int, candidates map[bat.OID]bo
 		return nil, ir.QualityEstimate{}, nil
 	}
 	plan := cr.plan
-	if candidates == nil {
-		plan.N = n
-	} else {
-		// Exact, unrestricted, over the whole collection; the merged
-		// ranking is filtered to the candidates below. (A plan budget
-		// never applies here: restricted predicates are always exact,
-		// like the engine's local executor.)
-		plan = ir.EvalPlan{N: cr.counts[key]}
-		if plan.N < n {
-			plan.N = n
-		}
+	plan.N = n
+	if candidates != nil {
+		// Rank the whole collection; the merged ranking is filtered to
+		// the candidates below.
+		plan.N = max(n, cr.counts[key])
 	}
 	sr, err := cluster.SearchPlan(cr.ctx, text, plan)
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"dlsearch/internal/crawler"
 	"dlsearch/internal/dist"
 	"dlsearch/internal/ir"
+	"dlsearch/internal/query"
 	"dlsearch/internal/site"
 	"dlsearch/internal/webspace"
 )
@@ -128,41 +129,67 @@ func TestQueryClusterMatchesSingleProcess(t *testing.T) {
 		t.Fatalf("committed %d of %d lines", sum.Committed, sum.Lines)
 	}
 
-	// The conceptual query over the cluster.
-	body, _ := json.Marshal(QueryRequest{Query: core.Figure13Query})
-	qw := postJSON(t, h, "/query", string(body))
-	if qw.Code != http.StatusOK {
-		t.Fatalf("query status = %d: %s", qw.Code, qw.Body)
-	}
-	var got QueryResponse
-	if err := json.Unmarshal(qw.Body.Bytes(), &got); err != nil {
+	// The conceptual query over the cluster: exact, and under a
+	// budgeted plan. Figure 13's contains predicate is restricted by the
+	// conceptual selections, so the second input runs restricted +
+	// budgeted on both sides (the nodes fragment their own partitions,
+	// which is why the plan is a full-coverage one).
+	four := 4
+	wantBudgeted, wantQuality, err := ref.QueryBudgeted(core.Figure13Query, ir.EvalPlan{Frags: four, Budget: four})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Complete || got.Dropped != 0 || got.Diverged != 0 {
-		t.Fatalf("degraded answer: %+v", got)
+	if wantQuality.TotalIDF == 0 {
+		t.Fatalf("engine evaluated the restricted predicate outside the plan: %+v", wantQuality)
 	}
-	if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") {
-		t.Fatalf("columns = %v, want %v", got.Columns, want.Columns)
-	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("rows = %d, want %d\ngot %+v\nwant %+v",
-			len(got.Rows), len(want.Rows), got.Rows, want.Rows)
-	}
-	for i, wr := range want.Rows {
-		gr := got.Rows[i]
-		if strings.Join(gr.Values, "|") != strings.Join(wr.Values, "|") {
-			t.Fatalf("row %d values = %v, want %v", i, gr.Values, wr.Values)
+	for _, in := range []struct {
+		name    string
+		req     QueryRequest
+		want    *query.Result
+		quality ir.QualityEstimate
+	}{
+		{"exact", QueryRequest{Query: core.Figure13Query}, want, ir.QualityEstimate{}},
+		{"restricted+budgeted", QueryRequest{Query: core.Figure13Query, Frags: &four, Budget: &four}, wantBudgeted, wantQuality},
+	} {
+		body, _ := json.Marshal(in.req)
+		qw := postJSON(t, h, "/query", string(body))
+		if qw.Code != http.StatusOK {
+			t.Fatalf("%s: query status = %d: %s", in.name, qw.Code, qw.Body)
 		}
-		if gr.Score != wr.Score {
-			t.Fatalf("row %d score = %v, want %v (not byte-identical)", i, gr.Score, wr.Score)
+		var got QueryResponse
+		if err := json.Unmarshal(qw.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
 		}
-		if len(gr.Shots) != len(wr.Shots) {
-			t.Fatalf("row %d shots = %d, want %d", i, len(gr.Shots), len(wr.Shots))
+		if !got.Complete || got.Dropped != 0 || got.Diverged != 0 {
+			t.Fatalf("%s: degraded answer: %+v", in.name, got)
 		}
-		for j, ws := range wr.Shots {
-			gs := gr.Shots[j]
-			if gs.Begin != ws.Begin || gs.End != ws.End || gs.Tennis != ws.Tennis || gs.Netplay != ws.Netplay {
-				t.Fatalf("row %d shot %d = %+v, want %+v", i, j, gs, ws)
+		if got.Quality.Value != in.quality.Value() || (got.Quality.TotalIDF == 0) != (in.quality.TotalIDF == 0) {
+			t.Fatalf("%s: quality = %+v, want %+v", in.name, got.Quality, in.quality)
+		}
+		want := in.want
+		if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") {
+			t.Fatalf("%s: columns = %v, want %v", in.name, got.Columns, want.Columns)
+		}
+		if len(got.Rows) != len(want.Rows) {
+			t.Fatalf("%s: rows = %d, want %d\ngot %+v\nwant %+v",
+				in.name, len(got.Rows), len(want.Rows), got.Rows, want.Rows)
+		}
+		for i, wr := range want.Rows {
+			gr := got.Rows[i]
+			if strings.Join(gr.Values, "|") != strings.Join(wr.Values, "|") {
+				t.Fatalf("%s: row %d values = %v, want %v", in.name, i, gr.Values, wr.Values)
+			}
+			if gr.Score != wr.Score {
+				t.Fatalf("%s: row %d score = %v, want %v (not byte-identical)", in.name, i, gr.Score, wr.Score)
+			}
+			if len(gr.Shots) != len(wr.Shots) {
+				t.Fatalf("%s: row %d shots = %d, want %d", in.name, i, len(gr.Shots), len(wr.Shots))
+			}
+			for j, ws := range wr.Shots {
+				gs := gr.Shots[j]
+				if gs.Begin != ws.Begin || gs.End != ws.End || gs.Tennis != ws.Tennis || gs.Netplay != ws.Netplay {
+					t.Fatalf("%s: row %d shot %d = %+v, want %+v", in.name, i, j, gs, ws)
+				}
 			}
 		}
 	}
