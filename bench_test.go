@@ -190,12 +190,6 @@ func BenchmarkE11DistributedTopN(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("sequential/nodes=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c.TopNSequential("champion winner serve", 10)
-			}
-		})
 	}
 }
 
@@ -450,7 +444,7 @@ func BenchmarkE19CompressedScoring(b *testing.B) {
 // --- E20: observability overhead ---
 
 // The instrumentation must be invisible on the hot path: with metrics
-// attached, LocalNode.TopNWithStats adds exactly one clock read and
+// attached, LocalNode.SearchPlan adds exactly one clock read and
 // one atomic histogram observation around the identical scoring code —
 // no locks, no allocations. The "bare" and "instrumented" sub-benches
 // run the same node-level top-N; the delta IS the cost of observation
@@ -470,7 +464,7 @@ func BenchmarkE20ObservabilityOverhead(b *testing.B) {
 	run := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := node.TopNWithStats(context.Background(), query, 10, global)
+			res, _, err := node.SearchPlan(context.Background(), query, ir.EvalPlan{N: 10}, global)
 			if err != nil || len(res) == 0 {
 				b.Fatalf("topn: %v (%d results)", err, len(res))
 			}

@@ -107,7 +107,7 @@ func main() {
 	resyncFrom := fs.String("resync", "", "peer node base URL to pull the fragment from at boot — seeds a fresh or wiped replica from a live group member (node)")
 	verifyPeer := fs.String("verify", "", "peer node base URL to compare content checksums with after boot recovery — a mismatch pulls the peer's state instead of serving wrong rankings (node)")
 	antiEntropy := fs.Duration("anti-entropy-interval", 0, "periodic replica checksum comparison + auto-resync interval, 0 disables (coordinator)")
-	wire := fs.String("wire", "binary", "node wire protocol: binary (framed codec, persistent connections, falls back to JSON per peer) or json (HTTP/JSON only — debugging and third-party nodes)")
+	wire := fs.String("wire", "binary", "node wire protocol: binary (framed codec, persistent connections, falls back to JSON per peer) or json (HTTP/JSON only — debugging)")
 	logLevel := fs.String("log-level", "info", "log threshold: debug, info, warn or error (background-loop noise logs at debug)")
 	slowQueryMS := fs.Int("slow-query-ms", 0, "log one JSON line with the full span breakdown for every query slower than this; 0 disables, negative logs every query")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060), empty disables")

@@ -45,7 +45,7 @@ func TestEngineBackendClusterIngest(t *testing.T) {
 	if !ok {
 		t.Fatal("Player:p1 has no oid")
 	}
-	if err := node.Add(context.Background(), oid, doc.URL, "winner of the open"); err != nil {
+	if err := node.AddBatch(context.Background(), []dist.Doc{{OID: oid, URL: doc.URL, Text: "winner of the open"}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.IR["Player.history"].DocCount(); got != 1 {
@@ -79,7 +79,7 @@ func TestEngineBackendRestoreRehomesIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	oid, _ := e.DB.OIDOf("Player:p1")
-	if err := node.Add(context.Background(), oid, doc.URL, "winner of the open"); err != nil {
+	if err := node.AddBatch(context.Background(), []dist.Doc{{OID: oid, URL: doc.URL, Text: "winner of the open"}}); err != nil {
 		t.Fatal(err)
 	}
 

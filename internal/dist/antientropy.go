@@ -104,23 +104,19 @@ func (c *Cluster) checkGroup(ctx context.Context, g int, repair bool, report *An
 			defer wg.Done()
 			nctx, cancel := c.nodeCtx(ctx)
 			defer cancel()
-			// Force a fresh digest where the node supports it; a plain
-			// Load may legitimately report no checksum (stale cache),
-			// which would read as "cannot compare" below.
-			if cl, ok := node.(ChecksumLoader); ok {
-				checks[r].Load, checks[r].Err = cl.LoadChecksum(nctx)
-				return
-			}
-			checks[r].Load, checks[r].Err = node.Load(nctx)
+			// Force a fresh digest; a plain Load may legitimately report
+			// no checksum (stale cache), which would read as "cannot
+			// compare" below.
+			checks[r].Load, checks[r].Err = node.LoadChecksum(nctx)
 		}(r, node)
 	}
 	wg.Wait()
 	// Reference: reachable, non-quarantined, checksum-reporting, most
 	// documents; ties break to the lowest replica index (the preferred
 	// routing order). A quarantined replica can never define the
-	// group's truth, and neither can a node that reports no checksum (a
-	// third-party Node outside the self-healing protocol) — electing
-	// one as reference would silently disable detection for the group.
+	// group's truth, and neither can a node that reports no checksum —
+	// electing one as reference would silently disable detection for
+	// the group.
 	//
 	// Tripwire against automated data loss: every document the cluster
 	// routed to this partition satisfies partition(doc) == g, so a
@@ -264,15 +260,14 @@ const resyncRetries = 3
 // resyncLocked moves src's state onto replica r of group g. The caller
 // holds the group's ingest write lock.
 //
-// The cheap path ships an op-log delta: when both ends speak the
-// delta protocol and the source's log still covers the target's
-// position, only the missing log suffix travels — cost proportional
-// to the LAG, not the fragment. Positions alone cannot prove the two
-// histories share a prefix (a replica may hold the right COUNT of the
-// wrong documents), so the delta is an optimization verified by
-// content checksum: after the apply, source and target must report
-// identical fresh checksums, and any mismatch falls back to the full
-// snapshot below. The full path is the unconditional truth-mover —
+// The cheap path ships an op-log delta: when the source's log still
+// covers the target's position, only the missing log suffix travels —
+// cost proportional to the LAG, not the fragment. Positions alone
+// cannot prove the two histories share a prefix (a replica may hold
+// the right COUNT of the wrong documents), so the delta is an
+// optimization verified by content checksum: after the apply, source
+// and target must report identical fresh checksums, and any mismatch
+// falls back to the full snapshot below. The full path is the unconditional truth-mover —
 // and it too verifies before readmitting: the target's fresh checksum
 // must equal the shipped state's, or the replica STAYS quarantined
 // (checksum-verified rejoin) rather than serving wrong rankings.
@@ -293,14 +288,7 @@ func (c *Cluster) resyncLocked(ctx context.Context, g, r, src int) error {
 }
 
 func (c *Cluster) doResyncLocked(ctx context.Context, g, r, src int) error {
-	source, ok := c.groups[g][src].(StateSource)
-	if !ok {
-		return fmt.Errorf("dist: partition %d replica %d cannot export state", g, src)
-	}
-	sink, ok := c.groups[g][r].(StateSink)
-	if !ok {
-		return fmt.Errorf("dist: partition %d replica %d cannot import state", g, r)
-	}
+	source, sink := c.groups[g][src], c.groups[g][r]
 	if c.tryDeltaResync(ctx, g, r, src) {
 		return nil
 	}
@@ -318,26 +306,22 @@ func (c *Cluster) doResyncLocked(ctx context.Context, g, r, src int) error {
 		return fmt.Errorf("dist: resync %d/%d: import: %w", g, r, err)
 	}
 	// Checksum-verified rejoin: before the replica re-enters routing,
-	// its content must provably equal what was shipped. A target that
-	// cannot report a fresh checksum (a third-party Node) keeps the
-	// pre-verification contract — RestoreState succeeded, readmit.
-	if tcl, ok := c.groups[g][r].(ChecksumLoader); ok {
-		want := st.Checksum()
-		var got NodeLoad
-		verr := c.withRetry(ctx, resyncRetries, resyncRetryBase, func() error {
-			nctx, cancel := c.nodeCtx(ctx)
-			defer cancel()
-			var err error
-			got, err = tcl.LoadChecksum(nctx)
-			return err
-		})
-		if verr != nil || got.Checksum != want {
-			c.markDiverged(g, r)
-			if verr != nil {
-				return fmt.Errorf("dist: resync %d/%d: post-restore checksum probe: %w", g, r, verr)
-			}
-			return fmt.Errorf("dist: resync %d/%d: post-restore checksum %s does not match shipped state %s — replica stays quarantined", g, r, got.Checksum, want)
+	// its content must provably equal what was shipped.
+	want := st.Checksum()
+	var got NodeLoad
+	verr := c.withRetry(ctx, resyncRetries, resyncRetryBase, func() error {
+		nctx, cancel := c.nodeCtx(ctx)
+		defer cancel()
+		var err error
+		got, err = sink.LoadChecksum(nctx)
+		return err
+	})
+	if verr != nil || got.Checksum != want {
+		c.markDiverged(g, r)
+		if verr != nil {
+			return fmt.Errorf("dist: resync %d/%d: post-restore checksum probe: %w", g, r, verr)
 		}
+		return fmt.Errorf("dist: resync %d/%d: post-restore checksum %s does not match shipped state %s — replica stays quarantined", g, r, got.Checksum, want)
 	}
 	// Count the full resync (and its shipped bytes) only now that it is
 	// verified: a rejoin that failed verification leaves the replica
@@ -353,34 +337,19 @@ func (c *Cluster) doResyncLocked(ctx context.Context, g, r, src int) error {
 
 // tryDeltaResync attempts the log-suffix path of resyncLocked and
 // reports whether it fully healed (applied AND checksum-verified)
-// replica r from src. Every failure — missing capability, compacted
-// log, position mismatch, transfer error, checksum disagreement —
-// returns false and the caller falls back to the full snapshot; the
-// fallback overwrites whatever a partial delta left behind.
+// replica r from src. Every failure — compacted log, position
+// mismatch, transfer error, checksum disagreement — returns false and
+// the caller falls back to the full snapshot; the fallback overwrites
+// whatever a partial delta left behind.
 func (c *Cluster) tryDeltaResync(ctx context.Context, g, r, src int) bool {
-	ds, ok := c.groups[g][src].(DeltaSource)
-	if !ok {
-		return false
-	}
-	sink, ok := c.groups[g][r].(DeltaSink)
-	if !ok {
-		return false
-	}
-	scl, sok := c.groups[g][src].(ChecksumLoader)
-	tcl, tok := c.groups[g][r].(ChecksumLoader)
-	if !sok || !tok {
-		// Without fresh checksums on both ends the delta cannot be
-		// verified, and an unverified delta is a silent-wrong-ranking
-		// machine. Full snapshot only.
-		return false
-	}
+	source, sink := c.groups[g][src], c.groups[g][r]
 	nctx, cancel := c.nodeCtx(ctx)
-	target, err := c.groups[g][r].Load(nctx)
+	target, err := sink.Load(nctx)
 	cancel()
 	if err != nil {
 		return false
 	}
-	ops, err := ds.OpsSince(ctx, target.LogPos)
+	ops, err := source.OpsSince(ctx, target.LogPos)
 	if err != nil {
 		return false
 	}
@@ -392,13 +361,13 @@ func (c *Cluster) tryDeltaResync(ctx context.Context, g, r, src int) bool {
 	// nothing is being written between the two probes.
 	var srcLoad, tgtLoad NodeLoad
 	nctx, cancel = c.nodeCtx(ctx)
-	srcLoad, err = scl.LoadChecksum(nctx)
+	srcLoad, err = source.LoadChecksum(nctx)
 	cancel()
 	if err != nil || srcLoad.Checksum == "" {
 		return false
 	}
 	nctx, cancel = c.nodeCtx(ctx)
-	tgtLoad, err = tcl.LoadChecksum(nctx)
+	tgtLoad, err = sink.LoadChecksum(nctx)
 	cancel()
 	if err != nil || tgtLoad.Checksum != srcLoad.Checksum {
 		return false

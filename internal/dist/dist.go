@@ -628,21 +628,6 @@ func (c *Cluster) fanToGroup(ctx context.Context, g, scale int, call func(contex
 	return committed, errors.Join(errs...)
 }
 
-// partialApplyError wraps a per-document add failure that happened
-// AFTER earlier documents of the same group batch were applied: the
-// replica holds an unknown prefix, so "no replica acknowledged" must
-// not be read as retry-safe.
-type partialApplyError struct {
-	applied, total int
-	err            error
-}
-
-func (e *partialApplyError) Error() string {
-	return fmt.Sprintf("applied %d of %d documents before failing: %v", e.applied, e.total, e.err)
-}
-
-func (e *partialApplyError) Unwrap() error { return e.err }
-
 // InvalidateStats forces the next query to re-aggregate global
 // statistics. Use it when documents were added to a node outside this
 // cluster (e.g. directly against a remote node's server).
@@ -672,18 +657,9 @@ func (c *Cluster) nodeCtxN(ctx context.Context, n int) (context.Context, context
 	return context.WithCancel(ctx)
 }
 
-// AddContext routes one document to every replica of its partition by
-// the deterministic per-document partitioning. Stats are invalidated
-// after the add lands (not before): a concurrent query that
-// re-aggregated while the add was in flight must not leave stale
-// statistics marked fresh.
+// AddContext is the one-document spelling of AddBatchContext.
 func (c *Cluster) AddContext(ctx context.Context, doc bat.OID, url, text string) error {
-	defer c.InvalidateStats()
-	g := c.partition(doc, len(c.groups))
-	_, err := c.fanToGroup(ctx, g, 1, func(nctx context.Context, n Node) error {
-		return n.Add(nctx, doc, url, text)
-	})
-	return err
+	return c.AddBatchContext(ctx, []Doc{{OID: doc, URL: url, Text: text}})
 }
 
 // Add is AddContext with a background context, for in-process clusters
@@ -697,48 +673,37 @@ func (c *Cluster) Add(doc bat.OID, url, text string) {
 // ACKNOWLEDGED committing them, and the joined error when any replica
 // failed.
 //
-// Retry semantics: the cluster's own nodes (LocalNode, RemoteNode)
-// de-duplicate ingest per document oid (IdempotentIngest), which
-// collapses the old at-least-once ambiguity: re-posting a partition's
-// documents with the same oids is ALWAYS safe against them — a replica
-// that timed out AFTER applying the batch skips it on the retry
-// instead of double-folding term frequencies, and a replica that
-// missed the batch applies it, converging the group. So a partition
-// with Committed == 0 is retry-safe, and retrying a DEGRADED partition
-// (0 < Committed < Replicas) heals the lagging replicas rather than
-// corrupting the committed ones. Only third-party nodes without the
-// IdempotentIngest marker keep the conservative contract: a partial
-// per-document application there is flagged Ambiguous (a blind retry
-// would double-fold the applied prefix), and their timeouts remain
-// needs-verification.
+// Retry semantics: every node de-duplicates ingest per document oid
+// (the Node.AddBatch contract), so re-posting a partition's documents
+// with the same oids is ALWAYS safe — a replica that timed out AFTER
+// applying the batch skips it on the retry instead of double-folding
+// term frequencies, and a replica that missed the batch applies it,
+// converging the group. One rule remains: Committed == 0 means retry
+// with the same oids; 0 < Committed < Replicas means the documents are
+// searchable and a retry (or anti-entropy) heals the lagging replicas.
 type PartitionResult struct {
 	Partition int
 	Docs      []bat.OID // the batch's documents routed here, request order
 	Replicas  int       // replica count of the partition
 	Committed int       // replicas that acknowledged the whole group batch
 	Err       error     // nil when every replica acknowledged
-	// Ambiguous is set when a replica demonstrably applied SOME of the
-	// partition's documents before failing (the per-document fallback
-	// loop progressed past its first document): even with Committed 0
-	// a retry would double-fold the applied prefix.
-	Ambiguous bool
 }
 
-// Failed reports whether no replica acknowledged the commit and no
-// ambiguous partial application was observed — the retry-safe case
-// (with idempotent nodes that is every Committed == 0 outcome; see the
-// type comment for the third-party-node caveat).
+// Failed reports whether no replica acknowledged the commit — retry
+// with the same oids.
 func (p *PartitionResult) Failed() bool {
-	return p.Committed == 0 && p.Err != nil && !p.Ambiguous
+	return p.Committed == 0 && p.Err != nil
 }
 
 // AddBatchResults routes a batch of documents to their partitions with
 // one round-trip per touched replica: documents are grouped by the
-// deterministic partitioning, and each group ships to every replica
-// through the node's BatchAdder capability (one request) or, for nodes
-// without it, a per-document Add loop. Groups load in parallel and
-// every group settles before the call returns, so a partial failure
-// never leaves goroutines writing behind the caller's back.
+// deterministic partitioning, and each group ships to every replica of
+// its partition in one AddBatch. Groups load in parallel and every
+// group settles before the call returns, so a partial failure never
+// leaves goroutines writing behind the caller's back. Stats are
+// invalidated after the adds land (not before): a concurrent query
+// that re-aggregated while an add was in flight must not leave stale
+// statistics marked fresh.
 //
 // The per-partition outcomes come back in ascending partition order so
 // a client can retry exactly the failed partitions (see
@@ -770,31 +735,9 @@ func (c *Cluster) AddBatchResults(ctx context.Context, docs []Doc) []PartitionRe
 		wg.Add(1)
 		go func(i, g int, part []Doc) {
 			defer wg.Done()
-			committed, err := c.fanToGroup(ctx, g, len(part), func(nctx context.Context, n Node) error {
-				if ba, ok := n.(BatchAdder); ok {
-					return ba.AddBatch(nctx, part)
-				}
-				_, idempotent := n.(IdempotentIngest)
-				for j, d := range part {
-					if err := n.Add(nctx, d.OID, d.URL, d.Text); err != nil {
-						if j > 0 && !idempotent {
-							// Only a node WITHOUT per-oid de-duplication
-							// turns a partial prefix into ambiguity — an
-							// idempotent node replays the whole partition
-							// safely, the applied prefix skipping itself.
-							return &partialApplyError{applied: j, total: len(part), err: err}
-						}
-						return err
-					}
-				}
-				return nil
+			results[i].Committed, results[i].Err = c.fanToGroup(ctx, g, len(part), func(nctx context.Context, n Node) error {
+				return n.AddBatch(nctx, part)
 			})
-			results[i].Committed = committed
-			results[i].Err = err
-			var pa *partialApplyError
-			if errors.As(err, &pa) {
-				results[i].Ambiguous = true
-			}
 		}(i, g, part)
 	}
 	wg.Wait()
@@ -1220,27 +1163,4 @@ func (c *Cluster) TopN(query string, n int) []ir.Result {
 		return nil
 	}
 	return sr.Results
-}
-
-// TopNSequential is the single-worker baseline: the same plan, the
-// same per-node RES sets and the same merged ranking, but the
-// partitions are visited one after another. E11 measures parallel
-// against this. Like TopN it is meant for in-process clusters; failing
-// partitions are silently skipped.
-func (c *Cluster) TopNSequential(query string, n int) []ir.Result {
-	ctx := context.Background()
-	global, err := c.GlobalStatsContext(ctx)
-	if err != nil {
-		return nil
-	}
-	rankings := make([][]ir.Result, len(c.groups))
-	for g := range c.groups {
-		res, _, _, err := groupCall(c, ctx, g, 1, func(nctx context.Context, n_ Node) ([]ir.Result, error) {
-			return n_.TopNWithStats(nctx, query, n, global)
-		})
-		if err == nil {
-			rankings[g] = res
-		}
-	}
-	return ir.Merge(n, rankings...)
 }

@@ -70,8 +70,7 @@ func TestMergedEqualsSingle(t *testing.T) {
 		for _, q := range queries {
 			for _, n := range []int{1, 10, 50, len(docs)} {
 				want := single.TopN(q, n)
-				sameRanking(t, fmt.Sprintf("k=%d q=%q n=%d parallel", k, q, n), c.TopN(q, n), want)
-				sameRanking(t, fmt.Sprintf("k=%d q=%q n=%d sequential", k, q, n), c.TopNSequential(q, n), want)
+				sameRanking(t, fmt.Sprintf("k=%d q=%q n=%d", k, q, n), c.TopN(q, n), want)
 			}
 		}
 	}
@@ -169,8 +168,8 @@ func TestAddAfterQuery(t *testing.T) {
 }
 
 // TestParallelQueriesRace exercises the concurrent read path under
-// the race detector: many goroutines issue parallel and sequential
-// queries against one shared cluster at once.
+// the race detector: many goroutines query one shared cluster at
+// once.
 func TestParallelQueriesRace(t *testing.T) {
 	docs := corpus(300, 11)
 	c := NewCluster(4, nil)
@@ -184,12 +183,7 @@ func TestParallelQueriesRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				var got []ir.Result
-				if g%2 == 0 {
-					got = c.TopN("champion winner serve", 10)
-				} else {
-					got = c.TopNSequential("champion winner serve", 10)
-				}
+				got := c.TopN("champion winner serve", 10)
 				if len(got) != len(want) || got[0] != want[0] {
 					t.Errorf("g=%d i=%d: got %v, want %v", g, i, got, want)
 					return

@@ -14,34 +14,77 @@ import (
 	"dlsearch/internal/persist"
 )
 
-// Node is one shared-nothing member of a Cluster. The interface is the
-// network boundary of the distributed design: the in-process LocalNode
-// and the HTTP-backed RemoteNode both satisfy it, so a cluster mixes
-// local and remote members transparently and the central site neither
-// knows nor cares where a fragment physically lives.
+// Node is one shared-nothing member of a Cluster, and the whole
+// contract between the central site and a fragment: one write
+// operation, one read operation, the two probes that feed them, and one
+// replication surface. The interface is the network boundary of the
+// distributed design: the in-process LocalNode and the HTTP-backed
+// RemoteNode both satisfy it, so a cluster mixes local and remote
+// members transparently and the central site neither knows nor cares
+// where a fragment physically lives — nor has to ask a member what it
+// can do.
 //
 // Every method takes a context so the central site can impose
 // per-node deadlines; a node that cannot answer in time is dropped
 // from the merge (straggler handling) rather than stalling the query.
 type Node interface {
-	// Add indexes one document on this node.
-	Add(ctx context.Context, doc bat.OID, url, text string) error
+	// AddBatch indexes one partition's share of a batch in a single
+	// round-trip (a single document is a batch of one). Ingest is
+	// idempotent per document oid BY CONTRACT: re-posting a document
+	// that was already applied is a no-op, never a tf double-fold, so
+	// document oids are write-once at the node boundary. That is what
+	// makes at-least-once ingest safe: a replica that timed out AFTER
+	// applying a batch (the acknowledgement was lost) is simply retried
+	// with the same oids, and a replica that missed the batch applies
+	// it. A nil return acknowledges the WHOLE batch as durable (logged
+	// before applied, where the node keeps a log); an error
+	// acknowledges nothing.
+	AddBatch(ctx context.Context, docs []Doc) error
 	// Stats freezes the node's derived state and returns its local
 	// term statistics for central aggregation.
 	Stats(ctx context.Context) (ir.Stats, error)
-	// TopNWithStats evaluates the query over the node's local fragment
-	// using the supplied global statistics and returns at most n
-	// results — the RES(doc-oid, score) set of the paper.
-	TopNWithStats(ctx context.Context, query string, n int, global ir.Stats) ([]ir.Result, error)
-	// SearchPlan evaluates the query under a fragment-budgeted plan:
-	// the node fragments its own partition on descending idf, evaluates
-	// only the plan's budgeted prefix, and reports the RES set plus the
-	// quality it achieved. An exact plan behaves like TopNWithStats.
-	// This pushes the a-priori cut-off of [BHC+01] below the per-node
-	// RES sets — the fragment-aware combination of both scaling axes.
+	// SearchPlan evaluates the query over the node's local fragment
+	// using the supplied global statistics and returns at most plan.N
+	// results — the RES(doc-oid, score) set of the paper — plus the
+	// quality it achieved. Under a budgeted plan the node fragments its
+	// own partition on descending idf and evaluates only the budgeted
+	// prefix, pushing the a-priori cut-off of [BHC+01] below the
+	// per-node RES sets; an exact plan scores every posting and reports
+	// the zero estimate.
 	SearchPlan(ctx context.Context, query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate, error)
-	// Load returns the node's document load.
+	// Load returns the node's document load. It is a monitoring probe
+	// and must stay O(1): the checksum is whatever digest is cached,
+	// possibly empty.
 	Load(ctx context.Context) (NodeLoad, error)
+	// LoadChecksum is Load with a guaranteed FRESH content checksum,
+	// paying the freeze + digest cost when the content changed since
+	// the last one. Anti-entropy and post-resync verification probe
+	// through it.
+	LoadChecksum(ctx context.Context) (NodeLoad, error)
+
+	// SnapshotState exports the node's complete fragment state as one
+	// consistent cut — the read side of full replica resync.
+	SnapshotState(ctx context.Context) (*ir.IndexState, error)
+	// RestoreState atomically replaces the node's entire fragment with
+	// the supplied state — the write side of full replica resync. The
+	// state installs under the node's write lock with the freeze epoch
+	// advanced strictly past the pre-restore epoch, so epoch-guarded
+	// query caches can never serve pre-restore rankings; a state that
+	// fails validation leaves the previous fragment serving.
+	RestoreState(ctx context.Context, st *ir.IndexState) error
+	// OpsSince returns the node's op-log suffix from position from —
+	// every operation a replica at that position is missing; the read
+	// side of delta resync. ErrDeltaUnavailable means the suffix was
+	// compacted away (or the node keeps no log) and only a full
+	// snapshot covers it.
+	OpsSince(ctx context.Context, from uint64) ([]persist.Op, error)
+	// ApplyOps appends-and-applies a log suffix — the write side of
+	// delta resync. The node must reject (ErrPosMismatch) a delta whose
+	// from does not equal its own position: positions are the only
+	// alignment evidence the delta path has, so applying at an offset
+	// would silently interleave histories. Applying is idempotent per
+	// document oid, like all ingest.
+	ApplyOps(ctx context.Context, from uint64, ops []persist.Op) error
 }
 
 // NodeLoad describes one node's document load: how many documents it
@@ -54,7 +97,7 @@ type Node interface {
 // checksums no matter how the writes interleaved. Load itself never
 // computes a digest (probes must stay O(1)), so Checksum may be empty
 // when the content changed since the last digest; anti-entropy probes
-// through ChecksumLoader, which forces a fresh one.
+// through LoadChecksum, which forces a fresh one.
 type NodeLoad struct {
 	Docs         int
 	MaxDoc       bat.OID
@@ -69,61 +112,11 @@ type NodeLoad struct {
 	LogPos uint64
 }
 
-// ChecksumLoader is an optional Node capability: a load probe that
-// guarantees a FRESH content checksum, paying the freeze + digest cost
-// when the content changed since the last one. Anti-entropy uses it;
-// plain Load keeps monitoring probes (/stats scrapes, doc counts)
-// cheap by reporting only a cached digest, possibly empty.
-type ChecksumLoader interface {
-	LoadChecksum(ctx context.Context) (NodeLoad, error)
-}
-
 // Doc is one document of a batch add.
 type Doc struct {
 	OID  bat.OID
 	URL  string
 	Text string
-}
-
-// BatchAdder is an optional Node capability: indexing a whole partition
-// batch in one round-trip. Cluster.AddBatchContext uses it when a node
-// implements it and falls back to per-document Add otherwise, so the
-// capability stays optional for third-party nodes.
-type BatchAdder interface {
-	AddBatch(ctx context.Context, docs []Doc) error
-}
-
-// IdempotentIngest is an optional Node capability marker: a node
-// implementing it guarantees that Add and AddBatch de-duplicate per
-// document oid — re-posting a document that was already applied is a
-// no-op, never a tf double-fold. Document oids are write-once at such
-// a node's boundary. This is what makes at-least-once ingest safe: a
-// replica that timed out AFTER applying a batch (the acknowledgement
-// was lost) can simply be retried, and a partially applied per-document
-// loop can be replayed from the start — the applied prefix skips
-// itself. LocalNode and RemoteNode (whose server wraps a LocalNode)
-// both implement it; the cluster treats nodes without the marker
-// conservatively (see PartitionResult.Ambiguous).
-type IdempotentIngest interface {
-	IdempotentIngest()
-}
-
-// StateSource is an optional Node capability: exporting the node's
-// complete fragment state as one consistent cut. It is the read side
-// of replica resync — the healthiest member of a replica group serves
-// as the source a diverged or lagging member heals from.
-type StateSource interface {
-	SnapshotState(ctx context.Context) (*ir.IndexState, error)
-}
-
-// StateSink is an optional Node capability: atomically replacing the
-// node's entire fragment with the supplied state. It is the write side
-// of replica resync. Implementations must install the state under
-// their write lock with the freeze epoch advanced strictly past the
-// pre-restore epoch, so epoch-guarded query caches can never serve
-// pre-restore rankings.
-type StateSink interface {
-	RestoreState(ctx context.Context, st *ir.IndexState) error
 }
 
 // ErrDeltaUnavailable reports that a node cannot serve the requested
@@ -137,24 +130,6 @@ var ErrDeltaUnavailable = errors.New("dist: op-log delta unavailable for request
 // to align, so the node rejects the delta and the caller falls back
 // to a full-snapshot resync.
 var ErrPosMismatch = errors.New("dist: delta position does not match node position")
-
-// DeltaSource is an optional Node capability, the read side of delta
-// resync: the node's op-log suffix from position from (every operation
-// a replica at that position is missing). ErrDeltaUnavailable means
-// the suffix was compacted away and only a full snapshot covers it.
-type DeltaSource interface {
-	OpsSince(ctx context.Context, from uint64) ([]persist.Op, error)
-}
-
-// DeltaSink is an optional Node capability, the write side of delta
-// resync: append-and-apply a log suffix. The node must reject a delta
-// whose from does not equal its own position — positions are the only
-// alignment evidence the delta path has, so applying at an offset
-// would silently interleave histories. Applying is idempotent per
-// document oid, like all ingest.
-type DeltaSink interface {
-	ApplyOps(ctx context.Context, from uint64, ops []persist.Op) error
-}
 
 // RankingCache is the serving layer's RES-set cache boundary: rankings
 // keyed by (index, query), reusable for any n the cached ranking
@@ -176,8 +151,8 @@ type RankingCache interface {
 // uniformly.
 //
 // A RWMutex arbitrates the index's one-writer rule so a serving layer
-// may add documents and answer queries concurrently: Add and Stats
-// (which freezes) take the write lock, queries the read lock.
+// may add documents and answer queries concurrently: AddBatch and
+// Stats (which freezes) take the write lock, queries the read lock.
 type LocalNode struct {
 	mu sync.RWMutex
 	// backend owns the served index; ix caches backend.ContentIndex()
@@ -244,7 +219,7 @@ func NewLocalNodeBackend(b SearchBackend) *LocalNode {
 }
 
 // Index exposes the underlying index for experiments and tests. Do
-// not mutate it while the node is serving queries — go through Add.
+// not mutate it while the node is serving queries — go through AddBatch.
 func (n *LocalNode) Index() *ir.Index { return n.ix }
 
 // Backend exposes the node's search backend (never nil).
@@ -327,32 +302,21 @@ func (n *LocalNode) logThenApply(docs []Doc) error {
 	return nil
 }
 
-// Add implements Node. Ingest is idempotent per document oid: a doc
-// already in the index is skipped, so retrying a write whose
-// acknowledgement was lost (the at-least-once ambiguity of networked
-// ingest) never double-folds term frequencies. Document oids are
-// therefore write-once at the node boundary; folding more text into an
-// existing document remains an ir.Index-level operation for engines
-// that own their index outright. With an op log attached the document
-// is durably logged before it is applied (see logThenApply).
-func (n *LocalNode) Add(_ context.Context, doc bat.OID, url, text string) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.logThenApply([]Doc{{OID: doc, URL: url, Text: text}})
-}
-
-// AddBatch implements BatchAdder: the whole batch lands under one
+// AddBatch implements Node: the whole batch lands under one
 // write-lock acquisition — and, with an op log attached, one durable
-// log append — each document idempotently (see Add). A replayed
-// batch, including one that previously applied only a prefix, is
-// applied exactly once.
+// log append (see logThenApply). Each document is idempotent per oid:
+// one already in the index is skipped, so retrying a write whose
+// acknowledgement was lost never double-folds term frequencies, and a
+// replayed batch is applied exactly once. Folding more text into an
+// existing document remains an ir.Index-level operation for engines
+// that own their index outright.
 func (n *LocalNode) AddBatch(_ context.Context, docs []Doc) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.logThenApply(docs)
 }
 
-// OpsSince implements DeltaSource: the attached log's suffix from
+// OpsSince implements Node: the attached log's suffix from
 // position from. Without a log, or when the suffix was compacted into
 // a snapshot, it reports ErrDeltaUnavailable and the caller falls
 // back to a full-snapshot resync.
@@ -370,7 +334,7 @@ func (n *LocalNode) OpsSince(_ context.Context, from uint64) ([]persist.Op, erro
 	return ops, err
 }
 
-// ApplyOps implements DeltaSink: append a log suffix durably and
+// ApplyOps implements Node: append a log suffix durably and
 // apply it. The delta must start exactly at this node's position —
 // positions are the delta path's only alignment evidence, so an
 // offset delta is rejected rather than interleaved. EVERY received
@@ -402,9 +366,6 @@ func (n *LocalNode) ApplyOps(_ context.Context, from uint64, ops []persist.Op) e
 	return nil
 }
 
-// IdempotentIngest marks the per-oid de-duplication above.
-func (n *LocalNode) IdempotentIngest() {}
-
 // Stats implements Node: it freezes the index (so concurrent read-only
 // queries never mutate it) and extracts the local statistics.
 func (n *LocalNode) Stats(context.Context) (ir.Stats, error) {
@@ -412,12 +373,6 @@ func (n *LocalNode) Stats(context.Context) (ir.Stats, error) {
 	defer n.mu.Unlock()
 	n.ix.Freeze()
 	return n.ix.StatsLocal(), nil
-}
-
-// TopNWithStats implements Node: SearchPlan under the exact plan.
-func (n *LocalNode) TopNWithStats(ctx context.Context, query string, topn int, global ir.Stats) ([]ir.Result, error) {
-	res, _, err := n.SearchPlan(ctx, query, ir.EvalPlan{N: topn}, global)
-	return res, err
 }
 
 // SearchPlan implements Node: the node's one scoring path.
@@ -495,7 +450,7 @@ func (n *LocalNode) Load(context.Context) (NodeLoad, error) {
 	}, nil
 }
 
-// LoadChecksum implements ChecksumLoader: like Load, but when the
+// LoadChecksum implements Node: like Load, but when the
 // cached digest is stale it takes the write lock and recomputes
 // (freeze + O(index) hash) so the reported checksum is always fresh.
 func (n *LocalNode) LoadChecksum(ctx context.Context) (NodeLoad, error) {
@@ -529,12 +484,12 @@ func (n *LocalNode) ExportState() *ir.IndexState {
 	return st
 }
 
-// SnapshotState implements StateSource over ExportState.
+// SnapshotState implements Node over ExportState.
 func (n *LocalNode) SnapshotState(context.Context) (*ir.IndexState, error) {
 	return n.ExportState(), nil
 }
 
-// RestoreState implements StateSink: the node's entire fragment is
+// RestoreState implements Node: the node's entire fragment is
 // replaced by the supplied state under the write lock — queries
 // blocked behind the restore resume against exactly the restored
 // state, adds blocked behind it apply on top of it (so a write racing

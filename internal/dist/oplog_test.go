@@ -29,7 +29,7 @@ func loggedNode(t *testing.T) *LocalNode {
 
 func checksumOf(t *testing.T, n Node) string {
 	t.Helper()
-	l, err := n.(ChecksumLoader).LoadChecksum(context.Background())
+	l, err := n.LoadChecksum(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestCrashReplayByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range docs[30:] {
-		if err := n.Add(context.Background(), d.OID, d.URL, d.Text); err != nil {
+		if err := n.AddBatch(context.Background(), []Doc{d}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,7 +198,7 @@ func TestDeltaResyncShipsSuffixOnly(t *testing.T) {
 	// B goes dark; A alone accepts 5 more documents. B is now a lagging
 	// replica whose state is a strict prefix of A's log.
 	for i := 60; i < 65; i++ {
-		if err := a.Add(context.Background(), bat.OID(i+1), "u", fmt.Sprintf("capriati rally doc%d", i+1)); err != nil {
+		if err := a.AddBatch(context.Background(), []Doc{{OID: bat.OID(i + 1), URL: "u", Text: fmt.Sprintf("capriati rally doc%d", i+1)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +244,7 @@ func TestDeltaAndFullResyncConverge(t *testing.T) {
 			}
 		}
 		for i := 40; i < 48; i++ {
-			if err := a.Add(context.Background(), bat.OID(i+1), "u", fmt.Sprintf("hingis smash doc%d", i+1)); err != nil {
+			if err := a.AddBatch(context.Background(), []Doc{{OID: bat.OID(i + 1), URL: "u", Text: fmt.Sprintf("hingis smash doc%d", i+1)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -322,35 +322,58 @@ func (n *corruptingSink) RestoreState(ctx context.Context, st *ir.IndexState) er
 	}
 	// The restore "succeeds" but the replica's state drifts — a bad
 	// disk, a racing writer, a bug.
-	return n.LocalNode.Add(ctx, bat.OID(9999), "u", "rogue divergent document")
+	return n.LocalNode.AddBatch(ctx, []Doc{{OID: 9999, URL: "u", Text: "rogue divergent document"}})
+}
+
+// blindSink wraps a LocalNode that restores faithfully but cannot
+// report a fresh checksum afterwards — the rejoin cannot be verified.
+type blindSink struct {
+	*LocalNode
+}
+
+var errNoChecksum = errors.New("checksum probe failed")
+
+func (n *blindSink) LoadChecksum(context.Context) (NodeLoad, error) {
+	return NodeLoad{}, errNoChecksum
 }
 
 // TestRejoinVerificationQuarantinesBadRestore: a replica whose resync
-// lands on a state that does NOT checksum-match the shipped snapshot
-// must stay quarantined instead of rejoining with wrong rankings.
+// lands on a state that does NOT checksum-match the shipped snapshot —
+// or whose post-restore checksum cannot be probed at all — must stay
+// quarantined instead of rejoining with unverified rankings, and the
+// resync must not be counted.
 func TestRejoinVerificationQuarantinesBadRestore(t *testing.T) {
-	good := NewLocalNode(ir.NewIndex())
-	bad := &corruptingSink{LocalNode: NewLocalNode(ir.NewIndex())}
-	c := NewReplicatedClusterOf([][]Node{{good, bad}}, nil)
-	for i, text := range corpus(30, 59) {
-		if err := c.AddContext(context.Background(), bat.OID(i+1), "u", text); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The corrupting sink already drifted during ingest? No — it only
-	// corrupts restores. Force a wipe + resync.
-	if err := bad.LocalNode.RestoreState(context.Background(), ir.NewIndex().ExportState()); err != nil {
-		t.Fatal(err)
-	}
-	c.markDiverged(0, 1)
-	if err := c.ResyncReplica(context.Background(), 0, 1); err == nil {
-		t.Fatal("resync onto a corrupting restore reported success")
-	}
-	if h := c.ReplicaHealth()[0][1]; !h.Diverged {
-		t.Fatal("corrupted rejoin was not quarantined")
-	}
-	if tel := c.Telemetry(); tel.Resyncs != 0 {
-		t.Fatalf("corrupted rejoin counted as a resync: %+v", tel)
+	for _, tc := range []struct {
+		name string
+		bad  func(*LocalNode) Node
+	}{
+		{"restore drifts", func(n *LocalNode) Node { return &corruptingSink{LocalNode: n} }},
+		{"checksum probe errors", func(n *LocalNode) Node { return &blindSink{LocalNode: n} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			good := NewLocalNode(ir.NewIndex())
+			inner := NewLocalNode(ir.NewIndex())
+			c := NewReplicatedClusterOf([][]Node{{good, tc.bad(inner)}}, nil)
+			for i, text := range corpus(30, 59) {
+				if err := c.AddContext(context.Background(), bat.OID(i+1), "u", text); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Neither fake misbehaves during ingest. Force a wipe + resync.
+			if err := inner.RestoreState(context.Background(), ir.NewIndex().ExportState()); err != nil {
+				t.Fatal(err)
+			}
+			c.markDiverged(0, 1)
+			if err := c.ResyncReplica(context.Background(), 0, 1); err == nil {
+				t.Fatal("unverifiable resync reported success")
+			}
+			if h := c.ReplicaHealth()[0][1]; !h.Diverged {
+				t.Fatal("unverified rejoin was not quarantined")
+			}
+			if tel := c.Telemetry(); tel.Resyncs != 0 || tel.ResyncsFull != 0 || tel.ResyncsDelta != 0 {
+				t.Fatalf("unverified rejoin counted as a resync: %+v", tel)
+			}
+		})
 	}
 }
 

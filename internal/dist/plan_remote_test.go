@@ -148,8 +148,7 @@ func TestPlanQualityMonotone(t *testing.T) {
 
 // TestClusterAddBatch: a batch add lands the same documents on the
 // same nodes as per-document adds — node loads and rankings agree —
-// over local nodes, remote nodes (one round-trip per partition) and
-// nodes without the BatchAdder capability.
+// over local nodes and remote nodes (one round-trip per partition).
 func TestClusterAddBatch(t *testing.T) {
 	texts := remoteCorpus(120, 23)
 	docs := make([]dist.Doc, len(texts))

@@ -22,16 +22,14 @@ import (
 	"dlsearch/internal/persist"
 )
 
-// The node wire protocol: four JSON endpoints mirroring the Node
-// interface, served by internal/server.NewNodeHandler and spoken by
-// RemoteNode. Scores travel as JSON float64 numbers, which Go encodes
-// in shortest round-trip form — a remote ranking is byte-identical to
-// the local one.
+// The node wire protocol: HTTP endpoints mirroring the Node interface,
+// served by internal/server.NewNodeHandler and spoken by RemoteNode.
+// Scores travel as JSON float64 numbers, which Go encodes in shortest
+// round-trip form — a remote ranking is byte-identical to the local
+// one.
 const (
-	PathNodeAdd      = "/node/add"
 	PathNodeAddBatch = "/node/add/batch"
 	PathNodeStats    = "/node/stats"
-	PathNodeTopN     = "/node/topn"
 	PathNodeSearch   = "/node/search"
 	PathNodeLoad     = "/node/load"
 	PathNodeSnapshot = "/node/snapshot"
@@ -42,7 +40,7 @@ const (
 )
 
 // Codec selects how a RemoteNode speaks to its node on the query hot
-// path (/node/topn, /node/search, /node/stats, /node/add/batch).
+// path (/node/search, /node/stats, /node/add/batch).
 type Codec int
 
 const (
@@ -54,8 +52,7 @@ const (
 	// liveness, timeouts and load balancers behave exactly as with
 	// JSON.
 	CodecBinary Codec = iota
-	// CodecJSON forces the HTTP/JSON protocol: the debugging and
-	// third-party-node mode.
+	// CodecJSON forces the HTTP/JSON protocol: the debugging mode.
 	CodecJSON
 	// CodecWire adds the persistent-connection transport on top of
 	// CodecBinary: an upgraded long-lived conn per node, one frame
@@ -68,8 +65,7 @@ const (
 	CodecWire
 )
 
-// AddRequest is the body of POST /node/add, and one element of a
-// batch add.
+// AddRequest is one document of a batch add.
 type AddRequest struct {
 	Doc  uint64 `json:"doc"`
 	URL  string `json:"url"`
@@ -83,7 +79,7 @@ type AddBatchRequest struct {
 }
 
 // StatsJSON is the wire form of ir.Stats (GET /node/stats, and the
-// global statistics shipped with every top-N request).
+// global statistics shipped with every search request).
 type StatsJSON struct {
 	DF      map[string]int `json:"df"`
 	TotalDF int            `json:"total_df"`
@@ -104,22 +100,10 @@ func StatsFromJSON(w StatsJSON) ir.Stats {
 	return ir.Stats{DF: df, TotalDF: w.TotalDF, Docs: w.Docs}
 }
 
-// TopNRequest is the body of POST /node/topn.
-type TopNRequest struct {
-	Query string    `json:"query"`
-	N     int       `json:"n"`
-	Stats StatsJSON `json:"stats"`
-}
-
 // ResultJSON is one ranked result on the wire.
 type ResultJSON struct {
 	Doc   uint64  `json:"doc"`
 	Score float64 `json:"score"`
-}
-
-// TopNResponse is the body answering POST /node/topn.
-type TopNResponse struct {
-	Results []ResultJSON `json:"results"`
 }
 
 // PlanJSON is the wire form of ir.EvalPlan: the evaluation strategy a
@@ -363,8 +347,8 @@ func NewRemoteNode(baseURL string, client *http.Client) *RemoteNode {
 	}
 	rn := &RemoteNode{base: strings.TrimRight(baseURL, "/"), client: client}
 	if u, err := url.Parse(rn.base); err == nil && u.Host != "" {
-		rn.urls = make(map[string]*url.URL, 4)
-		for _, p := range []string{PathNodeTopN, PathNodeSearch, PathNodeAddBatch, PathNodeStats} {
+		rn.urls = make(map[string]*url.URL, 3)
+		for _, p := range []string{PathNodeSearch, PathNodeAddBatch, PathNodeStats} {
 			pu := *u
 			pu.Path = p
 			rn.urls[p] = &pu
@@ -375,9 +359,8 @@ func NewRemoteNode(baseURL string, client *http.Client) *RemoteNode {
 
 // SetCodec selects the hot-path codec. CodecWire opens the
 // persistent-connection transport; CodecJSON disables every binary
-// layer (the debugging mode, and the mode for third-party nodes that
-// log unknown content types noisily). Call before the node serves
-// traffic — the setting is not synchronised with in-flight RPCs.
+// layer (the debugging mode). Call before the node serves traffic —
+// the setting is not synchronised with in-flight RPCs.
 func (rn *RemoteNode) SetCodec(c Codec) {
 	rn.codec = c
 	if c == CodecWire && rn.pool == nil {
@@ -619,13 +602,9 @@ func (rn *RemoteNode) roundTrip(ctx context.Context, path string, in, out any) e
 	return nil
 }
 
-// Add implements Node.
-func (rn *RemoteNode) Add(ctx context.Context, doc bat.OID, url, text string) error {
-	return rn.do(ctx, PathNodeAdd, &AddRequest{Doc: uint64(doc), URL: url, Text: text}, nil)
-}
-
-// AddBatch implements BatchAdder: the node's partition of a batch in
-// one round-trip.
+// AddBatch implements Node: the node's partition of a batch in one
+// round-trip. The node server wraps a LocalNode, so a retried batch is
+// a no-op for already-applied documents.
 func (rn *RemoteNode) AddBatch(ctx context.Context, docs []Doc) error {
 	if rn.useBinary() {
 		wb := persist.GetWireBuffer()
@@ -673,53 +652,24 @@ func (rn *RemoteNode) Stats(ctx context.Context) (ir.Stats, error) {
 	return StatsFromJSON(w), nil
 }
 
-// TopNWithStats implements Node.
-func (rn *RemoteNode) TopNWithStats(ctx context.Context, query string, n int, global ir.Stats) ([]ir.Result, error) {
-	if rn.useBinary() {
-		wb := persist.GetWireBuffer()
-		wb.EncodeTopNRequest(query, n, global)
-		var out []ir.Result
-		err := rn.doBinary(ctx, PathNodeTopN, wb, func(frame []byte) error {
-			rs, err := persist.DecodeTopNResponse(frame)
-			out = rs
-			return err
-		})
-		persist.PutWireBuffer(wb)
-		if !errors.Is(err, errWireUnsupported) {
-			return out, err
-		}
-	}
-	var resp TopNResponse
-	req := &TopNRequest{Query: query, N: n, Stats: StatsToJSON(global)}
-	if err := rn.do(ctx, PathNodeTopN, req, &resp); err != nil {
-		return nil, err
-	}
-	return ResultsFromJSON(resp.Results), nil
-}
-
-// SearchPlan implements Node. An exact plan takes the /node/topn
-// round-trip (identical to TopNWithStats, RES-cacheable server-side);
-// a budgeted plan ships the plan itself over /node/search so the
-// cut-off executes below the remote node's RES set.
+// SearchPlan implements Node: exact and budgeted plans alike ship over
+// /node/search (an exact one is RES-cacheable server-side). Only a
+// budgeted evaluation feeds the cost curve — an exact plan has no
+// budget to learn from.
 func (rn *RemoteNode) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
-	if plan.Exact() {
-		res, err := rn.TopNWithStats(ctx, query, plan.N, global)
-		return res, ir.QualityEstimate{}, err
-	}
-	if rn.cost == nil {
-		return rn.searchPlanBudgeted(ctx, query, plan, global)
+	if rn.cost == nil || plan.Exact() {
+		return rn.searchRPC(ctx, query, plan, global)
 	}
 	start := time.Now()
-	res, est, err := rn.searchPlanBudgeted(ctx, query, plan, global)
+	res, est, err := rn.searchRPC(ctx, query, plan, global)
 	if err == nil {
 		rn.observeCost(start, est)
 	}
 	return res, est, err
 }
 
-// searchPlanBudgeted is SearchPlan's budgeted RPC without the
-// cost-curve wrapper.
-func (rn *RemoteNode) searchPlanBudgeted(ctx context.Context, query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
+// searchRPC is SearchPlan's round-trip without the cost-curve wrapper.
+func (rn *RemoteNode) searchRPC(ctx context.Context, query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
 	if rn.useBinary() {
 		wb := persist.GetWireBuffer()
 		wb.EncodeSearchRequest(query, plan, global)
@@ -748,7 +698,7 @@ func (rn *RemoteNode) Load(ctx context.Context) (NodeLoad, error) {
 	return rn.load(ctx, PathNodeLoad)
 }
 
-// LoadChecksum implements ChecksumLoader: GET /node/load?fresh=1 makes
+// LoadChecksum implements Node: GET /node/load?fresh=1 makes
 // the node compute a fresh content digest before answering.
 func (rn *RemoteNode) LoadChecksum(ctx context.Context) (NodeLoad, error) {
 	return rn.load(ctx, PathNodeLoad+"?fresh=1")
@@ -777,12 +727,26 @@ func (rn *RemoteNode) Snapshot(ctx context.Context) (SnapshotResponse, error) {
 	return resp, err
 }
 
-// IdempotentIngest marks the node protocol's per-oid de-duplication:
-// the node server wraps a LocalNode, so /node/add and /node/add/batch
-// retries are no-ops for already-applied documents.
+// Add, TopNWithStats and IdempotentIngest are off the Node interface:
+// the frozen bench/dlbench/seams.go still names them, and they go when
+// the ROADMAP item-4 benchmark PR drops them from the seam.
+
+// Add is AddBatch of one document.
+func (rn *RemoteNode) Add(ctx context.Context, doc bat.OID, url, text string) error {
+	return rn.AddBatch(ctx, []Doc{{OID: doc, URL: url, Text: text}})
+}
+
+// TopNWithStats is SearchPlan under the exact plan.
+func (rn *RemoteNode) TopNWithStats(ctx context.Context, query string, n int, global ir.Stats) ([]ir.Result, error) {
+	res, _, err := rn.SearchPlan(ctx, query, ir.EvalPlan{N: n}, global)
+	return res, err
+}
+
+// IdempotentIngest is the retired marker for AddBatch's per-oid
+// de-duplication, now part of the Node contract.
 func (rn *RemoteNode) IdempotentIngest() {}
 
-// SnapshotState implements StateSource: GET /node/snapshot streams the
+// SnapshotState implements Node: GET /node/snapshot streams the
 // node's live fragment state in the internal/persist binary format —
 // no data dir needed on the serving side; the persist checksum fails
 // a truncated or corrupted transfer closed.
@@ -808,7 +772,7 @@ func (rn *RemoteNode) SnapshotState(ctx context.Context) (*ir.IndexState, error)
 	return st, nil
 }
 
-// RestoreState implements StateSink: the state ships to
+// RestoreState implements Node: the state ships to
 // POST /node/restore in the persist binary format and the remote node
 // installs it under its write lock. A restore that succeeded in memory
 // but failed to persist durably (SnapshotError in the response) is
@@ -847,7 +811,7 @@ func (rn *RemoteNode) RestoreState(ctx context.Context, st *ir.IndexState) error
 	return nil
 }
 
-// OpsSince implements DeltaSource: GET /node/oplog?from=P streams the
+// OpsSince implements Node: GET /node/oplog?from=P streams the
 // node's log suffix in the persist delta wire format (per-record
 // checksums travel with the data, so a corrupted transfer fails
 // closed here). A 416 answer means the node compacted that suffix
@@ -883,7 +847,7 @@ func (rn *RemoteNode) OpsSince(ctx context.Context, from uint64) ([]persist.Op, 
 	return ops, nil
 }
 
-// ApplyOps implements DeltaSink: the suffix ships to
+// ApplyOps implements Node: the suffix ships to
 // POST /node/oplog in the persist delta wire format and the remote
 // node appends-and-applies it at exactly position from. A 409 answer
 // is the position-mismatch rejection — the histories cannot be

@@ -18,7 +18,7 @@ type addFailNode struct {
 
 var errAddRejected = errors.New("add rejected")
 
-func (n *addFailNode) Add(context.Context, bat.OID, string, string) error {
+func (n *addFailNode) AddBatch(context.Context, []Doc) error {
 	return errAddRejected
 }
 
@@ -172,13 +172,6 @@ type readFailNode struct {
 
 var errReadBroken = errors.New("read broken")
 
-func (n *readFailNode) TopNWithStats(ctx context.Context, q string, topn int, g ir.Stats) ([]ir.Result, error) {
-	if n.broken.Load() {
-		return nil, errReadBroken
-	}
-	return n.Node.TopNWithStats(ctx, q, topn, g)
-}
-
 func (n *readFailNode) SearchPlan(ctx context.Context, q string, p ir.EvalPlan, g ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
 	if n.broken.Load() {
 		return nil, ir.QualityEstimate{}, errReadBroken
@@ -241,52 +234,5 @@ func TestDivergedReplicaQuarantinedAndFlagged(t *testing.T) {
 		// so its RES set is empty — exactly the silent-miss the flag
 		// exists to expose.
 		t.Fatalf("diverged replica returned %+v", sr.Results)
-	}
-}
-
-// addFailAfterNode accepts its first n adds, then rejects — and has no
-// BatchAdder, forcing the per-document fallback loop. The partial
-// prefix it creates must surface as Ambiguous, not retry-safe.
-type addFailAfterNode struct {
-	Node
-	allow int
-	seen  atomic.Int64
-}
-
-func (n *addFailAfterNode) Add(ctx context.Context, doc bat.OID, url, text string) error {
-	if int(n.seen.Add(1)) > n.allow {
-		return errAddRejected
-	}
-	return n.Node.Add(ctx, doc, url, text)
-}
-
-// TestAddBatchResultsAmbiguousPrefix: a replica without batch support
-// that applies one document and then fails leaves the partition
-// AMBIGUOUS — Committed 0 but Failed() false — so the coordinator
-// never tells the client a retry is safe.
-func TestAddBatchResultsAmbiguousPrefix(t *testing.T) {
-	n := &addFailAfterNode{Node: NewLocalNode(ir.NewIndex()), allow: 1}
-	c := NewClusterOf([]Node{n}, nil)
-	results := c.AddBatchResults(context.Background(), []Doc{
-		{OID: 1, Text: "champion trophy"},
-		{OID: 2, Text: "winner serve"},
-		{OID: 3, Text: "volley smash"},
-	})
-	p := results[0]
-	if p.Committed != 0 {
-		t.Fatalf("committed = %d, want 0 (no full acknowledgement)", p.Committed)
-	}
-	if !p.Ambiguous {
-		t.Fatal("partial prefix not marked ambiguous")
-	}
-	if p.Failed() {
-		t.Fatal("ambiguous partition misreported as retry-safe failed")
-	}
-	if !errors.Is(p.Err, errAddRejected) {
-		t.Fatalf("err = %v", p.Err)
-	}
-	var pa *partialApplyError
-	if !errors.As(p.Err, &pa) || pa.applied != 1 || pa.total != 3 {
-		t.Fatalf("partial-apply detail = %+v (err %v)", pa, p.Err)
 	}
 }

@@ -46,11 +46,7 @@ func groupChecksums(t *testing.T, c *Cluster, g int) []string {
 	t.Helper()
 	out := make([]string, len(c.groups[g]))
 	for r, node := range c.groups[g] {
-		cl, ok := node.(ChecksumLoader)
-		if !ok {
-			t.Fatalf("replica %d/%d cannot load checksums", g, r)
-		}
-		l, err := cl.LoadChecksum(context.Background())
+		l, err := node.LoadChecksum(context.Background())
 		if err != nil {
 			t.Fatalf("load %d/%d: %v", g, r, err)
 		}
@@ -112,39 +108,23 @@ func TestIdempotentIngestReplay(t *testing.T) {
 	sameRanking(t, "re-add", c.TopN(queries[0], 10), before[0])
 }
 
-// ackLostNode applies writes on its inner LocalNode but loses the
+// ackLostNode applies writes on its LocalNode but loses the
 // acknowledgement while `lossy` is set — the timed-out-after-applying
-// replica that made retries unsafe before idempotent ingest. It
-// deliberately does NOT embed the concrete *LocalNode, so only the
-// methods delegated here exist; IdempotentIngest is forwarded because
-// the inner node really does de-duplicate.
+// replica that made retries unsafe before idempotent ingest.
 type ackLostNode struct {
-	inner *LocalNode
+	*LocalNode
 	lossy atomic.Bool
 }
 
 var errAckLost = errors.New("deadline exceeded (ack lost)")
 
-func (n *ackLostNode) Add(ctx context.Context, doc bat.OID, url, text string) error {
-	err := n.inner.Add(ctx, doc, url, text)
+func (n *ackLostNode) AddBatch(ctx context.Context, docs []Doc) error {
+	err := n.LocalNode.AddBatch(ctx, docs)
 	if n.lossy.Load() {
 		return errAckLost
 	}
 	return err
 }
-
-func (n *ackLostNode) Stats(ctx context.Context) (ir.Stats, error) { return n.inner.Stats(ctx) }
-func (n *ackLostNode) TopNWithStats(ctx context.Context, q string, topn int, g ir.Stats) ([]ir.Result, error) {
-	return n.inner.TopNWithStats(ctx, q, topn, g)
-}
-func (n *ackLostNode) SearchPlan(ctx context.Context, q string, p ir.EvalPlan, g ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
-	return n.inner.SearchPlan(ctx, q, p, g)
-}
-func (n *ackLostNode) Load(ctx context.Context) (NodeLoad, error) { return n.inner.Load(ctx) }
-func (n *ackLostNode) LoadChecksum(ctx context.Context) (NodeLoad, error) {
-	return n.inner.LoadChecksum(ctx)
-}
-func (n *ackLostNode) IdempotentIngest() {}
 
 // TestAckLostRetryHealsGroup: a replica that APPLIES a batch but loses
 // the acknowledgement leaves the partition degraded; retrying the same
@@ -153,7 +133,7 @@ func (n *ackLostNode) IdempotentIngest() {}
 // group, and the anti-entropy check then lifts the stale quarantine
 // because the checksums match.
 func TestAckLostRetryHealsGroup(t *testing.T) {
-	flaky := &ackLostNode{inner: NewLocalNode(ir.NewIndex())}
+	flaky := &ackLostNode{LocalNode: NewLocalNode(ir.NewIndex())}
 	healthy := NewLocalNode(ir.NewIndex())
 	c := NewReplicatedClusterOf([][]Node{{healthy, flaky}}, nil)
 	flaky.lossy.Store(true)
@@ -163,7 +143,7 @@ func TestAckLostRetryHealsGroup(t *testing.T) {
 	}
 	results := c.AddBatchResults(context.Background(), docs)
 	p := results[0]
-	if p.Committed != 1 || p.Err == nil || p.Ambiguous {
+	if p.Committed != 1 || p.Err == nil || p.Failed() {
 		t.Fatalf("lost-ack outcome: %+v", p)
 	}
 	if h := c.ReplicaHealth()[0][1]; !h.Diverged {
@@ -198,79 +178,11 @@ func TestAckLostRetryHealsGroup(t *testing.T) {
 	}
 }
 
-// idemFailAfterNode is an IDEMPOTENT node without batch support that
-// accepts its first `allow` adds, then rejects. Unlike the PR 4
-// addFailAfterNode, the partial prefix must NOT be flagged Ambiguous:
-// a replay of the whole partition is safe, the prefix skips itself.
-type idemFailAfterNode struct {
-	inner *LocalNode
-	allow int
-	seen  atomic.Int64
-}
-
-func (n *idemFailAfterNode) Add(ctx context.Context, doc bat.OID, url, text string) error {
-	if int(n.seen.Add(1)) > n.allow {
-		return errAckLost
-	}
-	return n.inner.Add(ctx, doc, url, text)
-}
-
-func (n *idemFailAfterNode) Stats(ctx context.Context) (ir.Stats, error) { return n.inner.Stats(ctx) }
-func (n *idemFailAfterNode) TopNWithStats(ctx context.Context, q string, topn int, g ir.Stats) ([]ir.Result, error) {
-	return n.inner.TopNWithStats(ctx, q, topn, g)
-}
-func (n *idemFailAfterNode) SearchPlan(ctx context.Context, q string, p ir.EvalPlan, g ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
-	return n.inner.SearchPlan(ctx, q, p, g)
-}
-func (n *idemFailAfterNode) Load(ctx context.Context) (NodeLoad, error) { return n.inner.Load(ctx) }
-func (n *idemFailAfterNode) LoadChecksum(ctx context.Context) (NodeLoad, error) {
-	return n.inner.LoadChecksum(ctx)
-}
-func (n *idemFailAfterNode) IdempotentIngest() {}
-
-// TestAmbiguityShrinksForIdempotentNodes: the partial-prefix outcome
-// that is Ambiguous against an opaque third-party node is plain
-// retry-safe Failed() against an idempotent one.
-func TestAmbiguityShrinksForIdempotentNodes(t *testing.T) {
-	n := &idemFailAfterNode{inner: NewLocalNode(ir.NewIndex()), allow: 1}
-	c := NewClusterOf([]Node{n}, nil)
-	docs := []Doc{
-		{OID: 1, Text: "champion trophy"},
-		{OID: 2, Text: "winner serve"},
-		{OID: 3, Text: "volley smash"},
-	}
-	p := c.AddBatchResults(context.Background(), docs)[0]
-	if p.Committed != 0 || p.Ambiguous {
-		t.Fatalf("idempotent partial prefix flagged ambiguous: %+v", p)
-	}
-	if !p.Failed() {
-		t.Fatal("idempotent partial prefix not retry-safe")
-	}
-	// And the retry proves it: the applied prefix skips itself.
-	n.allow = 1 << 30
-	if p := c.AddBatchResults(context.Background(), docs)[0]; p.Err != nil || p.Committed != 1 {
-		t.Fatalf("retry outcome: %+v", p)
-	}
-	res := c.TopN("champion", 5)
-	if len(res) != 1 || res[0].Doc != 1 {
-		t.Fatalf("content after replay: %+v", res)
-	}
-}
-
-// breakableNode is a LocalNode whose QUERY paths can be switched off —
-// unlike readFailNode it embeds the concrete node, so the resync
-// capabilities (StateSource/StateSink, IdempotentIngest) stay visible
-// and it can act as a resync source while its reads are broken.
+// breakableNode is a LocalNode whose QUERY path can be switched off;
+// it still acts as a resync source while its reads are broken.
 type breakableNode struct {
 	*LocalNode
 	broken atomic.Bool
-}
-
-func (n *breakableNode) TopNWithStats(ctx context.Context, q string, topn int, g ir.Stats) ([]ir.Result, error) {
-	if n.broken.Load() {
-		return nil, errReadBroken
-	}
-	return n.LocalNode.TopNWithStats(ctx, q, topn, g)
 }
 
 func (n *breakableNode) SearchPlan(ctx context.Context, q string, p ir.EvalPlan, g ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
@@ -482,12 +394,12 @@ func TestRestoreInvalidatesRankingCache(t *testing.T) {
 	node.SetResolver(func(ix *ir.Index, q string) ([]string, []bat.OID) {
 		return ix.ResolveQuery(q)
 	})
-	res, err := node.TopNWithStats(context.Background(), "melbourne", 5, global)
+	res, _, err := node.SearchPlan(context.Background(), "melbourne", ir.EvalPlan{N: 5}, global)
 	if err != nil || len(res) == 0 || res[0].Doc != 1 {
 		t.Fatalf("pre-restore ranking: %v %+v", err, res)
 	}
 	// Cache it hot (second call hits the RES-set cache).
-	if res, _ = node.TopNWithStats(context.Background(), "melbourne", 5, global); res[0].Doc != 1 {
+	if res, _, _ = node.SearchPlan(context.Background(), "melbourne", ir.EvalPlan{N: 5}, global); res[0].Doc != 1 {
 		t.Fatalf("cached ranking: %+v", res)
 	}
 	preEpoch := node.Index().Epoch()
@@ -497,7 +409,7 @@ func TestRestoreInvalidatesRankingCache(t *testing.T) {
 	if e := node.Index().Epoch(); e <= preEpoch {
 		t.Fatalf("restore did not advance the epoch: %d -> %d", preEpoch, e)
 	}
-	res, err = node.TopNWithStats(context.Background(), "melbourne", 5, global)
+	res, _, err = node.SearchPlan(context.Background(), "melbourne", ir.EvalPlan{N: 5}, global)
 	if err != nil || len(res) == 0 {
 		t.Fatalf("post-restore ranking: %v %+v", err, res)
 	}
@@ -517,7 +429,7 @@ func TestRestoreStateFailsClosed(t *testing.T) {
 	if err := node.RestoreState(context.Background(), bad); err == nil {
 		t.Fatal("inconsistent state accepted")
 	}
-	res, err := node.TopNWithStats(context.Background(), "champion", 5, ir.MergeStats(ix.StatsLocal()))
+	res, _, err := node.SearchPlan(context.Background(), "champion", ir.EvalPlan{N: 5}, ir.MergeStats(ix.StatsLocal()))
 	if err != nil || len(res) != 1 || res[0].Doc != 1 {
 		t.Fatalf("previous fragment lost after rejected restore: %v %+v", err, res)
 	}

@@ -15,18 +15,7 @@ import (
 // context is cancelled — a deterministic straggler: it ALWAYS misses
 // any deadline, so which node gets dropped never depends on timing.
 type blockingNode struct {
-	inner Node
-}
-
-func (n *blockingNode) Add(ctx context.Context, doc bat.OID, url, text string) error {
-	return n.inner.Add(ctx, doc, url, text)
-}
-
-func (n *blockingNode) Stats(ctx context.Context) (ir.Stats, error) { return n.inner.Stats(ctx) }
-
-func (n *blockingNode) TopNWithStats(ctx context.Context, query string, topn int, global ir.Stats) ([]ir.Result, error) {
-	<-ctx.Done()
-	return nil, ctx.Err()
+	Node
 }
 
 func (n *blockingNode) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
@@ -34,30 +23,16 @@ func (n *blockingNode) SearchPlan(ctx context.Context, query string, plan ir.Eva
 	return nil, ir.QualityEstimate{}, ctx.Err()
 }
 
-func (n *blockingNode) Load(ctx context.Context) (NodeLoad, error) { return n.inner.Load(ctx) }
-
 // failingNode errors immediately on queries.
 type failingNode struct {
-	inner Node
+	Node
 }
 
 var errNodeDown = errors.New("node down")
 
-func (n *failingNode) Add(ctx context.Context, doc bat.OID, url, text string) error {
-	return n.inner.Add(ctx, doc, url, text)
-}
-
-func (n *failingNode) Stats(ctx context.Context) (ir.Stats, error) { return n.inner.Stats(ctx) }
-
-func (n *failingNode) TopNWithStats(context.Context, string, int, ir.Stats) ([]ir.Result, error) {
-	return nil, errNodeDown
-}
-
 func (n *failingNode) SearchPlan(context.Context, string, ir.EvalPlan, ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
 	return nil, ir.QualityEstimate{}, errNodeDown
 }
-
-func (n *failingNode) Load(ctx context.Context) (NodeLoad, error) { return n.inner.Load(ctx) }
 
 // buildMixedCluster returns a 4-node cluster whose node `special`
 // (index 2) is wrapped by wrap, plus a plain all-local control cluster
@@ -97,7 +72,7 @@ func opts2noTimeout(opts *Options) *Options {
 // responsive nodes.
 func TestStragglerDropped(t *testing.T) {
 	const timeout = 100 * time.Millisecond
-	c, control := buildMixedCluster(t, func(n Node) Node { return &blockingNode{inner: n} },
+	c, control := buildMixedCluster(t, func(n Node) Node { return &blockingNode{Node: n} },
 		&Options{NodeTimeout: timeout})
 
 	// The expected partial ranking: the control cluster with node 2's
@@ -109,7 +84,7 @@ func TestStragglerDropped(t *testing.T) {
 		if i == 2 {
 			continue
 		}
-		res, err := control.NodeAt(i).TopNWithStats(context.Background(), "champion winner serve", 10, global)
+		res, _, err := control.NodeAt(i).SearchPlan(context.Background(), "champion winner serve", ir.EvalPlan{N: 10}, global)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +117,7 @@ func TestStragglerDropped(t *testing.T) {
 // TestOverallDeadline: an expired caller context drops every node that
 // has not answered, rather than hanging.
 func TestOverallDeadline(t *testing.T) {
-	c, _ := buildMixedCluster(t, func(n Node) Node { return &blockingNode{inner: n} }, nil)
+	c, _ := buildMixedCluster(t, func(n Node) Node { return &blockingNode{Node: n} }, nil)
 	c.GlobalStats() // warm stats so only the query phase races the deadline
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -164,7 +139,7 @@ func TestOverallDeadline(t *testing.T) {
 // TestFailedNodeDropped: a node erroring outright is reported like a
 // straggler and the merge proceeds without it.
 func TestFailedNodeDropped(t *testing.T) {
-	c, _ := buildMixedCluster(t, func(n Node) Node { return &failingNode{inner: n} }, nil)
+	c, _ := buildMixedCluster(t, func(n Node) Node { return &failingNode{Node: n} }, nil)
 	sr, err := c.Search(context.Background(), "champion winner", 10)
 	if err != nil {
 		t.Fatal(err)

@@ -10,32 +10,49 @@ import (
 	"time"
 
 	"dlsearch/internal/bat"
+	"dlsearch/internal/core"
 	"dlsearch/internal/dist"
 	"dlsearch/internal/ir"
 	"dlsearch/internal/server"
 )
 
-// startCodecCluster spins up k node servers and a cluster of
-// RemoteNodes speaking the given codec to them.
-func startCodecCluster(t testing.TB, k int, codec dist.Codec, jsonOnlyNodes bool) *dist.Cluster {
+// startCodecCluster spins up k node servers (each with its own query
+// cache, returned for inspection) and a cluster of RemoteNodes speaking
+// the given codec to them.
+func startCodecCluster(t testing.TB, k int, codec dist.Codec, jsonOnlyNodes bool) (*dist.Cluster, []*core.QueryCache) {
 	t.Helper()
 	nodes := make([]dist.Node, k)
+	caches := make([]*core.QueryCache, k)
 	for i := 0; i < k; i++ {
-		cfg := &server.NodeConfig{JSONOnly: jsonOnlyNodes}
+		caches[i] = core.NewQueryCache(64)
+		cfg := &server.NodeConfig{JSONOnly: jsonOnlyNodes, Cache: caches[i]}
 		srv := httptest.NewServer(server.NewNodeHandler(ir.NewIndex(), cfg))
 		t.Cleanup(srv.Close)
 		rn := dist.NewRemoteNode(srv.URL, srv.Client())
 		rn.SetCodec(codec)
 		nodes[i] = rn
 	}
-	return dist.NewClusterOf(nodes, nil)
+	return dist.NewClusterOf(nodes, nil), caches
 }
 
-// TestCodecsByteIdentical is the cross-codec property: for k ∈
-// {1, 2, 4, 8}, the JSON protocol, binary HTTP bodies and the
-// persistent-connection transport return byte-identical rankings —
-// documents AND float-bit-exact scores — and identical quality, both
-// on the exact path and under a budgeted plan.
+// rankHits sums the RES-set cache hits over a cluster's node caches.
+func rankHits(caches []*core.QueryCache) uint64 {
+	var n uint64
+	for _, qc := range caches {
+		h, _ := qc.RankCounters()
+		n += h
+	}
+	return n
+}
+
+// TestCodecsByteIdentical is the cross-codec property in one
+// {exact, budgeted} × {json, binary, wire} table: for k ∈ {1, 2, 4, 8},
+// the JSON protocol, binary HTTP bodies and the persistent-connection
+// transport return rankings byte-identical — documents AND
+// float-bit-exact scores — to a cluster of in-process LocalNodes, with
+// identical quality. Both plan shapes travel over /node/search, so the
+// test also pins what the node does with each: a repeated exact plan is
+// answered from the node's RES-set cache, a budgeted one never is.
 func TestCodecsByteIdentical(t *testing.T) {
 	docs := remoteCorpus(300, 11)
 	queries := []string{
@@ -52,59 +69,80 @@ func TestCodecsByteIdentical(t *testing.T) {
 		{"binary", dist.CodecBinary},
 		{"wire", dist.CodecWire},
 	}
+	plans := []struct {
+		name   string
+		budget int
+	}{
+		{"exact", 0},
+		{"budgeted", 1},
+	}
+	ctx := context.Background()
 	for _, k := range []int{1, 2, 4, 8} {
+		local := dist.NewCluster(k, nil)
 		clusters := make([]*dist.Cluster, len(codecs))
+		caches := make([][]*core.QueryCache, len(codecs))
 		for ci, c := range codecs {
-			clusters[ci] = startCodecCluster(t, k, c.codec, false)
-			for i, d := range docs {
-				if err := clusters[ci].AddContext(context.Background(), bat.OID(i+1), "u", d); err != nil {
+			clusters[ci], caches[ci] = startCodecCluster(t, k, c.codec, false)
+		}
+		for i, d := range docs {
+			local.Add(bat.OID(i+1), "u", d)
+			for ci, c := range codecs {
+				if err := clusters[ci].AddContext(ctx, bat.OID(i+1), "u", d); err != nil {
 					t.Fatalf("codec=%s k=%d add: %v", c.name, k, err)
 				}
 			}
 		}
 		for _, q := range queries {
 			for _, n := range []int{1, 2, 4, 8} {
-				base, err := clusters[0].Search(context.Background(), q, n)
-				if err != nil {
-					t.Fatalf("k=%d q=%q json search: %v", k, q, err)
-				}
-				basePlan, err := clusters[0].SearchPlan(context.Background(), q, ir.EvalPlan{N: n, Budget: 1})
-				if err != nil {
-					t.Fatalf("k=%d q=%q json planned search: %v", k, q, err)
-				}
-				for ci := 1; ci < len(codecs); ci++ {
-					ctxs := fmt.Sprintf("codec=%s k=%d q=%q n=%d", codecs[ci].name, k, q, n)
-					sr, err := clusters[ci].Search(context.Background(), q, n)
+				for _, p := range plans {
+					plan := ir.EvalPlan{N: n, Budget: p.budget}
+					want, err := local.SearchPlan(ctx, q, plan)
 					if err != nil {
-						t.Fatalf("%s: %v", ctxs, err)
+						t.Fatalf("k=%d q=%q n=%d %s local: %v", k, q, n, p.name, err)
 					}
-					if !sr.Complete() {
-						t.Fatalf("%s: dropped %v", ctxs, sr.Dropped)
-					}
-					if len(sr.Results) != len(base.Results) {
-						t.Fatalf("%s: %d results, want %d", ctxs, len(sr.Results), len(base.Results))
-					}
-					for i := range base.Results {
-						if sr.Results[i] != base.Results[i] {
-							t.Fatalf("%s: rank %d = %+v, want %+v", ctxs, i, sr.Results[i], base.Results[i])
+					for ci, c := range codecs {
+						ctxs := fmt.Sprintf("codec=%s k=%d q=%q n=%d %s", c.name, k, q, n, p.name)
+						got, err := clusters[ci].SearchPlan(ctx, q, plan)
+						if err != nil {
+							t.Fatalf("%s: %v", ctxs, err)
+						}
+						if !got.Complete() {
+							t.Fatalf("%s: dropped %v", ctxs, got.Dropped)
+						}
+						if len(got.Results) != len(want.Results) {
+							t.Fatalf("%s: %d results, want %d", ctxs, len(got.Results), len(want.Results))
+						}
+						for i := range want.Results {
+							if got.Results[i] != want.Results[i] {
+								t.Fatalf("%s: rank %d = %+v, want %+v", ctxs, i, got.Results[i], want.Results[i])
+							}
+						}
+						if got.Quality != want.Quality {
+							t.Fatalf("%s: quality %v, want %v", ctxs, got.Quality, want.Quality)
 						}
 					}
-					pr, err := clusters[ci].SearchPlan(context.Background(), q, ir.EvalPlan{N: n, Budget: 1})
-					if err != nil {
-						t.Fatalf("%s planned: %v", ctxs, err)
-					}
-					if len(pr.Results) != len(basePlan.Results) {
-						t.Fatalf("%s planned: %d results, want %d", ctxs, len(pr.Results), len(basePlan.Results))
-					}
-					for i := range basePlan.Results {
-						if pr.Results[i] != basePlan.Results[i] {
-							t.Fatalf("%s planned: rank %d = %+v, want %+v", ctxs, i, pr.Results[i], basePlan.Results[i])
-						}
-					}
-					if pr.Quality != basePlan.Quality {
-						t.Fatalf("%s planned: quality %v, want %v", ctxs, pr.Quality, basePlan.Quality)
-					}
 				}
+			}
+		}
+		// The table left every node's cache holding the exact top-8 of
+		// queries[0]: asking again must hit it on every node, over every
+		// codec; a budgeted plan must bypass it.
+		for ci, c := range codecs {
+			before := rankHits(caches[ci])
+			if _, err := clusters[ci].SearchPlan(ctx, queries[0], ir.EvalPlan{N: 8}); err != nil {
+				t.Fatalf("codec=%s k=%d repeated exact: %v", c.name, k, err)
+			}
+			afterExact := rankHits(caches[ci])
+			if afterExact != before+uint64(k) {
+				t.Fatalf("codec=%s k=%d: repeated exact query moved rank_hits %d -> %d, want +%d (one per node)",
+					c.name, k, before, afterExact, k)
+			}
+			if _, err := clusters[ci].SearchPlan(ctx, queries[0], ir.EvalPlan{N: 8, Budget: 1}); err != nil {
+				t.Fatalf("codec=%s k=%d repeated budgeted: %v", c.name, k, err)
+			}
+			if after := rankHits(caches[ci]); after != afterExact {
+				t.Fatalf("codec=%s k=%d: budgeted query hit the RES cache (rank_hits %d -> %d)",
+					c.name, k, afterExact, after)
 			}
 		}
 	}
@@ -115,7 +153,7 @@ func TestCodecsByteIdentical(t *testing.T) {
 // refused, binary bodies answer 415 — and every RPC still succeeds
 // over JSON, permanently remembered per peer.
 func TestWireFallsBackToJSONOnlyNode(t *testing.T) {
-	c := startCodecCluster(t, 2, dist.CodecWire, true)
+	c, _ := startCodecCluster(t, 2, dist.CodecWire, true)
 	docs := remoteCorpus(60, 5)
 	for i, d := range docs {
 		if err := c.AddContext(context.Background(), bat.OID(i+1), "u", d); err != nil {

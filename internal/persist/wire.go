@@ -1,8 +1,8 @@
 // The node wire protocol's binary codec: compact framed messages for
-// the coordinator↔node hot path — top-N / search requests (query +
-// plan + global statistics), RES-set responses, batch ingest and
-// statistics — reusing the snapshot format's varint+delta machinery
-// and its integrity discipline.
+// the coordinator↔node hot path — search requests (query + plan +
+// global statistics), RES-set responses, batch ingest and statistics —
+// reusing the snapshot format's varint+delta machinery and its
+// integrity discipline.
 //
 // Frame (all integers little-endian / unsigned varint):
 //
@@ -76,8 +76,9 @@ const (
 	// WireInvalid is the zero kind; no valid frame carries it.
 	WireInvalid WireKind = 0x00
 
-	// WireTopNRequest asks for an exact top-N: query, n, statistics.
-	WireTopNRequest WireKind = 0x01
+	// Kinds 0x01 and 0x11 carried the retired exact top-N request and
+	// response; they stay unassigned so an old peer's frame fails closed.
+
 	// WireSearchRequest asks for a planned search: query, plan,
 	// statistics.
 	WireSearchRequest WireKind = 0x02
@@ -87,8 +88,6 @@ const (
 	// payload; the persistent-connection transport's GET).
 	WireStatsRequest WireKind = 0x04
 
-	// WireTopNResponse answers WireTopNRequest with a RES set.
-	WireTopNResponse WireKind = 0x11
 	// WireSearchResponse answers WireSearchRequest with a RES set and
 	// the achieved quality estimate.
 	WireSearchResponse WireKind = 0x12
@@ -227,15 +226,6 @@ func (b *WireBuffer) results(rs []ir.Result) {
 	}
 }
 
-// EncodeTopNRequest frames an exact top-N request.
-func (b *WireBuffer) EncodeTopNRequest(query string, n int, stats ir.Stats) {
-	b.begin(WireTopNRequest)
-	b.str(query)
-	b.i(int64(n))
-	b.stats(stats)
-	b.finish()
-}
-
 // EncodeSearchRequest frames a planned search request.
 func (b *WireBuffer) EncodeSearchRequest(query string, plan ir.EvalPlan, stats ir.Stats) {
 	b.begin(WireSearchRequest)
@@ -245,13 +235,6 @@ func (b *WireBuffer) EncodeSearchRequest(query string, plan ir.EvalPlan, stats i
 	b.i(int64(plan.Budget))
 	b.f64(plan.MinQuality)
 	b.stats(stats)
-	b.finish()
-}
-
-// EncodeTopNResponse frames a RES set.
-func (b *WireBuffer) EncodeTopNResponse(rs []ir.Result) {
-	b.begin(WireTopNResponse)
-	b.results(rs)
 	b.finish()
 }
 
@@ -317,8 +300,8 @@ func WirePeekKind(msg []byte) WireKind {
 }
 
 // DecodeWire verifies one framed message end to end — magic, version,
-// exact length, checksum — and returns its kind and payload (aliasing
-// msg). Any violation fails closed.
+// known kind, exact length, checksum — and returns its kind and
+// payload (aliasing msg). Any violation fails closed.
 func DecodeWire(msg []byte) (WireKind, []byte, error) {
 	if len(msg) < WireHeaderLen {
 		return WireInvalid, nil, fmt.Errorf("%w: truncated header: %d bytes", ErrWireCorrupt, len(msg))
@@ -330,6 +313,12 @@ func DecodeWire(msg []byte) (WireKind, []byte, error) {
 		return WireInvalid, nil, fmt.Errorf("persist: unsupported wire version %d (this build speaks %d)", v, WireVersion)
 	}
 	kind := WireKind(msg[7])
+	switch kind {
+	case WireSearchRequest, WireAddBatchRequest, WireStatsRequest,
+		WireSearchResponse, WireStatsResponse, WireAck, WireError:
+	default:
+		return WireInvalid, nil, fmt.Errorf("%w: unknown kind 0x%02x", ErrWireCorrupt, byte(kind))
+	}
 	plen := binary.LittleEndian.Uint32(msg[8:12])
 	payload := msg[WireHeaderLen:]
 	if uint64(len(payload)) != uint64(plen) {
@@ -433,24 +422,8 @@ func (d *decoder) decodeStatsTail(cache *WireStatsCache) (ir.Stats, error) {
 	return st, nil
 }
 
-// DecodeTopNRequest decodes a WireTopNRequest frame. cache, when
+// DecodeSearchRequest decodes a WireSearchRequest frame. cache, when
 // non-nil, interns the statistics block.
-func DecodeTopNRequest(msg []byte, cache *WireStatsCache) (query string, n int, stats ir.Stats, err error) {
-	payload, err := expectWire(msg, WireTopNRequest)
-	if err != nil {
-		return "", 0, ir.Stats{}, err
-	}
-	d := decoder{buf: payload}
-	query = d.str()
-	n = int(d.ivarint())
-	stats, err = d.decodeStatsTail(cache)
-	if err != nil {
-		return "", 0, ir.Stats{}, err
-	}
-	return query, n, stats, nil
-}
-
-// DecodeSearchRequest decodes a WireSearchRequest frame.
 func DecodeSearchRequest(msg []byte, cache *WireStatsCache) (query string, plan ir.EvalPlan, stats ir.Stats, err error) {
 	payload, err := expectWire(msg, WireSearchRequest)
 	if err != nil {
@@ -469,20 +442,6 @@ func DecodeSearchRequest(msg []byte, cache *WireStatsCache) (query string, plan 
 		return "", ir.EvalPlan{}, ir.Stats{}, err
 	}
 	return query, plan, stats, nil
-}
-
-// DecodeTopNResponse decodes a WireTopNResponse frame.
-func DecodeTopNResponse(msg []byte) ([]ir.Result, error) {
-	payload, err := expectWire(msg, WireTopNResponse)
-	if err != nil {
-		return nil, err
-	}
-	d := decoder{buf: payload}
-	rs := d.wireResults()
-	if err := d.finishWire(); err != nil {
-		return nil, err
-	}
-	return rs, nil
 }
 
 // DecodeSearchResponse decodes a WireSearchResponse frame.

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -60,17 +61,9 @@ func wireMessages(t *testing.T) map[string]struct {
 		msg    []byte
 		decode func([]byte) error
 	}{
-		"topn-request": {
-			enc(func(b *WireBuffer) { b.EncodeTopNRequest("champion ace", 10, stats) }),
-			func(m []byte) error { _, _, _, err := DecodeTopNRequest(m, nil); return err },
-		},
 		"search-request": {
 			enc(func(b *WireBuffer) { b.EncodeSearchRequest("champion", plan, stats) }),
 			func(m []byte) error { _, _, _, err := DecodeSearchRequest(m, nil); return err },
-		},
-		"topn-response": {
-			enc(func(b *WireBuffer) { b.EncodeTopNResponse(rs) }),
-			func(m []byte) error { _, err := DecodeTopNResponse(m); return err },
 		},
 		"search-response": {
 			enc(func(b *WireBuffer) { b.EncodeSearchResponse(rs, q) }),
@@ -117,15 +110,6 @@ func TestWireRoundTrip(t *testing.T) {
 	b := GetWireBuffer()
 	defer PutWireBuffer(b)
 
-	b.EncodeTopNRequest("champion ace", 10, stats)
-	query, n, st, err := DecodeTopNRequest(append([]byte(nil), b.Bytes()...), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if query != "champion ace" || n != 10 || !reflect.DeepEqual(st, stats) {
-		t.Fatalf("topn request round trip: %q %d %+v", query, n, st)
-	}
-
 	plan := ir.EvalPlan{N: 10, Frags: 8, Budget: 3, MinQuality: 0.75}
 	b.EncodeSearchRequest("champion", plan, stats)
 	query, gotPlan, st, err := DecodeSearchRequest(append([]byte(nil), b.Bytes()...), nil)
@@ -134,15 +118,6 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if query != "champion" || gotPlan != plan || !reflect.DeepEqual(st, stats) {
 		t.Fatalf("search request round trip: %q %+v %+v", query, gotPlan, st)
-	}
-
-	b.EncodeTopNResponse(rs)
-	got, err := DecodeTopNResponse(b.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rs) {
-		t.Fatalf("results round trip: %+v, want %+v", got, rs)
 	}
 
 	q := ir.QualityEstimate{CoveredIDF: 1.5, TotalIDF: 2.5, FragsUsed: 3, FragsTotal: 8}
@@ -203,9 +178,9 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	// Zero-value edge cases.
-	b.EncodeTopNResponse(nil)
-	if got, err := DecodeTopNResponse(b.Bytes()); err != nil || len(got) != 0 {
-		t.Fatalf("empty results: %v %v", got, err)
+	b.EncodeSearchResponse(nil, ir.QualityEstimate{})
+	if got, gotQ, err := DecodeSearchResponse(b.Bytes()); err != nil || len(got) != 0 || gotQ != (ir.QualityEstimate{}) {
+		t.Fatalf("empty results: %v %+v %v", got, gotQ, err)
 	}
 	b.EncodeStatsResponse(ir.Stats{})
 	if st, err := DecodeStatsResponse(b.Bytes()); err != nil || st.Docs != 0 || len(st.DF) != 0 {
@@ -275,11 +250,25 @@ func TestWireVersionAndKind(t *testing.T) {
 	if err := DecodeStatsRequest(msg); err == nil {
 		t.Fatal("ack accepted as stats request")
 	}
-	if _, err := DecodeTopNResponse(msg); err == nil {
-		t.Fatal("ack accepted as topn response")
+	if _, _, err := DecodeSearchResponse(msg); err == nil {
+		t.Fatal("ack accepted as search response")
 	}
-	if _, _, _, err := DecodeTopNRequest(msg, nil); err == nil {
-		t.Fatal("ack accepted as topn request")
+	if _, _, _, err := DecodeSearchRequest(msg, nil); err == nil {
+		t.Fatal("ack accepted as search request")
+	}
+
+	// The retired exact top-N kinds (0x01 request, 0x11 response) and
+	// never-assigned ones are unknown: a frame from an old peer that
+	// verifies in every other respect is still rejected.
+	for _, old := range [][]byte{retiredTopNRequest(t), retiredTopNResponse(t)} {
+		if _, _, err := DecodeWire(old); !errors.Is(err, ErrWireCorrupt) {
+			t.Fatalf("retired kind 0x%02x: err = %v, want ErrWireCorrupt", old[7], err)
+		}
+	}
+	unknown := append([]byte(nil), msg...)
+	unknown[7] = 0x7e
+	if _, _, err := DecodeWire(unknown); !errors.Is(err, ErrWireCorrupt) {
+		t.Fatalf("unassigned kind: err = %v, want ErrWireCorrupt", err)
 	}
 }
 
@@ -292,13 +281,13 @@ func TestWireStatsCacheInterns(t *testing.T) {
 	defer PutWireBuffer(b)
 
 	st := wireTestStats()
-	b.EncodeTopNRequest("q", 5, st)
+	b.EncodeSearchRequest("q", ir.EvalPlan{N: 5}, st)
 	msg := append([]byte(nil), b.Bytes()...)
-	_, _, first, err := DecodeTopNRequest(msg, &cache)
+	_, _, first, err := DecodeSearchRequest(msg, &cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, second, err := DecodeTopNRequest(msg, &cache)
+	_, _, second, err := DecodeSearchRequest(msg, &cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,8 +300,8 @@ func TestWireStatsCacheInterns(t *testing.T) {
 
 	st.DF["newterm"] = 9
 	st.TotalDF += 9
-	b.EncodeTopNRequest("q", 5, st)
-	_, _, third, err := DecodeTopNRequest(b.Bytes(), &cache)
+	b.EncodeSearchRequest("q", ir.EvalPlan{N: 5}, st)
+	_, _, third, err := DecodeSearchRequest(b.Bytes(), &cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,8 +374,8 @@ func TestWireResultsDelta(t *testing.T) {
 	b := GetWireBuffer()
 	defer PutWireBuffer(b)
 	for i, rs := range cases {
-		b.EncodeTopNResponse(rs)
-		got, err := DecodeTopNResponse(b.Bytes())
+		b.EncodeSearchResponse(rs, ir.QualityEstimate{})
+		got, _, err := DecodeSearchResponse(b.Bytes())
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -401,10 +390,12 @@ func TestWireResultsDelta(t *testing.T) {
 // returns an error.
 func FuzzWireDecode(f *testing.F) {
 	b := GetWireBuffer()
-	b.EncodeTopNRequest("champion ace", 10, wireTestStats())
+	b.EncodeSearchRequest("champion ace", ir.EvalPlan{N: 10, Budget: 2}, wireTestStats())
 	f.Add(append([]byte(nil), b.Bytes()...))
-	b.EncodeTopNResponse(wireTestResults())
+	b.EncodeSearchResponse(wireTestResults(), ir.QualityEstimate{CoveredIDF: 1, TotalIDF: 2, FragsUsed: 1, FragsTotal: 4})
 	f.Add(append([]byte(nil), b.Bytes()...))
+	f.Add(retiredTopNRequest(f))
+	f.Add(retiredTopNResponse(f))
 	b.EncodeAddBatchRequest([]Op{{Doc: 1, Text: "t"}})
 	f.Add(append([]byte(nil), b.Bytes()...))
 	b.EncodeAck()
@@ -416,9 +407,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cache WireStatsCache
 		DecodeWire(data)
-		DecodeTopNRequest(data, &cache)
 		DecodeSearchRequest(data, &cache)
-		DecodeTopNResponse(data)
 		DecodeSearchResponse(data)
 		DecodeAddBatchRequest(data)
 		DecodeStatsRequest(data)
@@ -429,4 +418,71 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		ReadWireFrame(bytes.NewReader(data), 1<<16, nil)
 	})
+}
+
+// unhex decodes a frame captured as a hex literal.
+func unhex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// The retired exact top-N frames, exactly as the last build that spoke
+// them encoded ("q", n=5, empty statistics; an empty RES set): valid
+// magic, version, length and checksum, so only the kind byte can
+// reject them.
+func retiredTopNRequest(t testing.TB) []byte {
+	return unhex(t, "444c57495245010106000000f9a8505491cc595111fa504773eb232d8ff2d55b965eb636ea4abd09373650b901710a000000")
+}
+
+func retiredTopNResponse(t testing.TB) []byte {
+	return unhex(t, "444c574952450111010000006e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d00")
+}
+
+// TestWireGoldenFrames pins the surviving frames to the bytes the
+// parent of the top-N retirement produced for the same values: kinds
+// were not renumbered, payload layouts did not move, and WireVersion
+// did not need a bump. A deliberate format change updates these
+// literals AND the version.
+func TestWireGoldenFrames(t *testing.T) {
+	if WireVersion != 1 {
+		t.Fatalf("WireVersion = %d: re-capture the golden frames below", WireVersion)
+	}
+	stats := ir.Stats{DF: map[string]int{"ace": 3, "champion": 7, "serv": 11}, TotalDF: 21, Docs: 9}
+	rs := []ir.Result{{Doc: 7, Score: 1.5}, {Doc: 2, Score: 0.75}, {Doc: 40, Score: 0.125}}
+	q := ir.QualityEstimate{CoveredIDF: 1.25, TotalIDF: 2.5, FragsUsed: 2, FragsTotal: 8}
+	ops := []Op{{Doc: 1, URL: "u1", Text: "melbourne champion"}, {Doc: 3, Text: "ace"}}
+	for _, tc := range []struct {
+		name   string
+		encode func(*WireBuffer)
+		want   string
+	}{
+		{"search request",
+			func(b *WireBuffer) {
+				b.EncodeSearchRequest("champion ace", ir.EvalPlan{N: 10, Frags: 8, Budget: 2, MinQuality: 0.5}, stats)
+			},
+			"444c5749524501023000000039d847ed3df0ddba642e5e2785aec435e0feb47d060e6be5b3ebb107b06ea7690c6368616d70696f6e20616365141004000000000000e03f2a12030361636506086368616d70696f6e0e047365727616"},
+		{"search response",
+			func(b *WireBuffer) { b.EncodeSearchResponse(rs, q) },
+			"444c5749524501122e000000f327086cdc0755e8043388194baf59a2ae4400d5a59afff91c71d6e579499670000000000000f43f00000000000004400410030e000000000000f83f09000000000000e83f4c000000000000c03f"},
+		{"add-batch request",
+			func(b *WireBuffer) { b.EncodeAddBatchRequest(ops) },
+			"444c5749524501031e000000b755dcd14f6dd8c8fc956a498786183efb4ac1916c13598e15ffe4dc377e544c0201027531126d656c626f75726e65206368616d70696f6e030003616365"},
+		{"stats response",
+			func(b *WireBuffer) { b.EncodeStatsResponse(stats) },
+			"444c57495245011318000000f6ce36959cbe01b2eba7316abe49fb3d150f9f2b91b2de526a18067b735ea3192a12030361636506086368616d70696f6e0e047365727616"},
+		{"ack",
+			func(b *WireBuffer) { b.EncodeAck() },
+			"444c57495245011400000000e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+	} {
+		b := GetWireBuffer()
+		tc.encode(b)
+		if got := hex.EncodeToString(b.Bytes()); got != tc.want {
+			t.Errorf("%s frame changed:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		PutWireBuffer(b)
+	}
 }

@@ -683,10 +683,11 @@ type AddDocRequest struct {
 // Ingest is idempotent per oid at the nodes, so re-posting the SAME
 // document with the SAME oid is always safe: a replica that applied it
 // without acknowledging (lost ack, timeout) skips it, a replica that
-// missed it applies it. Committed 0 means no replica acknowledged;
-// Degraded means SOME replicas committed — the document is already
-// searchable and a retry heals the lagging replicas (as does the
-// cluster's anti-entropy resync, without any client action).
+// missed it applies it. Committed 0 means no replica acknowledged —
+// retry with the same oid; Degraded means 0 < Committed < Replicas —
+// the document is already searchable and a retry heals the lagging
+// replicas (as does the cluster's anti-entropy resync, without any
+// client action).
 type AddDocResponse struct {
 	Index     string `json:"index"`
 	Doc       uint64 `json:"doc"`
@@ -727,9 +728,7 @@ func (co *Coordinator) add(w http.ResponseWriter, r *http.Request) {
 		co.seqs[name].observe(doc)
 	}
 	// Route through the outcome-reporting path so a partial replica
-	// commit is never mistaken for "not indexed, retry safe" — a blind
-	// retry would double-fold term frequencies on the replica that
-	// committed.
+	// commit is reported as searchable-but-degraded, not as unindexed.
 	results := cluster.AddBatchResults(r.Context(), []dist.Doc{{OID: doc, URL: req.URL, Text: req.Text}})
 	p := &results[0]
 	resp := AddDocResponse{Index: name, Doc: uint64(doc), Replicas: p.Replicas, Committed: p.Committed}
@@ -787,12 +786,10 @@ type BatchPartitionJSON struct {
 //     timeouts — a node that applied the batch without the
 //     acknowledgement arriving skips the replay).
 //   - Degraded lists partitions where SOME but not all replicas
-//     committed (documents searchable; a retry with the same oids
-//     converges the lagging replicas) or where a node without
-//     idempotent ingest applied an unknown prefix (third-party nodes
-//     only — verify before re-ingesting there). Left alone, the
-//     cluster's anti-entropy pass detects and resyncs the lagging
-//     replicas without client action.
+//     committed (0 < committed < replicas): the documents are
+//     searchable, and a retry with the same oids converges the lagging
+//     replicas. Left alone, the cluster's anti-entropy pass detects
+//     and resyncs them without client action.
 type AddBatchResponse struct {
 	Index      string               `json:"index"`
 	Docs       []uint64             `json:"docs"`
@@ -948,10 +945,6 @@ func (co *Coordinator) addBatch(w http.ResponseWriter, r *http.Request) {
 			for _, oid := range p.Docs {
 				resp.Failed = append(resp.Failed, uint64(oid))
 			}
-		case p.Committed == 0:
-			// Ambiguous: a replica applied part of the batch before
-			// failing — not searchable as a whole, not retry-safe.
-			resp.Degraded = append(resp.Degraded, p.Partition)
 		default:
 			// Partially committed: searchable, but replicas diverged.
 			resp.Degraded = append(resp.Degraded, p.Partition)
@@ -961,7 +954,7 @@ func (co *Coordinator) addBatch(w http.ResponseWriter, r *http.Request) {
 	co.adds.Add(uint64(committed))
 	if len(resp.Failed) > 0 || len(resp.Degraded) > 0 {
 		co.errs.Add(1)
-		resp.Error = fmt.Sprintf("partial commit: %d partitions failed, %d degraded — retry only the docs in 'failed'",
+		resp.Error = fmt.Sprintf("partial commit: %d partitions failed (retry the docs in 'failed' with the same oids), %d degraded (searchable; a retry or anti-entropy heals them)",
 			failedParts, len(resp.Degraded))
 		writeJSON(w, http.StatusBadGateway, resp)
 		return

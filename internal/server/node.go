@@ -57,15 +57,15 @@ type NodeConfig struct {
 	// both the instrumentation and the endpoint; the query hot path
 	// then stays byte-identical to an uninstrumented server.
 	Metrics *obs.Registry
-	// SlowQuery, when set, emits one JSON line per /node/topn or
-	// /node/search slower than its threshold, carrying the
-	// coordinator's request ID (X-DL-Request) so node-side lines join
-	// the coordinator's. nil disables.
+	// SlowQuery, when set, emits one JSON line per /node/search slower
+	// than its threshold, carrying the coordinator's request ID
+	// (X-DL-Request) so node-side lines join the coordinator's. nil
+	// disables.
 	SlowQuery *obs.SlowQueryLog
 	// JSONOnly disables the binary wire codec: binary request bodies
 	// answer 415 and the /node/wire upgrade endpoint is absent, so a
 	// negotiating client settles on JSON. The debugging mode, and the
-	// stand-in for a third-party JSON node in mixed-codec tests.
+	// stand-in for a JSON-only peer in mixed-codec tests.
 	JSONOnly bool
 	// Backend, when set, is the search backend this node serves instead
 	// of a bare index — e.g. core.NewEngineBackend, so the partition
@@ -207,17 +207,15 @@ func NewNodeServer(ix *ir.Index, cfg *NodeConfig) *NodeServer {
 }
 
 // Handler returns the HTTP handler serving the node wire protocol:
-// POST /node/add, /node/add/batch, /node/topn, /node/search,
-// /node/snapshot (persist to disk), /node/restore (replace the
-// fragment), GET /node/stats, /node/load, /node/snapshot (stream the
-// live fragment state), /healthz.
+// POST /node/add/batch, /node/search, /node/snapshot (persist to
+// disk), /node/restore (replace the fragment), GET /node/stats,
+// /node/load, /node/snapshot (stream the live fragment state),
+// GET/POST /node/oplog, /healthz.
 func (s *NodeServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for path, h := range map[string]http.HandlerFunc{
-		dist.PathNodeAdd:      s.add,
 		dist.PathNodeAddBatch: s.addBatch,
 		dist.PathNodeStats:    s.stats,
-		dist.PathNodeTopN:     s.topn,
 		dist.PathNodeSearch:   s.search,
 		dist.PathNodeLoad:     s.load,
 		dist.PathNodeSnapshot: s.snapshot,
@@ -338,22 +336,6 @@ func (s *NodeServer) Snapshot() (dist.SnapshotResponse, error) {
 // without durability.
 var errNoDataDir = errors.New("node runs without -data-dir: nowhere to snapshot")
 
-func (s *NodeServer) add(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req dist.AddRequest
-	if !readJSON(w, r, s.maxBody, &req) {
-		return
-	}
-	if req.Doc == 0 {
-		fail(w, http.StatusBadRequest, "missing document oid")
-		return
-	}
-	s.node.Add(r.Context(), bat.OID(req.Doc), req.URL, req.Text)
-	writeJSON(w, http.StatusOK, struct{}{})
-}
-
 func (s *NodeServer) addBatch(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
@@ -428,62 +410,6 @@ func (s *NodeServer) stats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, dist.StatsToJSON(st))
 }
 
-func (s *NodeServer) topn(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	// Decode by Content-Type…
-	var (
-		query string
-		n     int
-		stats ir.Stats
-	)
-	if isWireRequest(r) {
-		if s.jsonOnly {
-			failWireDisabled(w)
-			return
-		}
-		var ok bool
-		if query, n, stats, ok = s.decodeWireTopN(w, r); !ok {
-			return
-		}
-	} else {
-		var req dist.TopNRequest
-		if !readJSON(w, r, s.maxBody, &req) {
-			return
-		}
-		query, n, stats = req.Query, req.N, dist.StatsFromJSON(req.Stats)
-	}
-	// Empty queries and non-positive n are well-defined (an empty
-	// ranking) and must behave exactly like a LocalNode would —
-	// client-facing validation lives in the coordinator, and the
-	// cluster's local/remote transparency depends on the node
-	// protocol never rejecting what a LocalNode accepts.
-	tr := s.queryTrace(w, r)
-	var scoreStart time.Time
-	if tr != nil {
-		scoreStart = time.Now()
-	}
-	res, _ := s.node.TopNWithStats(r.Context(), query, n, stats)
-	if tr != nil {
-		tr.AddSpan("scoring", scoreStart)
-	}
-	// …encode by Accept.
-	if !s.jsonOnly && wantsWire(r) {
-		wb := persist.GetWireBuffer()
-		wb.EncodeTopNResponse(res)
-		writeWire(w, wb)
-		persist.PutWireBuffer(wb)
-	} else {
-		writeJSON(w, http.StatusOK, dist.TopNResponse{Results: dist.ResultsToJSON(res)})
-	}
-	if tr != nil {
-		s.slow.Record(tr, obs.SlowQueryRecord{
-			Role: "node", Query: query, Results: len(res),
-		})
-	}
-}
-
 func (s *NodeServer) search(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
@@ -509,8 +435,12 @@ func (s *NodeServer) search(w http.ResponseWriter, r *http.Request) {
 		}
 		query, plan, stats = req.Query, dist.PlanFromJSON(req.Plan), dist.StatsFromJSON(req.Stats)
 	}
-	// Degenerate plans mirror LocalNode (empty ranking, exact quality)
-	// for the same transparency reason as /node/topn.
+	// Empty queries, non-positive n and degenerate plans are
+	// well-defined (an empty ranking, exact quality) and must behave
+	// exactly like a LocalNode would — client-facing validation lives in
+	// the coordinator, and the cluster's local/remote transparency
+	// depends on the node protocol never rejecting what a LocalNode
+	// accepts.
 	tr := s.queryTrace(w, r)
 	var scoreStart time.Time
 	if tr != nil {

@@ -145,12 +145,18 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	// Node /metrics: per-endpoint counters and scoring histogram fed.
 	nmet := get(nodeServers[0].URL + "/metrics")
 	for _, want := range []string{
-		`dl_node_requests_total{path="/node/topn"}`,
+		`dl_node_requests_total{path="/node/search"}`,
 		"dl_node_scoring_seconds_count",
 		"dl_node_ingest_docs_total",
 	} {
 		if !strings.Contains(nmet, want) {
 			t.Fatalf("node /metrics missing %q:\n%s", want, nmet)
+		}
+	}
+	// The retired ops left no series behind.
+	for _, gone := range []string{`path="/node/topn"`, `path="/node/add"`} {
+		if strings.Contains(nmet, gone) {
+			t.Fatalf("node /metrics still exports a %s series:\n%s", gone, nmet)
 		}
 	}
 
@@ -182,11 +188,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 func TestNodeQueryUntracedWhenUninstrumented(t *testing.T) {
 	h := NewNodeHandler(ir.NewIndex(), nil)
 	w := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, dist.PathNodeTopN,
-		strings.NewReader(`{"query":"q","n":3,"stats":{"df":{},"total_df":0,"docs":0}}`))
+	req := httptest.NewRequest(http.MethodPost, dist.PathNodeSearch,
+		strings.NewReader(`{"query":"q","plan":{"n":3},"stats":{"df":{},"total_df":0,"docs":0}}`))
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
-		t.Fatalf("topn = %d: %s", w.Code, w.Body)
+		t.Fatalf("search = %d: %s", w.Code, w.Body)
 	}
 	if got := w.Header().Get(obs.HeaderRequestID); got != "" {
 		t.Fatalf("uninstrumented node invented a request ID %q", got)

@@ -38,7 +38,7 @@ func TestCoordinatorOpLogStats(t *testing.T) {
 	}
 	// B misses a tail of writes.
 	for i := 20; i < 25; i++ {
-		if err := a.Add(context.Background(), bat.OID(i+1), "u", fmt.Sprintf("trophy winner doc%d", i+1)); err != nil {
+		if err := a.AddBatch(context.Background(), []dist.Doc{{OID: bat.OID(i + 1), URL: "u", Text: fmt.Sprintf("trophy winner doc%d", i+1)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

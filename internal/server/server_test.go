@@ -43,11 +43,14 @@ func TestNodeHandlerValidation(t *testing.T) {
 		name, path, body string
 		status           int
 	}{
-		{"malformed add", dist.PathNodeAdd, `{"doc": nope}`, http.StatusBadRequest},
-		{"missing doc oid", dist.PathNodeAdd, `{"url":"u","text":"hi"}`, http.StatusBadRequest},
-		{"trailing data", dist.PathNodeAdd, `{"doc":1,"text":"a"} extra`, http.StatusBadRequest},
-		{"oversized body", dist.PathNodeAdd, `{"doc":1,"text":"` + strings.Repeat("x", 2048) + `"}`, http.StatusRequestEntityTooLarge},
-		{"malformed topn", dist.PathNodeTopN, `{`, http.StatusBadRequest},
+		{"malformed add", dist.PathNodeAddBatch, `{"docs": nope}`, http.StatusBadRequest},
+		{"missing doc oid", dist.PathNodeAddBatch, `{"docs":[{"url":"u","text":"hi"}]}`, http.StatusBadRequest},
+		{"trailing data", dist.PathNodeAddBatch, `{"docs":[{"doc":1,"text":"a"}]} extra`, http.StatusBadRequest},
+		{"oversized body", dist.PathNodeAddBatch, `{"docs":[{"doc":1,"text":"` + strings.Repeat("x", 2048) + `"}]}`, http.StatusRequestEntityTooLarge},
+		{"malformed search", dist.PathNodeSearch, `{`, http.StatusBadRequest},
+		// The retired one-document and exact-top-N ops fail closed.
+		{"retired /node/add", "/node/add", `{"doc":1,"text":"a"}`, http.StatusNotFound},
+		{"retired /node/topn", "/node/topn", `{"query":"a","n":10}`, http.StatusNotFound},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -56,15 +59,15 @@ func TestNodeHandlerValidation(t *testing.T) {
 			}
 		})
 	}
-	if w := get(t, h, dist.PathNodeTopN); w.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET topn = %d, want 405", w.Code)
+	if w := get(t, h, dist.PathNodeSearch); w.Code != http.StatusMethodNotAllowed {
+		t.Fatalf("GET search = %d, want 405", w.Code)
 	}
 	// Empty queries and non-positive n mirror LocalNode: well-defined
 	// empty rankings, not errors — Cluster transparency depends on
 	// the node protocol never rejecting what a LocalNode accepts.
-	for _, body := range []string{`{"query":"","n":10}`, `{"query":"a","n":0}`, `{"query":"a","n":-3}`} {
-		if w := postJSON(t, h, dist.PathNodeTopN, body); w.Code != http.StatusOK {
-			t.Fatalf("degenerate topn %s = %d, want 200 (%s)", body, w.Code, w.Body)
+	for _, body := range []string{`{"query":"","plan":{"n":10}}`, `{"query":"a","plan":{"n":0}}`, `{"query":"a","plan":{"n":-3}}`} {
+		if w := postJSON(t, h, dist.PathNodeSearch, body); w.Code != http.StatusOK {
+			t.Fatalf("degenerate search %s = %d, want 200 (%s)", body, w.Code, w.Body)
 		}
 	}
 	if w := postJSON(t, h, dist.PathNodeStats, `{}`); w.Code != http.StatusMethodNotAllowed {
@@ -557,7 +560,7 @@ func TestNodeSnapshotEndpoint(t *testing.T) {
 	h := ns.Handler()
 	texts := []string{"melbourne champion trophy", "champion winner serve", "volley smash rally"}
 	for i, text := range texts {
-		w := postJSON(t, h, dist.PathNodeAdd, fmt.Sprintf(`{"doc":%d,"text":%q}`, i+1, text))
+		w := postJSON(t, h, dist.PathNodeAddBatch, fmt.Sprintf(`{"docs":[{"doc":%d,"text":%q}]}`, i+1, text))
 		if w.Code != http.StatusOK {
 			t.Fatalf("add = %d: %s", w.Code, w.Body)
 		}
@@ -587,11 +590,11 @@ func TestNodeSnapshotEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	h2 := NewNodeHandler(restored, nil)
-	body := `{"query":"champion","n":10,"stats":{"df":{"champion":2},"total_df":9,"docs":3}}`
-	before := postJSON(t, h, dist.PathNodeTopN, body)
-	after := postJSON(t, h2, dist.PathNodeTopN, body)
+	body := `{"query":"champion","plan":{"n":10},"stats":{"df":{"champion":2},"total_df":9,"docs":3}}`
+	before := postJSON(t, h, dist.PathNodeSearch, body)
+	after := postJSON(t, h2, dist.PathNodeSearch, body)
 	if before.Code != http.StatusOK || after.Code != http.StatusOK {
-		t.Fatalf("topn = %d / %d", before.Code, after.Code)
+		t.Fatalf("search = %d / %d", before.Code, after.Code)
 	}
 	if before.Body.String() != after.Body.String() {
 		t.Fatalf("restored ranking differs:\n pre: %s\npost: %s", before.Body, after.Body)
@@ -946,9 +949,9 @@ func TestNodeSnapshotStreamAndRestore(t *testing.T) {
 	if lr.Checksum != rr.Checksum {
 		t.Fatalf("cached load checksum = %q, want %s", lr.Checksum, rr.Checksum)
 	}
-	body := `{"query":"champion","n":10,"stats":{"df":{"champion":2},"total_df":9,"docs":3}}`
-	before := postJSON(t, hSrc, dist.PathNodeTopN, body)
-	after := postJSON(t, hDst, dist.PathNodeTopN, body)
+	body := `{"query":"champion","plan":{"n":10},"stats":{"df":{"champion":2},"total_df":9,"docs":3}}`
+	before := postJSON(t, hSrc, dist.PathNodeSearch, body)
+	after := postJSON(t, hDst, dist.PathNodeSearch, body)
 	if before.Body.String() != after.Body.String() {
 		t.Fatalf("restored ranking differs:\n src: %s\n dst: %s", before.Body, after.Body)
 	}

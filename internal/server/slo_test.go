@@ -364,8 +364,8 @@ func TestNodeTelemetryBypassesSemaphore(t *testing.T) {
 		t.Fatal("saturated /metrics serves no node metrics")
 	}
 	// The request plane meanwhile sheds as configured.
-	if w := postJSON(t, h, "/node/topn", `{"query":"alpha","n":5}`); w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("saturated /node/topn = %d, want 503", w.Code)
+	if w := postJSON(t, h, "/node/search", `{"query":"alpha","plan":{"n":5}}`); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("saturated /node/search = %d, want 503", w.Code)
 	}
 	// After a budgeted evaluation the per-fragment postings counters
 	// register lazily and report where the budget cut landed.

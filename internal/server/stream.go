@@ -145,8 +145,7 @@ func (co *Coordinator) addStream(w http.ResponseWriter, r *http.Request) {
 					sum.Failed++
 					rec.Error = "node unavailable: " + p.Err.Error()
 				default:
-					// Some replica state committed: searchable (or at
-					// least partially applied) but degraded.
+					// Some replicas committed: searchable but degraded.
 					sum.Degraded++
 					rec.Degraded = true
 					rec.Error = p.Err.Error()

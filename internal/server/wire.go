@@ -224,19 +224,6 @@ func (s *NodeServer) handleWireFrame(frame []byte, wb *persist.WireBuffer) {
 		start = time.Now()
 	}
 	switch kind {
-	case persist.WireTopNRequest:
-		query, n, stats, err := persist.DecodeTopNRequest(frame, &s.statsCache)
-		if err != nil {
-			wb.EncodeError(http.StatusBadRequest, "unusable wire body: "+err.Error())
-			break
-		}
-		if !s.sem.TryAcquire() {
-			wb.EncodeError(http.StatusServiceUnavailable, "server at capacity")
-			break
-		}
-		res, _ := s.node.TopNWithStats(ctx, query, n, stats)
-		s.sem.Release()
-		wb.EncodeTopNResponse(res)
 	case persist.WireSearchRequest:
 		query, plan, stats, err := persist.DecodeSearchRequest(frame, &s.statsCache)
 		if err != nil {
@@ -316,9 +303,8 @@ func (s *NodeServer) initWireMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	s.wireMet = make(map[persist.WireKind]wireEndpointMetrics, 4)
+	s.wireMet = make(map[persist.WireKind]wireEndpointMetrics, 3)
 	for kind, path := range map[persist.WireKind]string{
-		persist.WireTopNRequest:     dist.PathNodeTopN,
 		persist.WireSearchRequest:   dist.PathNodeSearch,
 		persist.WireStatsRequest:    dist.PathNodeStats,
 		persist.WireAddBatchRequest: dist.PathNodeAddBatch,
@@ -331,21 +317,6 @@ func (s *NodeServer) initWireMetrics(reg *obs.Registry) {
 				obs.Labels("path", path), obs.LatencyBounds()),
 		}
 	}
-}
-
-// decodeStats is the per-endpoint wire decode for /node/topn.
-func (s *NodeServer) decodeWireTopN(w http.ResponseWriter, r *http.Request) (query string, n int, stats ir.Stats, ok bool) {
-	body, release, k := readWireBody(w, r, s.maxBody)
-	if !k {
-		return "", 0, ir.Stats{}, false
-	}
-	query, n, stats, err := persist.DecodeTopNRequest(body, &s.statsCache)
-	release()
-	if err != nil {
-		fail(w, http.StatusBadRequest, "unusable wire body: "+err.Error())
-		return "", 0, ir.Stats{}, false
-	}
-	return query, n, stats, true
 }
 
 // decodeWireSearch is the per-endpoint wire decode for /node/search.

@@ -1,12 +1,18 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"dlsearch/internal/dist"
 	"dlsearch/internal/ir"
@@ -78,12 +84,10 @@ func TestNodeWireCorruptionFailsClosed(t *testing.T) {
 		}
 	}
 
-	// The query endpoints fail closed the same way.
-	for _, path := range []string{dist.PathNodeTopN, dist.PathNodeSearch} {
-		w := postWire(t, h, path, []byte("garbage garbage garbage garbage garbage garbage"))
-		if w.Code != http.StatusBadRequest {
-			t.Fatalf("%s garbage = %d, want 400: %s", path, w.Code, w.Body.Bytes())
-		}
+	// The query endpoint fails closed the same way.
+	w := postWire(t, h, dist.PathNodeSearch, []byte("garbage garbage garbage garbage garbage garbage"))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("%s garbage = %d, want 400: %s", dist.PathNodeSearch, w.Code, w.Body.Bytes())
 	}
 }
 
@@ -99,9 +103,9 @@ func TestNodeJSONOnlyRefusesBinary(t *testing.T) {
 	if w := postWire(t, h, dist.PathNodeAddBatch, append([]byte(nil), wb.Bytes()...)); w.Code != http.StatusUnsupportedMediaType {
 		t.Fatalf("binary batch on JSON-only node = %d, want 415: %s", w.Code, w.Body.Bytes())
 	}
-	wb.EncodeTopNRequest("ace", 5, ir.Stats{})
-	if w := postWire(t, h, dist.PathNodeTopN, append([]byte(nil), wb.Bytes()...)); w.Code != http.StatusUnsupportedMediaType {
-		t.Fatalf("binary topn on JSON-only node = %d, want 415: %s", w.Code, w.Body.Bytes())
+	wb.EncodeSearchRequest("ace", ir.EvalPlan{N: 5}, ir.Stats{})
+	if w := postWire(t, h, dist.PathNodeSearch, append([]byte(nil), wb.Bytes()...)); w.Code != http.StatusUnsupportedMediaType {
+		t.Fatalf("binary search on JSON-only node = %d, want 415: %s", w.Code, w.Body.Bytes())
 	}
 
 	req := httptest.NewRequest(http.MethodGet, dist.PathNodeWire, nil)
@@ -131,15 +135,15 @@ func TestNodeWireAcceptNegotiation(t *testing.T) {
 
 	// JSON request, JSON response (no Accept).
 	statsJSON, err := json.Marshal(map[string]any{
-		"query": "champion", "n": 5,
+		"query": "champion", "plan": map[string]any{"n": 5},
 		"stats": map[string]any{"df": stats.DF, "total_df": stats.TotalDF, "docs": stats.Docs},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wj := postJSON(t, h, dist.PathNodeTopN, string(statsJSON))
+	wj := postJSON(t, h, dist.PathNodeSearch, string(statsJSON))
 	if wj.Code != http.StatusOK {
-		t.Fatalf("JSON topn = %d: %s", wj.Code, wj.Body.Bytes())
+		t.Fatalf("JSON search = %d: %s", wj.Code, wj.Body.Bytes())
 	}
 	var jr struct {
 		Results []struct {
@@ -154,15 +158,15 @@ func TestNodeWireAcceptNegotiation(t *testing.T) {
 	// Binary request, binary response.
 	wb := persist.GetWireBuffer()
 	defer persist.PutWireBuffer(wb)
-	wb.EncodeTopNRequest("champion", 5, stats)
-	wbin := postWire(t, h, dist.PathNodeTopN, append([]byte(nil), wb.Bytes()...))
+	wb.EncodeSearchRequest("champion", ir.EvalPlan{N: 5}, stats)
+	wbin := postWire(t, h, dist.PathNodeSearch, append([]byte(nil), wb.Bytes()...))
 	if wbin.Code != http.StatusOK {
-		t.Fatalf("binary topn = %d: %s", wbin.Code, wbin.Body.Bytes())
+		t.Fatalf("binary search = %d: %s", wbin.Code, wbin.Body.Bytes())
 	}
 	if ct := wbin.Header().Get("Content-Type"); !strings.HasPrefix(ct, persist.WireContentType) {
 		t.Fatalf("binary response Content-Type = %q", ct)
 	}
-	rs, err := persist.DecodeTopNResponse(wbin.Body.Bytes())
+	rs, _, err := persist.DecodeSearchResponse(wbin.Body.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,5 +269,143 @@ func TestCoordinatorMixedCodecCluster(t *testing.T) {
 	}
 	if codecs["binary"] != 1 || codecs["json-fallback"] != 1 {
 		t.Fatalf("negotiated codecs = %v, want one binary and one json-fallback", codecs)
+	}
+}
+
+// dialWire upgrades a raw connection to srv's persistent framed
+// transport and returns a function that exchanges one frame on it.
+func dialWire(t *testing.T, srv *httptest.Server) (exchange func(frame []byte) []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: node\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n",
+		dist.PathNodeWire, persist.WireProtocol)
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("wire upgrade: %v (%+v)", err, resp)
+	}
+	return func(frame []byte) []byte {
+		t.Helper()
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatalf("write frame: %v", err)
+		}
+		out, err := persist.ReadWireFrame(br, 1<<20, nil)
+		if err != nil {
+			t.Fatalf("read frame: %v", err)
+		}
+		return out
+	}
+}
+
+// wireError decodes a framed error answer.
+func wireError(t *testing.T, frame []byte) (status int, msg string) {
+	t.Helper()
+	kind, payload, err := persist.DecodeWire(frame)
+	if err != nil || kind != persist.WireError {
+		t.Fatalf("want a framed error, got kind %#x err %v", kind, err)
+	}
+	status, msg, err = persist.DecodeErrorPayload(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, msg
+}
+
+// TestRetiredWireKindFailsClosed: an old coordinator's exact top-N
+// frame (kind 0x01, retired) on an upgraded connection is answered
+// with a framed 400 — and the connection survives: framing never lost
+// sync, so the next search frame on the same connection is served.
+func TestRetiredWireKindFailsClosed(t *testing.T) {
+	ix := ir.NewIndex()
+	ix.Add(1, "u", "melbourne champion ace")
+	srv := httptest.NewServer(NewNodeHandler(ix, nil))
+	t.Cleanup(srv.Close)
+	exchange := dialWire(t, srv)
+
+	// ("q", n=5, empty statistics) as the last top-N-speaking build
+	// framed it: valid in everything but its kind.
+	old, err := hex.DecodeString("444c57495245010106000000f9a8505491cc595111fa504773eb232d8ff2d55b965eb636ea4abd09373650b901710a000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, msg := wireError(t, exchange(old)); status != http.StatusBadRequest || !strings.Contains(msg, "unsupported wire message kind") {
+		t.Fatalf("retired kind answered %d %q, want 400 unsupported wire message kind", status, msg)
+	}
+
+	wb := persist.GetWireBuffer()
+	defer persist.PutWireBuffer(wb)
+	wb.EncodeSearchRequest("champion", ir.EvalPlan{N: 5}, ix.StatsLocal())
+	rs, _, err := persist.DecodeSearchResponse(exchange(wb.Bytes()))
+	if err != nil {
+		t.Fatalf("search after the rejected frame: %v", err)
+	}
+	if len(rs) != 1 || rs[0].Doc != 1 {
+		t.Fatalf("search after the rejected frame = %+v", rs)
+	}
+}
+
+// TestFailedLogAppendNeverAcknowledged: a node whose op log rejects
+// the append (full disk, dead file) must refuse the batch over every
+// codec — 502 over JSON, HTTP 502 to a binary body, a framed 502 on
+// the persistent connection — apply nothing, and be counted as not
+// committed by the cluster. Acknowledging here would report a
+// document as durable that is neither logged nor searchable.
+func TestFailedLogAppendNeverAcknowledged(t *testing.T) {
+	oplog, err := persist.OpenOpLog(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewNodeHandler(ir.NewIndex(), &NodeConfig{OpLog: oplog}))
+	t.Cleanup(srv.Close)
+	h := srv.Config.Handler
+
+	if w := postJSON(t, h, dist.PathNodeAddBatch, `{"docs":[{"doc":1,"text":"melbourne champion"},{"doc":2,"text":"ace"}]}`); w.Code != http.StatusOK {
+		t.Fatalf("healthy batch = %d: %s", w.Code, w.Body)
+	}
+	load := func() (l dist.LoadResponse) {
+		t.Helper()
+		if err := json.Unmarshal(get(t, h, dist.PathNodeLoad).Body.Bytes(), &l); err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	before := load()
+	if before.Docs != 2 || before.LogPos != 2 {
+		t.Fatalf("fixture load = %+v, want 2 docs at log position 2", before)
+	}
+
+	// The log's file goes away under the node: every append now fails.
+	if err := oplog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if w := postJSON(t, h, dist.PathNodeAddBatch, `{"docs":[{"doc":3,"text":"trophy"}]}`); w.Code != http.StatusBadGateway {
+		t.Fatalf("JSON batch on a dead log = %d, want 502: %s", w.Code, w.Body)
+	}
+	wb := persist.GetWireBuffer()
+	defer persist.PutWireBuffer(wb)
+	wb.EncodeAddBatchRequest([]persist.Op{{Doc: 4, Text: "rally"}})
+	batch := append([]byte(nil), wb.Bytes()...)
+	if w := postWire(t, h, dist.PathNodeAddBatch, batch); w.Code != http.StatusBadGateway {
+		t.Fatalf("binary batch on a dead log = %d, want 502: %s", w.Code, w.Body)
+	}
+	if status, msg := wireError(t, dialWire(t, srv)(batch)); status != http.StatusBadGateway {
+		t.Fatalf("framed batch on a dead log answered %d %q, want 502", status, msg)
+	}
+
+	rn := dist.NewRemoteNode(srv.URL, srv.Client())
+	results := dist.NewClusterOf([]dist.Node{rn}, nil).AddBatchResults(context.Background(),
+		[]dist.Doc{{OID: 5, Text: "volley"}})
+	if p := results[0]; p.Committed != 0 || !p.Failed() {
+		t.Fatalf("cluster outcome on a dead log = %+v, want Committed 0 and Failed", p)
+	}
+
+	if after := load(); after != before {
+		t.Fatalf("refused batches changed the node: %+v -> %+v", before, after)
 	}
 }
