@@ -434,6 +434,10 @@ func runNode(ctx context.Context, addr string, lambda float64, cacheCap, maxConc
 	}
 	logger.Infof("node listening on %s", addr)
 	err := server.Run(ctx, addr, ns.Handler(), 0)
+	// Run's graceful shutdown drained the HTTP requests; the upgraded
+	// wire connections left the http.Server's care when they were
+	// hijacked, so they are reaped here, before the final snapshot.
+	ns.Close()
 	if dataDir != "" && ctx.Err() != nil {
 		// Graceful shutdown (not a listen failure): persist the
 		// fragment so a restart serves it without reindexing.
@@ -542,6 +546,11 @@ func buildCluster(nodeURLs string, local, r int, lambda float64, nodeTimeout tim
 				Latency:  reg.Histogram("dl_rpc_client_seconds", "Remote-node HTTP round-trip latency.", "", obs.LatencyBounds()),
 				BytesOut: reg.Counter("dl_rpc_bytes_out_total", "Request bytes sent to remote nodes.", ""),
 				BytesIn:  reg.Counter("dl_rpc_bytes_in_total", "Response bytes read from remote nodes.", ""),
+				StatsPullsFull: reg.Counter("dl_stats_pulls_total",
+					"Statistics pulls from remote nodes, by what the node answered: its whole vocabulary (full) or only the stems changed since the last pull (delta).",
+					obs.Labels("kind", "full")),
+				StatsPullsDelta: reg.Counter("dl_stats_pulls_total", "", obs.Labels("kind", "delta")),
+				StatsPullBytes:  reg.Counter("dl_stats_pull_bytes_total", "Response bytes of statistics pulls from remote nodes.", ""),
 			}
 		}
 		var members []dist.Node

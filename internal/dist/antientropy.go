@@ -379,14 +379,15 @@ func (c *Cluster) tryDeltaResync(ctx context.Context, g, r, src int) bool {
 }
 
 // finishResync records a verified resync: quarantine lifts, counters
-// bump, statistics re-aggregate.
+// bump, the group's statistics go stale.
 func (c *Cluster) finishResync(g, r int) {
 	c.markResynced(g, r)
 	c.resyncCount.Add(1)
-	// The replica's content changed behind the aggregated statistics:
+	// The replica's content changed behind the group's statistics:
 	// logically it now equals the group (same stats), but a resync that
-	// repaired real divergence may shift global df/Σdf — re-aggregate.
-	c.InvalidateStats()
+	// repaired real divergence may shift the group's df/Σdf — pull them
+	// again.
+	c.invalidateGroups(g)
 }
 
 // RunAntiEntropy runs CheckReplicas with repair on every interval

@@ -6,10 +6,13 @@
 //
 // The protocol mirrors the paper's central-DBMS architecture:
 //
-//  1. The central site aggregates the per-partition term statistics
-//     (df, Σdf, |D|) into global statistics and ships them with the
-//     query, so every node scores its local documents exactly as one
-//     global index would (ir.Stats / ir.Request.Stats).
+//  1. The central site keeps every partition's term statistics (df,
+//     Σdf, |D|), sums them into global statistics and ships those with
+//     the query, so every node scores its local documents exactly as
+//     one global index would (ir.Stats / ir.Request.Stats). Scoring
+//     reads the df of the query's terms and the two totals, nothing
+//     else of the vocabulary, so a budgeted plan ships exactly that;
+//     an exact plan still ships the merged vocabulary (see SearchPlan).
 //  2. Every partition evaluates the top-N query over its local
 //     fragment only — no inter-node communication — and returns a
 //     small RES(doc-oid, score) set of at most N rows.
@@ -51,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -217,12 +221,11 @@ type Cluster struct {
 	// applies on top of the restored state after it finishes.
 	ingest []*sync.RWMutex
 
-	mu         sync.Mutex // guards the stats fields below
-	stats      ir.Stats
-	fresh      bool      // stats reflect all Adds routed through this cluster
-	have       bool      // stats were successfully aggregated at least once
-	gen        uint64    // bumped by every invalidation; guards refresh races
-	retryAfter time.Time // failed-aggregation backoff deadline
+	mu         sync.Mutex   // guards the stats fields below
+	gstats     []groupStats // per replica group, the one copy of the statistics
+	whole      ir.Stats     // gstats merged over the whole vocabulary, built on demand
+	wholeOK    bool         // whole reflects the current gstats
+	retryAfter time.Time    // failed-refresh backoff deadline
 
 	searchCount   atomic.Uint64 // searches served
 	failoverCount atomic.Uint64 // replica failovers across all searches
@@ -233,6 +236,24 @@ type Cluster struct {
 	resyncDeltaCount atomic.Uint64 // resyncs healed by op-log delta
 	resyncFullCount  atomic.Uint64 // resyncs that shipped a full snapshot
 	resyncBytes      atomic.Uint64 // bytes shipped by resyncs (delta or full)
+}
+
+// groupStats is what the central site knows of one replica group's
+// local statistics. A budgeted search sums the df of its own stems over
+// the groups (projectStats); the whole vocabulary is merged only on
+// demand (wholeStats), for exact plans and GlobalStatsContext, and kept
+// until a refresh replaces a group's statistics.
+type groupStats struct {
+	st    ir.Stats // as last pulled from the group; read-only
+	have  bool     // pulled at least once
+	fresh bool     // reflects every Add routed to the group through this cluster
+	gen   uint64   // bumped by every invalidation; guards refresh races
+}
+
+// invalidate marks the statistics stale; the caller holds Cluster.mu.
+func (gs *groupStats) invalidate() {
+	gs.fresh = false
+	gs.gen++
 }
 
 // NewCluster builds a cluster of k in-process single-replica
@@ -303,6 +324,7 @@ func NewReplicatedClusterOf(groups [][]Node, opts *Options) *Cluster {
 	c := &Cluster{groups: groups, partition: roundRobin}
 	c.health = make([]*groupHealth, len(groups))
 	c.ingest = make([]*sync.RWMutex, len(groups))
+	c.gstats = make([]groupStats, len(groups))
 	for g, reps := range groups {
 		if len(reps) == 0 {
 			panic("dist: replica group must hold at least one node")
@@ -633,8 +655,20 @@ func (c *Cluster) fanToGroup(ctx context.Context, g, scale int, call func(contex
 // cluster (e.g. directly against a remote node's server).
 func (c *Cluster) InvalidateStats() {
 	c.mu.Lock()
-	c.fresh = false
-	c.gen++
+	for g := range c.gstats {
+		c.gstats[g].invalidate()
+	}
+	c.mu.Unlock()
+}
+
+// invalidateGroups marks the statistics of the given partitions stale:
+// an Add or a resync changes the statistics of the partitions it wrote
+// to and of no other, so only those are pulled again.
+func (c *Cluster) invalidateGroups(parts ...int) {
+	c.mu.Lock()
+	for _, g := range parts {
+		c.gstats[g].invalidate()
+	}
 	c.mu.Unlock()
 }
 
@@ -700,10 +734,10 @@ func (p *PartitionResult) Failed() bool {
 // deterministic partitioning, and each group ships to every replica of
 // its partition in one AddBatch. Groups load in parallel and every
 // group settles before the call returns, so a partial failure never
-// leaves goroutines writing behind the caller's back. Stats are
-// invalidated after the adds land (not before): a concurrent query
-// that re-aggregated while an add was in flight must not leave stale
-// statistics marked fresh.
+// leaves goroutines writing behind the caller's back. The touched
+// partitions' statistics are invalidated after the adds land (not
+// before): a concurrent query that refreshed them while an add was in
+// flight must not leave stale statistics marked fresh.
 //
 // The per-partition outcomes come back in ascending partition order so
 // a client can retry exactly the failed partitions (see
@@ -712,7 +746,6 @@ func (c *Cluster) AddBatchResults(ctx context.Context, docs []Doc) []PartitionRe
 	if len(docs) == 0 {
 		return nil
 	}
-	defer c.InvalidateStats()
 	grouped := make(map[int][]Doc)
 	for _, d := range docs {
 		g := c.partition(d.OID, len(c.groups))
@@ -723,6 +756,7 @@ func (c *Cluster) AddBatchResults(ctx context.Context, docs []Doc) []PartitionRe
 		parts = append(parts, g)
 	}
 	sort.Ints(parts)
+	defer c.invalidateGroups(parts...)
 	results := make([]PartitionResult, len(parts))
 	var wg sync.WaitGroup
 	for i, g := range parts {
@@ -878,88 +912,156 @@ func (c *Cluster) statsBackoff() time.Duration {
 	return time.Second
 }
 
-// GlobalStatsContext returns the aggregated collection statistics the
-// central site ships with every query, refreshing them (and freezing
-// every node's access paths) if documents arrived through this
-// cluster since the last query. Each partition's statistics come from
-// its first responsive replica — replicas hold identical copies, so
-// any one of them speaks for the group, and a dead node only fails the
-// aggregation when its whole group is down. Aggregation fails if any
-// partition is unreachable: scoring with partial global statistics
-// would silently change the ranking. A failed refresh is not retried
-// for a backoff window (the per-node timeout), so searches fall back
-// to stale statistics quickly instead of each paying the dead
+// refreshStats brings the per-group statistics up to date: every group
+// whose statistics an Add (or InvalidateStats) made stale is asked for
+// them again — through its first responsive replica; replicas hold
+// identical copies, so any one speaks for the group, and a dead node
+// only fails the refresh when its whole group is down. A RemoteNode
+// answers from its cached copy plus whatever the node says changed, so
+// a refresh costs what the ingest changed, not the vocabulary. It
+// reports how many groups were pulled, and fails if any of them is
+// unreachable: scoring with partly refreshed statistics must be
+// reported (StaleStats), never silent. A failed refresh is not retried
+// for a backoff window (the per-node timeout), so searches fall back to
+// the statistics they have quickly instead of each paying the dead
 // partition's timeout.
 //
 // The network fan-out runs outside the cluster lock: concurrent
 // refreshes may race each other (they produce the same answer), but
-// queries never queue behind a slow node's round-trip. A refresh that
-// overlapped an Add stores its result as the latest aggregation
-// without marking it fresh, so the next query re-aggregates.
-func (c *Cluster) GlobalStatsContext(ctx context.Context) (ir.Stats, error) {
+// queries never queue behind a slow node's round-trip. A pull that
+// overlapped an Add to its group is stored as the group's latest
+// statistics without being marked fresh, so the next query pulls again.
+func (c *Cluster) refreshStats(ctx context.Context) (int, error) {
 	c.mu.Lock()
-	if c.fresh {
-		st := c.stats
+	var stale []int
+	for g := range c.gstats {
+		if !c.gstats[g].fresh {
+			stale = append(stale, g)
+		}
+	}
+	if len(stale) == 0 {
 		c.mu.Unlock()
-		return st, nil
+		return 0, nil
 	}
 	if time.Now().Before(c.retryAfter) {
 		c.mu.Unlock()
-		return ir.Stats{}, errStatsBackoff
+		return 0, errStatsBackoff
 	}
-	gen := c.gen
+	gens := make([]uint64, len(stale))
+	for i, g := range stale {
+		gens[i] = c.gstats[g].gen
+	}
 	c.mu.Unlock()
 
-	locals := make([]ir.Stats, len(c.groups))
-	errs := make([]error, len(c.groups))
+	pulled := make([]ir.Stats, len(stale))
+	errs := make([]error, len(stale))
 	var wg sync.WaitGroup
-	for g := range c.groups {
+	for i, g := range stale {
 		wg.Add(1)
-		go func(g int) {
+		go func(i, g int) {
 			defer wg.Done()
 			var fo int
-			locals[g], fo, _, errs[g] = groupCall(c, ctx, g, 1, func(nctx context.Context, n Node) (ir.Stats, error) {
+			pulled[i], fo, _, errs[i] = groupCall(c, ctx, g, 1, func(nctx context.Context, n Node) (ir.Stats, error) {
 				return n.Stats(nctx)
 			})
 			if fo > 0 {
-				// Aggregation re-routed around a dead replica: count it —
+				// The pull re-routed around a dead replica: count it —
 				// telemetry reflects every failover, wherever it happens.
 				c.failoverCount.Add(uint64(fo))
 			}
-		}(g)
+		}(i, g)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			// Arm the backoff only for genuine node failures — one
-			// caller cancelling its own context must not degrade
-			// every other client's searches for the backoff window.
-			if ctx.Err() == nil {
-				c.mu.Lock()
-				c.retryAfter = time.Now().Add(c.statsBackoff())
-				c.mu.Unlock()
-			}
-			return ir.Stats{}, err
-		}
-	}
-	merged := ir.MergeStats(locals...)
-	c.mu.Lock()
-	c.stats = merged
-	c.have = true
-	c.retryAfter = time.Time{}
-	if c.gen == gen {
-		c.fresh = true
-	}
-	c.mu.Unlock()
-	return merged, nil
-}
 
-// lastStats returns the most recently aggregated statistics, possibly
-// stale, and whether any exist.
-func (c *Cluster) lastStats() (ir.Stats, bool) {
+	var failed error
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats, c.have
+	for i, g := range stale {
+		if errs[i] != nil {
+			if failed == nil {
+				failed = errs[i]
+			}
+			continue
+		}
+		gs := &c.gstats[g]
+		gs.st, gs.have = pulled[i], true
+		c.wholeOK = false
+		if gs.gen == gens[i] {
+			gs.fresh = true
+		}
+	}
+	if failed == nil {
+		c.retryAfter = time.Time{}
+	} else if ctx.Err() == nil {
+		// Arm the backoff only for genuine node failures — one caller
+		// cancelling its own context must not degrade every other
+		// client's searches for the backoff window.
+		c.retryAfter = time.Now().Add(c.statsBackoff())
+	}
+	return len(stale), failed
+}
+
+// projectStats sums the groups' statistics for the given stems: the
+// global statistics a query over exactly these stems is scored with —
+// their global df, Σdf and |D|. It reads whatever each group last
+// reported, fresh or not, and reports false while some group has never
+// reported at all.
+func (c *Cluster) projectStats(stems []string) (ir.Stats, bool) {
+	st := ir.Stats{DF: make(map[string]int, len(stems))}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for g := range c.gstats {
+		gs := &c.gstats[g]
+		if !gs.have {
+			return ir.Stats{}, false
+		}
+		st.TotalDF += gs.st.TotalDF
+		st.Docs += gs.st.Docs
+	}
+	for _, stem := range stems {
+		df := 0
+		for g := range c.gstats {
+			df += c.gstats[g].st.DF[stem]
+		}
+		if df > 0 {
+			st.DF[stem] = df
+		}
+	}
+	return st, true
+}
+
+// wholeStats merges the groups' statistics over the whole vocabulary —
+// whatever each group last reported, fresh or not — and keeps the
+// result until a refresh replaces a group's statistics. It reports
+// false while some group has never reported at all. The returned map is
+// read-only.
+func (c *Cluster) wholeStats() (ir.Stats, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.wholeOK {
+		locals := make([]ir.Stats, len(c.gstats))
+		for g := range c.gstats {
+			if !c.gstats[g].have {
+				return ir.Stats{}, false
+			}
+			locals[g] = c.gstats[g].st
+		}
+		c.whole, c.wholeOK = ir.MergeStats(locals...), true
+	}
+	return c.whole, true
+}
+
+// GlobalStatsContext returns the aggregated collection statistics —
+// the whole vocabulary's, merged from the per-group statistics after
+// refreshing them (see refreshStats; a refresh also freezes the pulled
+// nodes' access paths). It fails when a partition's statistics cannot
+// be refreshed.
+func (c *Cluster) GlobalStatsContext(ctx context.Context) (ir.Stats, error) {
+	if _, err := c.refreshStats(ctx); err != nil {
+		return ir.Stats{}, err
+	}
+	st, _ := c.wholeStats()
+	return st, nil
 }
 
 // GlobalStats is GlobalStatsContext with a background context, for
@@ -996,10 +1098,9 @@ type SearchResult struct {
 	// Serving it beats dropping the partition, but it must not pass as
 	// complete.
 	Diverged []int
-	// StaleStats is set when re-aggregating global statistics failed
-	// (a whole replica group was unreachable) and the query was scored
-	// with the last successful aggregation instead — degraded but
-	// available.
+	// StaleStats is set when refreshing the statistics failed (a whole
+	// replica group was unreachable) and the query was scored with what
+	// each group last reported instead — degraded but available.
 	StaleStats bool
 }
 
@@ -1029,11 +1130,11 @@ func (r *SearchResult) FailoverTotal() int {
 // index holding the whole collection — even when individual replicas
 // died, as long as each partition kept one responsive replica.
 //
-// If global statistics cannot be re-aggregated because a whole group
-// is unreachable, the query falls back to the last successful
-// aggregation (StaleStats is set) so a dead partition degrades the
-// ranking instead of turning every search into an outage; only a
-// cluster that never aggregated stats at all fails outright.
+// If the statistics cannot be refreshed because a whole group is
+// unreachable, the query falls back to the statistics each group last
+// reported (StaleStats is set) so a dead partition degrades the ranking
+// instead of turning every search into an outage; only a cluster with a
+// group that never reported at all fails outright.
 func (c *Cluster) Search(ctx context.Context, query string, n int) (*SearchResult, error) {
 	return c.SearchPlan(ctx, query, ir.EvalPlan{N: n})
 }
@@ -1056,14 +1157,32 @@ func (c *Cluster) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan
 	// coordinator's /search path); a nil trace records nothing.
 	tr := obs.FromContext(ctx)
 	statsStart := time.Now()
-	global, err := c.GlobalStatsContext(ctx)
-	tr.AddSpan("stats", statsStart)
+	refreshed, err := c.refreshStats(ctx)
+	var global ir.Stats
+	var ok bool
+	if plan.Exact() {
+		// An exact plan still ships the merged vocabulary, as every plan
+		// used to. The projection below would score it just the same; it
+		// reaches exact plans in a change of its own (ROADMAP open item
+		// 1), so that each step's effect is measured separately.
+		global, ok = c.wholeStats()
+	} else {
+		// The query's stems are resolved once, here, and every node
+		// receives the global statistics of exactly those: what scoring
+		// reads (see ir.Request.Stats), a few hundred bytes instead of
+		// the vocabulary.
+		var scratch [8]string
+		global, ok = c.projectStats(ir.QueryStems(scratch[:0], query))
+	}
 	if err != nil {
-		stale, ok := c.lastStats()
 		if !ok {
 			return nil, err
 		}
-		global, sr.StaleStats = stale, true
+		sr.StaleStats = true
+	}
+	if tr != nil {
+		tr.AddSpanDetail("stats", statsStart,
+			"groups_refreshed="+strconv.Itoa(refreshed)+" stems_shipped="+strconv.Itoa(len(global.DF)))
 	}
 	c.searchCount.Add(1)
 	fanStart := time.Now()

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,7 +44,9 @@ type Node interface {
 	// acknowledges nothing.
 	AddBatch(ctx context.Context, docs []Doc) error
 	// Stats freezes the node's derived state and returns its local
-	// term statistics for central aggregation.
+	// term statistics for central aggregation. The returned map is
+	// read-only: a RemoteNode hands out its cached copy and patches a
+	// clone when the node reports changes.
 	Stats(ctx context.Context) (ir.Stats, error)
 	// SearchPlan evaluates the query over the node's local fragment
 	// using the supplied global statistics and returns at most plan.N
@@ -174,6 +179,10 @@ type LocalNode struct {
 	oplog *persist.OpLog
 	pos   uint64
 
+	// incarnation names the index instance behind the node's freeze
+	// epochs (see StatsVersion); guarded by mu.
+	incarnation uint64
+
 	// met, when set, records node-side serving telemetry. nil means no
 	// instrumentation at all: the hot query path pays one pointer
 	// compare and nothing else.
@@ -215,7 +224,7 @@ func NewLocalNodeBackend(b SearchBackend) *LocalNode {
 	if b == nil || b.ContentIndex() == nil {
 		panic("dist: LocalNode requires a backend with a content index")
 	}
-	return &LocalNode{backend: b, ix: b.ContentIndex()}
+	return &LocalNode{backend: b, ix: b.ContentIndex(), incarnation: newIncarnation()}
 }
 
 // Index exposes the underlying index for experiments and tests. Do
@@ -367,12 +376,73 @@ func (n *LocalNode) ApplyOps(_ context.Context, from uint64, ops []persist.Op) e
 }
 
 // Stats implements Node: it freezes the index (so concurrent read-only
-// queries never mutate it) and extracts the local statistics.
+// queries never mutate it) and extracts the local statistics — the full
+// block StatsSince gives a caller that holds no earlier reading.
 func (n *LocalNode) Stats(context.Context) (ir.Stats, error) {
+	st, _, _ := n.StatsSince(StatsVersion{})
+	return st, nil
+}
+
+// StatsVersion names one reading of a node's statistics: the freeze
+// epoch it was taken at, qualified by the incarnation of the index that
+// counted the epoch. Epochs restart when a node process restarts and
+// jump when RestoreState swaps the index, so only a version of the
+// current incarnation says anything about what changed since. The zero
+// version names no reading.
+type StatsVersion struct {
+	Incarnation uint64
+	Epoch       uint64
+}
+
+// String renders the version as the token GET /node/stats?since= takes
+// and answers.
+func (v StatsVersion) String() string {
+	return strconv.FormatUint(v.Incarnation, 16) + "." + strconv.FormatUint(v.Epoch, 10)
+}
+
+// ParseStatsVersion reads a version token; anything malformed is the
+// zero version, which every node answers with a full block.
+func ParseStatsVersion(s string) StatsVersion {
+	inc, epoch, ok := strings.Cut(s, ".")
+	if !ok {
+		return StatsVersion{}
+	}
+	i, err1 := strconv.ParseUint(inc, 16, 64)
+	e, err2 := strconv.ParseUint(epoch, 10, 64)
+	if err1 != nil || err2 != nil {
+		return StatsVersion{}
+	}
+	return StatsVersion{Incarnation: i, Epoch: e}
+}
+
+// newIncarnation draws a non-zero random incarnation: distinct across
+// process restarts and restores without any persisted counter.
+func newIncarnation() uint64 {
+	for {
+		if v := rand.Uint64(); v != 0 {
+			return v
+		}
+	}
+}
+
+// StatsSince is Stats for a caller that kept the statistics it read at
+// version since: delta reports that st.DF holds only the stems whose df
+// changed after since (st.TotalDF and st.Docs are always current), so a
+// refresh costs what changed, not the vocabulary. A since this
+// incarnation never issued — zero, from before a restart or
+// RestoreState, below the index's base epoch, or from the future —
+// gets the full block. now is the version of the returned reading.
+func (n *LocalNode) StatsSince(since StatsVersion) (st ir.Stats, now StatsVersion, delta bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.ix.Freeze()
-	return n.ix.StatsLocal(), nil
+	now = StatsVersion{Incarnation: n.incarnation, Epoch: n.ix.Epoch()}
+	if since.Incarnation == n.incarnation {
+		if st, ok := n.ix.StatsSince(since.Epoch); ok {
+			return st, now, true
+		}
+	}
+	return n.ix.StatsLocal(), now, false
 }
 
 // SearchPlan implements Node: the node's one scoring path.
@@ -531,6 +601,9 @@ func (n *LocalNode) RestoreState(_ context.Context, st *ir.IndexState) error {
 	// restored content), then refresh the node's hot-path cache.
 	n.backend.SwapIndex(ix)
 	n.ix = ix
+	// A different index counts the epochs now: statistics versions
+	// issued before the restore say nothing about it.
+	n.incarnation = newIncarnation()
 	// The restored index starts without the cost hook — re-wire it so
 	// the quality/latency curve keeps learning across resyncs.
 	n.installCostObserver()

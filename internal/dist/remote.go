@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/url"
@@ -40,7 +41,9 @@ const (
 )
 
 // Codec selects how a RemoteNode speaks to its node on the query hot
-// path (/node/search, /node/stats, /node/add/batch).
+// path (/node/search, /node/add/batch). The statistics pull
+// (/node/stats?since=) is a JSON GET under every codec: it runs once per
+// ingest, not per query, and carries only what changed.
 type Codec int
 
 const (
@@ -84,6 +87,17 @@ type StatsJSON struct {
 	DF      map[string]int `json:"df"`
 	TotalDF int            `json:"total_df"`
 	Docs    int            `json:"docs"`
+}
+
+// StatsPullResponse answers GET /node/stats?since=<version>: the
+// statistics block, the version it was read at, and whether df holds
+// only the stems that changed since the version asked about (the two
+// totals are always current). A request without since gets the bare
+// StatsJSON, as it always did.
+type StatsPullResponse struct {
+	StatsJSON
+	Version string `json:"version"`
+	Delta   bool   `json:"delta,omitempty"`
 }
 
 // StatsToJSON converts collection statistics to their wire form.
@@ -158,7 +172,8 @@ func QualityFromJSON(w QualityJSON) ir.QualityEstimate {
 }
 
 // SearchPlanRequest is the body of POST /node/search: the query, the
-// plan and the global statistics it is to be scored with.
+// plan and the global statistics it is to be scored with (at least the
+// query's own stems').
 type SearchPlanRequest struct {
 	Query string    `json:"query"`
 	Plan  PlanJSON  `json:"plan"`
@@ -265,6 +280,15 @@ type RemoteNode struct {
 	// cost, when set, receives budgeted SearchPlan cost samples
 	// (effective budget, round-trip seconds, achieved quality).
 	cost CostCurve
+
+	// stats is the node's statistics as of the last pull and statsVer
+	// the version token the node gave them; the next pull asks only for
+	// what changed since. The map is never written once stored — a pull
+	// that brings changes patches a clone — so earlier callers keep
+	// reading theirs.
+	statsMu  sync.Mutex
+	stats    ir.Stats
+	statsVer string
 }
 
 // RemoteMetrics is client-side RPC instrumentation for one or more
@@ -279,6 +303,13 @@ type RemoteMetrics struct {
 	BytesOut *obs.Counter
 	// BytesIn counts response-body bytes received.
 	BytesIn *obs.Counter
+	// StatsPullsFull / StatsPullsDelta count statistics pulls by what
+	// the node answered: its whole vocabulary, or only the stems that
+	// changed since the last pull. StatsPullBytes totals their response
+	// bodies.
+	StatsPullsFull  *obs.Counter
+	StatsPullsDelta *obs.Counter
+	StatsPullBytes  *obs.Counter
 }
 
 // SetMetrics attaches client-side RPC instrumentation; nil detaches.
@@ -347,8 +378,8 @@ func NewRemoteNode(baseURL string, client *http.Client) *RemoteNode {
 	}
 	rn := &RemoteNode{base: strings.TrimRight(baseURL, "/"), client: client}
 	if u, err := url.Parse(rn.base); err == nil && u.Host != "" {
-		rn.urls = make(map[string]*url.URL, 3)
-		for _, p := range []string{PathNodeSearch, PathNodeAddBatch, PathNodeStats} {
+		rn.urls = make(map[string]*url.URL, 2)
+		for _, p := range []string{PathNodeSearch, PathNodeAddBatch} {
 			pu := *u
 			pu.Path = p
 			rn.urls[p] = &pu
@@ -537,25 +568,31 @@ var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // an "rpc:<path>" span plus the request-ID header the node echoes
 // into its own telemetry.
 func (rn *RemoteNode) do(ctx context.Context, path string, in, out any) error {
+	_, err := rn.doSized(ctx, path, in, out)
+	return err
+}
+
+// doSized is do, also reporting the response-body bytes read.
+func (rn *RemoteNode) doSized(ctx context.Context, path string, in, out any) (int64, error) {
 	if rn.met == nil && obs.FromContext(ctx) == nil {
 		return rn.roundTrip(ctx, path, in, out)
 	}
 	start := time.Now()
-	err := rn.roundTrip(ctx, path, in, out)
+	n, err := rn.roundTrip(ctx, path, in, out)
 	if rn.met != nil {
 		rn.met.Latency.ObserveSince(start)
 	}
 	obs.FromContext(ctx).AddSpan("rpc:"+path, start)
-	return err
+	return n, err
 }
 
-func (rn *RemoteNode) roundTrip(ctx context.Context, path string, in, out any) error {
+func (rn *RemoteNode) roundTrip(ctx context.Context, path string, in, out any) (int64, error) {
 	var body io.Reader
 	method := http.MethodGet
 	if in != nil {
 		buf, err := json.Marshal(in)
 		if err != nil {
-			return fmt.Errorf("dist: encode %s: %w", path, err)
+			return 0, fmt.Errorf("dist: encode %s: %w", path, err)
 		}
 		rn.bytesOut.Add(uint64(len(buf)))
 		if rn.met != nil {
@@ -566,7 +603,7 @@ func (rn *RemoteNode) roundTrip(ctx context.Context, path string, in, out any) e
 	}
 	req, err := http.NewRequestWithContext(ctx, method, rn.base+path, body)
 	if err != nil {
-		return fmt.Errorf("dist: request %s: %w", path, err)
+		return 0, fmt.Errorf("dist: request %s: %w", path, err)
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -576,7 +613,7 @@ func (rn *RemoteNode) roundTrip(ctx context.Context, path string, in, out any) e
 	}
 	resp, err := rn.client.Do(req)
 	if err != nil {
-		return fmt.Errorf("dist: node %s%s: %w", rn.base, path, err)
+		return 0, fmt.Errorf("dist: node %s%s: %w", rn.base, path, err)
 	}
 	defer resp.Body.Close()
 	cr := &countingReader{r: resp.Body}
@@ -589,17 +626,17 @@ func (rn *RemoteNode) roundTrip(ctx context.Context, path string, in, out any) e
 	var rbody io.Reader = cr
 	if resp.StatusCode != http.StatusOK {
 		snippet, _ := io.ReadAll(io.LimitReader(rbody, 256))
-		return fmt.Errorf("dist: node %s%s: status %d: %s",
+		return cr.n, fmt.Errorf("dist: node %s%s: status %d: %s",
 			rn.base, path, resp.StatusCode, strings.TrimSpace(string(snippet)))
 	}
 	if out == nil {
 		io.Copy(io.Discard, rbody)
-		return nil
+		return cr.n, nil
 	}
 	if err := json.NewDecoder(rbody).Decode(out); err != nil {
-		return fmt.Errorf("dist: decode %s%s: %w", rn.base, path, err)
+		return cr.n, fmt.Errorf("dist: decode %s%s: %w", rn.base, path, err)
 	}
-	return nil
+	return cr.n, nil
 }
 
 // AddBatch implements Node: the node's partition of a batch in one
@@ -626,30 +663,54 @@ func (rn *RemoteNode) AddBatch(ctx context.Context, docs []Doc) error {
 	return rn.do(ctx, PathNodeAddBatch, req, nil)
 }
 
-// Stats implements Node.
+// Stats implements Node as a versioned pull: the node is asked only for
+// what changed since the version of the copy this RemoteNode keeps, and
+// answers with the changed stems, the two totals and the new version —
+// or with its whole vocabulary when there is no copy yet (boot, a second
+// coordinator), when the version is not one its current incarnation
+// issued (it restarted, or a resync restored its fragment), or when it
+// predates the versioned protocol and ignores since. The changes are
+// laid over a clone of the copy, so statistics handed out earlier stay
+// valid for whoever is still scoring with them. The pull is a JSON GET
+// over every codec: it happens once per ingest, not per query, and its
+// body is as small as the change.
 func (rn *RemoteNode) Stats(ctx context.Context) (ir.Stats, error) {
-	if rn.useBinary() && rn.pool != nil && obs.FromContext(ctx) == nil {
-		// Over the persistent-connection transport stats are one frame
-		// each way; over HTTP they stay a JSON GET (the endpoint is off
-		// the per-query hot path — the coordinator caches global stats).
-		wb := persist.GetWireBuffer()
-		wb.EncodeStatsRequest()
-		var out ir.Stats
-		err := rn.connRPC(ctx, PathNodeStats, wb, func(frame []byte) error {
-			st, err := persist.DecodeStatsResponse(frame)
-			out = st
-			return err
-		})
-		persist.PutWireBuffer(wb)
-		if !errors.Is(err, errWireUnsupported) {
-			return out, err
-		}
-	}
-	var w StatsJSON
-	if err := rn.do(ctx, PathNodeStats, nil, &w); err != nil {
+	rn.statsMu.Lock()
+	have, since := rn.stats, rn.statsVer
+	rn.statsMu.Unlock()
+	var resp StatsPullResponse
+	n, err := rn.doSized(ctx, PathNodeStats+"?since="+url.QueryEscape(since), nil, &resp)
+	if err != nil {
 		return ir.Stats{}, err
 	}
-	return StatsFromJSON(w), nil
+	st := StatsFromJSON(resp.StatsJSON)
+	if resp.Delta {
+		st.DF = patchDF(have.DF, st.DF)
+	}
+	if m := rn.met; m != nil {
+		if resp.Delta {
+			m.StatsPullsDelta.Inc()
+		} else {
+			m.StatsPullsFull.Inc()
+		}
+		m.StatsPullBytes.Add(uint64(n))
+	}
+	rn.statsMu.Lock()
+	rn.stats, rn.statsVer = st, resp.Version
+	rn.statsMu.Unlock()
+	return st, nil
+}
+
+// patchDF lays the changed entries over base without writing to it: no
+// change shares base, any change patches a clone.
+func patchDF(base, changed map[string]int) map[string]int {
+	if len(changed) == 0 {
+		return base
+	}
+	out := make(map[string]int, len(base)+len(changed))
+	maps.Copy(out, base)
+	maps.Copy(out, changed)
+	return out
 }
 
 // SearchPlan implements Node: exact and budgeted plans alike ship over

@@ -46,20 +46,33 @@ func rankHits(caches []*core.QueryCache) uint64 {
 }
 
 // TestCodecsByteIdentical is the cross-codec property in one
-// {exact, budgeted} × {json, binary, wire} table: for k ∈ {1, 2, 4, 8},
-// the JSON protocol, binary HTTP bodies and the persistent-connection
-// transport return rankings byte-identical — documents AND
-// float-bit-exact scores — to a cluster of in-process LocalNodes, with
-// identical quality. Both plan shapes travel over /node/search, so the
-// test also pins what the node does with each: a repeated exact plan is
-// answered from the node's RES-set cache, a budgeted one never is.
+// {exact, budgeted, quality floor} × {json, binary, wire} table: for
+// k ∈ {1, 2, 4, 8}, the JSON protocol, binary HTTP bodies and the
+// persistent-connection transport return rankings byte-identical —
+// documents AND float-bit-exact scores — to a cluster of in-process
+// LocalNodes, with identical quality. Both plan shapes travel over
+// /node/search, so the test also pins what the node does with each: a
+// repeated exact plan is answered from the node's RES-set cache, a
+// budgeted one never is.
+//
+// It is also the proof that shipping only the query's share of the
+// global statistics changes nothing: every cluster answer is compared
+// with the partitions scored directly under the WHOLE merged vocabulary
+// (wholeVocabulary), result for result, score bit for score bit and
+// quality for quality — over queries chosen for the projection's edges.
 func TestCodecsByteIdentical(t *testing.T) {
-	docs := remoteCorpus(300, 11)
+	// One document carries a term no other has, so for k > 1 exactly one
+	// partition knows its stem.
+	docs := append(remoteCorpus(300, 11), "zanzibar champion serve")
 	queries := []string{
 		"champion winner serve",
 		"seles",
 		"melbourne trophy volley match",
-		"quetzalcoatl", // unknown term
+		"quetzalcoatl",                      // a stem no partition knows
+		"zanzibar champion",                 // a stem all partitions but one lack
+		"champion serve champion champions", // duplicate terms, one only after stemming
+		"the of and",                        // nothing but stop words
+		"quetzalcoatl the zanzibar",         // all of the above at once
 	}
 	codecs := []struct {
 		name  string
@@ -70,11 +83,12 @@ func TestCodecsByteIdentical(t *testing.T) {
 		{"wire", dist.CodecWire},
 	}
 	plans := []struct {
-		name   string
-		budget int
+		name string
+		plan ir.EvalPlan
 	}{
-		{"exact", 0},
-		{"budgeted", 1},
+		{"exact", ir.EvalPlan{}},
+		{"budgeted", ir.EvalPlan{Budget: 1}},
+		{"floor", ir.EvalPlan{Budget: 1, MinQuality: 0.9}},
 	}
 	ctx := context.Background()
 	for _, k := range []int{1, 2, 4, 8} {
@@ -95,31 +109,21 @@ func TestCodecsByteIdentical(t *testing.T) {
 		for _, q := range queries {
 			for _, n := range []int{1, 2, 4, 8} {
 				for _, p := range plans {
-					plan := ir.EvalPlan{N: n, Budget: p.budget}
-					want, err := local.SearchPlan(ctx, q, plan)
+					plan := p.plan
+					plan.N = n
+					want := wholeVocabulary(t, local, q, plan)
+					got, err := local.SearchPlan(ctx, q, plan)
 					if err != nil {
 						t.Fatalf("k=%d q=%q n=%d %s local: %v", k, q, n, p.name, err)
 					}
+					sameSearch(t, fmt.Sprintf("local k=%d q=%q n=%d %s", k, q, n, p.name), got, want)
 					for ci, c := range codecs {
 						ctxs := fmt.Sprintf("codec=%s k=%d q=%q n=%d %s", c.name, k, q, n, p.name)
 						got, err := clusters[ci].SearchPlan(ctx, q, plan)
 						if err != nil {
 							t.Fatalf("%s: %v", ctxs, err)
 						}
-						if !got.Complete() {
-							t.Fatalf("%s: dropped %v", ctxs, got.Dropped)
-						}
-						if len(got.Results) != len(want.Results) {
-							t.Fatalf("%s: %d results, want %d", ctxs, len(got.Results), len(want.Results))
-						}
-						for i := range want.Results {
-							if got.Results[i] != want.Results[i] {
-								t.Fatalf("%s: rank %d = %+v, want %+v", ctxs, i, got.Results[i], want.Results[i])
-							}
-						}
-						if got.Quality != want.Quality {
-							t.Fatalf("%s: quality %v, want %v", ctxs, got.Quality, want.Quality)
-						}
+						sameSearch(t, ctxs, got, want)
 					}
 				}
 			}
@@ -148,6 +152,47 @@ func TestCodecsByteIdentical(t *testing.T) {
 	}
 }
 
+// wholeVocabulary is the reference every cluster answer is held to: each
+// partition of the in-process cluster scored directly under the whole
+// merged vocabulary — what the central site shipped before it projected
+// the statistics onto the query — and the RES sets merged centrally.
+func wholeVocabulary(t *testing.T, c *dist.Cluster, q string, plan ir.EvalPlan) *dist.SearchResult {
+	t.Helper()
+	ctx := context.Background()
+	whole, err := c.GlobalStatsContext(ctx)
+	if err != nil {
+		t.Fatalf("global stats: %v", err)
+	}
+	rankings := make([][]ir.Result, c.Size())
+	ests := make([]ir.QualityEstimate, c.Size())
+	for g := range rankings {
+		if rankings[g], ests[g], err = c.NodeAt(g).SearchPlan(ctx, q, plan, whole); err != nil {
+			t.Fatalf("partition %d: %v", g, err)
+		}
+	}
+	return &dist.SearchResult{Results: ir.Merge(plan.N, rankings...), Quality: ir.MergeQuality(ests...)}
+}
+
+// sameSearch fails unless got is complete and equals want result for
+// result, score bit for score bit and quality for quality.
+func sameSearch(t *testing.T, label string, got, want *dist.SearchResult) {
+	t.Helper()
+	if !got.Complete() {
+		t.Fatalf("%s: incomplete: dropped %v diverged %v stale %v", label, got.Dropped, got.Diverged, got.StaleStats)
+	}
+	if len(got.Results) != len(want.Results) {
+		t.Fatalf("%s: %d results, want %d", label, len(got.Results), len(want.Results))
+	}
+	for i := range want.Results {
+		if got.Results[i] != want.Results[i] {
+			t.Fatalf("%s: rank %d = %+v, want %+v", label, i, got.Results[i], want.Results[i])
+		}
+	}
+	if got.Quality != want.Quality {
+		t.Fatalf("%s: quality %v, want %v", label, got.Quality, want.Quality)
+	}
+}
+
 // TestWireFallsBackToJSONOnlyNode: a CodecWire client against a node
 // started -wire=json negotiates all the way down — the upgrade is
 // refused, binary bodies answer 415 — and every RPC still succeeds
@@ -171,14 +216,16 @@ func TestWireFallsBackToJSONOnlyNode(t *testing.T) {
 
 // TestWireConnTransport exercises the persistent-connection hot path
 // directly: WireInfo reports the upgraded transport, traffic is
-// counted, and the node server's graceful shutdown reaps the
-// hijacked connections (which left the http.Server's own accounting).
+// counted, and shutting the node down — http.Server.Shutdown, then
+// NodeServer.Close, as cmd/dlserve does — reaps the hijacked connections
+// (which left the http.Server's own accounting).
 func TestWireConnTransport(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: server.NewNodeHandler(ir.NewIndex(), nil)}
+	ns := server.NewNodeServer(ir.NewIndex(), nil)
+	srv := &http.Server{Handler: ns.Handler()}
 	done := make(chan struct{})
 	go func() { srv.Serve(ln); close(done) }()
 
@@ -207,15 +254,18 @@ func TestWireConnTransport(t *testing.T) {
 		t.Fatalf("wire traffic not counted: in=%d out=%d", in, out)
 	}
 
-	// Graceful shutdown must close the upgraded conns, not leave their
+	// Shutting down must close the upgraded conns, not leave their
 	// serve loops running: afterwards the same RemoteNode cannot reach
-	// the node at all (redial refused), like any dead peer.
+	// the node at all (redial refused), like any dead peer. Shutdown
+	// alone only starts the reap (its hooks run on their own
+	// goroutines); Close returns once the serve loops are gone.
 	sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	<-done
+	ns.Close()
 	if _, err := rn.TopNWithStats(ctx, "champion", 5, stats); err == nil {
 		t.Fatal("RPC succeeded against a shut-down node")
 	}

@@ -15,9 +15,9 @@ import (
 	"dlsearch/internal/persist"
 )
 
-// The persistent-connection transport: the hot node RPCs (top-N,
-// planned search, statistics, batch ingest) ride long-lived TCP
-// connections speaking framed persist wire messages — one frame out,
+// The persistent-connection transport: the hot node RPCs (planned
+// search, batch ingest) ride long-lived TCP connections speaking framed
+// persist wire messages — one frame out,
 // one frame back per RPC — negotiated by upgrading an ordinary HTTP
 // request (GET /node/wire, Upgrade: dlwire). A peer that does not
 // speak it (an older node, a JSON-only node, a proxy that strips

@@ -95,6 +95,13 @@ type Index struct {
 	dirty  map[bat.OID]struct{} // terms with pending derived-state work
 	epoch  uint64               // freeze epoch: bumped by every Freeze that did work
 
+	// dfEpoch stamps every IDF row with the freeze epoch that last
+	// rewrote it, so StatsSince finds the terms whose df changed after a
+	// given epoch without diffing vocabularies. An imported index knows
+	// no history below baseEpoch, the epoch it was imported at.
+	dfEpoch   []uint64
+	baseEpoch uint64
+
 	fragments []Fragment
 	fragOf    map[bat.OID]int // term -> fragment index
 	fragK     int             // granularity Fragmentize was last asked for
@@ -300,9 +307,11 @@ func (ix *Index) Freeze() {
 		idf := 1.0 / float64(ix.df[id])
 		if pos, ok := ix.idfPos[id]; ok {
 			ix.IDF.SetFloatAt(pos, idf)
+			ix.dfEpoch[pos] = ix.epoch
 		} else {
 			ix.idfPos[id] = ix.IDF.Len()
 			ix.IDF.AppendFloat(id, idf)
+			ix.dfEpoch = append(ix.dfEpoch, ix.epoch)
 		}
 		if pl := ix.plists[id]; pl != nil && !pl.sorted {
 			pl.sortByDoc(ix.docIDs)
@@ -452,6 +461,7 @@ func (ix *Index) Dirty() bool { return len(ix.dirty) > 0 }
 // slices. Terms outside this index's vocabulary are omitted: they
 // cannot contribute postings here (the global statistics a distributed
 // node receives are keyed by stem, which is why the stems ride along).
+// The stems may alias the query text (see eachTerm).
 func (ix *Index) ResolveQuery(query string) (stems []string, oids []bat.OID) {
 	return ix.resolveInto(nil, nil, query)
 }
@@ -460,12 +470,12 @@ func (ix *Index) ResolveQuery(query string) (stems []string, oids []bat.OID) {
 // Queries are a handful of terms, so duplicates are eliminated with a
 // linear scan instead of an allocated seen-set.
 func (ix *Index) resolveInto(stems []string, oids []bat.OID, query string) ([]string, []bat.OID) {
-	for _, t := range Terms(query) {
+	eachTerm(query, true, func(t string) {
 		if id, ok := ix.termID[t]; ok && !slices.Contains(oids, id) {
 			stems = append(stems, t)
 			oids = append(oids, id)
 		}
-	}
+	})
 	return stems, oids
 }
 

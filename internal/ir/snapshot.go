@@ -118,6 +118,7 @@ func ImportState(st *IndexState) (*Index, error) {
 		ix.lambda = st.Lambda
 	}
 	ix.epoch = st.Epoch
+	ix.baseEpoch = st.Epoch
 	ix.fragK = st.FragK
 
 	for _, d := range st.Docs {
@@ -196,6 +197,7 @@ func ImportState(st *IndexState) (*Index, error) {
 			ix.totalDF += df
 			ix.idfPos[t.OID] = ix.IDF.Len()
 			ix.IDF.AppendFloat(t.OID, 1.0/float64(df))
+			ix.dfEpoch = append(ix.dfEpoch, st.Epoch)
 		}
 	}
 	if st.HasFrags {

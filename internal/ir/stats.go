@@ -1,10 +1,15 @@
 package ir
 
+import "dlsearch/internal/bat"
+
 // Stats carries collection-wide term statistics keyed by stemmed term.
 // In the distributed setting the central DBMS aggregates the local
 // statistics of every node and ships them with the query, so each node
 // computes exactly the scores a single global index would — this is
 // what makes the per-document distribution transparent to the ranking.
+// Scoring reads DF only for the query's own stems, so the block a query
+// ships need hold no others; TotalDF and Docs always count the whole
+// collection.
 type Stats struct {
 	DF      map[string]int
 	TotalDF int
@@ -31,4 +36,38 @@ func MergeStats(locals ...Stats) Stats {
 		g.Docs += l.Docs
 	}
 	return g
+}
+
+// StatsSince returns what changed after freeze epoch since: the df of
+// every term a Freeze rewrote later than that (a superset of the terms
+// whose df moved — a tf fold rewrites its term too), with the current
+// totals. Laid over StatsLocal as of since it yields StatsLocal as of
+// now, at a cost proportional to the change instead of the vocabulary.
+// ok is false when since is not an epoch whose aftermath this index
+// tracked — it predates the imported base state, or lies in the future
+// — and the caller must ship StatsLocal. The index must be frozen.
+func (ix *Index) StatsSince(since uint64) (delta Stats, ok bool) {
+	if since < ix.baseEpoch || since > ix.epoch {
+		return Stats{}, false
+	}
+	delta = Stats{DF: map[string]int{}, TotalDF: ix.totalDF, Docs: ix.DocCount()}
+	for row, e := range ix.dfEpoch {
+		if e > since {
+			id := ix.IDF.Head(row)
+			delta.DF[ix.stemAt(row, id)] = ix.df[id]
+		}
+	}
+	return delta, true
+}
+
+// stemAt returns the stem of the term in IDF row row. Terms enter T
+// and IDF in the same (ascending oid) order, so the T row of the same
+// number holds it; the head probe keeps the answer right should the two
+// relations ever part ways.
+func (ix *Index) stemAt(row int, id bat.OID) string {
+	if row < ix.T.Len() && ix.T.Head(row) == id {
+		return ix.T.TailString(row)
+	}
+	stem, _ := ix.T.StringOfHead(id)
+	return stem
 }

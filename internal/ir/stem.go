@@ -12,10 +12,29 @@ import "strings"
 // algorithm (1980). The paper stores "the corresponding stems" in the
 // term relation T; this is the standard stemmer that implies.
 func Stem(word string) string {
-	w := []byte(strings.ToLower(word))
-	if len(w) <= 2 {
-		return string(w)
+	return stemToken(strings.ToLower(word), false)
+}
+
+// stemToken stems one lower-case token. With alias set, a stem that is
+// a prefix of the token is returned as a substring of it rather than a
+// copy; otherwise the stem always owns its bytes.
+func stemToken(tok string, alias bool) string {
+	if len(tok) <= 2 {
+		if alias {
+			return tok
+		}
+		return strings.Clone(tok)
 	}
+	var scratch [32]byte // longer tokens spill to the heap
+	w := porter(append(scratch[:0], tok...))
+	if alias && len(w) <= len(tok) && tok[:len(w)] == string(w) {
+		return tok[:len(w)]
+	}
+	return string(w)
+}
+
+// porter runs the stemmer's steps over w, which it may overwrite.
+func porter(w []byte) []byte {
 	w = step1a(w)
 	w = step1b(w)
 	w = step1c(w)
@@ -24,7 +43,7 @@ func Stem(word string) string {
 	w = step4(w)
 	w = step5a(w)
 	w = step5b(w)
-	return string(w)
+	return w
 }
 
 // isCons reports whether w[i] acts as a consonant.

@@ -34,38 +34,78 @@ var stopWords = map[string]bool{
 // IsStopWord reports whether the (lower-cased) word is on the stop list.
 func IsStopWord(w string) bool { return stopWords[strings.ToLower(w)] }
 
+// isTokenByte reports whether c belongs to a word token. Every byte of
+// a multi-byte rune is ≥ 0x80, so scanning bytes separates tokens
+// exactly where scanning runes would.
+func isTokenByte(c byte) bool {
+	return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')
+}
+
+// nextToken returns the first word token of the lower-cased text at or
+// after offset i, and the offset just past it; the token is empty when
+// none remains. Tokens are substrings of low, so scanning allocates
+// nothing.
+func nextToken(low string, i int) (tok string, next int) {
+	for i < len(low) && !isTokenByte(low[i]) {
+		i++
+	}
+	start := i
+	for i < len(low) && isTokenByte(low[i]) {
+		i++
+	}
+	return low[start:i], i
+}
+
 // Tokenize splits text into lower-case word tokens; anything that is
 // not a letter or digit separates tokens.
 func Tokenize(text string) []string {
 	var out []string
-	var sb strings.Builder
-	flush := func() {
-		if sb.Len() > 0 {
-			out = append(out, sb.String())
-			sb.Reset()
-		}
+	low := strings.ToLower(text)
+	for tok, i := nextToken(low, 0); tok != ""; tok, i = nextToken(low, i) {
+		out = append(out, strings.Clone(tok))
 	}
-	for _, r := range strings.ToLower(text) {
-		if (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9') {
-			sb.WriteRune(r)
-		} else {
-			flush()
-		}
-	}
-	flush()
 	return out
 }
 
-// Terms pushes text through the tokenizer, the stop filter and the
-// stemmer, exactly the pipeline the central database server applies to
-// both documents and query terms in the paper.
+// eachTerm pushes text through the tokenizer, the stop filter and the
+// stemmer — exactly the pipeline the central database server applies to
+// both documents and query terms in the paper — and calls f with every
+// stem in text order. With alias set, a stem that is a prefix of its
+// token (Porter mostly strips suffixes) is a substring of the
+// lower-cased text instead of a copy: right for a query, which outlives
+// its stems, and wrong for a document, whose text a vocabulary key would
+// pin.
+func eachTerm(text string, alias bool, f func(stem string)) {
+	low := strings.ToLower(text)
+	for tok, i := nextToken(low, 0); tok != ""; tok, i = nextToken(low, i) {
+		if !stopWords[tok] {
+			f(stemToken(tok, alias))
+		}
+	}
+}
+
+// Terms returns the stems of text, in text order, each owning its
+// bytes.
 func Terms(text string) []string {
 	var out []string
-	for _, tok := range Tokenize(text) {
-		if stopWords[tok] {
-			continue
-		}
-		out = append(out, Stem(tok))
-	}
+	eachTerm(text, false, func(stem string) { out = append(out, stem) })
 	return out
+}
+
+// QueryStems appends the distinct stems of a query, in first-occurrence
+// order, to dst. Stems may alias the query, and duplicates are dropped
+// by a linear scan — a query is a handful of words — so resolving a
+// typical query into a reused dst allocates nothing.
+func QueryStems(dst []string, query string) []string {
+	eachTerm(query, true, func(stem string) {
+		// Not slices.Contains: a generic callee makes dst's backing
+		// array — the caller's stack scratch — escape.
+		for _, have := range dst {
+			if have == stem {
+				return
+			}
+		}
+		dst = append(dst, stem)
+	})
+	return dst
 }

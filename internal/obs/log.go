@@ -118,13 +118,13 @@ func (l *Logger) Errorf(format string, args ...any) { l.logf(LevelError, format,
 // threshold, tied to the coordinator's request ID so coordinator- and
 // node-side lines for the same query can be joined.
 type SlowQueryRecord struct {
-	RequestID string     `json:"request_id"`
-	Role      string     `json:"role"` // "coordinator" or "node"
-	Index     string     `json:"index,omitempty"`
-	Query     string     `json:"query,omitempty"`
-	TookUS    int64      `json:"took_us"`
-	Quality   float64    `json:"quality,omitempty"`
-	Results   int        `json:"results,omitempty"`
+	RequestID string  `json:"request_id"`
+	Role      string  `json:"role"` // "coordinator" or "node"
+	Index     string  `json:"index,omitempty"`
+	Query     string  `json:"query,omitempty"`
+	TookUS    int64   `json:"took_us"`
+	Quality   float64 `json:"quality,omitempty"`
+	Results   int     `json:"results,omitempty"`
 	// SLO is the budget controller's decision for this query, when the
 	// coordinator served it adaptively.
 	SLO   *SLOJSON   `json:"slo,omitempty"`
@@ -150,6 +150,7 @@ type SpanJSON struct {
 	Name    string `json:"name"`
 	StartUS int64  `json:"start_us"`
 	DurUS   int64  `json:"dur_us"`
+	Detail  string `json:"detail,omitempty"`
 }
 
 // SlowQueryLog emits one JSON line per slow query to a writer.
@@ -198,6 +199,7 @@ func (s *SlowQueryLog) Record(t *Trace, rec SlowQueryRecord) {
 			Name:    sp.Name,
 			StartUS: sp.Start.Microseconds(),
 			DurUS:   sp.Dur.Microseconds(),
+			Detail:  sp.Detail,
 		})
 	}
 	line, err := json.Marshal(rec)

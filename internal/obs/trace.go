@@ -19,6 +19,9 @@ type Span struct {
 	Name  string        `json:"name"`
 	Start time.Duration `json:"start_us"` // offset from trace start
 	Dur   time.Duration `json:"dur_us"`
+	// Detail annotates the stage with what it did ("k=v k=v"), for
+	// stages whose duration alone does not explain itself.
+	Detail string `json:"detail,omitempty"`
 }
 
 // Trace is a lightweight per-query trace: a request ID plus per-stage
@@ -59,11 +62,18 @@ func NewID() string {
 
 // AddSpan records a stage that began at start and ends now.
 func (t *Trace) AddSpan(name string, start time.Time) {
+	t.AddSpanDetail(name, start, "")
+}
+
+// AddSpanDetail is AddSpan with an annotation. Callers build the detail
+// string only behind their own nil check, so an untraced path pays
+// nothing for it.
+func (t *Trace) AddSpanDetail(name string, start time.Time, detail string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.spans = append(t.spans, Span{Name: name, Start: start.Sub(t.Start), Dur: time.Since(start)})
+	t.spans = append(t.spans, Span{Name: name, Start: start.Sub(t.Start), Dur: time.Since(start), Detail: detail})
 	t.mu.Unlock()
 }
 

@@ -17,10 +17,13 @@
 // score-ordered, so gaps are signed) and ship scores as raw float64
 // bits, so a decoded ranking is bit-identical to the encoded one —
 // the same guarantee the JSON codec gets from Go's shortest
-// round-trip float encoding. Global statistics are encoded with the
-// vocabulary sorted, making the bytes deterministic for a given
-// Stats value; WireStatsCache exploits that to decode a repeated
-// statistics block exactly once.
+// round-trip float encoding. A statistics block is encoded with its
+// stems sorted, making the bytes deterministic for a given Stats value.
+// The block a budgeted search request carries is a handful of stems
+// (the coordinator projects the global statistics onto the query before
+// the fan-out), decoded per request; an exact one still carries the
+// merged vocabulary, which WireStatsCache decodes once per distinct
+// block.
 //
 // Decodes fail closed, exactly like snapshots: bad magic, an unknown
 // version or kind, truncation anywhere, a flipped bit, trailing bytes
@@ -195,10 +198,9 @@ func (b *WireBuffer) str(s string) {
 	b.buf.WriteString(s)
 }
 
-// stats encodes a statistics block with the vocabulary sorted: the
-// bytes for a given Stats value are deterministic, which is what lets
-// WireStatsCache key repeated blocks by digest. The block always sits
-// last in its payload, so it needs no length prefix.
+// stats encodes a statistics block with its stems sorted, so the bytes
+// for a given Stats value are deterministic. The block always sits last
+// in its payload, so it needs no length prefix.
 func (b *WireBuffer) stats(st ir.Stats) {
 	b.i(int64(st.TotalDF))
 	b.i(int64(st.Docs))
@@ -380,14 +382,16 @@ func (d *decoder) finishWire() error {
 	return nil
 }
 
-// WireStatsCache interns decoded global-statistics blocks. The
-// coordinator ships identical statistics with every query between
-// ingests and the encoding is deterministic, so the node decodes each
-// distinct block once and serves the cached value by digest — the
-// statistics map dominates request decode cost. Callers must treat
-// returned Stats as read-only (scoring does). The zero value is ready.
+// WireStatsCache interns decoded statistics blocks by digest. An exact
+// plan ships the merged vocabulary, identical between ingests, and
+// decoding it dominates the request, so the node decodes each distinct
+// block once. A budgeted plan ships a block of its own query's stems,
+// different with every query, so the cache keeps the last block of each
+// plan class apart: per-query blocks never evict the vocabulary. Callers
+// must treat returned Stats as read-only (scoring does). The zero value
+// is ready.
 type WireStatsCache struct {
-	v atomic.Pointer[wireStatsEntry]
+	exact, budgeted atomic.Pointer[wireStatsEntry]
 }
 
 type wireStatsEntry struct {
@@ -396,15 +400,15 @@ type wireStatsEntry struct {
 }
 
 // decodeStatsTail decodes the statistics block occupying the rest of
-// d's payload, through cache when non-nil.
-func (d *decoder) decodeStatsTail(cache *WireStatsCache) (ir.Stats, error) {
+// d's payload, through slot when non-nil.
+func (d *decoder) decodeStatsTail(slot *atomic.Pointer[wireStatsEntry]) (ir.Stats, error) {
 	if d.err != nil {
 		return ir.Stats{}, d.err
 	}
 	block := d.buf
-	if cache != nil {
+	if slot != nil {
 		sum := sha256.Sum256(block)
-		if e := cache.v.Load(); e != nil && e.sum == sum {
+		if e := slot.Load(); e != nil && e.sum == sum {
 			d.buf = nil
 			return e.st, nil
 		}
@@ -412,7 +416,7 @@ func (d *decoder) decodeStatsTail(cache *WireStatsCache) (ir.Stats, error) {
 		if err := d.finishWire(); err != nil {
 			return ir.Stats{}, err
 		}
-		cache.v.Store(&wireStatsEntry{sum: sum, st: st})
+		slot.Store(&wireStatsEntry{sum: sum, st: st})
 		return st, nil
 	}
 	st := d.wireStats()
@@ -437,7 +441,14 @@ func DecodeSearchRequest(msg []byte, cache *WireStatsCache) (query string, plan 
 		Budget: int(d.ivarint()),
 	}
 	plan.MinQuality = d.f64()
-	stats, err = d.decodeStatsTail(cache)
+	var slot *atomic.Pointer[wireStatsEntry]
+	if cache != nil {
+		slot = &cache.budgeted
+		if plan.Exact() {
+			slot = &cache.exact
+		}
+	}
+	stats, err = d.decodeStatsTail(slot)
 	if err != nil {
 		return "", ir.EvalPlan{}, ir.Stats{}, err
 	}

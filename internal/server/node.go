@@ -95,8 +95,9 @@ type NodeServer struct {
 	sem *semaphore
 	// jsonOnly disables the binary codec (NodeConfig.JSONOnly).
 	jsonOnly bool
-	// statsCache interns the decoded global-statistics block binary
-	// requests carry — identical between ingests, decoded once.
+	// statsCache interns the decoded statistics block of binary search
+	// requests: an exact plan carries the whole merged vocabulary,
+	// identical between ingests, decoded once.
 	statsCache persist.WireStatsCache
 	// wireConns counts live upgraded connections (capped at maxConc).
 	wireConns atomic.Int64
@@ -107,6 +108,10 @@ type NodeServer struct {
 	wireMu   sync.Mutex
 	wireLive map[net.Conn]struct{}
 	wireSrvs map[*http.Server]bool
+	// wireClosed (guarded by wireMu) is set by Close, which then waits
+	// on wireLoops for every tracked connection's serve loop to exit.
+	wireClosed bool
+	wireLoops  sync.WaitGroup
 	// wireMet mirrors the per-endpoint HTTP instrumentation for framed
 	// RPCs; nil when uninstrumented.
 	wireMet map[persist.WireKind]wireEndpointMetrics
@@ -209,8 +214,9 @@ func NewNodeServer(ix *ir.Index, cfg *NodeConfig) *NodeServer {
 // Handler returns the HTTP handler serving the node wire protocol:
 // POST /node/add/batch, /node/search, /node/snapshot (persist to
 // disk), /node/restore (replace the fragment), GET /node/stats,
-// /node/load, /node/snapshot (stream the live fragment state),
-// GET/POST /node/oplog, /healthz.
+// /node/stats?since=<version> (only what changed), /node/load,
+// /node/snapshot (stream the live fragment state), GET/POST /node/oplog,
+// /healthz.
 func (s *NodeServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for path, h := range map[string]http.HandlerFunc{
@@ -397,6 +403,17 @@ func (s *NodeServer) addBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *NodeServer) stats(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
+		return
+	}
+	if since, versioned := r.URL.Query()["since"]; versioned {
+		// The versioned pull: only what changed since the caller's copy,
+		// or the full block when its version (empty, malformed, from
+		// another incarnation or the future) is none this node issued —
+		// never an error, the caller just pays the full transfer.
+		st, now, delta := s.node.StatsSince(dist.ParseStatsVersion(since[0]))
+		writeJSON(w, http.StatusOK, dist.StatsPullResponse{
+			StatsJSON: dist.StatsToJSON(st), Version: now.String(), Delta: delta,
+		})
 		return
 	}
 	st, _ := s.node.Stats(r.Context())

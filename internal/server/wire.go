@@ -135,7 +135,9 @@ func (s *NodeServer) wireUpgrade(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer conn.Close()
-	s.trackWireConn(conn, r)
+	if !s.trackWireConn(conn, r) {
+		return // the node server is closing: no new transport
+	}
 	defer s.untrackWireConn(conn)
 	conn.SetWriteDeadline(time.Now().Add(wireWriteTimeout))
 	if _, err := io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nUpgrade: "+
@@ -148,15 +150,20 @@ func (s *NodeServer) wireUpgrade(w http.ResponseWriter, r *http.Request) {
 // trackWireConn records a live upgraded connection and, once per
 // owning http.Server, hooks that server's graceful shutdown to close
 // the whole set: hijacking removed the conn from the server's own
-// bookkeeping, so without the hook Shutdown would return while wire
-// conns (and their serve goroutines) live on.
-func (s *NodeServer) trackWireConn(c net.Conn, r *http.Request) {
+// bookkeeping, so without the hook Shutdown would leave wire conns (and
+// their serve goroutines) alive. It reports false once Close has run —
+// the caller drops the connection instead of serving it.
+func (s *NodeServer) trackWireConn(c net.Conn, r *http.Request) bool {
 	s.wireMu.Lock()
 	defer s.wireMu.Unlock()
+	if s.wireClosed {
+		return false
+	}
 	if s.wireLive == nil {
 		s.wireLive = make(map[net.Conn]struct{})
 	}
 	s.wireLive[c] = struct{}{}
+	s.wireLoops.Add(1)
 	if srv, ok := r.Context().Value(http.ServerContextKey).(*http.Server); ok && srv != nil && !s.wireSrvs[srv] {
 		if s.wireSrvs == nil {
 			s.wireSrvs = make(map[*http.Server]bool)
@@ -164,22 +171,40 @@ func (s *NodeServer) trackWireConn(c net.Conn, r *http.Request) {
 		s.wireSrvs[srv] = true
 		srv.RegisterOnShutdown(s.closeWireConns)
 	}
+	return true
 }
 
 func (s *NodeServer) untrackWireConn(c net.Conn) {
 	s.wireMu.Lock()
 	delete(s.wireLive, c)
 	s.wireMu.Unlock()
+	s.wireLoops.Done()
 }
 
 // closeWireConns force-closes every live upgraded connection; their
-// serve loops exit on the next read.
+// serve loops exit on the next read. http.Server runs its shutdown
+// hooks on goroutines of their own, so Shutdown may return before this
+// has: a caller that needs the connections gone calls Close.
 func (s *NodeServer) closeWireConns() {
 	s.wireMu.Lock()
 	defer s.wireMu.Unlock()
 	for c := range s.wireLive {
 		c.Close()
 	}
+}
+
+// Close ends the persistent-connection transport: it refuses further
+// upgrades, closes every upgraded connection and returns once their
+// serve loops have exited. Call it after the owning http.Server's
+// Shutdown returned — Shutdown waits for HTTP requests only, the
+// hijacked connections are this server's to reap. Plain HTTP endpoints
+// are unaffected.
+func (s *NodeServer) Close() {
+	s.wireMu.Lock()
+	s.wireClosed = true
+	s.wireMu.Unlock()
+	s.closeWireConns()
+	s.wireLoops.Wait()
 }
 
 // serveWire answers framed RPCs on one upgraded connection until the
