@@ -482,14 +482,13 @@ func BenchmarkE20ObservabilityOverhead(b *testing.B) {
 // --- E21: binary wire protocol + persistent-connection transport ---
 
 // BenchmarkE21BinaryWire re-runs E11RemoteTopN's distributed top-N
-// under each wire codec: "json" is the pr2_network protocol (one HTTP
-// round-trip of JSON per node per query), "binary" swaps the bodies
-// for the framed binary codec (same HTTP machinery), and "wire" adds
-// the persistent-connection transport — one upgraded conn per node,
-// one frame out and one back per RPC, no per-query HTTP. The
-// acceptance bar of the binary-wire PR reads the nodes=1 rows:
-// codec=wire must carry ≥5× fewer bytes/op and allocs/op than
-// pr2_network's JSON baseline (15329 B/op, 223 allocs/op).
+// over each transport of the framed binary codec: "binary" sends each
+// frame as an HTTP body, "wire" uses the persistent-connection
+// transport — one upgraded conn per node, one frame out and one back
+// per RPC, no per-query HTTP. The acceptance bar of the binary-wire PR
+// reads the nodes=1 rows: codec=wire must carry ≥5× fewer bytes/op and
+// allocs/op than pr2_network's JSON baseline (15329 B/op, 223
+// allocs/op).
 func BenchmarkE21BinaryWire(b *testing.B) {
 	docs := textCorpus(2000, 4)
 	ctx := context.Background()
@@ -497,7 +496,6 @@ func BenchmarkE21BinaryWire(b *testing.B) {
 		name  string
 		codec dist.Codec
 	}{
-		{"json", dist.CodecJSON},
 		{"binary", dist.CodecBinary},
 		{"wire", dist.CodecWire},
 	}

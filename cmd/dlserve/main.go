@@ -107,7 +107,6 @@ func main() {
 	resyncFrom := fs.String("resync", "", "peer node base URL to pull the fragment from at boot — seeds a fresh or wiped replica from a live group member (node)")
 	verifyPeer := fs.String("verify", "", "peer node base URL to compare content checksums with after boot recovery — a mismatch pulls the peer's state instead of serving wrong rankings (node)")
 	antiEntropy := fs.Duration("anti-entropy-interval", 0, "periodic replica checksum comparison + auto-resync interval, 0 disables (coordinator)")
-	wire := fs.String("wire", "binary", "node wire protocol: binary (framed codec, persistent connections, falls back to JSON per peer) or json (HTTP/JSON only — debugging)")
 	logLevel := fs.String("log-level", "info", "log threshold: debug, info, warn or error (background-loop noise logs at debug)")
 	slowQueryMS := fs.Int("slow-query-ms", 0, "log one JSON line with the full span breakdown for every query slower than this; 0 disables, negative logs every query")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060), empty disables")
@@ -119,10 +118,6 @@ func main() {
 		fatal(err)
 	}
 	logger.SetLevel(level)
-	if *wire != "binary" && *wire != "json" {
-		fatal(fmt.Errorf("-wire must be binary or json, got %q", *wire))
-	}
-	jsonWire := *wire == "json"
 	if *pprofAddr != "" {
 		go func() {
 			logger.Infof("pprof listening on %s", *pprofAddr)
@@ -151,7 +146,7 @@ func main() {
 		if *addr == "" {
 			*addr = ":8081"
 		}
-		runNode(ctx, *addr, *lambda, *cache, *maxConc, *memBudget, *dataDir, *oplogDir, *resyncFrom, *verifyPeer, *compactInterval, jsonWire, reg, slow)
+		runNode(ctx, *addr, *lambda, *cache, *maxConc, *memBudget, *dataDir, *oplogDir, *resyncFrom, *verifyPeer, *compactInterval, reg, slow)
 	case "coordinator":
 		if *addr == "" {
 			*addr = ":8080"
@@ -203,7 +198,7 @@ func main() {
 		clusters := make(map[string]*dist.Cluster, len(names))
 		caches := map[string]*core.QueryCache{}
 		for i, name := range names {
-			cluster, cqc, err := buildCluster(nodeLists[i], *local, *replicas, *lambda, *nodeTimeout, *cache, jsonWire, reg)
+			cluster, cqc, err := buildCluster(nodeLists[i], *local, *replicas, *lambda, *nodeTimeout, *cache, reg)
 			if err != nil {
 				fatal(err)
 			}
@@ -274,7 +269,7 @@ func main() {
 // truth) and resets the log to the pulled position. The node serves
 // until the context cancels, then snapshots the fragment (compacting
 // the log) so the next boot replays almost nothing.
-func runNode(ctx context.Context, addr string, lambda float64, cacheCap, maxConc, memBudget int, dataDir, oplogDir, resyncFrom, verifyPeer string, compactInterval time.Duration, jsonWire bool, reg *obs.Registry, slow *obs.SlowQueryLog) {
+func runNode(ctx context.Context, addr string, lambda float64, cacheCap, maxConc, memBudget int, dataDir, oplogDir, resyncFrom, verifyPeer string, compactInterval time.Duration, reg *obs.Registry, slow *obs.SlowQueryLog) {
 	if oplogDir == "" {
 		oplogDir = dataDir
 	}
@@ -383,7 +378,6 @@ func runNode(ctx context.Context, addr string, lambda float64, cacheCap, maxConc
 		MemoryBudget:  memBudget,
 		DataDir:       dataDir,
 		OpLog:         oplog,
-		JSONOnly:      jsonWire,
 		Metrics:       reg,
 		SlowQuery:     slow,
 	}
@@ -525,10 +519,10 @@ func splitURLs(s string) []string {
 // buildCluster assembles the coordinator's cluster: remote nodes from
 // the URL list (sliced into replica groups of r), or k in-process
 // nodes as a single-binary deployment. The query cache exists only in
-// the local mode, where it sits on the nodes' top-N path and its
+// the local mode, where it resolves the nodes' query terms and its
 // /stats counters mean something; remote nodes cache server-side
 // (their own -cache flag) instead.
-func buildCluster(nodeURLs string, local, r int, lambda float64, nodeTimeout time.Duration, cacheCap int, jsonWire bool, reg *obs.Registry) (*dist.Cluster, *core.QueryCache, error) {
+func buildCluster(nodeURLs string, local, r int, lambda float64, nodeTimeout time.Duration, cacheCap int, reg *obs.Registry) (*dist.Cluster, *core.QueryCache, error) {
 	opts := &dist.Options{Lambda: lambda, NodeTimeout: nodeTimeout, Logger: logger}
 	if reg != nil {
 		opts.Metrics = &dist.ClusterMetrics{
@@ -543,7 +537,7 @@ func buildCluster(nodeURLs string, local, r int, lambda float64, nodeTimeout tim
 		var rm *dist.RemoteMetrics
 		if reg != nil {
 			rm = &dist.RemoteMetrics{
-				Latency:  reg.Histogram("dl_rpc_client_seconds", "Remote-node HTTP round-trip latency.", "", obs.LatencyBounds()),
+				Latency:  reg.Histogram("dl_rpc_client_seconds", "Remote-node RPC round-trip latency.", "", obs.LatencyBounds()),
 				BytesOut: reg.Counter("dl_rpc_bytes_out_total", "Request bytes sent to remote nodes.", ""),
 				BytesIn:  reg.Counter("dl_rpc_bytes_in_total", "Response bytes read from remote nodes.", ""),
 				StatsPullsFull: reg.Counter("dl_stats_pulls_total",
@@ -560,14 +554,10 @@ func buildCluster(nodeURLs string, local, r int, lambda float64, nodeTimeout tim
 				continue
 			}
 			rn := dist.NewRemoteNode(u, nil)
-			if jsonWire {
-				rn.SetCodec(dist.CodecJSON)
-			} else {
-				// Real remote processes: open the persistent-connection
-				// transport; peers that refuse it (older or -wire=json
-				// nodes) negotiate down to HTTP binary or JSON per node.
-				rn.SetCodec(dist.CodecWire)
-			}
+			// Real remote processes: open the persistent-connection
+			// transport; a peer that refuses the upgrade gets the same
+			// frames as HTTP bodies.
+			rn.SetCodec(dist.CodecWire)
 			rn.SetMetrics(rm)
 			members = append(members, rn)
 		}
@@ -600,7 +590,6 @@ func buildCluster(nodeURLs string, local, r int, lambda float64, nodeTimeout tim
 		ln := dist.NewLocalNode(ix)
 		if qc != nil {
 			ln.SetResolver(qc.Resolve)
-			ln.SetRankingCache(qc)
 		}
 		ln.SetMetrics(nm)
 		members[i] = ln

@@ -15,14 +15,6 @@ import (
 // distributed protocol), so a hot query skips the tokenizer and
 // stemmer on every repetition — the ROADMAP's "query-side caching".
 //
-// A second, same-capacity LRU segment caches whole RES sets:
-// (index, query) → ranking, with top-N-aware reuse — a cached top-50
-// answers any n ≤ 50, and a cached ranking shorter than its n is the
-// complete answer and serves every n. Ranking entries additionally
-// remember the global-statistics fingerprint (TotalDF, Docs) they were
-// scored with, because in a cluster another node's adds change the
-// scores without touching this index's epoch.
-//
 // Entries are validated against the index's freeze epoch: a Freeze
 // that absorbed new postings bumps the epoch and every resolution
 // captured before it is silently recomputed, because a previously
@@ -32,20 +24,15 @@ import (
 //
 // The cache is safe for concurrent use as long as the underlying
 // indexes are frozen (Resolve only reads index state); hit/miss
-// counters are exposed for the serving layer's /stats endpoint.
+// counters feed the coordinator's /stats and a node's /metrics.
 type QueryCache struct {
 	mu      sync.Mutex
 	cap     int
 	ll      *list.List // front = most recently used
 	entries map[cacheKey]*list.Element
 
-	rankLL      *list.List // RES-set segment, same discipline
-	rankEntries map[cacheKey]*list.Element
-
-	hits       atomic.Uint64
-	misses     atomic.Uint64
-	rankHits   atomic.Uint64
-	rankMisses atomic.Uint64
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 type cacheKey struct {
@@ -60,17 +47,6 @@ type cacheEntry struct {
 	oids  []bat.OID
 }
 
-// rankEntry is one cached RES set: the ranking computed for a top-n
-// query at a given epoch under given global statistics.
-type rankEntry struct {
-	key     cacheKey
-	epoch   uint64
-	totalDF int // global-stats fingerprint the ranking was scored with
-	docs    int
-	n       int
-	res     []ir.Result
-}
-
 // DefaultQueryCacheSize is the capacity engines use when none is given.
 const DefaultQueryCacheSize = 256
 
@@ -81,11 +57,9 @@ func NewQueryCache(capacity int) *QueryCache {
 		capacity = 1
 	}
 	return &QueryCache{
-		cap:         capacity,
-		ll:          list.New(),
-		entries:     map[cacheKey]*list.Element{},
-		rankLL:      list.New(),
-		rankEntries: map[cacheKey]*list.Element{},
+		cap:     capacity,
+		ll:      list.New(),
+		entries: map[cacheKey]*list.Element{},
 	}
 }
 
@@ -130,97 +104,9 @@ func (qc *QueryCache) Resolve(ix *ir.Index, query string) (stems []string, oids 
 	return stems, oids
 }
 
-// Ranking returns a cached RES set for (ix, query) usable to answer a
-// top-n query under the given global statistics: the entry must be
-// epoch-fresh, fingerprint-matched, and either cached for at least n
-// or complete (shorter than its own n — there were no more results).
-// It implements dist.RankingCache. Callers must not mutate the
-// returned slice.
-func (qc *QueryCache) Ranking(ix *ir.Index, query string, n int, global ir.Stats) ([]ir.Result, bool) {
-	if n <= 0 || ix.Dirty() {
-		qc.rankMisses.Add(1)
-		return nil, false
-	}
-	key := cacheKey{ix: ix, query: query}
-	epoch := ix.Epoch()
-	qc.mu.Lock()
-	el, ok := qc.rankEntries[key]
-	if !ok {
-		qc.mu.Unlock()
-		qc.rankMisses.Add(1)
-		return nil, false
-	}
-	ent := el.Value.(*rankEntry)
-	if ent.epoch != epoch || ent.totalDF != global.TotalDF || ent.docs != global.Docs {
-		qc.rankLL.Remove(el)
-		delete(qc.rankEntries, key)
-		qc.mu.Unlock()
-		qc.rankMisses.Add(1)
-		return nil, false
-	}
-	complete := len(ent.res) < ent.n
-	if n > ent.n && !complete {
-		// The cached prefix may be missing ranks (ent.n, n] — a deeper
-		// ranking was asked for than ever computed.
-		qc.mu.Unlock()
-		qc.rankMisses.Add(1)
-		return nil, false
-	}
-	qc.rankLL.MoveToFront(el)
-	res := ent.res
-	qc.mu.Unlock()
-	qc.rankHits.Add(1)
-	if n < len(res) {
-		res = res[:n]
-	}
-	return res, true
-}
-
-// StoreRanking caches a RES set computed for a top-n query. A deeper
-// ranking replaces a shallower one for the same key; a shallower one
-// is ignored while the deeper entry is still fresh. It implements
-// dist.RankingCache.
-func (qc *QueryCache) StoreRanking(ix *ir.Index, query string, n int, global ir.Stats, res []ir.Result) {
-	if n <= 0 || ix.Dirty() {
-		return
-	}
-	key := cacheKey{ix: ix, query: query}
-	epoch := ix.Epoch()
-	qc.mu.Lock()
-	defer qc.mu.Unlock()
-	if el, ok := qc.rankEntries[key]; ok {
-		ent := el.Value.(*rankEntry)
-		fresh := ent.epoch == epoch && ent.totalDF == global.TotalDF && ent.docs == global.Docs
-		if fresh && (n <= ent.n || len(ent.res) < ent.n) {
-			return // the cached entry already answers at least as much
-		}
-		qc.rankLL.Remove(el)
-		delete(qc.rankEntries, key)
-	}
-	ent := &rankEntry{key: key, epoch: epoch, totalDF: global.TotalDF, docs: global.Docs, n: n, res: res}
-	qc.rankEntries[key] = qc.rankLL.PushFront(ent)
-	for qc.rankLL.Len() > qc.cap {
-		oldest := qc.rankLL.Back()
-		qc.rankLL.Remove(oldest)
-		delete(qc.rankEntries, oldest.Value.(*rankEntry).key)
-	}
-}
-
 // Counters returns the cumulative hit/miss counts.
 func (qc *QueryCache) Counters() (hits, misses uint64) {
 	return qc.hits.Load(), qc.misses.Load()
-}
-
-// RankCounters returns the cumulative RES-set cache hit/miss counts.
-func (qc *QueryCache) RankCounters() (hits, misses uint64) {
-	return qc.rankHits.Load(), qc.rankMisses.Load()
-}
-
-// RankLen returns the number of cached RES sets.
-func (qc *QueryCache) RankLen() int {
-	qc.mu.Lock()
-	defer qc.mu.Unlock()
-	return qc.rankLL.Len()
 }
 
 // Len returns the number of cached resolutions.

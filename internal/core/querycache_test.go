@@ -156,83 +156,3 @@ func TestEngineQueryUsesCache(t *testing.T) {
 		t.Fatalf("cached query changed the answer:\n%v\n%v", first, second)
 	}
 }
-
-// TestRankingCacheReuse: the RES-set segment answers any n the cached
-// ranking covers, misses on deeper asks, and keeps the deeper entry
-// when a shallower one is stored.
-func TestRankingCacheReuse(t *testing.T) {
-	ix := ir.NewIndex()
-	ix.Add(1, "d1", "winner takes the trophy")
-	ix.Add(2, "d2", "the winner and the loser")
-	ix.Add(3, "d3", "weather in melbourne")
-	ix.Freeze()
-	global := ix.StatsLocal()
-	qc := NewQueryCache(8)
-
-	if _, ok := qc.Ranking(ix, "winner", 2, global); ok {
-		t.Fatal("hit on empty cache")
-	}
-	res, _ := ix.Evaluate(ir.Request{Query: "winner", Plan: ir.EvalPlan{N: 2}, Stats: &global})
-	qc.StoreRanking(ix, "winner", 2, global, res)
-	got, ok := qc.Ranking(ix, "winner", 2, global)
-	if !ok || len(got) != len(res) {
-		t.Fatalf("stored ranking not returned: %v %v", got, ok)
-	}
-	// Shallower n: served from the same entry, prefix-cut.
-	if got, ok = qc.Ranking(ix, "winner", 1, global); !ok || len(got) != 1 || got[0] != res[0] {
-		t.Fatalf("n=1 from cached n=2: %v %v", got, ok)
-	}
-	// Deeper n than cached (and the cached ranking was full): miss.
-	if _, ok = qc.Ranking(ix, "winner", 5, global); ok {
-		t.Fatal("deeper ask served from a possibly truncated ranking")
-	}
-	// A complete ranking (shorter than its n) answers ANY n.
-	full, _ := ix.Evaluate(ir.Request{Query: "winner", Plan: ir.EvalPlan{N: 50}, Stats: &global})
-	qc.StoreRanking(ix, "winner", 50, global, full)
-	if got, ok = qc.Ranking(ix, "winner", 1000, global); !ok || len(got) != len(full) {
-		t.Fatalf("complete ranking should answer any n: %v %v", got, ok)
-	}
-	// Storing a shallower ranking must not clobber the deeper entry.
-	qc.StoreRanking(ix, "winner", 1, global, full[:1])
-	if got, ok = qc.Ranking(ix, "winner", 2, global); !ok || len(got) != 2 {
-		t.Fatalf("deeper entry clobbered by shallower store: %v %v", got, ok)
-	}
-	if hits, misses := qc.RankCounters(); hits == 0 || misses == 0 {
-		t.Fatalf("rank counters = %d/%d", hits, misses)
-	}
-}
-
-// TestRankingCacheInvalidation: epoch moves and global-statistics
-// fingerprints both invalidate cached RES sets.
-func TestRankingCacheInvalidation(t *testing.T) {
-	ix := ir.NewIndex()
-	ix.Add(1, "d1", "winner takes the trophy")
-	ix.Freeze()
-	global := ix.StatsLocal()
-	qc := NewQueryCache(8)
-	res, _ := ix.Evaluate(ir.Request{Query: "winner", Plan: ir.EvalPlan{N: 5}, Stats: &global})
-	qc.StoreRanking(ix, "winner", 5, global, res)
-	if _, ok := qc.Ranking(ix, "winner", 5, global); !ok {
-		t.Fatal("fresh entry missed")
-	}
-	// Another node's adds change the global statistics without
-	// touching this index: the fingerprint must reject the entry.
-	other := global
-	other.TotalDF += 3
-	if _, ok := qc.Ranking(ix, "winner", 5, other); ok {
-		t.Fatal("fingerprint mismatch served")
-	}
-	// Dirty index: bypass.
-	ix.Add(2, "d2", "another winner")
-	if _, ok := qc.Ranking(ix, "winner", 5, global); ok {
-		t.Fatal("dirty index served from RES cache")
-	}
-	// Epoch moved by the freeze: stale entry dropped.
-	ix.Freeze()
-	if _, ok := qc.Ranking(ix, "winner", 5, ix.StatsLocal()); ok {
-		t.Fatal("stale epoch served")
-	}
-	if qc.RankLen() != 0 {
-		t.Fatalf("stale entry retained: %d", qc.RankLen())
-	}
-}

@@ -74,8 +74,8 @@ type Node interface {
 	// the supplied state — the write side of full replica resync. The
 	// state installs under the node's write lock with the freeze epoch
 	// advanced strictly past the pre-restore epoch, so epoch-guarded
-	// query caches can never serve pre-restore rankings; a state that
-	// fails validation leaves the previous fragment serving.
+	// query caches can never serve pre-restore term resolutions; a state
+	// that fails validation leaves the previous fragment serving.
 	RestoreState(ctx context.Context, st *ir.IndexState) error
 	// OpsSince returns the node's op-log suffix from position from —
 	// every operation a replica at that position is missing; the read
@@ -136,18 +136,6 @@ var ErrDeltaUnavailable = errors.New("dist: op-log delta unavailable for request
 // to a full-snapshot resync.
 var ErrPosMismatch = errors.New("dist: delta position does not match node position")
 
-// RankingCache is the serving layer's RES-set cache boundary: rankings
-// keyed by (index, query), reusable for any n the cached ranking
-// covers. core.QueryCache implements it; the interface lives here so
-// dist does not depend on the cache's owner.
-type RankingCache interface {
-	// Ranking returns a cached RES set valid for a top-n query scored
-	// with the given global statistics, or false.
-	Ranking(ix *ir.Index, query string, n int, global ir.Stats) ([]ir.Result, bool)
-	// StoreRanking caches a freshly computed RES set.
-	StoreRanking(ix *ir.Index, query string, n int, global ir.Stats, res []ir.Result)
-}
-
 // LocalNode adapts an in-process search backend — a bare ir.Index or
 // a conceptual engine's per-attribute index (see SearchBackend) — to
 // the Node interface. Its methods never fail and ignore context
@@ -167,7 +155,6 @@ type LocalNode struct {
 	backend  SearchBackend
 	ix       *ir.Index
 	resolve  func(*ir.Index, string) ([]string, []bat.OID)
-	rank     RankingCache
 	lastSnap atomic.Int64 // unix seconds of the last persisted snapshot
 
 	// oplog, when attached, is the node's write-ahead log: every
@@ -239,11 +226,6 @@ func (n *LocalNode) Backend() SearchBackend { return n.backend }
 // node's top-N path skips re-tokenizing and re-stemming hot queries.
 // Set it before the node starts serving queries.
 func (n *LocalNode) SetResolver(f func(*ir.Index, string) ([]string, []bat.OID)) { n.resolve = f }
-
-// SetRankingCache injects a RES-set cache (core.QueryCache implements
-// RankingCache) so repeated exact queries skip scoring entirely. Set
-// it before the node starts serving queries.
-func (n *LocalNode) SetRankingCache(rc RankingCache) { n.rank = rc }
 
 // SetOpLog attaches a write-ahead op log: from now on every ingest
 // appends to it durably before applying, and the node's position
@@ -469,9 +451,7 @@ func (n *LocalNode) SearchPlan(_ context.Context, query string, plan ir.EvalPlan
 // -frags default), not a per-request variable.
 //
 // On a clean index a resolver, when injected, supplies the (cached)
-// pre-resolved terms, and a ranking cache short-circuits repeated
-// exact queries — top-N-aware, so a cached top-50 answers any n ≤ 50.
-// Either way the result is identical.
+// pre-resolved terms; the result is identical either way.
 func (n *LocalNode) evaluate(query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate) {
 	n.mu.RLock()
 	if plan.Exact() || n.ix.PlanReady(plan) {
@@ -483,23 +463,25 @@ func (n *LocalNode) evaluate(query string, plan ir.EvalPlan, global ir.Stats) ([
 		n.ix.Freeze()
 		n.ix.EnsureFragments(plan)
 	}
-	clean := !n.ix.Dirty()
-	cacheable := n.rank != nil && clean && plan.Exact()
-	if cacheable {
-		if res, ok := n.rank.Ranking(n.ix, query, plan.N, global); ok {
-			return res, ir.QualityEstimate{}
-		}
-	}
-	req := ir.Request{Query: query, Plan: plan, Stats: &global}
-	if n.resolve != nil && clean {
+	// ir.Request's pointers escape with its query (the resolved stems
+	// alias it), so &global would move the parameter to the heap on every
+	// search; a pooled holder keeps the evaluation's only allocation the
+	// ranking it returns.
+	st := statsHolders.Get().(*ir.Stats)
+	*st = global
+	req := ir.Request{Query: query, Plan: plan, Stats: st}
+	if n.resolve != nil && !n.ix.Dirty() {
 		req.Stems, req.Terms = n.resolve(n.ix, query)
 	}
 	res, est := n.ix.Evaluate(req)
-	if cacheable {
-		n.rank.StoreRanking(n.ix, query, plan.N, global, res)
-	}
+	*st = ir.Stats{} // the pool must not pin the DF map
+	statsHolders.Put(st)
 	return res, est
 }
+
+// statsHolders pools the ir.Stats values evaluate points its requests
+// at.
+var statsHolders = sync.Pool{New: func() any { return new(ir.Stats) }}
 
 // Load implements Node. It is always O(1) under the shared read lock:
 // the checksum comes from its per-epoch cache and is empty when the
@@ -566,11 +548,10 @@ func (n *LocalNode) SnapshotState(context.Context) (*ir.IndexState, error) {
 // a resync lands in the restored index instead of being lost). The
 // rebuilt index's freeze epoch is advanced strictly past the
 // pre-restore epoch: even if the imported state carries the same epoch
-// number and the same global-statistics fingerprint as the content it
-// replaces, every cached term resolution and RES set captured before
-// the restore is invalidated. A state that fails ImportState's
-// referential validation leaves the node serving its previous fragment
-// untouched.
+// number as the content it replaces, every cached term resolution
+// captured before the restore is invalidated. A state that fails
+// ImportState's referential validation leaves the node serving its
+// previous fragment untouched.
 func (n *LocalNode) RestoreState(_ context.Context, st *ir.IndexState) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dlsearch/internal/bat"
-	"dlsearch/internal/core"
 	"dlsearch/internal/dist"
 	"dlsearch/internal/ir"
 )
@@ -188,45 +187,5 @@ func TestClusterAddBatch(t *testing.T) {
 	}
 	if err := dist.NewCluster(2, nil).AddBatchContext(context.Background(), nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
-	}
-}
-
-// TestLocalNodeRankingCache: the RES-set cache answers repeated exact
-// queries identically (including shallower n against a cached deeper
-// ranking) and invalidates when the index or the global statistics
-// move.
-func TestLocalNodeRankingCache(t *testing.T) {
-	docs := remoteCorpus(150, 31)
-	qc := core.NewQueryCache(32)
-	ln := dist.NewLocalNode(ir.NewIndex())
-	ln.SetResolver(qc.Resolve)
-	ln.SetRankingCache(qc)
-	plain := dist.NewLocalNode(ir.NewIndex())
-	cached := dist.NewClusterOf([]dist.Node{ln}, nil)
-	control := dist.NewClusterOf([]dist.Node{plain}, nil)
-	for i, d := range docs {
-		cached.Add(bat.OID(i+1), "u", d)
-		control.Add(bat.OID(i+1), "u", d)
-	}
-	const q = "champion winner serve"
-	want50 := control.TopN(q, 50)
-	if got := cached.TopN(q, 50); fmt.Sprint(got) != fmt.Sprint(want50) {
-		t.Fatalf("first query: %v, want %v", got, want50)
-	}
-	hits0, _ := qc.RankCounters()
-	// A shallower n is answered from the cached top-50.
-	want10 := control.TopN(q, 10)
-	if got := cached.TopN(q, 10); fmt.Sprint(got) != fmt.Sprint(want10) {
-		t.Fatalf("cached n=10: %v, want %v", got, want10)
-	}
-	if hits1, _ := qc.RankCounters(); hits1 <= hits0 {
-		t.Fatal("shallower query did not hit the RES cache")
-	}
-	// New documents invalidate: the ranking reflects them.
-	cached.Add(bat.OID(len(docs)+1), "u", "champion champion champion")
-	control.Add(bat.OID(len(docs)+1), "u", "champion champion champion")
-	wantAfter := control.TopN(q, 10)
-	if got := cached.TopN(q, 10); fmt.Sprint(got) != fmt.Sprint(wantAfter) {
-		t.Fatalf("post-add: %v, want %v", got, wantAfter)
 	}
 }

@@ -25,9 +25,11 @@ import (
 
 // The node wire protocol: HTTP endpoints mirroring the Node interface,
 // served by internal/server.NewNodeHandler and spoken by RemoteNode.
-// Scores travel as JSON float64 numbers, which Go encodes in shortest
-// round-trip form — a remote ranking is byte-identical to the local
-// one.
+// Each operation has one encoding: search and batch ingest travel as
+// persist binary frames (scores as raw float64 bits, so a remote
+// ranking is byte-identical to the local one), statistics, load and
+// snapshot metadata as JSON, fragment and log transfers in the persist
+// snapshot and delta formats.
 const (
 	PathNodeAddBatch = "/node/add/batch"
 	PathNodeStats    = "/node/stats"
@@ -40,60 +42,41 @@ const (
 	PathHealthz      = "/healthz"
 )
 
-// Codec selects how a RemoteNode speaks to its node on the query hot
-// path (/node/search, /node/add/batch). The statistics pull
-// (/node/stats?since=) is a JSON GET under every codec: it runs once per
-// ingest, not per query, and carries only what changed.
+// Codec selects how a RemoteNode carries the binary frames of the hot
+// path (/node/search, /node/add/batch) to its node; the frames are the
+// same either way. The statistics pull (/node/stats?since=) is a JSON
+// GET under every codec: it runs once per ingest, not per query, and
+// carries only what changed.
 type Codec int
 
 const (
-	// CodecBinary (the default) negotiates compact framed binary
-	// bodies over HTTP (Content-Type/Accept) and falls back to JSON
-	// against a peer that does not speak them — permanently per peer,
-	// so a mixed deployment costs one failed probe per node, not per
-	// request. Every RPC is still an ordinary HTTP request, so node
-	// liveness, timeouts and load balancers behave exactly as with
-	// JSON.
+	// CodecBinary (the default) sends each frame as the body of an
+	// ordinary HTTP request, so node liveness, timeouts and load
+	// balancers behave as for any HTTP call.
 	CodecBinary Codec = iota
-	// CodecJSON forces the HTTP/JSON protocol: the debugging mode.
-	CodecJSON
 	// CodecWire adds the persistent-connection transport on top of
 	// CodecBinary: an upgraded long-lived conn per node, one frame
 	// out and one back per RPC, no per-query HTTP machinery. Falls
-	// back to CodecBinary behaviour (and from there to JSON) against
-	// peers that refuse the upgrade. Opt-in because a pooled upgraded
-	// conn bypasses the HTTP client's lifecycle: a node is presumed
-	// dead only when its conns break, which is right for real
-	// processes but not for in-process test servers.
+	// back to CodecBinary against peers that refuse the upgrade.
+	// Opt-in because a pooled upgraded conn bypasses the HTTP client's
+	// lifecycle: a node is presumed dead only when its conns break,
+	// which is right for real processes but not for in-process test
+	// servers.
 	CodecWire
 )
 
-// AddRequest is one document of a batch add.
-type AddRequest struct {
-	Doc  uint64 `json:"doc"`
-	URL  string `json:"url"`
-	Text string `json:"text"`
-}
-
-// AddBatchRequest is the body of POST /node/add/batch: one partition's
-// documents in a single round-trip.
-type AddBatchRequest struct {
-	Docs []AddRequest `json:"docs"`
-}
-
-// StatsJSON is the wire form of ir.Stats (GET /node/stats, and the
-// global statistics shipped with every search request).
+// StatsJSON is the wire form of ir.Stats in GET /node/stats.
 type StatsJSON struct {
 	DF      map[string]int `json:"df"`
 	TotalDF int            `json:"total_df"`
 	Docs    int            `json:"docs"`
 }
 
-// StatsPullResponse answers GET /node/stats?since=<version>: the
+// StatsPullResponse answers GET /node/stats[?since=<version>]: the
 // statistics block, the version it was read at, and whether df holds
 // only the stems that changed since the version asked about (the two
-// totals are always current). A request without since gets the bare
-// StatsJSON, as it always did.
+// totals are always current). Without a usable since the block is
+// full, and its embedded fields still decode as a bare StatsJSON.
 type StatsPullResponse struct {
 	StatsJSON
 	Version string `json:"version"`
@@ -114,33 +97,13 @@ func StatsFromJSON(w StatsJSON) ir.Stats {
 	return ir.Stats{DF: df, TotalDF: w.TotalDF, Docs: w.Docs}
 }
 
-// ResultJSON is one ranked result on the wire.
+// ResultJSON is one ranked result in a coordinator's JSON answers.
 type ResultJSON struct {
 	Doc   uint64  `json:"doc"`
 	Score float64 `json:"score"`
 }
 
-// PlanJSON is the wire form of ir.EvalPlan: the evaluation strategy a
-// coordinator ships so every node budgets its own idf-descending
-// fragments identically.
-type PlanJSON struct {
-	N          int     `json:"n"`
-	Frags      int     `json:"frags,omitempty"`
-	Budget     int     `json:"budget,omitempty"`
-	MinQuality float64 `json:"min_quality,omitempty"`
-}
-
-// PlanToJSON converts an evaluation plan to its wire form.
-func PlanToJSON(p ir.EvalPlan) PlanJSON {
-	return PlanJSON{N: p.N, Frags: p.Frags, Budget: p.Budget, MinQuality: p.MinQuality}
-}
-
-// PlanFromJSON converts a wire plan back.
-func PlanFromJSON(w PlanJSON) ir.EvalPlan {
-	return ir.EvalPlan{N: w.N, Frags: w.Frags, Budget: w.Budget, MinQuality: w.MinQuality}
-}
-
-// QualityJSON is the wire form of ir.QualityEstimate, plus the scalar
+// QualityJSON is the JSON form of ir.QualityEstimate, plus the scalar
 // value so curl users need no arithmetic.
 type QualityJSON struct {
 	Value      float64 `json:"value"`
@@ -150,7 +113,7 @@ type QualityJSON struct {
 	FragsTotal int     `json:"frags_total"`
 }
 
-// QualityToJSON converts a quality estimate to its wire form.
+// QualityToJSON converts a quality estimate to its JSON form.
 func QualityToJSON(q ir.QualityEstimate) QualityJSON {
 	return QualityJSON{
 		Value:      q.Value(),
@@ -161,46 +124,11 @@ func QualityToJSON(q ir.QualityEstimate) QualityJSON {
 	}
 }
 
-// QualityFromJSON converts a wire quality estimate back.
-func QualityFromJSON(w QualityJSON) ir.QualityEstimate {
-	return ir.QualityEstimate{
-		CoveredIDF: w.CoveredIDF,
-		TotalIDF:   w.TotalIDF,
-		FragsUsed:  w.FragsUsed,
-		FragsTotal: w.FragsTotal,
-	}
-}
-
-// SearchPlanRequest is the body of POST /node/search: the query, the
-// plan and the global statistics it is to be scored with (at least the
-// query's own stems').
-type SearchPlanRequest struct {
-	Query string    `json:"query"`
-	Plan  PlanJSON  `json:"plan"`
-	Stats StatsJSON `json:"stats"`
-}
-
-// SearchPlanResponse answers POST /node/search with the RES set and
-// the quality the node achieved over its own fragments.
-type SearchPlanResponse struct {
-	Results []ResultJSON `json:"results"`
-	Quality QualityJSON  `json:"quality"`
-}
-
-// ResultsToJSON converts a ranking to its wire form.
+// ResultsToJSON converts a ranking to its JSON form.
 func ResultsToJSON(rs []ir.Result) []ResultJSON {
 	out := make([]ResultJSON, len(rs))
 	for i, r := range rs {
 		out[i] = ResultJSON{Doc: uint64(r.Doc), Score: r.Score}
-	}
-	return out
-}
-
-// ResultsFromJSON converts a wire ranking back.
-func ResultsFromJSON(ws []ResultJSON) []ir.Result {
-	out := make([]ir.Result, len(ws))
-	for i, w := range ws {
-		out[i] = ir.Result{Doc: bat.OID(w.Doc), Score: w.Score}
 	}
 	return out
 }
@@ -246,7 +174,7 @@ type RestoreResponse struct {
 	SnapshotError string `json:"snapshot_error,omitempty"`
 }
 
-// RemoteNode implements Node over the HTTP/JSON node protocol, so a
+// RemoteNode implements Node over the HTTP node protocol, so a
 // Cluster can address an index living in another process or on
 // another machine exactly like an in-process one. All calls honour
 // the caller's context: a deadline set by the cluster's straggler
@@ -258,23 +186,19 @@ type RemoteNode struct {
 	// met, when set, records this node's client-side RPC telemetry.
 	met *RemoteMetrics
 
-	// codec is the configured preference; jsonOnly sticks once the
-	// peer proves it does not accept binary bodies (415, or a JSON
-	// parse error against the binary payload from an older node).
-	codec    Codec
-	jsonOnly atomic.Bool
-
 	// pool holds this node's persistent upgraded connections; nil
 	// unless CodecWire is selected and the base URL is upgradable
 	// (plain http with a host).
 	pool *wirePool
 
 	// urls caches the parsed hot-path URLs so the binary round-trip
-	// builds requests without re-parsing; nil when base does not parse.
+	// builds requests without re-parsing; nil when base is not a URL
+	// with a host, and then every hot-path RPC fails.
 	urls map[string]*url.URL
 
 	// bytesOut/bytesIn count request/response body and frame bytes
-	// over every codec — the per-replica numbers /stats surfaces.
+	// over every endpoint and transport — the per-replica numbers
+	// /stats surfaces.
 	bytesOut, bytesIn atomic.Uint64
 
 	// cost, when set, receives budgeted SearchPlan cost samples
@@ -295,13 +219,14 @@ type RemoteNode struct {
 // RemoteNodes (they may share one set — the histograms are mergeable
 // and the counters atomic). All fields optional.
 type RemoteMetrics struct {
-	// Latency observes every JSON round-trip (failures included), in
-	// seconds. Whole-fragment transfers are not observed here — their
-	// durations scale with the fragment, not the RPC path.
+	// Latency observes every RPC round-trip (failures included), in
+	// seconds, whatever its encoding or transport. Whole-fragment
+	// transfers are not observed here — their durations scale with the
+	// fragment, not the RPC path.
 	Latency *obs.Histogram
-	// BytesOut counts JSON request-body bytes sent.
+	// BytesOut counts request bytes sent: HTTP bodies and frames.
 	BytesOut *obs.Counter
-	// BytesIn counts response-body bytes received.
+	// BytesIn counts response bytes received: HTTP bodies and frames.
 	BytesIn *obs.Counter
 	// StatsPullsFull / StatsPullsDelta count statistics pulls by what
 	// the node answered: its whole vocabulary, or only the stems that
@@ -352,7 +277,7 @@ var defaultClient = &http.Client{Timeout: 30 * time.Second, Transport: defaultTr
 // (SnapshotState/RestoreState) for nodes built on defaultClient: no
 // overall timeout, because a fragment transfer's duration scales with
 // the fragment and must be bounded by the caller's ctx, not by the
-// per-operation budget sized for one JSON round-trip. It shares
+// per-operation budget sized for one RPC round-trip. It shares
 // defaultClient's transport pool.
 var defaultTransferClient = &http.Client{Transport: defaultTransport}
 
@@ -369,9 +294,9 @@ func (rn *RemoteNode) transferClient() *http.Client {
 // NewRemoteNode returns a node speaking the node protocol at baseURL
 // (e.g. "http://host:8081"). A nil client selects a shared pooled
 // default; pass a custom client to control transport details. The hot
-// path defaults to the binary codec with negotiation (SetCodec forces
-// JSON); every other endpoint speaks HTTP/JSON or the persist binary
-// transfer formats as before.
+// path sends binary frames as HTTP bodies (SetCodec opens the
+// persistent connection instead); every other endpoint speaks JSON or
+// the persist binary transfer formats.
 func NewRemoteNode(baseURL string, client *http.Client) *RemoteNode {
 	if client == nil {
 		client = defaultClient
@@ -388,12 +313,10 @@ func NewRemoteNode(baseURL string, client *http.Client) *RemoteNode {
 	return rn
 }
 
-// SetCodec selects the hot-path codec. CodecWire opens the
-// persistent-connection transport; CodecJSON disables every binary
-// layer (the debugging mode). Call before the node serves traffic —
-// the setting is not synchronised with in-flight RPCs.
+// SetCodec selects the hot-path transport: CodecWire opens the
+// persistent connection, CodecBinary closes it. Call before the node
+// serves traffic — the setting is not synchronised with in-flight RPCs.
 func (rn *RemoteNode) SetCodec(c Codec) {
-	rn.codec = c
 	if c == CodecWire && rn.pool == nil {
 		rn.pool = newWirePool(rn.base)
 	}
@@ -403,21 +326,14 @@ func (rn *RemoteNode) SetCodec(c Codec) {
 	}
 }
 
-// WireInfo reports the codec this node is effectively spoken with —
-// "wire" (persistent-connection transport open), "binary" (HTTP
-// binary bodies), "json" (configured), or "json-fallback" (peer
-// refused binary) — and the cumulative body and frame bytes exchanged
-// with it over every codec.
+// WireInfo reports the transport this node is effectively spoken with —
+// "wire" (persistent-connection transport open) or "binary" (frames as
+// HTTP bodies, configured or after the peer refused the upgrade) — and
+// the cumulative body and frame bytes exchanged with it.
 func (rn *RemoteNode) WireInfo() (codec string, bytesIn, bytesOut uint64) {
-	switch {
-	case rn.codec == CodecJSON:
-		codec = "json"
-	case rn.jsonOnly.Load():
-		codec = "json-fallback"
-	case rn.pool != nil && !rn.pool.isUnsupported():
+	codec = "binary"
+	if rn.pool != nil && !rn.pool.isUnsupported() {
 		codec = "wire"
-	default:
-		codec = "binary"
 	}
 	return codec, rn.bytesIn.Load(), rn.bytesOut.Load()
 }
@@ -440,20 +356,13 @@ func (rn *RemoteNode) BaseURL() string { return rn.base }
 // a fresh map instead.
 var wireHeader = http.Header{
 	"Content-Type": {persist.WireContentType},
-	"Accept":       {persist.WireContentType + ", application/json"},
+	"Accept":       {persist.WireContentType},
 }
 
-// useBinary reports whether the binary codec should be attempted.
-func (rn *RemoteNode) useBinary() bool {
-	return rn.codec != CodecJSON && !rn.jsonOnly.Load() && rn.urls != nil
-}
-
-// doBinary runs one hot-path RPC over the best available binary
-// layer: the persistent-connection transport when the peer speaks it
-// (and no trace needs HTTP headers), else binary bodies over HTTP.
-// handle receives the verified response frame. errWireUnsupported
-// means the peer speaks neither binary layer — the caller retries the
-// RPC in JSON and rn remembers via jsonOnly.
+// doBinary runs one hot-path RPC over the best available transport:
+// the persistent connection when the peer speaks it (and no trace needs
+// HTTP headers), else the frame as an HTTP body. handle receives the
+// response frame.
 func (rn *RemoteNode) doBinary(ctx context.Context, path string, req *persist.WireBuffer, handle func(frame []byte) error) error {
 	if rn.met == nil && obs.FromContext(ctx) == nil {
 		return rn.binaryRoundTrip(ctx, path, req, handle)
@@ -478,19 +387,21 @@ func (rn *RemoteNode) binaryRoundTrip(ctx context.Context, path string, req *per
 	return rn.httpBinary(ctx, path, req, handle)
 }
 
-// httpBinary POSTs one framed binary request over HTTP and decodes
-// the framed response. A 415, a "malformed JSON" rejection (an older
-// node parsing the binary body as JSON) or a JSON 200 mark the peer
-// jsonOnly and report errWireUnsupported so the caller re-sends in
-// JSON.
+// httpBinary POSTs one framed request over HTTP and hands the framed
+// response to handle, whose decode verifies it; any non-200 answer is
+// an error.
 func (rn *RemoteNode) httpBinary(ctx context.Context, path string, wb *persist.WireBuffer, handle func(frame []byte) error) error {
 	if err := wb.Err(); err != nil {
 		return fmt.Errorf("dist: encode %s: %w", path, err)
 	}
+	u := rn.urls[path]
+	if u == nil {
+		return fmt.Errorf("dist: node %q: not an http URL with a host", rn.base)
+	}
 	body := wb.Bytes()
 	hreq := &http.Request{
 		Method:        http.MethodPost,
-		URL:           rn.urls[path],
+		URL:           u,
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
 		ProtoMinor:    1,
@@ -498,7 +409,7 @@ func (rn *RemoteNode) httpBinary(ctx context.Context, path string, wb *persist.W
 		Body:          io.NopCloser(bytes.NewReader(body)),
 		GetBody:       func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil },
 		ContentLength: int64(len(body)),
-		Host:          rn.urls[path].Host,
+		Host:          u.Host,
 	}
 	if tr := obs.FromContext(ctx); tr != nil && tr.ID != "" {
 		h := make(http.Header, 3)
@@ -530,27 +441,13 @@ func (rn *RemoteNode) httpBinary(ctx context.Context, path string, wb *persist.W
 	if rn.met != nil {
 		rn.met.BytesIn.Add(uint64(buf.Len()))
 	}
-	if resp.StatusCode == http.StatusUnsupportedMediaType {
-		rn.jsonOnly.Store(true)
-		return fmt.Errorf("%w (node %s answered 415)", errWireUnsupported, rn.base)
-	}
 	if resp.StatusCode != http.StatusOK {
 		snippet := buf.Bytes()
 		if len(snippet) > 256 {
 			snippet = snippet[:256]
 		}
-		if resp.StatusCode == http.StatusBadRequest && bytes.Contains(snippet, []byte("malformed JSON")) {
-			// An older node tried to parse the binary body as JSON.
-			rn.jsonOnly.Store(true)
-			return fmt.Errorf("%w (node %s rejected the binary body as JSON)", errWireUnsupported, rn.base)
-		}
 		return fmt.Errorf("dist: node %s%s: status %d: %s",
 			rn.base, path, resp.StatusCode, strings.TrimSpace(string(snippet)))
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, persist.WireContentType) {
-		// A 200 that ignored our Accept: the peer does not speak binary.
-		rn.jsonOnly.Store(true)
-		return fmt.Errorf("%w (node %s answered %q to a binary request)", errWireUnsupported, rn.base, ct)
 	}
 	if err := handle(buf.Bytes()); err != nil {
 		return fmt.Errorf("dist: node %s%s: %w", rn.base, path, err)
@@ -643,24 +540,14 @@ func (rn *RemoteNode) roundTrip(ctx context.Context, path string, in, out any) (
 // round-trip. The node server wraps a LocalNode, so a retried batch is
 // a no-op for already-applied documents.
 func (rn *RemoteNode) AddBatch(ctx context.Context, docs []Doc) error {
-	if rn.useBinary() {
-		wb := persist.GetWireBuffer()
-		ops := make([]persist.Op, len(docs))
-		for i, d := range docs {
-			ops[i] = persist.Op{Doc: d.OID, URL: d.URL, Text: d.Text}
-		}
-		wb.EncodeAddBatchRequest(ops)
-		err := rn.doBinary(ctx, PathNodeAddBatch, wb, persist.DecodeAck)
-		persist.PutWireBuffer(wb)
-		if !errors.Is(err, errWireUnsupported) {
-			return err
-		}
-	}
-	req := &AddBatchRequest{Docs: make([]AddRequest, len(docs))}
+	wb := persist.GetWireBuffer()
+	defer persist.PutWireBuffer(wb)
+	ops := make([]persist.Op, len(docs))
 	for i, d := range docs {
-		req.Docs[i] = AddRequest{Doc: uint64(d.OID), URL: d.URL, Text: d.Text}
+		ops[i] = persist.Op{Doc: d.OID, URL: d.URL, Text: d.Text}
 	}
-	return rn.do(ctx, PathNodeAddBatch, req, nil)
+	wb.EncodeAddBatchRequest(ops)
+	return rn.doBinary(ctx, PathNodeAddBatch, wb, persist.DecodeAck)
 }
 
 // Stats implements Node as a versioned pull: the node is asked only for
@@ -672,7 +559,7 @@ func (rn *RemoteNode) AddBatch(ctx context.Context, docs []Doc) error {
 // predates the versioned protocol and ignores since. The changes are
 // laid over a clone of the copy, so statistics handed out earlier stay
 // valid for whoever is still scoring with them. The pull is a JSON GET
-// over every codec: it happens once per ingest, not per query, and its
+// under every codec: it happens once per ingest, not per query, and its
 // body is as small as the change.
 func (rn *RemoteNode) Stats(ctx context.Context) (ir.Stats, error) {
 	rn.statsMu.Lock()
@@ -714,9 +601,8 @@ func patchDF(base, changed map[string]int) map[string]int {
 }
 
 // SearchPlan implements Node: exact and budgeted plans alike ship over
-// /node/search (an exact one is RES-cacheable server-side). Only a
-// budgeted evaluation feeds the cost curve — an exact plan has no
-// budget to learn from.
+// /node/search. Only a budgeted evaluation feeds the cost curve — an
+// exact plan has no budget to learn from.
 func (rn *RemoteNode) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
 	if rn.cost == nil || plan.Exact() {
 		return rn.searchRPC(ctx, query, plan, global)
@@ -731,27 +617,17 @@ func (rn *RemoteNode) SearchPlan(ctx context.Context, query string, plan ir.Eval
 
 // searchRPC is SearchPlan's round-trip without the cost-curve wrapper.
 func (rn *RemoteNode) searchRPC(ctx context.Context, query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
-	if rn.useBinary() {
-		wb := persist.GetWireBuffer()
-		wb.EncodeSearchRequest(query, plan, global)
-		var out []ir.Result
-		var outQ ir.QualityEstimate
-		err := rn.doBinary(ctx, PathNodeSearch, wb, func(frame []byte) error {
-			rs, q, err := persist.DecodeSearchResponse(frame)
-			out, outQ = rs, q
-			return err
-		})
-		persist.PutWireBuffer(wb)
-		if !errors.Is(err, errWireUnsupported) {
-			return out, outQ, err
-		}
-	}
-	var resp SearchPlanResponse
-	req := &SearchPlanRequest{Query: query, Plan: PlanToJSON(plan), Stats: StatsToJSON(global)}
-	if err := rn.do(ctx, PathNodeSearch, req, &resp); err != nil {
-		return nil, ir.QualityEstimate{}, err
-	}
-	return ResultsFromJSON(resp.Results), QualityFromJSON(resp.Quality), nil
+	wb := persist.GetWireBuffer()
+	defer persist.PutWireBuffer(wb)
+	wb.EncodeSearchRequest(query, plan, global)
+	var out []ir.Result
+	var outQ ir.QualityEstimate
+	err := rn.doBinary(ctx, PathNodeSearch, wb, func(frame []byte) error {
+		rs, q, err := persist.DecodeSearchResponse(frame)
+		out, outQ = rs, q
+		return err
+	})
+	return out, outQ, err
 }
 
 // Load implements Node.

@@ -58,8 +58,8 @@ func startRemoteCluster(t testing.TB, k int, withCache bool, opts *dist.Options)
 
 // TestRemoteClusterEqualsSingle is the acceptance guarantee of the
 // networked subsystem: a cluster of HTTP-backed remote nodes returns
-// a ranking byte-identical — documents AND scores, which round-trip
-// JSON exactly — to a single in-process index over the whole
+// a ranking byte-identical — documents AND scores, which travel as raw
+// float64 bits — to a single in-process index over the whole
 // collection, for k ∈ {1, 2, 4, 8}, with and without the node-side
 // query cache.
 func TestRemoteClusterEqualsSingle(t *testing.T) {

@@ -12,32 +12,30 @@ import (
 	"dlsearch/internal/ir"
 )
 
-// epochRankCache is a minimal RankingCache with the same validation
-// rule as the serving layer's real cache (core.QueryCache): an entry
-// is served only while the index's freeze epoch and global-statistics
-// fingerprint still match the ones it was stored under. Defined here
-// because dist cannot import core (core's engine backend imports
-// dist).
-type epochRankCache struct {
-	key     string
-	epoch   uint64
-	totalDF int
-	docs    int
-	res     []ir.Result
+// epochTermCache is a one-entry term-resolution cache with the same
+// validation rule as the serving layer's real cache (core.QueryCache):
+// an entry is served only while the index's freeze epoch still matches
+// the one it was stored under. It keys on the query alone — stricter
+// than core.QueryCache, which also keys on the index — so only the
+// epoch stands between a restored index and a pre-restore resolution.
+// Defined here because dist cannot import core (core's engine backend
+// imports dist).
+type epochTermCache struct {
+	key   string
+	epoch uint64
+	stems []string
+	oids  []bat.OID
+	hits  int
 }
 
-func (c *epochRankCache) Ranking(ix *ir.Index, query string, n int, global ir.Stats) ([]ir.Result, bool) {
-	fresh := c.key == query && c.epoch == ix.Epoch() &&
-		c.totalDF == global.TotalDF && c.docs == global.Docs
-	if c.res == nil || !fresh || len(c.res) < n && len(c.res) < ix.DocCount() {
-		return nil, false
+func (c *epochTermCache) resolve(ix *ir.Index, query string) ([]string, []bat.OID) {
+	if c.oids != nil && c.key == query && c.epoch == ix.Epoch() {
+		c.hits++
+		return c.stems, c.oids
 	}
-	return c.res, true
-}
-
-func (c *epochRankCache) StoreRanking(ix *ir.Index, query string, n int, global ir.Stats, res []ir.Result) {
-	c.key, c.epoch, c.res = query, ix.Epoch(), res
-	c.totalDF, c.docs = global.TotalDF, global.Docs
+	c.key, c.epoch = query, ix.Epoch()
+	c.stems, c.oids = ix.ResolveQuery(query)
+	return c.stems, c.oids
 }
 
 // groupChecksums probes every replica of partition g for a FRESH
@@ -367,11 +365,12 @@ func TestResyncRacingAddsLosesNothing(t *testing.T) {
 }
 
 // TestRestoreInvalidatesRankingCache is the cache-poisoning satellite
-// regression: a restore that swaps in content with the SAME freeze
-// epoch and the SAME global-statistics fingerprint as the content it
-// replaces must still invalidate every cached RES set — the epoch
-// advances strictly past the pre-restore epoch, and the ranking served
-// afterwards reflects the restored content, never the cached one.
+// regression for the term-resolution cache on the node's ranking path:
+// a restore that swaps in content with the SAME freeze epoch as the
+// content it replaces, but different term oids, must not let a
+// pre-restore resolution serve — the epoch advances strictly past the
+// pre-restore epoch, and the ranking served afterwards reflects the
+// restored content.
 func TestRestoreInvalidatesRankingCache(t *testing.T) {
 	mk := func(first, second string) *ir.Index {
 		ix := ir.NewIndex()
@@ -380,8 +379,9 @@ func TestRestoreInvalidatesRankingCache(t *testing.T) {
 		ix.Freeze()
 		return ix
 	}
-	// Same fingerprint (Docs, TotalDF), same epoch, swapped contents:
-	// under content A doc 1 wins "melbourne", under content B doc 2.
+	// Same epoch, swapped contents: under content A doc 1 wins
+	// "melbourne" and the stem is the first term oid, under content B
+	// doc 2 wins and the first term oid is "trophy" (doc 1's).
 	ixA := mk("melbourne melbourne", "trophy")
 	ixB := mk("trophy", "melbourne melbourne")
 	if ixA.Epoch() != ixB.Epoch() {
@@ -389,18 +389,16 @@ func TestRestoreInvalidatesRankingCache(t *testing.T) {
 	}
 	global := ir.MergeStats(ixA.StatsLocal())
 	node := NewLocalNode(ixA)
-	qc := &epochRankCache{}
-	node.SetRankingCache(qc)
-	node.SetResolver(func(ix *ir.Index, q string) ([]string, []bat.OID) {
-		return ix.ResolveQuery(q)
-	})
-	res, _, err := node.SearchPlan(context.Background(), "melbourne", ir.EvalPlan{N: 5}, global)
+	qc := &epochTermCache{}
+	node.SetResolver(qc.resolve)
+	plan := ir.EvalPlan{N: 5}
+	res, _, err := node.SearchPlan(context.Background(), "melbourne", plan, global)
 	if err != nil || len(res) == 0 || res[0].Doc != 1 {
 		t.Fatalf("pre-restore ranking: %v %+v", err, res)
 	}
-	// Cache it hot (second call hits the RES-set cache).
-	if res, _, _ = node.SearchPlan(context.Background(), "melbourne", ir.EvalPlan{N: 5}, global); res[0].Doc != 1 {
-		t.Fatalf("cached ranking: %+v", res)
+	// The second call is served from the cached resolution.
+	if res, _, _ = node.SearchPlan(context.Background(), "melbourne", plan, global); res[0].Doc != 1 || qc.hits != 1 {
+		t.Fatalf("cached ranking: %+v after %d hits, want doc 1 after 1", res, qc.hits)
 	}
 	preEpoch := node.Index().Epoch()
 	if err := node.RestoreState(context.Background(), ixB.ExportState()); err != nil {
@@ -409,12 +407,12 @@ func TestRestoreInvalidatesRankingCache(t *testing.T) {
 	if e := node.Index().Epoch(); e <= preEpoch {
 		t.Fatalf("restore did not advance the epoch: %d -> %d", preEpoch, e)
 	}
-	res, _, err = node.SearchPlan(context.Background(), "melbourne", ir.EvalPlan{N: 5}, global)
+	res, _, err = node.SearchPlan(context.Background(), "melbourne", plan, global)
 	if err != nil || len(res) == 0 {
 		t.Fatalf("post-restore ranking: %v %+v", err, res)
 	}
-	if res[0].Doc != 2 {
-		t.Fatalf("cache served the pre-restore ranking: %+v", res)
+	if res[0].Doc != 2 || qc.hits != 1 {
+		t.Fatalf("a pre-restore resolution served: %+v after %d cache hits", res, qc.hits)
 	}
 }
 

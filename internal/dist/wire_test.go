@@ -16,44 +16,28 @@ import (
 	"dlsearch/internal/server"
 )
 
-// startCodecCluster spins up k node servers (each with its own query
-// cache, returned for inspection) and a cluster of RemoteNodes speaking
-// the given codec to them.
-func startCodecCluster(t testing.TB, k int, codec dist.Codec, jsonOnlyNodes bool) (*dist.Cluster, []*core.QueryCache) {
+// startCodecCluster spins up k node servers, each with a query cache,
+// and a cluster of RemoteNodes speaking the given codec to them.
+func startCodecCluster(t testing.TB, k int, codec dist.Codec) *dist.Cluster {
 	t.Helper()
 	nodes := make([]dist.Node, k)
-	caches := make([]*core.QueryCache, k)
 	for i := 0; i < k; i++ {
-		caches[i] = core.NewQueryCache(64)
-		cfg := &server.NodeConfig{JSONOnly: jsonOnlyNodes, Cache: caches[i]}
+		cfg := &server.NodeConfig{Cache: core.NewQueryCache(64)}
 		srv := httptest.NewServer(server.NewNodeHandler(ir.NewIndex(), cfg))
 		t.Cleanup(srv.Close)
 		rn := dist.NewRemoteNode(srv.URL, srv.Client())
 		rn.SetCodec(codec)
 		nodes[i] = rn
 	}
-	return dist.NewClusterOf(nodes, nil), caches
+	return dist.NewClusterOf(nodes, nil)
 }
 
-// rankHits sums the RES-set cache hits over a cluster's node caches.
-func rankHits(caches []*core.QueryCache) uint64 {
-	var n uint64
-	for _, qc := range caches {
-		h, _ := qc.RankCounters()
-		n += h
-	}
-	return n
-}
-
-// TestCodecsByteIdentical is the cross-codec property in one
-// {exact, budgeted, quality floor} × {json, binary, wire} table: for
-// k ∈ {1, 2, 4, 8}, the JSON protocol, binary HTTP bodies and the
+// TestCodecsByteIdentical is the cross-transport property in one
+// {exact, budgeted, quality floor} × {binary, wire} table: for
+// k ∈ {1, 2, 4, 8}, frames as HTTP bodies and frames on the
 // persistent-connection transport return rankings byte-identical —
 // documents AND float-bit-exact scores — to a cluster of in-process
-// LocalNodes, with identical quality. Both plan shapes travel over
-// /node/search, so the test also pins what the node does with each: a
-// repeated exact plan is answered from the node's RES-set cache, a
-// budgeted one never is.
+// LocalNodes, with identical quality.
 //
 // It is also the proof that shipping only the query's share of the
 // global statistics changes nothing: every cluster answer is compared
@@ -78,7 +62,6 @@ func TestCodecsByteIdentical(t *testing.T) {
 		name  string
 		codec dist.Codec
 	}{
-		{"json", dist.CodecJSON},
 		{"binary", dist.CodecBinary},
 		{"wire", dist.CodecWire},
 	}
@@ -94,9 +77,8 @@ func TestCodecsByteIdentical(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 8} {
 		local := dist.NewCluster(k, nil)
 		clusters := make([]*dist.Cluster, len(codecs))
-		caches := make([][]*core.QueryCache, len(codecs))
 		for ci, c := range codecs {
-			clusters[ci], caches[ci] = startCodecCluster(t, k, c.codec, false)
+			clusters[ci] = startCodecCluster(t, k, c.codec)
 		}
 		for i, d := range docs {
 			local.Add(bat.OID(i+1), "u", d)
@@ -126,27 +108,6 @@ func TestCodecsByteIdentical(t *testing.T) {
 						sameSearch(t, ctxs, got, want)
 					}
 				}
-			}
-		}
-		// The table left every node's cache holding the exact top-8 of
-		// queries[0]: asking again must hit it on every node, over every
-		// codec; a budgeted plan must bypass it.
-		for ci, c := range codecs {
-			before := rankHits(caches[ci])
-			if _, err := clusters[ci].SearchPlan(ctx, queries[0], ir.EvalPlan{N: 8}); err != nil {
-				t.Fatalf("codec=%s k=%d repeated exact: %v", c.name, k, err)
-			}
-			afterExact := rankHits(caches[ci])
-			if afterExact != before+uint64(k) {
-				t.Fatalf("codec=%s k=%d: repeated exact query moved rank_hits %d -> %d, want +%d (one per node)",
-					c.name, k, before, afterExact, k)
-			}
-			if _, err := clusters[ci].SearchPlan(ctx, queries[0], ir.EvalPlan{N: 8, Budget: 1}); err != nil {
-				t.Fatalf("codec=%s k=%d repeated budgeted: %v", c.name, k, err)
-			}
-			if after := rankHits(caches[ci]); after != afterExact {
-				t.Fatalf("codec=%s k=%d: budgeted query hit the RES cache (rank_hits %d -> %d)",
-					c.name, k, afterExact, after)
 			}
 		}
 	}
@@ -190,27 +151,6 @@ func sameSearch(t *testing.T, label string, got, want *dist.SearchResult) {
 	}
 	if got.Quality != want.Quality {
 		t.Fatalf("%s: quality %v, want %v", label, got.Quality, want.Quality)
-	}
-}
-
-// TestWireFallsBackToJSONOnlyNode: a CodecWire client against a node
-// started -wire=json negotiates all the way down — the upgrade is
-// refused, binary bodies answer 415 — and every RPC still succeeds
-// over JSON, permanently remembered per peer.
-func TestWireFallsBackToJSONOnlyNode(t *testing.T) {
-	c, _ := startCodecCluster(t, 2, dist.CodecWire, true)
-	docs := remoteCorpus(60, 5)
-	for i, d := range docs {
-		if err := c.AddContext(context.Background(), bat.OID(i+1), "u", d); err != nil {
-			t.Fatalf("add: %v", err)
-		}
-	}
-	sr, err := c.Search(context.Background(), "champion serve", 5)
-	if err != nil {
-		t.Fatalf("search: %v", err)
-	}
-	if !sr.Complete() || len(sr.Results) == 0 {
-		t.Fatalf("degraded search over JSON-only nodes: %+v", sr)
 	}
 }
 

@@ -19,15 +19,15 @@ import (
 // search, batch ingest) ride long-lived TCP connections speaking framed
 // persist wire messages — one frame out,
 // one frame back per RPC — negotiated by upgrading an ordinary HTTP
-// request (GET /node/wire, Upgrade: dlwire). A peer that does not
-// speak it (an older node, a JSON-only node, a proxy that strips
-// Upgrade) refuses the upgrade once and the RemoteNode falls back to
-// HTTP permanently for that peer, so deployments mix freely.
+// request (GET /node/wire, Upgrade: dlwire). A peer that cannot be
+// reached this way (a proxy that strips Upgrade, say) refuses the
+// upgrade once and the RemoteNode sends the same frames as HTTP bodies
+// to that peer from then on.
 
-// errWireUnsupported reports a peer that does not speak the attempted
-// wire transport or codec; the caller falls back a level (upgraded
-// connection → HTTP binary → HTTP JSON) and remembers.
-var errWireUnsupported = errors.New("dist: peer does not speak the binary wire protocol")
+// errWireUnsupported reports a peer that refused the upgrade; the
+// caller sends the frame as an HTTP body instead, and the pool
+// remembers.
+var errWireUnsupported = errors.New("dist: peer does not speak the persistent wire transport")
 
 const (
 	// maxWireResponse caps one response frame read from a node — far

@@ -691,12 +691,7 @@ func Merge(n int, rankings ...[]Result) []Result {
 	for _, r := range rankings {
 		all = append(all, r...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		return all[i].Doc < all[j].Doc
-	})
+	slices.SortFunc(all, rankOrder)
 	if n < 0 {
 		n = 0
 	}

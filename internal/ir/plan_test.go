@@ -213,7 +213,7 @@ func TestMemoryBudgetIdenticalRanking(t *testing.T) {
 // TestReAddDirtiesIndex: folding new occurrences into an existing
 // posting (re-adding a document) is a score-changing mutation like
 // any other — it must dirty the index and move the epoch on the next
-// freeze, or epoch-guarded ranking caches would serve stale scores.
+// freeze, or epoch-guarded caches would serve stale results.
 func TestReAddDirtiesIndex(t *testing.T) {
 	ix := NewIndex()
 	ix.Add(1, "d", "winner serve")

@@ -1,7 +1,7 @@
 package ir
 
 import (
-	"sort"
+	"slices"
 
 	"dlsearch/internal/bat"
 )
@@ -109,6 +109,18 @@ func worse(a, b Result) bool {
 	return a.Doc > b.Doc
 }
 
+// rankOrder is the total result order as a slices.SortFunc comparison,
+// better results first. Unlike sort.Slice it sorts without allocating.
+func rankOrder(a, b Result) int {
+	switch {
+	case worse(b, a):
+		return -1
+	case worse(a, b):
+		return 1
+	}
+	return 0
+}
+
 // selectTopN picks the n best results from the touched slots with a
 // bounded min-heap (the worst kept result at the root) instead of
 // materialising and fully sorting the whole candidate ranking:
@@ -156,6 +168,6 @@ func (s *scorer) selectTopN(docIDs []bat.OID, n int) []Result {
 	s.heap = h
 	out := make([]Result, len(h))
 	copy(out, h)
-	sort.Slice(out, func(i, j int) bool { return worse(out[j], out[i]) })
+	slices.SortFunc(out, rankOrder)
 	return out
 }

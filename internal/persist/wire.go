@@ -1,8 +1,9 @@
 // The node wire protocol's binary codec: compact framed messages for
 // the coordinator↔node hot path — search requests (query + plan +
-// global statistics), RES-set responses, batch ingest and statistics —
-// reusing the snapshot format's varint+delta machinery and its
-// integrity discipline.
+// global statistics), RES-set responses and batch ingest — reusing the
+// snapshot format's varint+delta machinery and its integrity
+// discipline. It is the one encoding of the node's search and ingest
+// operations, over HTTP bodies and the persistent connection alike.
 //
 // Frame (all integers little-endian / unsigned varint):
 //
@@ -15,10 +16,10 @@
 //
 // Payloads delta-encode oid runs (zigzag varint — RES sets are
 // score-ordered, so gaps are signed) and ship scores as raw float64
-// bits, so a decoded ranking is bit-identical to the encoded one —
-// the same guarantee the JSON codec gets from Go's shortest
-// round-trip float encoding. A statistics block is encoded with its
-// stems sorted, making the bytes deterministic for a given Stats value.
+// bits, so a decoded ranking is bit-identical to the encoded one and a
+// remote ranking equals the local one. A statistics block is encoded
+// with its stems sorted, making the bytes deterministic for a given
+// Stats value.
 // The block a budgeted search request carries is a handful of stems
 // (the coordinator projects the global statistics onto the query before
 // the fan-out), decoded per request; an exact one still carries the
@@ -80,22 +81,19 @@ const (
 	WireInvalid WireKind = 0x00
 
 	// Kinds 0x01 and 0x11 carried the retired exact top-N request and
-	// response; they stay unassigned so an old peer's frame fails closed.
+	// response, 0x04 and 0x13 the retired statistics request and
+	// response (statistics travel as GET /node/stats JSON); they stay
+	// unassigned so an old peer's frame fails closed.
 
 	// WireSearchRequest asks for a planned search: query, plan,
 	// statistics.
 	WireSearchRequest WireKind = 0x02
 	// WireAddBatchRequest ships one partition of a document batch.
 	WireAddBatchRequest WireKind = 0x03
-	// WireStatsRequest asks for the node's local statistics (empty
-	// payload; the persistent-connection transport's GET).
-	WireStatsRequest WireKind = 0x04
 
 	// WireSearchResponse answers WireSearchRequest with a RES set and
 	// the achieved quality estimate.
 	WireSearchResponse WireKind = 0x12
-	// WireStatsResponse answers WireStatsRequest with statistics.
-	WireStatsResponse WireKind = 0x13
 	// WireAck answers a request that returns no data (empty payload).
 	WireAck WireKind = 0x14
 	// WireError answers any request with a status code and message —
@@ -264,19 +262,6 @@ func (b *WireBuffer) EncodeAddBatchRequest(ops []Op) {
 	b.finish()
 }
 
-// EncodeStatsRequest frames a statistics request (empty payload).
-func (b *WireBuffer) EncodeStatsRequest() {
-	b.begin(WireStatsRequest)
-	b.finish()
-}
-
-// EncodeStatsResponse frames a statistics block.
-func (b *WireBuffer) EncodeStatsResponse(st ir.Stats) {
-	b.begin(WireStatsResponse)
-	b.stats(st)
-	b.finish()
-}
-
 // EncodeAck frames an empty success answer.
 func (b *WireBuffer) EncodeAck() {
 	b.begin(WireAck)
@@ -316,8 +301,7 @@ func DecodeWire(msg []byte) (WireKind, []byte, error) {
 	}
 	kind := WireKind(msg[7])
 	switch kind {
-	case WireSearchRequest, WireAddBatchRequest, WireStatsRequest,
-		WireSearchResponse, WireStatsResponse, WireAck, WireError:
+	case WireSearchRequest, WireAddBatchRequest, WireSearchResponse, WireAck, WireError:
 	default:
 		return WireInvalid, nil, fmt.Errorf("%w: unknown kind 0x%02x", ErrWireCorrupt, byte(kind))
 	}
@@ -492,18 +476,6 @@ func DecodeAddBatchRequest(msg []byte) ([]Op, error) {
 	return ops, nil
 }
 
-// DecodeStatsRequest verifies a WireStatsRequest frame (empty payload).
-func DecodeStatsRequest(msg []byte) error {
-	payload, err := expectWire(msg, WireStatsRequest)
-	if err != nil {
-		return err
-	}
-	if len(payload) != 0 {
-		return fmt.Errorf("%w: %d payload bytes in a stats request", ErrWireCorrupt, len(payload))
-	}
-	return nil
-}
-
 // DecodeAck verifies a WireAck frame.
 func DecodeAck(msg []byte) error {
 	payload, err := expectWire(msg, WireAck)
@@ -514,16 +486,6 @@ func DecodeAck(msg []byte) error {
 		return fmt.Errorf("%w: %d payload bytes in an ack", ErrWireCorrupt, len(payload))
 	}
 	return nil
-}
-
-// DecodeStatsResponse decodes a WireStatsResponse frame.
-func DecodeStatsResponse(msg []byte) (ir.Stats, error) {
-	payload, err := expectWire(msg, WireStatsResponse)
-	if err != nil {
-		return ir.Stats{}, err
-	}
-	d := decoder{buf: payload}
-	return d.decodeStatsTail(nil)
 }
 
 // DecodeErrorPayload decodes a WireError payload (the caller routed on

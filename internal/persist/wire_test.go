@@ -73,14 +73,6 @@ func wireMessages(t *testing.T) map[string]struct {
 			enc(func(b *WireBuffer) { b.EncodeAddBatchRequest(ops) }),
 			func(m []byte) error { _, err := DecodeAddBatchRequest(m); return err },
 		},
-		"stats-request": {
-			enc(func(b *WireBuffer) { b.EncodeStatsRequest() }),
-			func(m []byte) error { return DecodeStatsRequest(m) },
-		},
-		"stats-response": {
-			enc(func(b *WireBuffer) { b.EncodeStatsResponse(stats) }),
-			func(m []byte) error { _, err := DecodeStatsResponse(m); return err },
-		},
 		"ack": {
 			enc(func(b *WireBuffer) { b.EncodeAck() }),
 			func(m []byte) error { return DecodeAck(m) },
@@ -148,15 +140,6 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	}
 
-	b.EncodeStatsResponse(stats)
-	st, err = DecodeStatsResponse(b.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st, stats) {
-		t.Fatalf("stats round trip: %+v", st)
-	}
-
 	b.EncodeError(503, "at capacity")
 	kind, payload, err := DecodeWire(b.Bytes())
 	if err != nil || kind != WireError {
@@ -167,13 +150,9 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("error payload: %d %q %v", status, msg, err)
 	}
 
-	// Empty-payload kinds.
+	// The empty-payload kind.
 	b.EncodeAck()
 	if err := DecodeAck(b.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	b.EncodeStatsRequest()
-	if err := DecodeStatsRequest(b.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -182,8 +161,8 @@ func TestWireRoundTrip(t *testing.T) {
 	if got, gotQ, err := DecodeSearchResponse(b.Bytes()); err != nil || len(got) != 0 || gotQ != (ir.QualityEstimate{}) {
 		t.Fatalf("empty results: %v %+v %v", got, gotQ, err)
 	}
-	b.EncodeStatsResponse(ir.Stats{})
-	if st, err := DecodeStatsResponse(b.Bytes()); err != nil || st.Docs != 0 || len(st.DF) != 0 {
+	b.EncodeSearchRequest("", ir.EvalPlan{}, ir.Stats{})
+	if _, _, st, err := DecodeSearchRequest(b.Bytes(), nil); err != nil || st.Docs != 0 || len(st.DF) != 0 {
 		t.Fatalf("empty stats: %+v %v", st, err)
 	}
 }
@@ -247,9 +226,6 @@ func TestWireVersionAndKind(t *testing.T) {
 
 	// A verified Ack handed to every OTHER typed decoder must be
 	// refused by kind, not misparsed.
-	if err := DecodeStatsRequest(msg); err == nil {
-		t.Fatal("ack accepted as stats request")
-	}
 	if _, _, err := DecodeSearchResponse(msg); err == nil {
 		t.Fatal("ack accepted as search response")
 	}
@@ -257,10 +233,11 @@ func TestWireVersionAndKind(t *testing.T) {
 		t.Fatal("ack accepted as search request")
 	}
 
-	// The retired exact top-N kinds (0x01 request, 0x11 response) and
+	// The retired exact top-N kinds (0x01 request, 0x11 response), the
+	// retired statistics kinds (0x04 request, 0x13 response) and
 	// never-assigned ones are unknown: a frame from an old peer that
 	// verifies in every other respect is still rejected.
-	for _, old := range [][]byte{retiredTopNRequest(t), retiredTopNResponse(t)} {
+	for _, old := range retiredFrames(t) {
 		if _, _, err := DecodeWire(old); !errors.Is(err, ErrWireCorrupt) {
 			t.Fatalf("retired kind 0x%02x: err = %v, want ErrWireCorrupt", old[7], err)
 		}
@@ -410,6 +387,8 @@ func FuzzWireDecode(f *testing.F) {
 	PutWireBuffer(b)
 	f.Add([]byte("DLWIRE"))
 	f.Add([]byte{})
+	f.Add(retiredStatsRequest(f))
+	f.Add(retiredStatsResponse(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cache WireStatsCache
@@ -417,8 +396,6 @@ func FuzzWireDecode(f *testing.F) {
 		DecodeSearchRequest(data, &cache)
 		DecodeSearchResponse(data)
 		DecodeAddBatchRequest(data)
-		DecodeStatsRequest(data)
-		DecodeStatsResponse(data)
 		DecodeAck(data)
 		if kind, payload, err := DecodeWire(data); err == nil && kind == WireError {
 			DecodeErrorPayload(payload)
@@ -447,6 +424,22 @@ func retiredTopNRequest(t testing.TB) []byte {
 
 func retiredTopNResponse(t testing.TB) []byte {
 	return unhex(t, "444c574952450111010000006e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d00")
+}
+
+// The retired statistics frames, exactly as the last build that spoke
+// them encoded (an empty request; ace=3 champion=7 serv=11, TotalDF 21,
+// Docs 9): an old coordinator may still send the request to a new node.
+func retiredStatsRequest(t testing.TB) []byte {
+	return unhex(t, "444c57495245010400000000e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+}
+
+func retiredStatsResponse(t testing.TB) []byte {
+	return unhex(t, "444c57495245011318000000f6ce36959cbe01b2eba7316abe49fb3d150f9f2b91b2de526a18067b735ea3192a12030361636506086368616d70696f6e0e047365727616")
+}
+
+// retiredFrames is every retired frame above.
+func retiredFrames(t testing.TB) [][]byte {
+	return [][]byte{retiredTopNRequest(t), retiredTopNResponse(t), retiredStatsRequest(t), retiredStatsResponse(t)}
 }
 
 // TestWireGoldenFrames pins the surviving frames to the bytes the
@@ -478,9 +471,6 @@ func TestWireGoldenFrames(t *testing.T) {
 		{"add-batch request",
 			func(b *WireBuffer) { b.EncodeAddBatchRequest(ops) },
 			"444c5749524501031e000000b755dcd14f6dd8c8fc956a498786183efb4ac1916c13598e15ffe4dc377e544c0201027531126d656c626f75726e65206368616d70696f6e030003616365"},
-		{"stats response",
-			func(b *WireBuffer) { b.EncodeStatsResponse(stats) },
-			"444c57495245011318000000f6ce36959cbe01b2eba7316abe49fb3d150f9f2b91b2de526a18067b735ea3192a12030361636506086368616d70696f6e0e047365727616"},
 		{"ack",
 			func(b *WireBuffer) { b.EncodeAck() },
 			"444c57495245011400000000e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},

@@ -1108,42 +1108,35 @@ type ReplicaStats struct {
 	// into which member of a group is slow.
 	RPCCalls uint64  `json:"rpc_calls,omitempty"`
 	RPCAvgMS float64 `json:"rpc_avg_ms,omitempty"`
-	// WireCodec is the codec this coordinator effectively speaks to
-	// the replica — "wire" (persistent-connection transport),
-	// "binary" (HTTP binary bodies), "json", or "json-fallback" (the
-	// peer refused binary); absent for in-process replicas. The byte
-	// counters cover request and response bodies over every codec, so
-	// a codec rollout is verifiable per replica from /stats alone.
+	// WireCodec is the transport this coordinator effectively speaks to
+	// the replica — "wire" (persistent connection) or "binary" (frames
+	// as HTTP bodies); absent for in-process replicas. The byte
+	// counters cover request and response bodies and frames over every
+	// endpoint, so a transport rollout is verifiable per replica from
+	// /stats alone.
 	WireCodec    string `json:"wire_codec,omitempty"`
 	WireBytesIn  uint64 `json:"wire_bytes_in,omitempty"`
 	WireBytesOut uint64 `json:"wire_bytes_out,omitempty"`
 }
 
 // wireInfoNode is the optional interface a cluster node implements to
-// report its client-side codec and traffic (dist.RemoteNode does).
+// report its client-side transport and traffic (dist.RemoteNode does).
 type wireInfoNode interface {
 	WireInfo() (codec string, bytesIn, bytesOut uint64)
 }
 
 // QueryCacheStats are the engine's query-side cache counters: term
-// resolutions and cached RES sets (rankings) separately.
+// resolutions served from the cache, computed past it, and held.
 type QueryCacheStats struct {
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Entries     int    `json:"entries"`
-	RankHits    uint64 `json:"rank_hits"`
-	RankMisses  uint64 `json:"rank_misses"`
-	RankEntries int    `json:"rank_entries"`
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
+	Entries int    `json:"entries"`
 }
 
 // queryCacheStats snapshots one cache's counters for /stats.
 func queryCacheStats(c *core.QueryCache) *QueryCacheStats {
 	hits, misses := c.Counters()
-	rankHits, rankMisses := c.RankCounters()
-	return &QueryCacheStats{
-		Hits: hits, Misses: misses, Entries: c.Len(),
-		RankHits: rankHits, RankMisses: rankMisses, RankEntries: c.RankLen(),
-	}
+	return &QueryCacheStats{Hits: hits, Misses: misses, Entries: c.Len()}
 }
 
 func (co *Coordinator) statsHandler(w http.ResponseWriter, r *http.Request) {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dlsearch/internal/bat"
 	"dlsearch/internal/core"
 	"dlsearch/internal/dist"
 	"dlsearch/internal/ir"
@@ -23,8 +22,9 @@ import (
 type NodeConfig struct {
 	MaxBody       int64 // request-body cap, bytes
 	MaxConcurrent int   // in-flight request bound
-	// Cache caches (query → term oids) resolutions AND whole RES sets
-	// (query → ranking, top-N-aware) for this node's query endpoints.
+	// Cache caches (query → term oids) resolutions for this node's
+	// searches; with Metrics set its traffic is exported as
+	// dl_node_query_cache_total{result="hit"|"miss"}.
 	Cache *core.QueryCache
 	// MemoryBudget, when positive, bounds the resident bytes of the
 	// index's plain posting columns; cold low-idf lists are held
@@ -62,11 +62,6 @@ type NodeConfig struct {
 	// (X-DL-Request) so node-side lines join the coordinator's. nil
 	// disables.
 	SlowQuery *obs.SlowQueryLog
-	// JSONOnly disables the binary wire codec: binary request bodies
-	// answer 415 and the /node/wire upgrade endpoint is absent, so a
-	// negotiating client settles on JSON. The debugging mode, and the
-	// stand-in for a JSON-only peer in mixed-codec tests.
-	JSONOnly bool
 	// Backend, when set, is the search backend this node serves instead
 	// of a bare index — e.g. core.NewEngineBackend, so the partition
 	// hosts a full conceptual engine behind the same wire protocol. The
@@ -79,8 +74,8 @@ type NodeConfig struct {
 // wire protocol and owns its durability hooks. All index access goes
 // through a dist.LocalNode, which arbitrates the one-writer rule
 // (adds, freezes and state exports exclusive, queries shared) and runs
-// the cached-resolution top-N path — the handler itself only speaks
-// JSON and validates.
+// the cached-resolution scoring path — the handler itself only decodes,
+// validates and encodes.
 type NodeServer struct {
 	node       *dist.LocalNode
 	maxBody    int64
@@ -93,8 +88,6 @@ type NodeServer struct {
 	// sem bounds in-flight work across both transports: HTTP requests
 	// and framed RPCs on upgraded connections draw from the same pool.
 	sem *semaphore
-	// jsonOnly disables the binary codec (NodeConfig.JSONOnly).
-	jsonOnly bool
 	// statsCache interns the decoded statistics block of binary search
 	// requests: an exact plan carries the whole merged vocabulary,
 	// identical between ingests, decoded once.
@@ -151,7 +144,6 @@ func NewNodeServer(ix *ir.Index, cfg *NodeConfig) *NodeServer {
 		}
 		if cfg.Cache != nil {
 			s.node.SetResolver(cfg.Cache.Resolve)
-			s.node.SetRankingCache(cfg.Cache)
 		}
 		if cfg.MemoryBudget > 0 {
 			ix.SetMemoryBudget(cfg.MemoryBudget)
@@ -161,7 +153,6 @@ func NewNodeServer(ix *ir.Index, cfg *NodeConfig) *NodeServer {
 			s.oplog = cfg.OpLog
 			s.node.SetOpLog(cfg.OpLog)
 		}
-		s.jsonOnly = cfg.JSONOnly
 		s.slow = cfg.SlowQuery
 		if reg := cfg.Metrics; reg != nil {
 			s.reg = reg
@@ -176,6 +167,13 @@ func NewNodeServer(ix *ir.Index, cfg *NodeConfig) *NodeServer {
 				IngestDocs: reg.Counter("dl_node_ingest_docs_total",
 					"Documents freshly indexed on this node (retried duplicates excluded).", ""),
 			})
+			if qc := cfg.Cache; qc != nil {
+				const help = "Query-term resolutions served from (hit) or computed past (miss) the node's query cache."
+				reg.CounterFunc("dl_node_query_cache_total", help, obs.Labels("result", "hit"),
+					func() uint64 { h, _ := qc.Counters(); return h })
+				reg.CounterFunc("dl_node_query_cache_total", help, obs.Labels("result", "miss"),
+					func() uint64 { _, m := qc.Counters(); return m })
+			}
 			// Per-fragment cost accounting: postings evaluated per idf
 			// fragment (fragment 0 holds the rarest terms). The fragment
 			// count is only known after the first budgeted evaluation, so
@@ -205,18 +203,16 @@ func NewNodeServer(ix *ir.Index, cfg *NodeConfig) *NodeServer {
 		}
 	}
 	s.sem = newSemaphore(s.maxConc)
-	if !s.jsonOnly {
-		s.initWireMetrics(s.reg)
-	}
+	s.initWireMetrics(s.reg)
 	return s
 }
 
 // Handler returns the HTTP handler serving the node wire protocol:
-// POST /node/add/batch, /node/search, /node/snapshot (persist to
-// disk), /node/restore (replace the fragment), GET /node/stats,
-// /node/stats?since=<version> (only what changed), /node/load,
-// /node/snapshot (stream the live fragment state), GET/POST /node/oplog,
-// /healthz.
+// POST /node/add/batch and /node/search (binary frames), /node/snapshot
+// (persist to disk), /node/restore (replace the fragment),
+// GET /node/stats[?since=<version>] (only what changed since),
+// /node/load, /node/snapshot (stream the live fragment state),
+// GET/POST /node/oplog, /healthz, and the GET /node/wire upgrade.
 func (s *NodeServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for path, h := range map[string]http.HandlerFunc{
@@ -239,12 +235,10 @@ func (s *NodeServer) Handler() http.Handler {
 	if s.reg != nil {
 		outer.Handle("/metrics", s.reg.Handler())
 	}
-	if !s.jsonOnly {
-		// The upgrade endpoint holds its connection open for the life of
-		// the transport, so it lives outside the request semaphore; each
-		// framed RPC on the connection acquires a slot instead.
-		outer.HandleFunc(dist.PathNodeWire, s.wireUpgrade)
-	}
+	// The upgrade endpoint holds its connection open for the life of the
+	// transport, so it lives outside the request semaphore; each framed
+	// RPC on the connection acquires a slot instead.
+	outer.HandleFunc(dist.PathNodeWire, s.wireUpgrade)
 	outer.Handle("/", s.sem.wrap(mux))
 	return outer
 }
@@ -346,111 +340,56 @@ func (s *NodeServer) addBatch(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var docs []dist.Doc
-	if isWireRequest(r) {
-		if s.jsonOnly {
-			failWireDisabled(w)
-			return
-		}
-		body, release, ok := readWireBody(w, r, s.maxBody)
-		if !ok {
-			return
-		}
-		ops, err := persist.DecodeAddBatchRequest(body)
-		release()
-		if err != nil {
-			// Fails closed: a truncated or bit-flipped batch decodes to an
-			// error, never to a prefix of itself — nothing was applied.
-			fail(w, http.StatusBadRequest, "unusable wire body: "+err.Error())
-			return
-		}
-		var errmsg string
-		if docs, errmsg = batchDocs(ops); errmsg != "" {
-			fail(w, http.StatusBadRequest, errmsg)
-			return
-		}
-	} else {
-		var req dist.AddBatchRequest
-		if !readJSON(w, r, s.maxBody, &req) {
-			return
-		}
-		if len(req.Docs) == 0 {
-			fail(w, http.StatusBadRequest, "empty batch")
-			return
-		}
-		docs = make([]dist.Doc, len(req.Docs))
-		for i, d := range req.Docs {
-			if d.Doc == 0 {
-				fail(w, http.StatusBadRequest, "missing document oid in batch")
-				return
-			}
-			docs[i] = dist.Doc{OID: bat.OID(d.Doc), URL: d.URL, Text: d.Text}
-		}
+	body, release, ok := readWireBody(w, r, s.maxBody)
+	if !ok {
+		return
+	}
+	// Fails closed: a truncated or bit-flipped batch decodes to an error,
+	// never to a prefix of itself — nothing is applied.
+	docs, errmsg := decodeBatch(body)
+	release()
+	if errmsg != "" {
+		fail(w, http.StatusBadRequest, errmsg)
+		return
 	}
 	if err := s.node.AddBatch(r.Context(), docs); err != nil {
 		fail(w, http.StatusBadGateway, "batch add failed: "+err.Error())
 		return
 	}
-	if !s.jsonOnly && wantsWire(r) {
-		wb := persist.GetWireBuffer()
-		wb.EncodeAck()
-		writeWire(w, wb)
-		persist.PutWireBuffer(wb)
-	} else {
-		writeJSON(w, http.StatusOK, struct{}{})
-	}
+	wb := persist.GetWireBuffer()
+	wb.EncodeAck()
+	writeWire(w, wb)
+	persist.PutWireBuffer(wb)
 }
 
+// stats answers the statistics pull: only what changed since the
+// caller's copy, or the full block when since is absent or names no
+// version this node issued (empty, malformed, from another incarnation
+// or the future) — never an error, the caller just pays the full
+// transfer.
 func (s *NodeServer) stats(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	if since, versioned := r.URL.Query()["since"]; versioned {
-		// The versioned pull: only what changed since the caller's copy,
-		// or the full block when its version (empty, malformed, from
-		// another incarnation or the future) is none this node issued —
-		// never an error, the caller just pays the full transfer.
-		st, now, delta := s.node.StatsSince(dist.ParseStatsVersion(since[0]))
-		writeJSON(w, http.StatusOK, dist.StatsPullResponse{
-			StatsJSON: dist.StatsToJSON(st), Version: now.String(), Delta: delta,
-		})
-		return
-	}
-	st, _ := s.node.Stats(r.Context())
-	if !s.jsonOnly && wantsWire(r) {
-		wb := persist.GetWireBuffer()
-		wb.EncodeStatsResponse(st)
-		writeWire(w, wb)
-		persist.PutWireBuffer(wb)
-		return
-	}
-	writeJSON(w, http.StatusOK, dist.StatsToJSON(st))
+	st, now, delta := s.node.StatsSince(dist.ParseStatsVersion(r.URL.Query().Get("since")))
+	writeJSON(w, http.StatusOK, dist.StatsPullResponse{
+		StatsJSON: dist.StatsToJSON(st), Version: now.String(), Delta: delta,
+	})
 }
 
 func (s *NodeServer) search(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var (
-		query string
-		plan  ir.EvalPlan
-		stats ir.Stats
-	)
-	if isWireRequest(r) {
-		if s.jsonOnly {
-			failWireDisabled(w)
-			return
-		}
-		var ok bool
-		if query, plan, stats, ok = s.decodeWireSearch(w, r); !ok {
-			return
-		}
-	} else {
-		var req dist.SearchPlanRequest
-		if !readJSON(w, r, s.maxBody, &req) {
-			return
-		}
-		query, plan, stats = req.Query, dist.PlanFromJSON(req.Plan), dist.StatsFromJSON(req.Stats)
+	body, release, ok := readWireBody(w, r, s.maxBody)
+	if !ok {
+		return
+	}
+	query, plan, stats, err := persist.DecodeSearchRequest(body, &s.statsCache)
+	release()
+	if err != nil {
+		fail(w, http.StatusBadRequest, "unusable wire body: "+err.Error())
+		return
 	}
 	// Empty queries, non-positive n and degenerate plans are
 	// well-defined (an empty ranking, exact quality) and must behave
@@ -467,17 +406,10 @@ func (s *NodeServer) search(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		tr.AddSpan("scoring", scoreStart)
 	}
-	if !s.jsonOnly && wantsWire(r) {
-		wb := persist.GetWireBuffer()
-		wb.EncodeSearchResponse(res, est)
-		writeWire(w, wb)
-		persist.PutWireBuffer(wb)
-	} else {
-		writeJSON(w, http.StatusOK, dist.SearchPlanResponse{
-			Results: dist.ResultsToJSON(res),
-			Quality: dist.QualityToJSON(est),
-		})
-	}
+	wb := persist.GetWireBuffer()
+	wb.EncodeSearchResponse(res, est)
+	writeWire(w, wb)
+	persist.PutWireBuffer(wb)
 	if tr != nil {
 		s.slow.Record(tr, obs.SlowQueryRecord{
 			Role: "node", Query: query, Quality: est.Value(), Results: len(res),

@@ -10,9 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"dlsearch/internal/core"
 	"dlsearch/internal/dist"
 	"dlsearch/internal/ir"
 	"dlsearch/internal/obs"
+	"dlsearch/internal/persist"
 )
 
 // syncBuffer is a goroutine-safe log sink for the slow-query logs.
@@ -187,14 +189,50 @@ func TestObservabilityEndToEnd(t *testing.T) {
 // allocation-free.
 func TestNodeQueryUntracedWhenUninstrumented(t *testing.T) {
 	h := NewNodeHandler(ir.NewIndex(), nil)
-	w := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, dist.PathNodeSearch,
-		strings.NewReader(`{"query":"q","plan":{"n":3},"stats":{"df":{},"total_df":0,"docs":0}}`))
-	h.ServeHTTP(w, req)
+	w := postWire(t, h, dist.PathNodeSearch, searchFrame(t, "q", ir.EvalPlan{N: 3}, ir.Stats{}))
 	if w.Code != http.StatusOK {
 		t.Fatalf("search = %d: %s", w.Code, w.Body)
 	}
 	if got := w.Header().Get(obs.HeaderRequestID); got != "" {
 		t.Fatalf("uninstrumented node invented a request ID %q", got)
+	}
+}
+
+// TestNodeQueryCacheMetrics: a node's term-resolution cache traffic is
+// on its /metrics — a repeated query moves the hit series, a new one
+// the miss series.
+func TestNodeQueryCacheMetrics(t *testing.T) {
+	h := NewNodeServer(ir.NewIndex(), &NodeConfig{
+		Cache:   core.NewQueryCache(8),
+		Metrics: obs.NewRegistry(),
+	}).Handler()
+	if w := postWire(t, h, dist.PathNodeAddBatch, addFrame(t, persist.Op{Doc: 1, Text: "melbourne champion"})); w.Code != http.StatusOK {
+		t.Fatalf("add = %d: %s", w.Code, w.Body)
+	}
+	// The statistics pull freezes the index; the cache serves only a
+	// frozen one.
+	if w := get(t, h, dist.PathNodeStats); w.Code != http.StatusOK {
+		t.Fatalf("stats = %d: %s", w.Code, w.Body)
+	}
+	series := func() (hit, miss string) {
+		t.Helper()
+		for _, line := range strings.Split(get(t, h, "/metrics").Body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `dl_node_query_cache_total{result="hit"} `); ok {
+				hit = v
+			}
+			if v, ok := strings.CutPrefix(line, `dl_node_query_cache_total{result="miss"} `); ok {
+				miss = v
+			}
+		}
+		return hit, miss
+	}
+	search := searchFrame(t, "champion", ir.EvalPlan{N: 5}, ir.Stats{DF: map[string]int{"champion": 1}, TotalDF: 2, Docs: 1})
+	for i, want := range [][2]string{{"0", "1"}, {"1", "1"}, {"2", "1"}} {
+		if w := postWire(t, h, dist.PathNodeSearch, search); w.Code != http.StatusOK {
+			t.Fatalf("search %d = %d: %s", i, w.Code, w.Body)
+		}
+		if hit, miss := series(); hit != want[0] || miss != want[1] {
+			t.Fatalf("after search %d: hit=%q miss=%q, want hit=%s miss=%s", i, hit, miss, want[0], want[1])
+		}
 	}
 }

@@ -1,16 +1,19 @@
-// Package server is the networked serving layer: HTTP/JSON handlers
+// Package server is the networked serving layer: HTTP handlers
 // exposing the search engine over the wire. Two roles mirror the
 // paper's central-DBMS architecture:
 //
 //   - the node server (NewNodeHandler) serves one shared-nothing
 //     fragment — the dist.Node operations — so an index can live in
-//     its own process or machine behind dist.RemoteNode;
+//     its own process or machine behind dist.RemoteNode. Search and
+//     batch ingest take persist binary frames only (as HTTP bodies or
+//     on an upgraded connection); the other operations speak JSON or
+//     the persist transfer formats;
 //   - the coordinator (NewCoordinator) is the central site: it fans
 //     /search out over a dist.Cluster of local and/or remote nodes,
-//     merges the per-node RES sets, and exposes /add, /stats and
-//     /healthz for operation.
+//     merges the per-node RES sets, and exposes its JSON API — /search,
+//     /add, /stats, /healthz and more — for clients and operators.
 //
-// Both roles validate requests (malformed JSON, oversized bodies, bad
+// Both roles validate requests (malformed bodies, oversized bodies, bad
 // parameters are 4xx, never panics), bound their concurrency with a
 // semaphore (503 when saturated) and shut down gracefully via Run.
 package server

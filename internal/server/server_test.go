@@ -38,26 +38,36 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 // --- node handler validation ---
 
 func TestNodeHandlerValidation(t *testing.T) {
-	h := NewNodeHandler(ir.NewIndex(), &NodeConfig{MaxBody: 512})
+	ix := ir.NewIndex()
+	h := NewNodeHandler(ix, &NodeConfig{MaxBody: 512})
+	batch := addFrame(t, persist.Op{Doc: 1, Text: "a"})
+	search := searchFrame(t, "a", ir.EvalPlan{N: 10}, ir.Stats{})
 	cases := []struct {
-		name, path, body string
-		status           int
+		name, path string
+		body       []byte
+		status     int
 	}{
-		{"malformed add", dist.PathNodeAddBatch, `{"docs": nope}`, http.StatusBadRequest},
-		{"missing doc oid", dist.PathNodeAddBatch, `{"docs":[{"url":"u","text":"hi"}]}`, http.StatusBadRequest},
-		{"trailing data", dist.PathNodeAddBatch, `{"docs":[{"doc":1,"text":"a"}]} extra`, http.StatusBadRequest},
-		{"oversized body", dist.PathNodeAddBatch, `{"docs":[{"doc":1,"text":"` + strings.Repeat("x", 2048) + `"}]}`, http.StatusRequestEntityTooLarge},
-		{"malformed search", dist.PathNodeSearch, `{`, http.StatusBadRequest},
+		{"malformed add", dist.PathNodeAddBatch, []byte(`{"docs": nope} padding padding padding padding`), http.StatusBadRequest},
+		{"missing doc oid", dist.PathNodeAddBatch, addFrame(t, persist.Op{URL: "u", Text: "hi"}), http.StatusBadRequest},
+		{"empty batch", dist.PathNodeAddBatch, addFrame(t), http.StatusBadRequest},
+		{"trailing data", dist.PathNodeAddBatch, append(append([]byte(nil), batch...), "extra"...), http.StatusBadRequest},
+		{"oversized body", dist.PathNodeAddBatch, addFrame(t, persist.Op{Doc: 1, Text: strings.Repeat("x", 2048)}), http.StatusRequestEntityTooLarge},
+		{"malformed search", dist.PathNodeSearch, search[:len(search)-1], http.StatusBadRequest},
+		{"bit-flipped search", dist.PathNodeSearch, append(append([]byte(nil), search[:len(search)-1]...), search[len(search)-1]^1), http.StatusBadRequest},
+		{"add frame on search", dist.PathNodeSearch, batch, http.StatusBadRequest},
 		// The retired one-document and exact-top-N ops fail closed.
-		{"retired /node/add", "/node/add", `{"doc":1,"text":"a"}`, http.StatusNotFound},
-		{"retired /node/topn", "/node/topn", `{"query":"a","n":10}`, http.StatusNotFound},
+		{"retired /node/add", "/node/add", batch, http.StatusNotFound},
+		{"retired /node/topn", "/node/topn", search, http.StatusNotFound},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if w := postJSON(t, h, c.path, c.body); w.Code != c.status {
+			if w := postWire(t, h, c.path, c.body); w.Code != c.status {
 				t.Fatalf("status = %d, want %d (body %s)", w.Code, c.status, w.Body)
 			}
 		})
+	}
+	if n := ix.DocCount(); n != 0 {
+		t.Fatalf("refused batches applied %d documents", n)
 	}
 	if w := get(t, h, dist.PathNodeSearch); w.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET search = %d, want 405", w.Code)
@@ -65,9 +75,12 @@ func TestNodeHandlerValidation(t *testing.T) {
 	// Empty queries and non-positive n mirror LocalNode: well-defined
 	// empty rankings, not errors — Cluster transparency depends on
 	// the node protocol never rejecting what a LocalNode accepts.
-	for _, body := range []string{`{"query":"","plan":{"n":10}}`, `{"query":"a","plan":{"n":0}}`, `{"query":"a","plan":{"n":-3}}`} {
-		if w := postJSON(t, h, dist.PathNodeSearch, body); w.Code != http.StatusOK {
-			t.Fatalf("degenerate search %s = %d, want 200 (%s)", body, w.Code, w.Body)
+	for _, c := range []struct {
+		query string
+		n     int
+	}{{"", 10}, {"a", 0}, {"a", -3}} {
+		if w := postWire(t, h, dist.PathNodeSearch, searchFrame(t, c.query, ir.EvalPlan{N: c.n}, ir.Stats{})); w.Code != http.StatusOK {
+			t.Fatalf("degenerate search %+v = %d, want 200 (%s)", c, w.Code, w.Body)
 		}
 	}
 	if w := postJSON(t, h, dist.PathNodeStats, `{}`); w.Code != http.StatusMethodNotAllowed {
@@ -516,35 +529,29 @@ func TestCoordinatorAddBatch(t *testing.T) {
 }
 
 // TestNodeBatchAndSearchEndpoints: the node wire protocol's batch add
-// and plan search endpoints validate and answer like a LocalNode.
+// and plan search endpoints answer like a LocalNode.
 func TestNodeBatchAndSearchEndpoints(t *testing.T) {
 	h := NewNodeHandler(ir.NewIndex(), nil)
-	w := postJSON(t, h, dist.PathNodeAddBatch,
-		`{"docs":[{"doc":1,"text":"seles melbourne"},{"doc":2,"text":"match ball court"}]}`)
+	w := postWire(t, h, dist.PathNodeAddBatch, addFrame(t,
+		persist.Op{Doc: 1, Text: "seles melbourne"}, persist.Op{Doc: 2, Text: "match ball court"}))
 	if w.Code != http.StatusOK {
 		t.Fatalf("node batch = %d: %s", w.Code, w.Body)
 	}
-	for _, body := range []string{`{"docs":[]}`, `{"docs":[{"text":"no oid"}]}`} {
-		if w := postJSON(t, h, dist.PathNodeAddBatch, body); w.Code != http.StatusBadRequest {
-			t.Fatalf("invalid batch %s = %d, want 400", body, w.Code)
-		}
+	if err := persist.DecodeAck(w.Body.Bytes()); err != nil {
+		t.Fatalf("node batch answer: %v", err)
 	}
-	// Plan search over the node protocol: degenerate plans are 200
-	// (LocalNode transparency), budgeted plans report quality.
-	w = postJSON(t, h, dist.PathNodeSearch,
-		`{"query":"seles match","plan":{"n":5,"frags":4,"budget":4},"stats":{"df":{"sele":1,"match":1},"total_df":5,"docs":2}}`)
+	// Plan search over the node protocol: budgeted plans report quality.
+	stats := ir.Stats{DF: map[string]int{"sele": 1, "match": 1}, TotalDF: 5, Docs: 2}
+	w = postWire(t, h, dist.PathNodeSearch, searchFrame(t, "seles match", ir.EvalPlan{N: 5, Frags: 4, Budget: 4}, stats))
 	if w.Code != http.StatusOK {
 		t.Fatalf("node search = %d: %s", w.Code, w.Body)
 	}
-	var resp dist.SearchPlanResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+	rs, q, err := persist.DecodeSearchResponse(w.Body.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Results) == 0 || resp.Quality.Value != 1.0 {
-		t.Fatalf("node search response = %+v", resp)
-	}
-	if w := postJSON(t, h, dist.PathNodeSearch, `{"query":"","plan":{"n":0},"stats":{}}`); w.Code != http.StatusOK {
-		t.Fatalf("degenerate node search = %d, want 200", w.Code)
+	if len(rs) == 0 || q.Value() != 1.0 {
+		t.Fatalf("node search response = %+v %+v", rs, q)
 	}
 }
 
@@ -560,7 +567,7 @@ func TestNodeSnapshotEndpoint(t *testing.T) {
 	h := ns.Handler()
 	texts := []string{"melbourne champion trophy", "champion winner serve", "volley smash rally"}
 	for i, text := range texts {
-		w := postJSON(t, h, dist.PathNodeAddBatch, fmt.Sprintf(`{"docs":[{"doc":%d,"text":%q}]}`, i+1, text))
+		w := postWire(t, h, dist.PathNodeAddBatch, addFrame(t, persist.Op{Doc: bat.OID(i + 1), Text: text}))
 		if w.Code != http.StatusOK {
 			t.Fatalf("add = %d: %s", w.Code, w.Body)
 		}
@@ -590,14 +597,14 @@ func TestNodeSnapshotEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	h2 := NewNodeHandler(restored, nil)
-	body := `{"query":"champion","plan":{"n":10},"stats":{"df":{"champion":2},"total_df":9,"docs":3}}`
-	before := postJSON(t, h, dist.PathNodeSearch, body)
-	after := postJSON(t, h2, dist.PathNodeSearch, body)
+	body := searchFrame(t, "champion", ir.EvalPlan{N: 10}, ir.Stats{DF: map[string]int{"champion": 2}, TotalDF: 9, Docs: 3})
+	before := postWire(t, h, dist.PathNodeSearch, body)
+	after := postWire(t, h2, dist.PathNodeSearch, body)
 	if before.Code != http.StatusOK || after.Code != http.StatusOK {
 		t.Fatalf("search = %d / %d", before.Code, after.Code)
 	}
-	if before.Body.String() != after.Body.String() {
-		t.Fatalf("restored ranking differs:\n pre: %s\npost: %s", before.Body, after.Body)
+	if !bytes.Equal(before.Body.Bytes(), after.Body.Bytes()) {
+		t.Fatalf("restored ranking differs:\n pre: %x\npost: %x", before.Body, after.Body)
 	}
 }
 
@@ -949,11 +956,11 @@ func TestNodeSnapshotStreamAndRestore(t *testing.T) {
 	if lr.Checksum != rr.Checksum {
 		t.Fatalf("cached load checksum = %q, want %s", lr.Checksum, rr.Checksum)
 	}
-	body := `{"query":"champion","plan":{"n":10},"stats":{"df":{"champion":2},"total_df":9,"docs":3}}`
-	before := postJSON(t, hSrc, dist.PathNodeSearch, body)
-	after := postJSON(t, hDst, dist.PathNodeSearch, body)
-	if before.Body.String() != after.Body.String() {
-		t.Fatalf("restored ranking differs:\n src: %s\n dst: %s", before.Body, after.Body)
+	body := searchFrame(t, "champion", ir.EvalPlan{N: 10}, ir.Stats{DF: map[string]int{"champion": 2}, TotalDF: 9, Docs: 3})
+	before := postWire(t, hSrc, dist.PathNodeSearch, body)
+	after := postWire(t, hDst, dist.PathNodeSearch, body)
+	if before.Code != http.StatusOK || !bytes.Equal(before.Body.Bytes(), after.Body.Bytes()) {
+		t.Fatalf("restored ranking differs:\n src: %x\n dst: %x", before.Body, after.Body)
 	}
 }
 

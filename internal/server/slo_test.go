@@ -364,13 +364,13 @@ func TestNodeTelemetryBypassesSemaphore(t *testing.T) {
 		t.Fatal("saturated /metrics serves no node metrics")
 	}
 	// The request plane meanwhile sheds as configured.
-	if w := postJSON(t, h, "/node/search", `{"query":"alpha","plan":{"n":5}}`); w.Code != http.StatusServiceUnavailable {
+	if w := postWire(t, h, "/node/search", searchFrame(t, "alpha", ir.EvalPlan{N: 5}, ir.Stats{})); w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("saturated /node/search = %d, want 503", w.Code)
 	}
 	// After a budgeted evaluation the per-fragment postings counters
 	// register lazily and report where the budget cut landed.
 	s.sem.Release()
-	if w := postJSON(t, h, "/node/search", `{"query":"alpha","plan":{"n":5,"frags":2,"budget":1}}`); w.Code != http.StatusOK {
+	if w := postWire(t, h, "/node/search", searchFrame(t, "alpha", ir.EvalPlan{N: 5, Frags: 2, Budget: 1}, ir.Stats{})); w.Code != http.StatusOK {
 		t.Fatalf("/node/search = %d: %s", w.Code, w.Body)
 	}
 	if !s.sem.TryAcquire() {

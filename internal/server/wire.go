@@ -14,26 +14,21 @@ import (
 
 	"dlsearch/internal/bat"
 	"dlsearch/internal/dist"
-	"dlsearch/internal/ir"
 	"dlsearch/internal/obs"
 	"dlsearch/internal/persist"
 )
 
-// The node server's binary wire support, in two layers mirroring the
-// client:
+// The node server's binary wire support: search and batch ingest speak
+// persist frames only, over two transports mirroring the client:
 //
-//   - content negotiation on the ordinary HTTP endpoints: a request
-//     whose Content-Type is the wire media type is decoded as a framed
-//     binary message (failing closed with a 4xx — a corrupt frame is
-//     never partially applied), and a request whose Accept includes it
-//     gets a framed binary response;
+//   - the ordinary HTTP endpoints: the request body must carry the wire
+//     media type (anything else is 415, nothing applied) and is decoded
+//     as one frame, failing closed with a 4xx — a corrupt frame is never
+//     partially applied; the 200 answer is one frame;
 //   - the persistent-connection transport: GET /node/wire with
 //     Upgrade: dlwire hijacks the connection and serves framed RPCs on
 //     it until the peer hangs up or goes idle — the per-query HTTP
 //     overhead disappears from the hot path.
-//
-// A node started JSON-only answers 415 to binary bodies and does not
-// register the upgrade endpoint, so clients negotiate down cleanly.
 
 // wireIdleTimeout is how long an upgraded connection may sit between
 // RPCs before the server reclaims it; clients redial transparently.
@@ -42,29 +37,21 @@ const wireIdleTimeout = 2 * time.Minute
 // wireWriteTimeout bounds writing one response frame.
 const wireWriteTimeout = 30 * time.Second
 
-// isWireRequest reports whether the request body is a framed binary
-// wire message.
-func isWireRequest(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	return strings.HasPrefix(ct, persist.WireContentType)
-}
-
-// wantsWire reports whether the client asked for a framed binary
-// response.
-func wantsWire(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), persist.WireContentType)
-}
-
 // bodyBufPool pools request-body read buffers for the binary endpoints.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBody = 1 << 20
 
 // readWireBody reads the whole framed request body into a pooled
-// buffer, answering 413 itself when the cap is hit. Call release once
-// every slice derived from the body is dead (the wire decoders copy
-// all strings out, so decode-then-release is safe).
+// buffer, answering 415 itself when the body is not of the wire media
+// type and 413 when the cap is hit. Call release once every slice
+// derived from the body is dead (the wire decoders copy all strings
+// out, so decode-then-release is safe).
 func readWireBody(w http.ResponseWriter, r *http.Request, maxBody int64) (body []byte, release func(), ok bool) {
+	if !strings.HasPrefix(r.Header.Get("Content-Type"), persist.WireContentType) {
+		fail(w, http.StatusUnsupportedMediaType, "this endpoint takes one "+persist.WireContentType+" frame")
+		return nil, nil, false
+	}
 	buf := bodyBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	release = func() {
@@ -96,12 +83,6 @@ func writeWire(w http.ResponseWriter, wb *persist.WireBuffer) {
 	h.Set("Content-Type", persist.WireContentType)
 	w.WriteHeader(http.StatusOK)
 	w.Write(wb.Bytes())
-}
-
-// failWireDisabled answers a binary request on a JSON-only node.
-func failWireDisabled(w http.ResponseWriter) {
-	fail(w, http.StatusUnsupportedMediaType,
-		"this node serves the JSON codec only (started with -wire=json)")
 }
 
 // wireUpgrade serves GET /node/wire: upgrade the connection to the
@@ -262,20 +243,8 @@ func (s *NodeServer) handleWireFrame(frame []byte, wb *persist.WireBuffer) {
 		res, est, _ := s.node.SearchPlan(ctx, query, plan, stats)
 		s.sem.Release()
 		wb.EncodeSearchResponse(res, est)
-	case persist.WireStatsRequest:
-		if err := persist.DecodeStatsRequest(frame); err != nil {
-			wb.EncodeError(http.StatusBadRequest, "unusable wire body: "+err.Error())
-			break
-		}
-		st, _ := s.node.Stats(ctx)
-		wb.EncodeStatsResponse(st)
 	case persist.WireAddBatchRequest:
-		ops, err := persist.DecodeAddBatchRequest(frame)
-		if err != nil {
-			wb.EncodeError(http.StatusBadRequest, "unusable wire body: "+err.Error())
-			break
-		}
-		docs, errmsg := batchDocs(ops)
+		docs, errmsg := decodeBatch(frame)
 		if errmsg != "" {
 			wb.EncodeError(http.StatusBadRequest, errmsg)
 			break
@@ -284,7 +253,7 @@ func (s *NodeServer) handleWireFrame(frame []byte, wb *persist.WireBuffer) {
 			wb.EncodeError(http.StatusServiceUnavailable, "server at capacity")
 			break
 		}
-		err = s.node.AddBatch(ctx, docs)
+		err := s.node.AddBatch(ctx, docs)
 		s.sem.Release()
 		if err != nil {
 			wb.EncodeError(http.StatusBadGateway, "batch add failed: "+err.Error())
@@ -299,9 +268,13 @@ func (s *NodeServer) handleWireFrame(frame []byte, wb *persist.WireBuffer) {
 	}
 }
 
-// batchDocs validates and converts a decoded wire batch, mirroring
-// the JSON handler's checks.
-func batchDocs(ops []persist.Op) ([]dist.Doc, string) {
+// decodeBatch decodes and validates one add-batch frame for either
+// transport; a non-empty message says why it is refused.
+func decodeBatch(frame []byte) ([]dist.Doc, string) {
+	ops, err := persist.DecodeAddBatchRequest(frame)
+	if err != nil {
+		return nil, "unusable wire body: " + err.Error()
+	}
 	if len(ops) == 0 {
 		return nil, "empty batch"
 	}
@@ -328,10 +301,9 @@ func (s *NodeServer) initWireMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	s.wireMet = make(map[persist.WireKind]wireEndpointMetrics, 3)
+	s.wireMet = make(map[persist.WireKind]wireEndpointMetrics, 2)
 	for kind, path := range map[persist.WireKind]string{
 		persist.WireSearchRequest:   dist.PathNodeSearch,
-		persist.WireStatsRequest:    dist.PathNodeStats,
 		persist.WireAddBatchRequest: dist.PathNodeAddBatch,
 	} {
 		s.wireMet[kind] = wireEndpointMetrics{
@@ -342,19 +314,4 @@ func (s *NodeServer) initWireMetrics(reg *obs.Registry) {
 				obs.Labels("path", path), obs.LatencyBounds()),
 		}
 	}
-}
-
-// decodeWireSearch is the per-endpoint wire decode for /node/search.
-func (s *NodeServer) decodeWireSearch(w http.ResponseWriter, r *http.Request) (query string, plan ir.EvalPlan, stats ir.Stats, ok bool) {
-	body, release, k := readWireBody(w, r, s.maxBody)
-	if !k {
-		return "", ir.EvalPlan{}, ir.Stats{}, false
-	}
-	query, plan, stats, err := persist.DecodeSearchRequest(body, &s.statsCache)
-	release()
-	if err != nil {
-		fail(w, http.StatusBadRequest, "unusable wire body: "+err.Error())
-		return "", ir.EvalPlan{}, ir.Stats{}, false
-	}
-	return query, plan, stats, true
 }

@@ -30,6 +30,39 @@ func postWire(t *testing.T, h http.Handler, path string, body []byte) *httptest.
 	return w
 }
 
+// encodeFrame returns the frame one WireBuffer encode call produces.
+func encodeFrame(t *testing.T, encode func(*persist.WireBuffer)) []byte {
+	t.Helper()
+	wb := persist.GetWireBuffer()
+	defer persist.PutWireBuffer(wb)
+	encode(wb)
+	if err := wb.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte(nil), wb.Bytes()...)
+}
+
+// addFrame is one add-batch frame carrying ops.
+func addFrame(t *testing.T, ops ...persist.Op) []byte {
+	t.Helper()
+	return encodeFrame(t, func(wb *persist.WireBuffer) { wb.EncodeAddBatchRequest(ops) })
+}
+
+// searchFrame is one search-request frame.
+func searchFrame(t *testing.T, query string, plan ir.EvalPlan, st ir.Stats) []byte {
+	t.Helper()
+	return encodeFrame(t, func(wb *persist.WireBuffer) { wb.EncodeSearchRequest(query, plan, st) })
+}
+
+// nodeLoad reads a node handler's /node/load.
+func nodeLoad(t *testing.T, h http.Handler) (l dist.LoadResponse) {
+	t.Helper()
+	if err := json.Unmarshal(get(t, h, dist.PathNodeLoad).Body.Bytes(), &l); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // TestNodeWireCorruptionFailsClosed: corrupt or truncated binary
 // bodies on every node endpoint are rejected with a 4xx and are NEVER
 // partially applied — after a poisoned /node/add/batch the index
@@ -91,184 +124,59 @@ func TestNodeWireCorruptionFailsClosed(t *testing.T) {
 	}
 }
 
-// TestNodeJSONOnlyRefusesBinary: a node started -wire=json answers
-// 415 to binary bodies and does not expose the upgrade endpoint, so
-// clients negotiate down instead of misparsing.
-func TestNodeJSONOnlyRefusesBinary(t *testing.T) {
-	h := NewNodeHandler(ir.NewIndex(), &NodeConfig{JSONOnly: true})
-
-	wb := persist.GetWireBuffer()
-	defer persist.PutWireBuffer(wb)
-	wb.EncodeAddBatchRequest([]persist.Op{{Doc: 1, Text: "ace"}})
-	if w := postWire(t, h, dist.PathNodeAddBatch, append([]byte(nil), wb.Bytes()...)); w.Code != http.StatusUnsupportedMediaType {
-		t.Fatalf("binary batch on JSON-only node = %d, want 415: %s", w.Code, w.Body.Bytes())
-	}
-	wb.EncodeSearchRequest("ace", ir.EvalPlan{N: 5}, ir.Stats{})
-	if w := postWire(t, h, dist.PathNodeSearch, append([]byte(nil), wb.Bytes()...)); w.Code != http.StatusUnsupportedMediaType {
-		t.Fatalf("binary search on JSON-only node = %d, want 415: %s", w.Code, w.Body.Bytes())
-	}
-
-	req := httptest.NewRequest(http.MethodGet, dist.PathNodeWire, nil)
-	req.Header.Set("Upgrade", persist.WireProtocol)
-	req.Header.Set("Connection", "Upgrade")
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	if w.Code != http.StatusNotFound {
-		t.Fatalf("/node/wire on JSON-only node = %d, want 404", w.Code)
-	}
-
-	// JSON keeps working.
-	if w := postJSON(t, h, dist.PathNodeAddBatch, `{"docs":[{"doc":1,"text":"ace"}]}`); w.Code != http.StatusOK {
-		t.Fatalf("JSON batch on JSON-only node = %d: %s", w.Code, w.Body.Bytes())
-	}
-}
-
-// TestNodeWireAcceptNegotiation: the same endpoint answers JSON or
-// framed binary depending on Accept, and the two carry identical
-// rankings.
+// TestNodeWireAcceptNegotiation: the hot endpoints speak frames only.
+// A frame request gets a frame answer whatever its Accept header asks
+// for, and a JSON body — the retired node codec — gets 415 on both
+// /node/add/batch and /node/search and applies nothing: the op-log
+// position and the document count stay where they were.
 func TestNodeWireAcceptNegotiation(t *testing.T) {
-	ix := ir.NewIndex()
-	ix.Add(1, "u", "melbourne champion ace")
-	ix.Add(2, "u", "champion serve")
-	h := NewNodeHandler(ix, nil)
-	stats := ix.StatsLocal()
-
-	// JSON request, JSON response (no Accept).
-	statsJSON, err := json.Marshal(map[string]any{
-		"query": "champion", "plan": map[string]any{"n": 5},
-		"stats": map[string]any{"df": stats.DF, "total_df": stats.TotalDF, "docs": stats.Docs},
-	})
+	oplog, err := persist.OpenOpLog(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wj := postJSON(t, h, dist.PathNodeSearch, string(statsJSON))
-	if wj.Code != http.StatusOK {
-		t.Fatalf("JSON search = %d: %s", wj.Code, wj.Body.Bytes())
+	t.Cleanup(func() { oplog.Close() })
+	h := NewNodeHandler(ir.NewIndex(), &NodeConfig{OpLog: oplog})
+	if w := postWire(t, h, dist.PathNodeAddBatch, addFrame(t,
+		persist.Op{Doc: 1, URL: "u", Text: "melbourne champion ace"},
+		persist.Op{Doc: 2, URL: "u", Text: "champion serve"})); w.Code != http.StatusOK {
+		t.Fatalf("frame batch = %d: %s", w.Code, w.Body)
 	}
-	var jr struct {
-		Results []struct {
-			Doc   uint64  `json:"doc"`
-			Score float64 `json:"score"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(wj.Body.Bytes(), &jr); err != nil {
-		t.Fatal(err)
-	}
-
-	// Binary request, binary response.
-	wb := persist.GetWireBuffer()
-	defer persist.PutWireBuffer(wb)
-	wb.EncodeSearchRequest("champion", ir.EvalPlan{N: 5}, stats)
-	wbin := postWire(t, h, dist.PathNodeSearch, append([]byte(nil), wb.Bytes()...))
-	if wbin.Code != http.StatusOK {
-		t.Fatalf("binary search = %d: %s", wbin.Code, wbin.Body.Bytes())
-	}
-	if ct := wbin.Header().Get("Content-Type"); !strings.HasPrefix(ct, persist.WireContentType) {
-		t.Fatalf("binary response Content-Type = %q", ct)
-	}
-	rs, _, err := persist.DecodeSearchResponse(wbin.Body.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != len(jr.Results) {
-		t.Fatalf("binary %d results, JSON %d", len(rs), len(jr.Results))
-	}
-	for i := range rs {
-		if uint64(rs[i].Doc) != jr.Results[i].Doc || rs[i].Score != jr.Results[i].Score {
-			t.Fatalf("rank %d: binary %+v, JSON %+v", i, rs[i], jr.Results[i])
+	stats := ir.Stats{DF: map[string]int{"champion": 2}, TotalDF: 6, Docs: 2}
+	search := searchFrame(t, "champion", ir.EvalPlan{N: 5}, stats)
+	var want []byte
+	for _, accept := range []string{"", "application/json", persist.WireContentType} {
+		req := httptest.NewRequest(http.MethodPost, dist.PathNodeSearch, bytes.NewReader(search))
+		req.Header.Set("Content-Type", persist.WireContentType)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
 		}
-	}
-}
-
-// TestCoordinatorMixedCodecCluster is the mixed-deployment e2e: one
-// binary-speaking node and one JSON-only node behind one coordinator.
-// /search must be complete and byte-identical to an all-JSON cluster
-// over the same corpus, and /stats must report the negotiated codec
-// per replica.
-func TestCoordinatorMixedCodecCluster(t *testing.T) {
-	corpus := []string{
-		"melbourne champion ace", "winner serve volley", "trophy rally smash",
-		"champion winner melbourne", "ace court serve", "seles hingis capriati",
-	}
-	build := func(jsonOnly0, jsonOnly1 bool, codec dist.Codec) http.Handler {
-		nodes := make([]dist.Node, 2)
-		for i, jo := range []bool{jsonOnly0, jsonOnly1} {
-			srv := httptest.NewServer(NewNodeHandler(ir.NewIndex(), &NodeConfig{JSONOnly: jo}))
-			t.Cleanup(srv.Close)
-			rn := dist.NewRemoteNode(srv.URL, srv.Client())
-			rn.SetCodec(codec)
-			nodes[i] = rn
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK || !strings.HasPrefix(w.Header().Get("Content-Type"), persist.WireContentType) {
+			t.Fatalf("Accept %q: %d %q: %s", accept, w.Code, w.Header().Get("Content-Type"), w.Body)
 		}
-		cluster := dist.NewClusterOf(nodes, nil)
-		co := NewCoordinator(map[string]*dist.Cluster{"a": cluster}, nil)
-		h := co.Handler()
-		for i, text := range corpus {
-			body, _ := json.Marshal(map[string]any{"doc": i + 1, "text": text})
-			if w := postJSON(t, h, "/add", string(body)); w.Code != http.StatusOK {
-				t.Fatalf("add %d = %d: %s", i+1, w.Code, w.Body.Bytes())
-			}
+		rs, _, err := persist.DecodeSearchResponse(w.Body.Bytes())
+		if err != nil || len(rs) != 2 {
+			t.Fatalf("Accept %q: %+v %v", accept, rs, err)
 		}
-		return h
-	}
-
-	mixed := build(false, true, dist.CodecBinary) // node 0 binary, node 1 JSON-only
-	allJSON := build(false, false, dist.CodecJSON)
-
-	for _, q := range []string{"champion", "melbourne winner", "seles", "ace serve court"} {
-		for _, n := range []int{1, 2, 4, 8} {
-			body, _ := json.Marshal(map[string]any{"query": q, "n": n})
-			wm := postJSON(t, mixed, "/search", string(body))
-			wj := postJSON(t, allJSON, "/search", string(body))
-			if wm.Code != http.StatusOK || wj.Code != http.StatusOK {
-				t.Fatalf("q=%q n=%d: mixed=%d json=%d", q, n, wm.Code, wj.Code)
-			}
-			var mr, jr SearchResponse
-			if err := json.Unmarshal(wm.Body.Bytes(), &mr); err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(wj.Body.Bytes(), &jr); err != nil {
-				t.Fatal(err)
-			}
-			if !mr.Complete {
-				t.Fatalf("q=%q n=%d: mixed cluster incomplete: %+v", q, n, mr)
-			}
-			if len(mr.Results) != len(jr.Results) {
-				t.Fatalf("q=%q n=%d: mixed %d results, json %d", q, n, len(mr.Results), len(jr.Results))
-			}
-			for i := range jr.Results {
-				if mr.Results[i] != jr.Results[i] {
-					t.Fatalf("q=%q n=%d rank %d: mixed %+v, json %+v", q, n, i, mr.Results[i], jr.Results[i])
-				}
-			}
-			if mr.Quality != jr.Quality {
-				t.Fatalf("q=%q n=%d: mixed quality %v, json %v", q, n, mr.Quality, jr.Quality)
-			}
+		if want == nil {
+			want = w.Body.Bytes()
+		} else if !bytes.Equal(w.Body.Bytes(), want) {
+			t.Fatalf("Accept %q changed the answer", accept)
 		}
 	}
 
-	// /stats surfaces the negotiated codec per replica: the binary
-	// node reports "binary", the JSON-only one "json-fallback".
-	w := get(t, mixed, "/stats")
-	if w.Code != http.StatusOK {
-		t.Fatalf("/stats = %d: %s", w.Code, w.Body.Bytes())
-	}
-	var st StatsResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	codecs := map[string]int{}
-	for _, ist := range st.Indexes {
-		for _, g := range ist.Groups {
-			for _, r := range g.Replicas {
-				codecs[r.WireCodec]++
-				if r.WireBytesIn == 0 || r.WireBytesOut == 0 {
-					t.Fatalf("replica with codec %q reports no traffic: %+v", r.WireCodec, r)
-				}
-			}
+	before := nodeLoad(t, h)
+	for path, body := range map[string]string{
+		dist.PathNodeAddBatch: `{"docs":[{"doc":3,"text":"trophy"}]}`,
+		dist.PathNodeSearch:   `{"query":"champion","plan":{"n":5}}`,
+	} {
+		if w := postJSON(t, h, path, body); w.Code != http.StatusUnsupportedMediaType {
+			t.Fatalf("JSON body on %s = %d, want 415: %s", path, w.Code, w.Body)
 		}
 	}
-	if codecs["binary"] != 1 || codecs["json-fallback"] != 1 {
-		t.Fatalf("negotiated codecs = %v, want one binary and one json-fallback", codecs)
+	if after := nodeLoad(t, h); after.Docs != before.Docs || after.LogPos != before.LogPos {
+		t.Fatalf("refused JSON bodies changed the node: %+v -> %+v", before, after)
 	}
 }
 
@@ -316,10 +224,13 @@ func wireError(t *testing.T, frame []byte) (status int, msg string) {
 	return status, msg
 }
 
-// TestRetiredWireKindFailsClosed: an old coordinator's exact top-N
-// frame (kind 0x01, retired) on an upgraded connection is answered
-// with a framed 400 — and the connection survives: framing never lost
-// sync, so the next search frame on the same connection is served.
+// TestRetiredWireKindFailsClosed covers version skew, an old
+// coordinator talking to a new node: its exact top-N request (kind
+// 0x01) and statistics request (kind 0x04), and the two responses
+// (0x11, 0x13) echoed back at it, are answered 400 as HTTP bodies and
+// with a framed 400 on an upgraded connection — and the connection
+// survives: framing never lost sync, so the next search frame on the
+// same connection is served.
 func TestRetiredWireKindFailsClosed(t *testing.T) {
 	ix := ir.NewIndex()
 	ix.Add(1, "u", "melbourne champion ace")
@@ -327,32 +238,43 @@ func TestRetiredWireKindFailsClosed(t *testing.T) {
 	t.Cleanup(srv.Close)
 	exchange := dialWire(t, srv)
 
-	// ("q", n=5, empty statistics) as the last top-N-speaking build
-	// framed it: valid in everything but its kind.
-	old, err := hex.DecodeString("444c57495245010106000000f9a8505491cc595111fa504773eb232d8ff2d55b965eb636ea4abd09373650b901710a000000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status, msg := wireError(t, exchange(old)); status != http.StatusBadRequest || !strings.Contains(msg, "unsupported wire message kind") {
-		t.Fatalf("retired kind answered %d %q, want 400 unsupported wire message kind", status, msg)
+	// Each frame as the last build that spoke its kind framed it, valid
+	// in everything but its kind: the top-N request ("q", n=5, empty
+	// statistics) and response (an empty RES set), the statistics
+	// request (empty) and response (ace=3 champion=7 serv=11).
+	for _, h := range []string{
+		"444c57495245010106000000f9a8505491cc595111fa504773eb232d8ff2d55b965eb636ea4abd09373650b901710a000000",
+		"444c574952450111010000006e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d00",
+		"444c57495245010400000000e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"444c57495245011318000000f6ce36959cbe01b2eba7316abe49fb3d150f9f2b91b2de526a18067b735ea3192a12030361636506086368616d70696f6e0e047365727616",
+	} {
+		old, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status, msg := wireError(t, exchange(old)); status != http.StatusBadRequest || !strings.Contains(msg, "unsupported wire message kind") {
+			t.Fatalf("retired kind 0x%02x answered %d %q, want 400 unsupported wire message kind", old[7], status, msg)
+		}
+		for _, path := range []string{dist.PathNodeSearch, dist.PathNodeAddBatch} {
+			if w := postWire(t, srv.Config.Handler, path, old); w.Code != http.StatusBadRequest {
+				t.Fatalf("retired kind 0x%02x on %s = %d, want 400: %s", old[7], path, w.Code, w.Body)
+			}
+		}
 	}
 
-	wb := persist.GetWireBuffer()
-	defer persist.PutWireBuffer(wb)
-	wb.EncodeSearchRequest("champion", ir.EvalPlan{N: 5}, ix.StatsLocal())
-	rs, _, err := persist.DecodeSearchResponse(exchange(wb.Bytes()))
+	rs, _, err := persist.DecodeSearchResponse(exchange(searchFrame(t, "champion", ir.EvalPlan{N: 5}, ix.StatsLocal())))
 	if err != nil {
-		t.Fatalf("search after the rejected frame: %v", err)
+		t.Fatalf("search after the rejected frames: %v", err)
 	}
 	if len(rs) != 1 || rs[0].Doc != 1 {
-		t.Fatalf("search after the rejected frame = %+v", rs)
+		t.Fatalf("search after the rejected frames = %+v", rs)
 	}
 }
 
 // TestFailedLogAppendNeverAcknowledged: a node whose op log rejects
-// the append (full disk, dead file) must refuse the batch over every
-// codec — 502 over JSON, HTTP 502 to a binary body, a framed 502 on
-// the persistent connection — apply nothing, and be counted as not
+// the append (full disk, dead file) must refuse the batch over both
+// transports — HTTP 502 to a frame body, a framed 502 on the
+// persistent connection — apply nothing, and be counted as not
 // committed by the cluster. Acknowledging here would report a
 // document as durable that is neither logged nor searchable.
 func TestFailedLogAppendNeverAcknowledged(t *testing.T) {
@@ -364,17 +286,11 @@ func TestFailedLogAppendNeverAcknowledged(t *testing.T) {
 	t.Cleanup(srv.Close)
 	h := srv.Config.Handler
 
-	if w := postJSON(t, h, dist.PathNodeAddBatch, `{"docs":[{"doc":1,"text":"melbourne champion"},{"doc":2,"text":"ace"}]}`); w.Code != http.StatusOK {
+	if w := postWire(t, h, dist.PathNodeAddBatch, addFrame(t,
+		persist.Op{Doc: 1, Text: "melbourne champion"}, persist.Op{Doc: 2, Text: "ace"})); w.Code != http.StatusOK {
 		t.Fatalf("healthy batch = %d: %s", w.Code, w.Body)
 	}
-	load := func() (l dist.LoadResponse) {
-		t.Helper()
-		if err := json.Unmarshal(get(t, h, dist.PathNodeLoad).Body.Bytes(), &l); err != nil {
-			t.Fatal(err)
-		}
-		return l
-	}
-	before := load()
+	before := nodeLoad(t, h)
 	if before.Docs != 2 || before.LogPos != 2 {
 		t.Fatalf("fixture load = %+v, want 2 docs at log position 2", before)
 	}
@@ -384,13 +300,7 @@ func TestFailedLogAppendNeverAcknowledged(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if w := postJSON(t, h, dist.PathNodeAddBatch, `{"docs":[{"doc":3,"text":"trophy"}]}`); w.Code != http.StatusBadGateway {
-		t.Fatalf("JSON batch on a dead log = %d, want 502: %s", w.Code, w.Body)
-	}
-	wb := persist.GetWireBuffer()
-	defer persist.PutWireBuffer(wb)
-	wb.EncodeAddBatchRequest([]persist.Op{{Doc: 4, Text: "rally"}})
-	batch := append([]byte(nil), wb.Bytes()...)
+	batch := addFrame(t, persist.Op{Doc: 4, Text: "rally"})
 	if w := postWire(t, h, dist.PathNodeAddBatch, batch); w.Code != http.StatusBadGateway {
 		t.Fatalf("binary batch on a dead log = %d, want 502: %s", w.Code, w.Body)
 	}
@@ -405,7 +315,7 @@ func TestFailedLogAppendNeverAcknowledged(t *testing.T) {
 		t.Fatalf("cluster outcome on a dead log = %+v, want Committed 0 and Failed", p)
 	}
 
-	if after := load(); after != before {
+	if after := nodeLoad(t, h); after != before {
 		t.Fatalf("refused batches changed the node: %+v -> %+v", before, after)
 	}
 }
