@@ -602,68 +602,43 @@ func BenchmarkE22AdaptiveServe(b *testing.B) {
 	}
 }
 
-// --- E23: streaming NDJSON ingest vs buffered batch ---
+// --- E23: streaming NDJSON ingest ---
 
-// BenchmarkE23StreamIngest prices PR 10's streaming ingest: the same
-// 1000-document corpus enters a fresh 2-partition cluster once as one
-// buffered /add/batch body (bounded by the request cap — the old
-// contract) and once as an NDJSON /add/stream whose total size far
-// exceeds the coordinator's 4KiB body cap (per-line decode, per-index
-// batches of 256). The claim is not that streaming is faster — it is
-// that unbounded-corpus ingest costs about the same per document as
-// the buffered path it replaces, while holding O(line + batch) memory.
+// BenchmarkE23StreamIngest prices the coordinator's write path: a
+// 1000-document corpus enters a fresh 2-partition cluster as one
+// NDJSON /add/stream whose total size far exceeds the coordinator's
+// 4KiB body cap (per-line decode, per-index batches of 256), holding
+// O(line + batch) memory however large the corpus.
 func BenchmarkE23StreamIngest(b *testing.B) {
 	const docs = 1000
-	corpus := textCorpus(docs, 11)
-
-	var batchBody strings.Builder
-	batchBody.WriteString(`{"index":"a","docs":[`)
-	for i, text := range corpus {
-		if i > 0 {
-			batchBody.WriteByte(',')
-		}
-		fmt.Fprintf(&batchBody, `{"doc":%d,"url":"u%d","text":%q}`, i+1, i+1, text)
+	var body strings.Builder
+	for i, text := range textCorpus(docs, 11) {
+		fmt.Fprintf(&body, `{"index":"a","doc":%d,"url":"u%d","text":%q}`, i+1, i+1, text)
+		body.WriteByte('\n')
 	}
-	batchBody.WriteString("]}")
-
-	var streamBody strings.Builder
-	for i, text := range corpus {
-		fmt.Fprintf(&streamBody, `{"index":"a","doc":%d,"url":"u%d","text":%q}`, i+1, i+1, text)
-		streamBody.WriteByte('\n')
+	if body.Len() <= 4096 {
+		b.Fatal("stream body does not exceed the cap")
 	}
-
-	run := func(b *testing.B, path, body, committed string, maxBody int64) {
+	const committed = `"committed":1000,"degraded":0,"failed":0,"errors":0`
+	b.Run(fmt.Sprintf("stream/docs=%d", docs), func(b *testing.B) {
 		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
+		b.SetBytes(int64(body.Len()))
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			co := server.NewCoordinator(
 				map[string]*dist.Cluster{"a": dist.NewCluster(2, nil)},
-				&server.CoordinatorConfig{MaxBody: maxBody})
+				&server.CoordinatorConfig{MaxBody: 4096})
 			h := co.Handler()
-			req := httptest.NewRequest("POST", path, strings.NewReader(body))
+			req := httptest.NewRequest("POST", "/add/stream", strings.NewReader(body.String()))
 			w := httptest.NewRecorder()
 			b.StartTimer()
 			h.ServeHTTP(w, req)
 			b.StopTimer()
-			if w.Code != 200 {
-				b.Fatalf("%s = %d: %.200s", path, w.Code, w.Body.String())
-			}
 			out := w.Body.String()
-			if !strings.Contains(out, committed) {
-				b.Fatalf("%s did not commit the corpus: %.200s", path, out[max(0, len(out)-200):])
+			if w.Code != 200 || !strings.Contains(out, committed) {
+				b.Fatalf("/add/stream = %d, did not commit the corpus: %.200s", w.Code, out[max(0, len(out)-200):])
 			}
 			b.StartTimer()
 		}
-	}
-	b.Run(fmt.Sprintf("batch/docs=%d", docs), func(b *testing.B) {
-		// The buffered path needs the whole body under the cap.
-		run(b, "/add/batch", batchBody.String(), `"docs":[1,`, int64(len(batchBody.String())+1024))
-	})
-	b.Run(fmt.Sprintf("stream/docs=%d", docs), func(b *testing.B) {
-		if int64(len(streamBody.String())) <= 4096 {
-			b.Fatal("stream body does not exceed the cap")
-		}
-		run(b, "/add/stream", streamBody.String(), `"committed":1000,"degraded":0,"failed":0,"errors":0`, 4096)
 	})
 }

@@ -12,7 +12,7 @@
 //	    compaction points, bounding replay time.
 //
 //	dlserve coordinator -addr :8080 -nodes http://h1:8081,http://h2:8082
-//	    serve /search, /add, /stats and /healthz over a cluster of
+//	    serve /search, /add/stream, /stats and /healthz over a cluster of
 //	    remote nodes (or -local k in-process nodes), with per-node
 //	    deadlines and straggler handling. With -replicas R the node
 //	    list is sliced into replica groups of R: writes fan out to all
@@ -38,8 +38,8 @@
 //
 //	dlserve coordinator -addr :8080 -replicas 2 \
 //	    -nodes http://h1:8081,http://h2:8082,http://h3:8083,http://h4:8084
-//	curl -s -X POST localhost:8080/add \
-//	    -d '{"text":"melbourne champion trophy","url":"doc-1"}'
+//	curl -s -X POST localhost:8080/add/stream \
+//	    --data-binary '{"text":"melbourne champion trophy","url":"doc-1"}'
 //	curl -s -X POST localhost:8080/search -d '{"query":"champion","n":10}'
 //	curl -s localhost:8080/stats
 //

@@ -152,7 +152,7 @@ type (
 	// NodeServer serves one fragment over the node wire protocol and
 	// owns its durability hooks (Snapshot, MarkRestored).
 	NodeServer = server.NodeServer
-	// Coordinator serves /search, /add, /stats and /healthz.
+	// Coordinator serves /search, /add/stream, /stats and /healthz.
 	Coordinator = server.Coordinator
 	// CoordinatorConfig tunes a Coordinator.
 	CoordinatorConfig = server.CoordinatorConfig
@@ -341,7 +341,7 @@ func NewNodeServer(ix *FullTextIndex, cfg *NodeServerConfig) http.Handler {
 }
 
 // NewCoordinator builds the central serving site over named clusters;
-// its Handler exposes /search, /add, /stats and /healthz.
+// its Handler exposes /search, /add/stream, /stats and /healthz.
 func NewCoordinator(indexes map[string]*Cluster, cfg *CoordinatorConfig) *Coordinator {
 	return server.NewCoordinator(indexes, cfg)
 }

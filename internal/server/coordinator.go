@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -86,7 +85,7 @@ type CoordinatorConfig struct {
 	SLO *slo.Controller
 }
 
-// docSeq assigns document oids for /add requests without an explicit
+// docSeq assigns document oids for stream lines without an explicit
 // oid. The sequence seeds itself from the cluster's highest live oid
 // on first use, so a freshly restarted coordinator in front of
 // long-lived nodes continues after the documents already indexed
@@ -113,6 +112,11 @@ func (s *docSeq) assign(ctx context.Context, c *dist.Cluster) (bat.OID, error) {
 			s.next = max
 		}
 		s.seeded = true
+	}
+	if s.next == ^bat.OID(0) {
+		// An explicit oid took the top of the oid space; one more step
+		// would wrap to NilOID.
+		return bat.NilOID, errors.New("oid sequence exhausted")
 	}
 	s.next++
 	return s.next, nil
@@ -169,10 +173,10 @@ type Coordinator struct {
 // NewCoordinator builds a coordinator over named clusters. The map
 // must contain at least one index; a nil cfg selects defaults.
 //
-// Document oids auto-assigned by /add continue after the highest oid
-// already on the nodes, so they survive a coordinator restart and
-// coexist with explicit oids (as long as only one coordinator writes
-// at a time).
+// Document oids auto-assigned by /add/stream continue after the
+// highest oid already on the nodes, so they survive a coordinator
+// restart and coexist with explicit oids (as long as only one
+// coordinator writes at a time).
 func NewCoordinator(indexes map[string]*dist.Cluster, cfg *CoordinatorConfig) *Coordinator {
 	co := &Coordinator{
 		indexes: indexes,
@@ -315,14 +319,12 @@ func NewCoordinator(indexes map[string]*dist.Cluster, cfg *CoordinatorConfig) *C
 }
 
 // Handler returns the coordinator's HTTP handler: POST /search,
-// POST /query, POST /add, POST /add/batch, POST /add/stream,
+// POST /query, POST /add/stream (the only write endpoint),
 // POST /anti-entropy, GET /stats, GET /healthz.
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/search", co.search)
 	mux.HandleFunc("/query", co.query)
-	mux.HandleFunc("/add", co.add)
-	mux.HandleFunc("/add/batch", co.addBatch)
 	mux.HandleFunc("/add/stream", co.addStream)
 	mux.HandleFunc("/stats", co.statsHandler)
 	mux.HandleFunc("/anti-entropy", co.antiEntropy)
@@ -346,24 +348,29 @@ func (co *Coordinator) Handler() http.Handler {
 	return outer
 }
 
-// resolveIndex maps a request's index name to its cluster; an empty
-// name selects the sole index when exactly one is served.
-func (co *Coordinator) resolveIndex(w http.ResponseWriter, name string) (*dist.Cluster, string, bool) {
+// errMissingIndex is the lookup failure of a request that names no
+// index while several are served.
+var errMissingIndex = errors.New("missing index name")
+
+// index maps a request's index name to its cluster; an empty name
+// selects the sole index when exactly one is served. The error is the
+// reason the name resolves to nothing — errMissingIndex or an unknown
+// index — for the caller to answer with: a status on /search, the
+// line's record on /add/stream.
+func (co *Coordinator) index(name string) (*dist.Cluster, string, error) {
 	if name == "" {
 		if len(co.indexes) == 1 {
 			for n, c := range co.indexes {
-				return c, n, true
+				return c, n, nil
 			}
 		}
-		fail(w, http.StatusBadRequest, "missing index name")
-		return nil, "", false
+		return nil, "", errMissingIndex
 	}
 	c, ok := co.indexes[name]
 	if !ok {
-		fail(w, http.StatusNotFound, "unknown index: "+name)
-		return nil, "", false
+		return nil, "", errors.New("unknown index: " + name)
 	}
-	return c, name, true
+	return c, name, nil
 }
 
 // SearchRequest is the body of POST /search. Frags, Budget and
@@ -451,9 +458,14 @@ func (co *Coordinator) search(w http.ResponseWriter, r *http.Request) {
 		co.errs.Add(1)
 		return
 	}
-	cluster, name, ok := co.resolveIndex(w, req.Index)
-	if !ok {
+	cluster, name, err := co.index(req.Index)
+	if err != nil {
 		co.errs.Add(1)
+		status := http.StatusNotFound
+		if errors.Is(err, errMissingIndex) {
+			status = http.StatusBadRequest
+		}
+		fail(w, status, err.Error())
 		return
 	}
 	tr.AddSpan("parse", parseStart)
@@ -666,300 +678,6 @@ func (co *Coordinator) buildPlanInner(w http.ResponseWriter, r *http.Request, re
 		plan.MinQuality = f
 	}
 	return plan, true
-}
-
-// AddDocRequest is the body of POST /add. Doc 0 auto-assigns the next
-// oid of the index's sequence.
-type AddDocRequest struct {
-	Index string `json:"index,omitempty"`
-	Doc   uint64 `json:"doc,omitempty"`
-	URL   string `json:"url,omitempty"`
-	Text  string `json:"text"`
-}
-
-// AddDocResponse reports the oid the document was indexed under and —
-// with replication — how many of its partition's replicas acknowledged
-// it. On failure (502) the same shape comes back with Error set.
-// Ingest is idempotent per oid at the nodes, so re-posting the SAME
-// document with the SAME oid is always safe: a replica that applied it
-// without acknowledging (lost ack, timeout) skips it, a replica that
-// missed it applies it. Committed 0 means no replica acknowledged —
-// retry with the same oid; Degraded means 0 < Committed < Replicas —
-// the document is already searchable and a retry heals the lagging
-// replicas (as does the cluster's anti-entropy resync, without any
-// client action).
-type AddDocResponse struct {
-	Index     string `json:"index"`
-	Doc       uint64 `json:"doc"`
-	Replicas  int    `json:"replicas,omitempty"`
-	Committed int    `json:"committed,omitempty"`
-	Degraded  bool   `json:"degraded,omitempty"`
-	Error     string `json:"error,omitempty"`
-}
-
-func (co *Coordinator) add(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req AddDocRequest
-	if !readJSON(w, r, co.cfg.MaxBody, &req) {
-		co.errs.Add(1)
-		return
-	}
-	if req.Text == "" {
-		co.errs.Add(1)
-		fail(w, http.StatusBadRequest, "missing text")
-		return
-	}
-	cluster, name, ok := co.resolveIndex(w, req.Index)
-	if !ok {
-		co.errs.Add(1)
-		return
-	}
-	doc := bat.OID(req.Doc)
-	if doc == bat.NilOID {
-		var err error
-		if doc, err = co.seqs[name].assign(r.Context(), cluster); err != nil {
-			co.errs.Add(1)
-			fail(w, http.StatusBadGateway, "cannot assign oid: "+err.Error())
-			return
-		}
-	} else {
-		co.seqs[name].observe(doc)
-	}
-	// Route through the outcome-reporting path so a partial replica
-	// commit is reported as searchable-but-degraded, not as unindexed.
-	results := cluster.AddBatchResults(r.Context(), []dist.Doc{{OID: doc, URL: req.URL, Text: req.Text}})
-	p := &results[0]
-	resp := AddDocResponse{Index: name, Doc: uint64(doc), Replicas: p.Replicas, Committed: p.Committed}
-	if p.Err != nil {
-		co.errs.Add(1)
-		resp.Degraded = p.Committed > 0
-		resp.Error = "node unavailable: " + p.Err.Error()
-		if p.Committed > 0 {
-			co.adds.Add(1) // the document IS searchable, via the survivors
-		}
-		writeJSON(w, http.StatusBadGateway, resp)
-		return
-	}
-	co.adds.Add(1)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// BatchDoc is one document of a coordinator batch add. Doc 0
-// auto-assigns the next oid of the index's sequence.
-type BatchDoc struct {
-	Doc  uint64 `json:"doc,omitempty"`
-	URL  string `json:"url,omitempty"`
-	Text string `json:"text"`
-}
-
-// AddBatchRequest is the body of POST /add/batch: many documents in
-// one request, indexed with one partition round-trip per node instead
-// of one per document.
-type AddBatchRequest struct {
-	Index string     `json:"index,omitempty"`
-	Docs  []BatchDoc `json:"docs"`
-}
-
-// BatchPartitionJSON is one partition's commit outcome of a batch add:
-// which of the batch's documents were routed to it and how many of its
-// replicas committed them.
-type BatchPartitionJSON struct {
-	Partition int      `json:"partition"`
-	Docs      []uint64 `json:"docs"`
-	Replicas  int      `json:"replicas"`
-	Committed int      `json:"committed"`
-	Error     string   `json:"error,omitempty"`
-}
-
-// AddBatchResponse reports the oids the documents were indexed under,
-// in request order, plus the per-partition commit outcomes. Partition
-// groups commit independently. Ingest is idempotent per oid at the
-// nodes, so re-posting documents with the oids this response assigned
-// is always safe — already-applied documents are skipped, never
-// double-folded — and a retry of a partially committed partition heals
-// its lagging replicas:
-//
-//   - Failed lists the documents of partitions NO replica
-//     acknowledged: retry them with the same oids (including after
-//     timeouts — a node that applied the batch without the
-//     acknowledgement arriving skips the replay).
-//   - Degraded lists partitions where SOME but not all replicas
-//     committed (0 < committed < replicas): the documents are
-//     searchable, and a retry with the same oids converges the lagging
-//     replicas. Left alone, the cluster's anti-entropy pass detects
-//     and resyncs them without client action.
-type AddBatchResponse struct {
-	Index      string               `json:"index"`
-	Docs       []uint64             `json:"docs"`
-	Partitions []BatchPartitionJSON `json:"partitions,omitempty"`
-	Failed     []uint64             `json:"failed,omitempty"`
-	Degraded   []int                `json:"degraded,omitempty"`
-	Error      string               `json:"error,omitempty"`
-}
-
-// readBatchJSON decodes an AddBatchRequest under the same byte cap and
-// status contract as readJSON (400 malformed / trailing data, 413
-// oversized), but walks the docs array one element at a time so a JSON
-// error inside it is reported with the offending document index —
-// "malformed JSON in docs[17]: ..." instead of a bare decode error the
-// client cannot locate in a thousand-document batch.
-func readBatchJSON(w http.ResponseWriter, r *http.Request, maxBody int64, req *AddBatchRequest) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	dec := json.NewDecoder(r.Body)
-	handle := func(err error, context string) bool {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			fail(w, http.StatusRequestEntityTooLarge, "request body too large")
-		} else {
-			fail(w, http.StatusBadRequest, "malformed JSON"+context+": "+err.Error())
-		}
-		return false
-	}
-	tok, err := dec.Token()
-	if err != nil {
-		return handle(err, "")
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '{' {
-		fail(w, http.StatusBadRequest, "malformed JSON: request body must be an object")
-		return false
-	}
-	for dec.More() {
-		keyTok, err := dec.Token()
-		if err != nil {
-			return handle(err, "")
-		}
-		key, _ := keyTok.(string)
-		switch key {
-		case "docs":
-			tok, err := dec.Token()
-			if err != nil {
-				return handle(err, " in docs")
-			}
-			if tok == nil { // "docs": null
-				continue
-			}
-			if d, ok := tok.(json.Delim); !ok || d != '[' {
-				fail(w, http.StatusBadRequest, "malformed JSON: docs must be an array")
-				return false
-			}
-			for dec.More() {
-				var bd BatchDoc
-				if err := dec.Decode(&bd); err != nil {
-					return handle(err, " in docs["+strconv.Itoa(len(req.Docs))+"]")
-				}
-				req.Docs = append(req.Docs, bd)
-			}
-			if _, err := dec.Token(); err != nil { // closing ']'
-				return handle(err, " in docs")
-			}
-		case "index":
-			if err := dec.Decode(&req.Index); err != nil {
-				return handle(err, " in index")
-			}
-		default:
-			var raw json.RawMessage
-			if err := dec.Decode(&raw); err != nil {
-				return handle(err, "")
-			}
-		}
-	}
-	if _, err := dec.Token(); err != nil { // closing '}'
-		return handle(err, "")
-	}
-	if dec.More() {
-		fail(w, http.StatusBadRequest, "trailing data after JSON body")
-		return false
-	}
-	return true
-}
-
-func (co *Coordinator) addBatch(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req AddBatchRequest
-	if !readBatchJSON(w, r, co.cfg.MaxBody, &req) {
-		co.errs.Add(1)
-		return
-	}
-	if len(req.Docs) == 0 {
-		co.errs.Add(1)
-		fail(w, http.StatusBadRequest, "empty docs array")
-		return
-	}
-	for i, d := range req.Docs {
-		if d.Text == "" {
-			co.errs.Add(1)
-			fail(w, http.StatusBadRequest, "missing text in docs["+strconv.Itoa(i)+"]")
-			return
-		}
-	}
-	cluster, name, ok := co.resolveIndex(w, req.Index)
-	if !ok {
-		co.errs.Add(1)
-		return
-	}
-	docs := make([]dist.Doc, len(req.Docs))
-	oids := make([]uint64, len(req.Docs))
-	for i, d := range req.Docs {
-		doc := bat.OID(d.Doc)
-		if doc == bat.NilOID {
-			var err error
-			if doc, err = co.seqs[name].assign(r.Context(), cluster); err != nil {
-				co.errs.Add(1)
-				fail(w, http.StatusBadGateway, "cannot assign oid: "+err.Error())
-				return
-			}
-		} else {
-			co.seqs[name].observe(doc)
-		}
-		docs[i] = dist.Doc{OID: doc, URL: d.URL, Text: d.Text}
-		oids[i] = uint64(doc)
-	}
-	results := cluster.AddBatchResults(r.Context(), docs)
-	resp := AddBatchResponse{Index: name, Docs: oids}
-	committed := 0
-	failedParts := 0
-	for i := range results {
-		p := &results[i]
-		pj := BatchPartitionJSON{
-			Partition: p.Partition,
-			Docs:      make([]uint64, len(p.Docs)),
-			Replicas:  p.Replicas,
-			Committed: p.Committed,
-		}
-		for j, oid := range p.Docs {
-			pj.Docs[j] = uint64(oid)
-		}
-		if p.Err != nil {
-			pj.Error = p.Err.Error()
-		}
-		resp.Partitions = append(resp.Partitions, pj)
-		switch {
-		case p.Err == nil:
-			committed += len(p.Docs)
-		case p.Failed():
-			failedParts++
-			for _, oid := range p.Docs {
-				resp.Failed = append(resp.Failed, uint64(oid))
-			}
-		default:
-			// Partially committed: searchable, but replicas diverged.
-			resp.Degraded = append(resp.Degraded, p.Partition)
-			committed += len(p.Docs)
-		}
-	}
-	co.adds.Add(uint64(committed))
-	if len(resp.Failed) > 0 || len(resp.Degraded) > 0 {
-		co.errs.Add(1)
-		resp.Error = fmt.Sprintf("partial commit: %d partitions failed (retry the docs in 'failed' with the same oids), %d degraded (searchable; a retry or anti-entropy heals them)",
-			failedParts, len(resp.Degraded))
-		writeJSON(w, http.StatusBadGateway, resp)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // StatsResponse answers GET /stats.
@@ -1318,9 +1036,9 @@ func (co *Coordinator) antiEntropy(w http.ResponseWriter, r *http.Request) {
 	}
 	clusters := co.indexes
 	if name := r.URL.Query().Get("index"); name != "" {
-		c, ok := co.indexes[name]
-		if !ok {
-			fail(w, http.StatusNotFound, "unknown index: "+name)
+		c, _, err := co.index(name)
+		if err != nil {
+			fail(w, http.StatusNotFound, err.Error())
 			return
 		}
 		clusters = map[string]*dist.Cluster{name: c}

@@ -92,11 +92,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		return buf.String()
 	}
 
-	if resp, body := post("/add", `{"text":"tennis champion trophy"}`); resp.StatusCode != 200 {
-		t.Fatalf("/add: %d %s", resp.StatusCode, body)
-	}
-	if resp, body := post("/add", `{"text":"winning serve at the open"}`); resp.StatusCode != 200 {
-		t.Fatalf("/add: %d %s", resp.StatusCode, body)
+	if resp, body := post("/add/stream", `{"text":"tennis champion trophy"}
+{"text":"winning serve at the open"}`); resp.StatusCode != 200 || !bytes.Contains(body, []byte(`"committed":2,"degraded":0,"failed":0,"errors":0`)) {
+		t.Fatalf("/add/stream: %d %s", resp.StatusCode, body)
 	}
 
 	const searches = 5

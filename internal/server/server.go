@@ -11,7 +11,8 @@
 //   - the coordinator (NewCoordinator) is the central site: it fans
 //     /search out over a dist.Cluster of local and/or remote nodes,
 //     merges the per-node RES sets, and exposes its JSON API — /search,
-//     /add, /stats, /healthz and more — for clients and operators.
+//     /query, /add/stream (NDJSON in and out), /stats, /healthz and
+//     more — for clients and operators.
 //
 // Both roles validate requests (malformed bodies, oversized bodies, bad
 // parameters are 4xx, never panics), bound their concurrency with a

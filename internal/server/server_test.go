@@ -16,6 +16,7 @@ import (
 	"dlsearch/internal/core"
 	"dlsearch/internal/dist"
 	"dlsearch/internal/ir"
+	"dlsearch/internal/obs"
 	"dlsearch/internal/persist"
 )
 
@@ -108,7 +109,7 @@ func testCoordinator(t *testing.T, cfg *CoordinatorConfig) (*Coordinator, http.H
 }
 
 func TestCoordinatorValidation(t *testing.T) {
-	_, h := testCoordinator(t, &CoordinatorConfig{MaxBody: 512})
+	co, h := testCoordinator(t, &CoordinatorConfig{MaxBody: 512})
 	cases := []struct {
 		name, path, body string
 		status           int
@@ -119,9 +120,10 @@ func TestCoordinatorValidation(t *testing.T) {
 		{"negative n", "/search", `{"index":"articles","query":"champion","n":-1}`, http.StatusBadRequest},
 		{"unknown index", "/search", `{"index":"nope","query":"champion","n":10}`, http.StatusNotFound},
 		{"oversized search", "/search", `{"query":"` + strings.Repeat("q ", 1024) + `","n":1}`, http.StatusRequestEntityTooLarge},
-		{"malformed add", "/add", `not json`, http.StatusBadRequest},
-		{"missing text", "/add", `{"index":"articles"}`, http.StatusBadRequest},
-		{"unknown index add", "/add", `{"index":"nope","text":"hello"}`, http.StatusNotFound},
+		// The retired write endpoints fail closed: /add/stream is the
+		// only way in.
+		{"retired /add", "/add", `{"index":"articles","text":"hello"}`, http.StatusNotFound},
+		{"retired /add/batch", "/add/batch", `{"index":"articles","docs":[{"text":"hello"}]}`, http.StatusNotFound},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -129,6 +131,22 @@ func TestCoordinatorValidation(t *testing.T) {
 				t.Fatalf("status = %d, want %d (body %s)", w.Code, c.status, w.Body)
 			}
 		})
+	}
+	// A rejected write line gets its reason on its own record.
+	for _, c := range []struct{ name, line, err string }{
+		{"malformed add", `not json`, "malformed JSON: "},
+		{"missing text", `{"index":"articles"}`, "missing text"},
+		{"unknown index add", `{"index":"nope","text":"hello"}`, "unknown index: nope"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			recs, sum := streamLines(t, h, c.line)
+			if len(recs) != 1 || !strings.HasPrefix(recs[0].Error, c.err) || sum.Errors != 1 || sum.Committed != 0 {
+				t.Fatalf("records %+v, summary %+v, want one %q error", recs, sum, c.err)
+			}
+		})
+	}
+	if n := co.indexes["articles"].DocCount(); n != 3 {
+		t.Fatalf("doc count = %d, want the fixture's 3: a refused write applied", n)
 	}
 	if w := get(t, h, "/search"); w.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /search = %d, want 405", w.Code)
@@ -142,16 +160,11 @@ func TestCoordinatorSearchAddStats(t *testing.T) {
 
 	// The fixture seeded oids 1..3 directly on the cluster; the
 	// auto-assigner continues the dense sequence after them.
-	w := postJSON(t, h, "/add", `{"text":"seles wins melbourne","url":"doc-new"}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("/add = %d: %s", w.Code, w.Body)
-	}
-	var added AddDocResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &added); err != nil || added.Doc != 4 {
-		t.Fatalf("add response %s (want doc 4): %v", w.Body, err)
+	if recs, _ := streamLines(t, h, `{"text":"seles wins melbourne","url":"doc-new"}`); len(recs) != 1 || recs[0].Doc != 4 || recs[0].Error != "" {
+		t.Fatalf("add records %+v, want doc 4", recs)
 	}
 
-	w = postJSON(t, h, "/search", `{"index":"articles","query":"champion melbourne","n":10}`)
+	w := postJSON(t, h, "/search", `{"index":"articles","query":"champion melbourne","n":10}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("/search = %d: %s", w.Code, w.Body)
 	}
@@ -233,12 +246,13 @@ func TestCoordinatorOverRemoteNodes(t *testing.T) {
 
 	single := ir.NewIndex()
 	texts := []string{"melbourne champion", "champion winner serve", "volley smash", "trophy champion rally"}
+	var body strings.Builder
 	for i, text := range texts {
 		single.Add(bat.OID(i+1), "u", text)
-		w := postJSON(t, h, "/add", fmt.Sprintf(`{"text":%q,"url":"u"}`, text))
-		if w.Code != http.StatusOK {
-			t.Fatalf("/add = %d: %s", w.Code, w.Body)
-		}
+		fmt.Fprintf(&body, "{\"text\":%q,\"url\":\"u\"}\n", text)
+	}
+	if _, sum := streamLines(t, h, body.String()); sum.Committed != len(texts) {
+		t.Fatalf("stream summary = %+v", sum)
 	}
 	w := postJSON(t, h, "/search", `{"query":"champion","n":10}`)
 	if w.Code != http.StatusOK {
@@ -267,24 +281,19 @@ func TestCoordinatorRestartContinuesOIDs(t *testing.T) {
 	first := NewCoordinator(map[string]*dist.Cluster{"a": cluster}, nil)
 	h := first.Handler()
 	for i := 0; i < 3; i++ {
-		if w := postJSON(t, h, "/add", `{"text":"melbourne champion"}`); w.Code != http.StatusOK {
-			t.Fatalf("/add = %d: %s", w.Code, w.Body)
+		if _, sum := streamLines(t, h, `{"text":"melbourne champion"}`); sum.Committed != 1 {
+			t.Fatalf("add %d summary = %+v", i, sum)
 		}
 	}
 	// A sparse explicit oid leaves a gap in the sequence.
-	if w := postJSON(t, h, "/add", `{"doc":10,"text":"serve rally"}`); w.Code != http.StatusOK {
-		t.Fatalf("explicit /add = %d: %s", w.Code, w.Body)
+	if _, sum := streamLines(t, h, `{"doc":10,"text":"serve rally"}`); sum.Committed != 1 {
+		t.Fatalf("explicit add summary = %+v", sum)
 	}
 	// "Restart": a fresh coordinator over the same still-loaded
 	// cluster must continue after the highest live oid, not the count.
 	restarted := NewCoordinator(map[string]*dist.Cluster{"a": cluster}, nil)
-	w := postJSON(t, restarted.Handler(), "/add", `{"text":"trophy winner"}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("post-restart /add = %d: %s", w.Code, w.Body)
-	}
-	var added AddDocResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &added); err != nil || added.Doc != 11 {
-		t.Fatalf("post-restart add = %s (want doc 11): %v", w.Body, err)
+	if recs, _ := streamLines(t, restarted.Handler(), `{"text":"trophy winner"}`); len(recs) != 1 || recs[0].Doc != 11 || recs[0].Error != "" {
+		t.Fatalf("post-restart add records %+v, want doc 11", recs)
 	}
 	if got := cluster.DocCount(); got != 5 {
 		t.Fatalf("doc count = %d, want 5 distinct documents", got)
@@ -305,9 +314,9 @@ func TestCoordinatorConcurrentAddSearch(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				if g%2 == 0 {
-					w := postJSON(t, h, "/add", `{"text":"melbourne champion trophy"}`)
-					if w.Code != http.StatusOK {
-						t.Errorf("/add = %d: %s", w.Code, w.Body)
+					w := postJSON(t, h, "/add/stream", `{"text":"melbourne champion trophy"}`)
+					if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"committed":1,"degraded":0,"failed":0,"errors":0`) {
+						t.Errorf("/add/stream = %d: %s", w.Code, w.Body)
 						return
 					}
 				} else {
@@ -484,47 +493,47 @@ func TestCoordinatorBudgetedSearch(t *testing.T) {
 	}
 }
 
-// TestCoordinatorAddBatch: one batch request indexes many documents,
-// auto-assigning oids in order and mixing with explicit oids; the
-// request counter moves by the number of documents.
+// TestCoordinatorAddBatch: one stream indexes many documents,
+// auto-assigning oids in line order and mixing with explicit oids; the
+// add counter moves by the number of documents committed.
 func TestCoordinatorAddBatch(t *testing.T) {
 	cluster := dist.NewCluster(2, nil)
 	co := NewCoordinator(map[string]*dist.Cluster{"a": cluster}, nil)
 	h := co.Handler()
-	w := postJSON(t, h, "/add/batch",
-		`{"docs":[{"text":"melbourne champion trophy"},{"doc":10,"text":"seles wins"},{"text":"volley smash rally"}]}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("/add/batch = %d: %s", w.Code, w.Body)
+	recs, sum := streamLines(t, h, `{"text":"melbourne champion trophy"}
+{"doc":10,"text":"seles wins"}
+{"text":"volley smash rally"}`)
+	if sum.Committed != 3 || len(recs) != 3 {
+		t.Fatalf("records %+v, summary %+v", recs, sum)
 	}
-	var resp AddBatchResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Docs) != 3 || resp.Docs[0] != 1 || resp.Docs[1] != 10 || resp.Docs[2] != 11 {
-		t.Fatalf("assigned oids = %v, want [1 10 11]", resp.Docs)
+	for i, want := range []uint64{1, 10, 11} {
+		if recs[i].Line != i+1 || recs[i].Doc != want {
+			t.Fatalf("assigned oids = %+v, want [1 10 11]", recs)
+		}
 	}
 	if got := cluster.DocCount(); got != 3 {
 		t.Fatalf("doc count = %d, want 3", got)
 	}
 	// The documents are searchable.
-	w = postJSON(t, h, "/search", `{"query":"champion","n":5}`)
+	w := postJSON(t, h, "/search", `{"query":"champion","n":5}`)
 	var sr SearchResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &sr); err != nil || len(sr.Results) == 0 {
 		t.Fatalf("post-batch search = %s: %v", w.Body, err)
 	}
-	// Validation: empty batch and missing text are 400.
-	if w := postJSON(t, h, "/add/batch", `{"docs":[]}`); w.Code != http.StatusBadRequest {
-		t.Fatalf("empty batch = %d, want 400", w.Code)
+	// An empty stream applies nothing; a line without text is rejected
+	// on its own record while its neighbour commits.
+	if recs, sum := streamLines(t, h, ``); len(recs) != 0 || sum.Lines != 0 || sum.Committed != 0 {
+		t.Fatalf("empty stream: records %+v, summary %+v", recs, sum)
 	}
-	if w := postJSON(t, h, "/add/batch", `{"docs":[{"text":"a"},{"url":"u"}]}`); w.Code != http.StatusBadRequest {
-		t.Fatalf("missing text = %d, want 400", w.Code)
+	if _, sum := streamLines(t, h, `{"text":"a"}`+"\n"+`{"url":"u"}`); sum.Committed != 1 || sum.Errors != 1 {
+		t.Fatalf("missing text summary = %+v", sum)
 	}
 	var st StatsResponse
 	if err := json.Unmarshal(get(t, h, "/stats").Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests.Add != 3 {
-		t.Fatalf("add counter = %d, want 3", st.Requests.Add)
+	if st.Requests.Add != 4 {
+		t.Fatalf("add counter = %d, want 4 (every committed line)", st.Requests.Add)
 	}
 }
 
@@ -649,10 +658,9 @@ func TestCoordinatorReplicaStats(t *testing.T) {
 	}
 	co := NewCoordinator(map[string]*dist.Cluster{"a": cluster}, nil)
 	h := co.Handler()
-	for _, text := range []string{"melbourne champion trophy", "champion winner serve"} {
-		if w := postJSON(t, h, "/add", fmt.Sprintf(`{"text":%q}`, text)); w.Code != http.StatusOK {
-			t.Fatalf("/add = %d: %s", w.Code, w.Body)
-		}
+	if _, sum := streamLines(t, h, `{"text":"melbourne champion trophy"}
+{"text":"champion winner serve"}`); sum.Committed != 2 {
+		t.Fatalf("stream summary = %+v", sum)
 	}
 	// Snapshot replica 0 so its age surfaces.
 	if _, err := dist.NewRemoteNode(servers[0].URL, servers[0].Client()).Snapshot(context.Background()); err != nil {
@@ -714,10 +722,10 @@ func TestCoordinatorReplicaStats(t *testing.T) {
 	}
 }
 
-// TestCoordinatorAddBatchOutcomes: /add/batch reports per-partition
-// commit results — a dead partition's documents land in "failed"
-// (retry-safe) while the healthy partition commits, and the response
-// still carries every assigned oid.
+// TestCoordinatorAddBatchOutcomes: partitions commit independently —
+// a dead partition's lines come back with committed 0 and an error
+// (retry-safe) while the healthy partition's lines commit, and every
+// record still carries its assigned oid.
 func TestCoordinatorAddBatchOutcomes(t *testing.T) {
 	servers := make([]*httptest.Server, 2)
 	nodes := make([]dist.Node, 2)
@@ -731,22 +739,16 @@ func TestCoordinatorAddBatchOutcomes(t *testing.T) {
 	co := NewCoordinator(map[string]*dist.Cluster{"a": cluster}, nil)
 	h := co.Handler()
 
-	// Healthy batch: per-partition outcomes all committed, no failed.
-	w := postJSON(t, h, "/add/batch",
-		`{"docs":[{"doc":1,"text":"melbourne champion"},{"doc":2,"text":"winner serve"},{"doc":3,"text":"volley smash"}]}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("/add/batch = %d: %s", w.Code, w.Body)
+	// Healthy stream: every line committed by its partition's replica.
+	recs, sum := streamLines(t, h, `{"doc":1,"text":"melbourne champion"}
+{"doc":2,"text":"winner serve"}
+{"doc":3,"text":"volley smash"}`)
+	if sum.Committed != 3 || sum.Failed != 0 || sum.Degraded != 0 || len(recs) != 3 {
+		t.Fatalf("healthy stream: records %+v, summary %+v", recs, sum)
 	}
-	var ok AddBatchResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &ok); err != nil {
-		t.Fatal(err)
-	}
-	if len(ok.Partitions) != 2 || len(ok.Failed) != 0 || len(ok.Degraded) != 0 {
-		t.Fatalf("healthy batch outcomes = %+v", ok)
-	}
-	for _, p := range ok.Partitions {
-		if p.Committed != p.Replicas || p.Error != "" {
-			t.Fatalf("healthy partition outcome = %+v", p)
+	for _, r := range recs {
+		if r.Committed != r.Replicas || r.Error != "" {
+			t.Fatalf("healthy line outcome = %+v", r)
 		}
 	}
 
@@ -757,71 +759,44 @@ func TestCoordinatorAddBatchOutcomes(t *testing.T) {
 		t.Fatalf("warm /search = %d: %s", w.Code, w.Body)
 	}
 
-	// Kill partition 1's only node: its documents come back in
-	// "failed", partition 0's commit.
+	// Kill partition 1's only node: its line fails, partition 0's
+	// commits. Round-robin: oid 11 -> partition 0, oid 12 -> partition 1.
 	servers[1].Close()
-	w = postJSON(t, h, "/add/batch",
-		`{"docs":[{"doc":11,"text":"trophy rally"},{"doc":12,"text":"ace court"}]}`)
-	if w.Code != http.StatusBadGateway {
-		t.Fatalf("partial /add/batch = %d, want 502: %s", w.Code, w.Body)
+	recs, sum = streamLines(t, h, `{"doc":11,"text":"trophy rally"}
+{"doc":12,"text":"ace court"}`)
+	if sum.Committed != 1 || sum.Failed != 1 || sum.Degraded != 0 || len(recs) != 2 {
+		t.Fatalf("partial stream: records %+v, summary %+v", recs, sum)
 	}
-	var partial AddBatchResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &partial); err != nil {
-		t.Fatal(err)
+	if r := recs[0]; r.Doc != 11 || r.Committed != 1 || r.Error != "" {
+		t.Fatalf("alive partition outcome = %+v", r)
 	}
-	// Round-robin: oid 11 -> partition 0 (alive), oid 12 -> partition 1 (dead).
-	if len(partial.Docs) != 2 || partial.Docs[0] != 11 || partial.Docs[1] != 12 {
-		t.Fatalf("assigned oids = %v", partial.Docs)
-	}
-	if len(partial.Failed) != 1 || partial.Failed[0] != 12 {
-		t.Fatalf("failed docs = %v, want [12]", partial.Failed)
-	}
-	if len(partial.Degraded) != 0 {
-		t.Fatalf("degraded = %v, want none (whole partition failed)", partial.Degraded)
-	}
-	if partial.Error == "" {
-		t.Fatal("partial batch response has no error summary")
-	}
-	committed := false
-	for _, p := range partial.Partitions {
-		switch p.Partition {
-		case 0:
-			if p.Committed != 1 || p.Error != "" {
-				t.Fatalf("alive partition outcome = %+v", p)
-			}
-			committed = true
-		case 1:
-			if p.Committed != 0 || p.Error == "" {
-				t.Fatalf("dead partition outcome = %+v", p)
-			}
-		}
-	}
-	if !committed {
-		t.Fatal("partition 0 outcome missing")
+	if r := recs[1]; r.Doc != 12 || r.Committed != 0 || r.Replicas != 1 || r.Degraded || r.Error == "" {
+		t.Fatalf("dead partition outcome = %+v", r)
 	}
 	// Searches keep answering over the surviving partition, flagged as
 	// degraded: stale statistics (re-aggregation needs the dead node)
 	// and the dead partition dropped.
-	w = postJSON(t, h, "/search", `{"query":"champion","n":10}`)
+	w := postJSON(t, h, "/search", `{"query":"champion","n":10}`)
 	if w.Code != http.StatusOK {
-		t.Fatalf("post-partial-batch /search = %d: %s", w.Code, w.Body)
+		t.Fatalf("post-partial-stream /search = %d: %s", w.Code, w.Body)
 	}
 	var sr SearchResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &sr); err != nil {
 		t.Fatal(err)
 	}
 	if sr.Complete || !sr.StaleStats || len(sr.Dropped) != 1 || sr.Dropped[0] != 1 {
-		t.Fatalf("post-partial-batch search not flagged degraded: %+v", sr)
+		t.Fatalf("post-partial-stream search not flagged degraded: %+v", sr)
 	}
 	if len(sr.Results) == 0 {
 		t.Fatalf("no results from the surviving partition: %+v", sr)
 	}
 }
 
-// TestCoordinatorAddPartialCommit: a single-document /add against a
-// degraded replica group must not masquerade as "not indexed": the
-// 502 body reports how many replicas committed so the client knows a
-// blind retry would double-fold term frequencies.
+// TestCoordinatorAddPartialCommit: a line written to a degraded replica
+// group must not masquerade as "not indexed": its record reports how
+// many replicas committed, the document is searchable, and the counters
+// treat it as added but the stream as erroneous — while a line no
+// replica committed is neither.
 func TestCoordinatorAddPartialCommit(t *testing.T) {
 	servers := make([]*httptest.Server, 2)
 	nodes := make([]dist.Node, 2)
@@ -835,37 +810,48 @@ func TestCoordinatorAddPartialCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := NewCoordinator(map[string]*dist.Cluster{"a": cluster}, nil)
+	reg := obs.NewRegistry()
+	co := NewCoordinator(map[string]*dist.Cluster{"a": cluster}, &CoordinatorConfig{Metrics: reg})
 	h := co.Handler()
+	counters := func(wantAdds, wantErrs uint64) {
+		t.Helper()
+		var st StatsResponse
+		if err := json.Unmarshal(get(t, h, "/stats").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Requests.Add != wantAdds || st.Requests.Errors != wantErrs {
+			t.Fatalf("/stats requests = %+v, want add %d, errors %d", st.Requests, wantAdds, wantErrs)
+		}
+		met := get(t, h, "/metrics").Body.String()
+		for _, want := range []string{
+			fmt.Sprintf("dl_coordinator_requests_total{op=\"add\"} %d\n", wantAdds),
+			fmt.Sprintf("dl_coordinator_errors_total %d\n", wantErrs),
+		} {
+			if !strings.Contains(met, want) {
+				t.Fatalf("/metrics lacks %q", want)
+			}
+		}
+	}
 
-	w := postJSON(t, h, "/add", `{"doc":1,"text":"melbourne champion"}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("healthy /add = %d: %s", w.Code, w.Body)
+	recs, _ := streamLines(t, h, `{"doc":1,"text":"melbourne champion"}`)
+	if len(recs) != 1 || recs[0].Committed != 2 || recs[0].Replicas != 2 || recs[0].Degraded || recs[0].Error != "" {
+		t.Fatalf("healthy add outcome = %+v", recs)
 	}
-	var added AddDocResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &added); err != nil {
-		t.Fatal(err)
-	}
-	if added.Committed != 2 || added.Replicas != 2 || added.Degraded {
-		t.Fatalf("healthy add outcome = %+v", added)
-	}
+	counters(1, 0)
 
-	// One replica dead: 502, but the response says one replica HAS the
-	// document (degraded), so the client must not re-post it.
+	// One replica dead: the record says one replica HAS the document
+	// (degraded), so the client need not re-post it.
 	servers[1].Close()
-	w = postJSON(t, h, "/add", `{"doc":2,"text":"winner serve"}`)
-	if w.Code != http.StatusBadGateway {
-		t.Fatalf("degraded /add = %d, want 502: %s", w.Code, w.Body)
+	recs, sum := streamLines(t, h, `{"doc":2,"text":"winner serve"}`)
+	if len(recs) != 1 || recs[0].Committed != 1 || recs[0].Replicas != 2 || !recs[0].Degraded || recs[0].Error == "" {
+		t.Fatalf("degraded add outcome = %+v", recs)
 	}
-	var degraded AddDocResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &degraded); err != nil {
-		t.Fatal(err)
+	if sum.Degraded != 1 || sum.Committed != 0 || sum.Failed != 0 {
+		t.Fatalf("degraded stream summary = %+v", sum)
 	}
-	if degraded.Committed != 1 || degraded.Replicas != 2 || !degraded.Degraded || degraded.Error == "" {
-		t.Fatalf("degraded add outcome = %+v", degraded)
-	}
+	counters(2, 1)
 	// The degraded document is searchable via the survivor.
-	w = postJSON(t, h, "/search", `{"query":"winner","n":5}`)
+	w := postJSON(t, h, "/search", `{"query":"winner","n":5}`)
 	var sr SearchResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &sr); err != nil {
 		t.Fatal(err)
@@ -876,17 +862,14 @@ func TestCoordinatorAddPartialCommit(t *testing.T) {
 
 	// Whole group dead: committed 0 — retry-safe (connection-level).
 	servers[0].Close()
-	w = postJSON(t, h, "/add", `{"doc":3,"text":"volley smash"}`)
-	if w.Code != http.StatusBadGateway {
-		t.Fatalf("dead-group /add = %d, want 502: %s", w.Code, w.Body)
+	recs, sum = streamLines(t, h, `{"doc":3,"text":"volley smash"}`)
+	if len(recs) != 1 || recs[0].Committed != 0 || recs[0].Degraded || recs[0].Error == "" {
+		t.Fatalf("dead-group add outcome = %+v", recs)
 	}
-	var failed AddDocResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &failed); err != nil {
-		t.Fatal(err)
+	if sum.Failed != 1 {
+		t.Fatalf("dead-group stream summary = %+v", sum)
 	}
-	if failed.Committed != 0 || failed.Degraded {
-		t.Fatalf("dead-group add outcome = %+v", failed)
-	}
+	counters(2, 2)
 }
 
 // --- self-healing: snapshot streaming, restore, anti-entropy ---
@@ -1013,10 +996,9 @@ func TestCoordinatorAntiEntropyEndpoint(t *testing.T) {
 	}
 	co := NewCoordinator(map[string]*dist.Cluster{"a": cluster}, nil)
 	h := co.Handler()
-	for _, text := range []string{"melbourne champion trophy", "champion winner serve"} {
-		if w := postJSON(t, h, "/add", fmt.Sprintf(`{"text":%q}`, text)); w.Code != http.StatusOK {
-			t.Fatalf("/add = %d: %s", w.Code, w.Body)
-		}
+	if _, sum := streamLines(t, h, `{"text":"melbourne champion trophy"}
+{"text":"champion winner serve"}`); sum.Committed != 2 {
+		t.Fatalf("stream summary = %+v", sum)
 	}
 	pre := postJSON(t, h, "/search", `{"query":"champion","n":10}`)
 	// Wipe replica 1 directly against its node server.

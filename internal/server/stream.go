@@ -16,12 +16,12 @@ import (
 // when the config does not override it.
 const DefaultStreamFlush = 256
 
-// StreamLine is one NDJSON line of POST /add/stream. Three kinds of
-// line feed the two backend kinds:
+// StreamLine is one NDJSON line of POST /add/stream, the coordinator's
+// only write endpoint. Three kinds of line feed the two backend kinds:
 //
 //   - {"index":..., "doc":N, "url":..., "text":...} — a plain IR
 //     document for the named cluster (doc 0 auto-assigns the next oid
-//     of the index's sequence, like /add).
+//     of the index's sequence; an empty index selects the sole one).
 //   - {"webspace": {...}} — one conceptual webspace.Document, stored
 //     in the coordinator's engine (requires an engine).
 //   - {"index":..., "owner":"Class:id", "text":...} — content owned
@@ -50,7 +50,16 @@ type StreamLine struct {
 // necessarily in line order); conceptual documents report immediately
 // with Committed 1. Error is set for a line that was not applied —
 // the stream continues past semantic per-line errors and stops only
-// on a malformed line (framing can no longer be trusted).
+// on a malformed line (framing can no longer be trusted) — and for a
+// degraded one.
+//
+// Ingest is idempotent per oid at the nodes, so re-posting a line with
+// the oid its record reported is always safe: a replica that already
+// applied it skips it, one that missed it applies it. Committed 0 with
+// an Error means no replica acknowledged — retry with the same oid;
+// Degraded means 0 < Committed < Replicas — the document is already
+// searchable, and a retry (or the cluster's anti-entropy pass) heals
+// the lagging replicas.
 type StreamResultLine struct {
 	Line      int    `json:"line"`
 	Doc       uint64 `json:"doc,omitempty"`
@@ -202,14 +211,10 @@ func (co *Coordinator) addStream(w http.ResponseWriter, r *http.Request) {
 			sum.Errors++
 			emit(StreamResultLine{Line: line, Error: "missing text"})
 		default:
-			cluster, name, ok := co.streamIndex(sl.Index)
-			if !ok {
+			cluster, name, err := co.index(sl.Index)
+			if err != nil {
 				sum.Errors++
-				if sl.Index == "" {
-					emit(StreamResultLine{Line: line, Error: "missing index name"})
-				} else {
-					emit(StreamResultLine{Line: line, Error: "unknown index: " + sl.Index})
-				}
+				emit(StreamResultLine{Line: line, Error: err.Error()})
 				continue
 			}
 			var doc bat.OID
@@ -239,7 +244,6 @@ func (co *Coordinator) addStream(w http.ResponseWriter, r *http.Request) {
 				doc = bat.OID(sl.Doc)
 				co.seqs[name].observe(doc)
 			default:
-				var err error
 				if doc, err = co.seqs[name].assign(r.Context(), cluster); err != nil {
 					sum.Errors++
 					emit(StreamResultLine{Line: line, Error: "cannot assign oid: " + err.Error()})
@@ -295,29 +299,16 @@ func (co *Coordinator) addStream(w http.ResponseWriter, r *http.Request) {
 		co.engineMu.Unlock()
 	}
 	co.streams.Add(1)
-	if sum.Errors > 0 || sum.Failed > 0 {
+	// A degraded document is searchable through the replicas that
+	// committed it, so it counts as added; a stream that left any line
+	// rejected, failed or degraded counts as one error.
+	if sum.Errors > 0 || sum.Failed > 0 || sum.Degraded > 0 {
 		co.errs.Add(1)
 	}
-	co.adds.Add(uint64(sum.Committed))
+	co.adds.Add(uint64(sum.Committed + sum.Degraded))
 	sum.Summary = true
 	emit(sum)
 	if flusher != nil {
 		flusher.Flush()
 	}
-}
-
-// streamIndex resolves a stream line's index name without writing an
-// HTTP error (per-line outcomes carry the error instead): an empty
-// name selects the sole index when exactly one is served.
-func (co *Coordinator) streamIndex(name string) (*dist.Cluster, string, bool) {
-	if name == "" {
-		if len(co.indexes) == 1 {
-			for n, c := range co.indexes {
-				return c, n, true
-			}
-		}
-		return nil, "", false
-	}
-	c, ok := co.indexes[name]
-	return c, name, ok
 }

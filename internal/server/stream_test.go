@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"dlsearch/internal/dist"
 )
 
 // streamLines posts an NDJSON body to /add/stream and decodes the
@@ -47,23 +49,41 @@ func streamLines(t *testing.T, h http.Handler, body string) ([]StreamResultLine,
 		}
 		recs = append(recs, rec)
 	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("reading the response: %v", err)
+	}
 	if !sawSummary {
 		t.Fatal("no summary line")
 	}
 	return recs, sum
 }
 
-// TestAddStreamOutcomes: semantic per-line errors are reported and the
-// stream continues; searchable content lands in the cluster.
-func TestAddStreamOutcomes(t *testing.T) {
-	co, h := testCoordinator(t, nil)
-	body := `{"index":"articles","text":"federer wins the final"}
+// The stream tests' bodies, shared with FuzzAddStream as seeds.
+const (
+	streamOutcomesBody = `{"index":"articles","text":"federer wins the final"}
 {"index":"nope","text":"lost"}
 {"index":"articles"}
 
 {"index":"articles","text":"rally at the net"}
 `
-	recs, sum := streamLines(t, h, body)
+	streamMalformedBody = `{"index":"articles","text":"good line"}
+{"index":"articles", busted
+{"index":"articles","text":"never reached"}
+`
+	streamExplicitOidBody  = `{"index":"articles","doc":100,"url":"u100","text":"pinned oid"}` + "\n"
+	streamDuplicateOidBody = `{"index":"articles","doc":7,"url":"a","text":"first version"}
+{"index":"articles","doc":7,"url":"b","text":"second version"}
+`
+	streamEngineLinesBody = `{"webspace":{"URL":"u","Objects":[{"Class":"Player","ID":"p1"}]}}
+{"index":"articles","owner":"Player:p1","text":"x"}
+`
+)
+
+// TestAddStreamOutcomes: semantic per-line errors are reported and the
+// stream continues; searchable content lands in the cluster.
+func TestAddStreamOutcomes(t *testing.T) {
+	_, h := testCoordinator(t, nil)
+	recs, sum := streamLines(t, h, streamOutcomesBody)
 	if sum.Lines != 4 || sum.Committed != 2 || sum.Errors != 2 || sum.Failed != 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
@@ -90,18 +110,13 @@ func TestAddStreamOutcomes(t *testing.T) {
 	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"results"`) {
 		t.Fatalf("search after stream = %d: %s", w.Code, w.Body)
 	}
-	_ = co
 }
 
 // TestAddStreamStopsOnMalformedLine: broken framing reports the line
 // and stops — later lines are never applied.
 func TestAddStreamStopsOnMalformedLine(t *testing.T) {
 	_, h := testCoordinator(t, nil)
-	body := `{"index":"articles","text":"good line"}
-{"index":"articles", busted
-{"index":"articles","text":"never reached"}
-`
-	recs, sum := streamLines(t, h, body)
+	recs, sum := streamLines(t, h, streamMalformedBody)
 	if sum.Lines != 2 || sum.Committed != 1 || sum.Errors != 1 {
 		t.Fatalf("summary = %+v", sum)
 	}
@@ -122,12 +137,10 @@ func TestAddStreamStopsOnMalformedLine(t *testing.T) {
 	}
 }
 
-// TestAddStreamExplicitOids: lines may pin their own document oids,
-// like /add does.
+// TestAddStreamExplicitOids: lines may pin their own document oids.
 func TestAddStreamExplicitOids(t *testing.T) {
 	_, h := testCoordinator(t, nil)
-	recs, sum := streamLines(t, h,
-		`{"index":"articles","doc":100,"url":"u100","text":"pinned oid"}`+"\n")
+	recs, sum := streamLines(t, h, streamExplicitOidBody)
 	if sum.Committed != 1 {
 		t.Fatalf("summary = %+v", sum)
 	}
@@ -142,10 +155,7 @@ func TestAddStreamExplicitOids(t *testing.T) {
 // lines collide in the flush's oid→line correlation.
 func TestAddStreamDuplicateOidInWindow(t *testing.T) {
 	_, h := testCoordinator(t, nil)
-	body := `{"index":"articles","doc":7,"url":"a","text":"first version"}
-{"index":"articles","doc":7,"url":"b","text":"second version"}
-`
-	recs, sum := streamLines(t, h, body)
+	recs, sum := streamLines(t, h, streamDuplicateOidBody)
 	if sum.Committed != 2 || sum.Errors != 0 || sum.Failed != 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
@@ -163,10 +173,7 @@ func TestAddStreamDuplicateOidInWindow(t *testing.T) {
 // coordinator without an engine fail per line, not per request.
 func TestAddStreamEngineLinesRequireEngine(t *testing.T) {
 	_, h := testCoordinator(t, nil)
-	body := `{"webspace":{"URL":"u","Objects":[{"Class":"Player","ID":"p1"}]}}
-{"index":"articles","owner":"Player:p1","text":"x"}
-`
-	recs, sum := streamLines(t, h, body)
+	recs, sum := streamLines(t, h, streamEngineLinesBody)
 	if sum.Errors != 2 || sum.Committed != 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
@@ -177,30 +184,65 @@ func TestAddStreamEngineLinesRequireEngine(t *testing.T) {
 	}
 }
 
-// TestAddBatchMalformedDocIndex is the error-reporting satellite: a
-// decode failure inside the docs array names the offending element.
-func TestAddBatchMalformedDocIndex(t *testing.T) {
-	_, h := testCoordinator(t, nil)
-	w := postJSON(t, h, "/add/batch",
-		`{"index":"articles","docs":[{"text":"fine"},{"text":42},{"text":"never"}]}`)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d: %s", w.Code, w.Body)
+// FuzzAddStream feeds arbitrary bodies to /add/stream on a coordinator
+// over a 2-node in-process cluster. Whatever the bytes, the answer is
+// 200 with one JSON value per line and a single summary last; nothing
+// after the line that broke framing is processed; every record lands in
+// exactly one summary bucket; every committed line names the oid it was
+// indexed under; and the cluster holds exactly the documents the
+// error-free records name.
+func FuzzAddStream(f *testing.F) {
+	for _, seed := range []string{
+		streamOutcomesBody,
+		streamMalformedBody,
+		streamExplicitOidBody,
+		streamDuplicateOidBody,
+		streamEngineLinesBody,
+		// An /add body: one line without a trailing newline.
+		`{"index":"articles","doc":3,"url":"u3","text":"melbourne champion"}`,
+		// A repeated oid, auto-assigned around it.
+		`{"text":"first"}` + "\n" + `{"doc":1,"text":"again"}` + "\n" + `{"text":"next"}` + "\n",
+		// A line over the 64 KiB per-line floor, then one never read.
+		`{"text":"` + strings.Repeat("x ", 40<<10) + `"}` + "\n" + `{"text":"after"}` + "\n",
+		// An explicit oid at the top of the oid space, then an
+		// auto-assigned one that must not wrap to the nil oid.
+		`{"doc":18446744073709551615,"text":"last"}` + "\n" + `{"text":"wraps"}` + "\n",
+		// A malformed line.
+		"{\"text\":\"ok\"}\n{\"text\":\n{\"text\":\"never\"}\n",
+	} {
+		f.Add(seed)
 	}
-	var e struct {
-		Error string `json:"error"`
+	stops := func(e string) bool {
+		return strings.HasPrefix(e, "malformed JSON: ") || strings.HasPrefix(e, "read: ") ||
+			strings.Contains(e, "exceeds the per-line cap")
 	}
-	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(e.Error, "malformed JSON in docs[1]: ") {
-		t.Fatalf("error = %q, want docs[1] named", e.Error)
-	}
-	// The whole-body contract is unchanged.
-	if w := postJSON(t, h, "/add/batch", `{"docs": 7}`); w.Code != http.StatusBadRequest {
-		t.Fatalf("docs-not-array = %d: %s", w.Code, w.Body)
-	}
-	if w := postJSON(t, h, "/add/batch", `{"index":"articles","docs":[{"text":"a"}]} extra`); w.Code != http.StatusBadRequest ||
-		!strings.Contains(w.Body.String(), "trailing data") {
-		t.Fatalf("trailing data = %d: %s", w.Code, w.Body)
-	}
+	f.Fuzz(func(t *testing.T, body string) {
+		cluster := dist.NewCluster(2, nil)
+		co := NewCoordinator(map[string]*dist.Cluster{"articles": cluster}, &CoordinatorConfig{MaxBody: 512})
+		recs, sum := streamLines(t, co.Handler(), body)
+		stop := 0
+		for _, r := range recs {
+			if stops(r.Error) {
+				stop = r.Line
+			}
+		}
+		oids := map[uint64]bool{}
+		for _, r := range recs {
+			if stop > 0 && r.Line > stop {
+				t.Fatalf("line %d processed after the stream stopped at line %d: %+v", r.Line, stop, r)
+			}
+			if r.Error == "" {
+				if r.Doc == 0 {
+					t.Fatalf("committed line without an oid: %+v", r)
+				}
+				oids[r.Doc] = true
+			}
+		}
+		if n := sum.Committed + sum.Degraded + sum.Failed + sum.Errors; n != len(recs) {
+			t.Fatalf("summary %+v accounts for %d records, got %d", sum, n, len(recs))
+		}
+		if n := cluster.DocCount(); n != len(oids) {
+			t.Fatalf("cluster holds %d documents, error-free records name %d", n, len(oids))
+		}
+	})
 }
