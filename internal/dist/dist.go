@@ -11,8 +11,8 @@
 //     the query, so every node scores its local documents exactly as
 //     one global index would (ir.Stats / ir.Request.Stats). Scoring
 //     reads the df of the query's terms and the two totals, nothing
-//     else of the vocabulary, so a budgeted plan ships exactly that;
-//     an exact plan still ships the merged vocabulary (see SearchPlan).
+//     else of the vocabulary, so every plan ships exactly that (see
+//     SearchPlan).
 //  2. Every partition evaluates the top-N query over its local
 //     fragment only — no inter-node communication — and returns a
 //     small RES(doc-oid, score) set of at most N rows.
@@ -223,8 +223,6 @@ type Cluster struct {
 
 	mu         sync.Mutex   // guards the stats fields below
 	gstats     []groupStats // per replica group, the one copy of the statistics
-	whole      ir.Stats     // gstats merged over the whole vocabulary, built on demand
-	wholeOK    bool         // whole reflects the current gstats
 	retryAfter time.Time    // failed-refresh backoff deadline
 
 	searchCount   atomic.Uint64 // searches served
@@ -239,10 +237,9 @@ type Cluster struct {
 }
 
 // groupStats is what the central site knows of one replica group's
-// local statistics. A budgeted search sums the df of its own stems over
-// the groups (projectStats); the whole vocabulary is merged only on
-// demand (wholeStats), for exact plans and GlobalStatsContext, and kept
-// until a refresh replaces a group's statistics.
+// local statistics. Every search, exact or budgeted, sums the df of its
+// own stems over the groups (projectStats); only GlobalStatsContext
+// merges the whole vocabulary.
 type groupStats struct {
 	st    ir.Stats // as last pulled from the group; read-only
 	have  bool     // pulled at least once
@@ -985,7 +982,6 @@ func (c *Cluster) refreshStats(ctx context.Context) (int, error) {
 		}
 		gs := &c.gstats[g]
 		gs.st, gs.have = pulled[i], true
-		c.wholeOK = false
 		if gs.gen == gens[i] {
 			gs.fresh = true
 		}
@@ -1030,38 +1026,23 @@ func (c *Cluster) projectStats(stems []string) (ir.Stats, bool) {
 	return st, true
 }
 
-// wholeStats merges the groups' statistics over the whole vocabulary —
-// whatever each group last reported, fresh or not — and keeps the
-// result until a refresh replaces a group's statistics. It reports
-// false while some group has never reported at all. The returned map is
-// read-only.
-func (c *Cluster) wholeStats() (ir.Stats, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.wholeOK {
-		locals := make([]ir.Stats, len(c.gstats))
-		for g := range c.gstats {
-			if !c.gstats[g].have {
-				return ir.Stats{}, false
-			}
-			locals[g] = c.gstats[g].st
-		}
-		c.whole, c.wholeOK = ir.MergeStats(locals...), true
-	}
-	return c.whole, true
-}
-
 // GlobalStatsContext returns the aggregated collection statistics —
-// the whole vocabulary's, merged from the per-group statistics after
-// refreshing them (see refreshStats; a refresh also freezes the pulled
-// nodes' access paths). It fails when a partition's statistics cannot
-// be refreshed.
+// the whole vocabulary's, merged on each call from the per-group
+// statistics after refreshing them (see refreshStats; a refresh also
+// freezes the pulled nodes' access paths). No search reads it: a search
+// ships only its query's projection (projectStats). It fails when a
+// partition's statistics cannot be refreshed.
 func (c *Cluster) GlobalStatsContext(ctx context.Context) (ir.Stats, error) {
 	if _, err := c.refreshStats(ctx); err != nil {
 		return ir.Stats{}, err
 	}
-	st, _ := c.wholeStats()
-	return st, nil
+	c.mu.Lock()
+	locals := make([]ir.Stats, len(c.gstats))
+	for g := range c.gstats {
+		locals[g] = c.gstats[g].st // read-only: a refresh replaces, never edits
+	}
+	c.mu.Unlock()
+	return ir.MergeStats(locals...), nil
 }
 
 // GlobalStats is GlobalStatsContext with a background context, for
@@ -1158,22 +1139,12 @@ func (c *Cluster) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan
 	tr := obs.FromContext(ctx)
 	statsStart := time.Now()
 	refreshed, err := c.refreshStats(ctx)
-	var global ir.Stats
-	var ok bool
-	if plan.Exact() {
-		// An exact plan still ships the merged vocabulary, as every plan
-		// used to. The projection below would score it just the same; it
-		// reaches exact plans in a change of its own (ROADMAP open item
-		// 1), so that each step's effect is measured separately.
-		global, ok = c.wholeStats()
-	} else {
-		// The query's stems are resolved once, here, and every node
-		// receives the global statistics of exactly those: what scoring
-		// reads (see ir.Request.Stats), a few hundred bytes instead of
-		// the vocabulary.
-		var scratch [8]string
-		global, ok = c.projectStats(ir.QueryStems(scratch[:0], query))
-	}
+	// The query's stems are resolved once, here, and every node receives
+	// the global statistics of exactly those, under every plan: what
+	// scoring reads (see ir.Request.Stats), a few hundred bytes instead
+	// of the vocabulary.
+	var scratch [8]string
+	global, ok := c.projectStats(ir.QueryStems(scratch[:0], query))
 	if err != nil {
 		if !ok {
 			return nil, err

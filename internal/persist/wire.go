@@ -20,11 +20,9 @@
 // remote ranking equals the local one. A statistics block is encoded
 // with its stems sorted, making the bytes deterministic for a given
 // Stats value.
-// The block a budgeted search request carries is a handful of stems
-// (the coordinator projects the global statistics onto the query before
-// the fan-out), decoded per request; an exact one still carries the
-// merged vocabulary, which WireStatsCache decodes once per distinct
-// block.
+// The block a search request carries, under every plan, is a handful of
+// stems (the coordinator projects the global statistics onto the query
+// before the fan-out), decoded per request.
 //
 // Decodes fail closed, exactly like snapshots: bad magic, an unknown
 // version or kind, truncation anywhere, a flipped bit, trailing bytes
@@ -366,16 +364,14 @@ func (d *decoder) finishWire() error {
 	return nil
 }
 
-// WireStatsCache interns decoded statistics blocks by digest. An exact
-// plan ships the merged vocabulary, identical between ingests, and
-// decoding it dominates the request, so the node decodes each distinct
-// block once. A budgeted plan ships a block of its own query's stems,
-// different with every query, so the cache keeps the last block of each
-// plan class apart: per-query blocks never evict the vocabulary. Callers
-// must treat returned Stats as read-only (scoring does). The zero value
-// is ready.
+// WireStatsCache interns the last decoded statistics block by digest:
+// a request repeating the previous block's bytes gets the same map back
+// without decoding it. Search requests carry their own query's stems,
+// so the node does not use it; it serves callers that resend one block.
+// Callers must treat returned Stats as read-only (scoring does). The
+// zero value is ready.
 type WireStatsCache struct {
-	exact, budgeted atomic.Pointer[wireStatsEntry]
+	last atomic.Pointer[wireStatsEntry]
 }
 
 type wireStatsEntry struct {
@@ -384,28 +380,25 @@ type wireStatsEntry struct {
 }
 
 // decodeStatsTail decodes the statistics block occupying the rest of
-// d's payload, through slot when non-nil.
-func (d *decoder) decodeStatsTail(slot *atomic.Pointer[wireStatsEntry]) (ir.Stats, error) {
+// d's payload, through cache when non-nil.
+func (d *decoder) decodeStatsTail(cache *WireStatsCache) (ir.Stats, error) {
 	if d.err != nil {
 		return ir.Stats{}, d.err
 	}
-	block := d.buf
-	if slot != nil {
-		sum := sha256.Sum256(block)
-		if e := slot.Load(); e != nil && e.sum == sum {
+	var sum [sha256.Size]byte
+	if cache != nil {
+		sum = sha256.Sum256(d.buf)
+		if e := cache.last.Load(); e != nil && e.sum == sum {
 			d.buf = nil
 			return e.st, nil
 		}
-		st := d.wireStats()
-		if err := d.finishWire(); err != nil {
-			return ir.Stats{}, err
-		}
-		slot.Store(&wireStatsEntry{sum: sum, st: st})
-		return st, nil
 	}
 	st := d.wireStats()
 	if err := d.finishWire(); err != nil {
 		return ir.Stats{}, err
+	}
+	if cache != nil {
+		cache.last.Store(&wireStatsEntry{sum: sum, st: st})
 	}
 	return st, nil
 }
@@ -425,14 +418,7 @@ func DecodeSearchRequest(msg []byte, cache *WireStatsCache) (query string, plan 
 		Budget: int(d.ivarint()),
 	}
 	plan.MinQuality = d.f64()
-	var slot *atomic.Pointer[wireStatsEntry]
-	if cache != nil {
-		slot = &cache.budgeted
-		if plan.Exact() {
-			slot = &cache.exact
-		}
-	}
-	stats, err = d.decodeStatsTail(slot)
+	stats, err = d.decodeStatsTail(cache)
 	if err != nil {
 		return "", ir.EvalPlan{}, ir.Stats{}, err
 	}

@@ -88,10 +88,6 @@ type NodeServer struct {
 	// sem bounds in-flight work across both transports: HTTP requests
 	// and framed RPCs on upgraded connections draw from the same pool.
 	sem *semaphore
-	// statsCache interns the decoded statistics block of binary search
-	// requests: an exact plan carries the whole merged vocabulary,
-	// identical between ingests, decoded once.
-	statsCache persist.WireStatsCache
 	// wireConns counts live upgraded connections (capped at maxConc).
 	wireConns atomic.Int64
 	// wireMu guards the live upgraded-connection set and the servers
@@ -385,7 +381,7 @@ func (s *NodeServer) search(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	query, plan, stats, err := persist.DecodeSearchRequest(body, &s.statsCache)
+	query, plan, stats, err := persist.DecodeSearchRequest(body, nil)
 	release()
 	if err != nil {
 		fail(w, http.StatusBadRequest, "unusable wire body: "+err.Error())

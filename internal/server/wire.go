@@ -231,7 +231,7 @@ func (s *NodeServer) handleWireFrame(frame []byte, wb *persist.WireBuffer) {
 	}
 	switch kind {
 	case persist.WireSearchRequest:
-		query, plan, stats, err := persist.DecodeSearchRequest(frame, &s.statsCache)
+		query, plan, stats, err := persist.DecodeSearchRequest(frame, nil)
 		if err != nil {
 			wb.EncodeError(http.StatusBadRequest, "unusable wire body: "+err.Error())
 			break
