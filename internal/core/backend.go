@@ -5,6 +5,7 @@ import (
 
 	"dlsearch/internal/dist"
 	"dlsearch/internal/ir"
+	"dlsearch/internal/monetxml"
 	"dlsearch/internal/webspace"
 )
 
@@ -59,22 +60,28 @@ func (b *EngineBackend) SwapIndex(ix *ir.Index) {
 // AddDocument stores one conceptual webspace document incrementally —
 // the streaming-ingest counterpart of Populate's bulk document loop.
 // A re-posted URL replaces the previous version (delete + reload, like
-// meta-index maintenance does). The caller decides when to Warm the
-// database's derived access paths; this only invalidates them.
+// meta-index maintenance does). A new URL extends the database's access
+// paths in O(document); a repost, already O(store) in the store's
+// delete, rebuilds them. Either way a query or owner lookup right after
+// needs no rebuild of its own.
 func (e *Engine) AddDocument(doc *webspace.Document) error {
 	if err := doc.Validate(e.Schema); err != nil {
 		return err
 	}
+	var id monetxml.DocID
+	var err error
 	if old, ok := e.conceptDocs[doc.URL]; ok {
 		if err := e.Store.DeleteDoc(old); err != nil {
 			return fmt.Errorf("core: replace %s: %w", doc.URL, err)
 		}
+		id, err = e.Store.LoadNode(doc.URL, doc.XML())
+		e.DB.InvalidateCaches()
+	} else {
+		id, err = e.DB.LoadDocument(doc)
 	}
-	id, err := e.Store.LoadNode(doc.URL, doc.XML())
 	if err != nil {
 		return fmt.Errorf("core: store %s: %w", doc.URL, err)
 	}
 	e.conceptDocs[doc.URL] = id
-	e.DB.InvalidateCaches()
 	return nil
 }

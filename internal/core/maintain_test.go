@@ -27,28 +27,7 @@ func TestUpgradeThroughEngine(t *testing.T) {
 	}
 	segBefore := e.Scheduler.Engine.Stats.DetectorCalls["segment"]
 
-	// "Broken" tracker vNext: the player is never anywhere near the
-	// net (all yPos far beyond the threshold).
-	rep, err := e.Upgrade(&detector.Impl{
-		Name:    "tennis",
-		Version: detector.Version{Major: 1, Minor: 1},
-		Fn: func(ctx *detector.Context) ([]detector.Token, error) {
-			begin, _ := strconv.Atoi(ctx.Param(1))
-			end, _ := strconv.Atoi(ctx.Param(2))
-			var toks []detector.Token
-			for f := begin; f <= end; f++ {
-				toks = append(toks,
-					detector.Token{Symbol: "frameNo", Value: strconv.Itoa(f)},
-					detector.Token{Symbol: "xPos", Value: "320.0"},
-					detector.Token{Symbol: "yPos", Value: "400.0"},
-					detector.Token{Symbol: "Area", Value: "21"},
-					detector.Token{Symbol: "Ecc", Value: "0.5"},
-					detector.Token{Symbol: "Orient", Value: "1.5"},
-				)
-			}
-			return toks, nil
-		},
-	})
+	rep, err := e.Upgrade(brokenTracker())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +47,31 @@ func TestUpgradeThroughEngine(t *testing.T) {
 	}
 	if len(after.Rows) != 0 {
 		t.Fatalf("after the broken tracker no netplay should remain, got %+v", after.Rows)
+	}
+}
+
+// brokenTracker is a tennis tracker vNext (minor revision) whose player
+// is never anywhere near the net (all yPos far beyond the threshold).
+func brokenTracker() *detector.Impl {
+	return &detector.Impl{
+		Name:    "tennis",
+		Version: detector.Version{Major: 1, Minor: 1},
+		Fn: func(ctx *detector.Context) ([]detector.Token, error) {
+			begin, _ := strconv.Atoi(ctx.Param(1))
+			end, _ := strconv.Atoi(ctx.Param(2))
+			var toks []detector.Token
+			for f := begin; f <= end; f++ {
+				toks = append(toks,
+					detector.Token{Symbol: "frameNo", Value: strconv.Itoa(f)},
+					detector.Token{Symbol: "xPos", Value: "320.0"},
+					detector.Token{Symbol: "yPos", Value: "400.0"},
+					detector.Token{Symbol: "Area", Value: "21"},
+					detector.Token{Symbol: "Ecc", Value: "0.5"},
+					detector.Token{Symbol: "Orient", Value: "1.5"},
+				)
+			}
+			return toks, nil
+		},
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"dlsearch/internal/bat"
 	"dlsearch/internal/ir"
 	"dlsearch/internal/monetxml"
+	"dlsearch/internal/webspace"
 )
 
 // Database is the physical access layer the executor runs against:
@@ -22,6 +23,14 @@ import (
 // multimedia meta-index, plus one full-text index per Hypertext
 // attribute (keyed "Class.attr") whose document oids are the owning
 // object element oids.
+//
+// Its derived access paths (objects by class, qualified ids, attribute
+// values, association pairs, the video-event table) are always built:
+// NewDatabase builds them, LoadDocument extends them per new conceptual
+// document, and a writer that changes the store any other way calls
+// InvalidateCaches when it is done. Reads never build anything, so any
+// number of readers may run concurrently as long as writers exclude
+// them.
 type Database struct {
 	Store *monetxml.Store
 	IR    map[string]*ir.Index
@@ -36,42 +45,35 @@ type Database struct {
 	events  map[string][]ShotEvent
 }
 
-// NewDatabase wraps a store and IR indexes.
+// NewDatabase wraps a store and IR indexes and builds the access paths
+// over what the store already holds.
 func NewDatabase(store *monetxml.Store, irIdx map[string]*ir.Index) *Database {
 	if irIdx == nil {
 		irIdx = map[string]*ir.Index{}
 	}
-	return &Database{Store: store, IR: irIdx}
+	db := &Database{Store: store, IR: irIdx}
+	db.InvalidateCaches()
+	return db
 }
 
-// InvalidateCaches drops derived access paths after new data arrives.
+// InvalidateCaches rebuilds every derived access path from the store,
+// in O(store). Bulk population, meta-index maintenance and document
+// reposts call it when they are done; new conceptual documents written
+// through LoadDocument need no rebuild.
 func (db *Database) InvalidateCaches() {
-	db.objects = nil
-	db.events = nil
+	db.objects = buildObjectIndex(db.Store)
+	db.events = db.buildVideoEvents()
 }
 
-// Warm builds the derived access paths eagerly. The paths are
-// otherwise built lazily on first use, which is unsafe once a serving
-// layer evaluates queries concurrently — call Warm under the writer's
-// lock after ingest (and after InvalidateCaches) so concurrent readers
-// only ever see fully built caches.
-func (db *Database) Warm() {
-	db.index()
-	db.VideoEvents()
-}
-
-// Warmed reports whether the derived access paths are currently built:
-// a reader holding only a shared lock may execute queries iff this is
-// true, since nothing will trigger a lazy rebuild.
-func (db *Database) Warmed() bool {
-	return db.objects != nil && db.events != nil
-}
+// Warm does nothing: the access paths are never left unbuilt. It
+// remains for callers written against the lazily built paths.
+func (db *Database) Warm() {}
 
 // --- conceptual object access over the path relations ---
 
 // objectIndex is a derived access path over the webspace relations:
 // object oids by class, attribute values per object, association
-// pairs. It is rebuilt lazily after population.
+// pairs, each in store order.
 type objectIndex struct {
 	byClass map[string][]bat.OID
 	qidOf   map[bat.OID]string
@@ -81,10 +83,9 @@ type objectIndex struct {
 	assocs map[string][][2]string
 }
 
-func (db *Database) index() *objectIndex {
-	if db.objects != nil {
-		return db.objects
-	}
+// buildObjectIndex derives the object index from the store's webspace
+// relations.
+func buildObjectIndex(store *monetxml.Store) *objectIndex {
 	ix := &objectIndex{
 		byClass: map[string][]bat.OID{},
 		qidOf:   map[bat.OID]string{},
@@ -92,75 +93,112 @@ func (db *Database) index() *objectIndex {
 		attrs:   map[bat.OID]map[string]string{},
 		assocs:  map[string][][2]string{},
 	}
-	db.objects = ix
-	classRel := db.Store.Relation("webspace/object[class]")
-	idRel := db.Store.Relation("webspace/object[id]")
-	if classRel == nil || idRel == nil {
-		return ix
-	}
-	for i := 0; i < classRel.Len(); i++ {
-		oid := classRel.Head(i)
-		class := classRel.TailString(i)
-		id, _ := idRel.StringOfHead(oid)
-		qid := class + ":" + id
-		ix.byClass[class] = append(ix.byClass[class], oid)
-		ix.qidOf[oid] = qid
-		ix.oidOf[qid] = oid
-		ix.attrs[oid] = map[string]string{}
+	classRel := store.Relation("webspace/object[class]")
+	idRel := store.Relation("webspace/object[id]")
+	if classRel != nil && idRel != nil {
+		for i := 0; i < classRel.Len(); i++ {
+			oid := classRel.Head(i)
+			id, _ := idRel.StringOfHead(oid)
+			ix.addObject(oid, classRel.TailString(i), id)
+		}
 	}
 	// Attribute values: webspace/object/attr elements with [name] and
 	// pcdata content.
-	attrEdge := db.Store.Relation("webspace/object/attr")
-	attrName := db.Store.Relation("webspace/object/attr[name]")
+	attrEdge := store.Relation("webspace/object/attr")
+	attrName := store.Relation("webspace/object/attr[name]")
 	if attrEdge != nil && attrName != nil {
 		for i := 0; i < attrEdge.Len(); i++ {
 			owner := attrEdge.Head(i)
 			attrOID := attrEdge.TailOID(i)
 			name, _ := attrName.StringOfHead(attrOID)
 			if m, ok := ix.attrs[owner]; ok && name != "" {
-				m[name] = db.Store.TextOf("webspace/object/attr", attrOID)
+				m[name] = store.TextOf("webspace/object/attr", attrOID)
 			}
 		}
 	}
 	// Associations.
-	an := db.Store.Relation("webspace/assoc[name]")
-	af := db.Store.Relation("webspace/assoc[from]")
-	at := db.Store.Relation("webspace/assoc[to]")
+	an := store.Relation("webspace/assoc[name]")
+	af := store.Relation("webspace/assoc[from]")
+	at := store.Relation("webspace/assoc[to]")
 	if an != nil && af != nil && at != nil {
 		for i := 0; i < an.Len(); i++ {
 			oid := an.Head(i)
-			name := an.TailString(i)
 			from, _ := af.StringOfHead(oid)
 			to, _ := at.StringOfHead(oid)
-			ix.assocs[name] = append(ix.assocs[name], [2]string{from, to})
+			ix.addAssoc(an.TailString(i), from, to)
 		}
 	}
 	return ix
 }
 
+func (ix *objectIndex) addObject(oid bat.OID, class, id string) {
+	qid := class + ":" + id
+	ix.byClass[class] = append(ix.byClass[class], oid)
+	ix.qidOf[oid] = qid
+	ix.oidOf[qid] = oid
+	ix.attrs[oid] = map[string]string{}
+}
+
+func (ix *objectIndex) addAssoc(name, from, to string) {
+	ix.assocs[name] = append(ix.assocs[name], [2]string{from, to})
+}
+
+// LoadDocument stores one new conceptual webspace document and appends
+// its objects, attribute values and association pairs to the access
+// paths in O(document): the new object oids are the rows Store.LoadNode
+// has just appended to webspace/object[class], in document order. It
+// does not touch the video-event table, which conceptual documents
+// never change. Replacing a stored document is the caller's delete
+// followed by InvalidateCaches.
+func (db *Database) LoadDocument(doc *webspace.Document) (monetxml.DocID, error) {
+	id, err := db.Store.LoadNode(doc.URL, doc.XML())
+	if err != nil {
+		return 0, err
+	}
+	ix := db.objects
+	if n := len(doc.Objects); n > 0 {
+		rel := db.Store.Relation("webspace/object[class]")
+		first := rel.Len() - n
+		for i, o := range doc.Objects {
+			oid := rel.Head(first + i)
+			ix.addObject(oid, o.Class, o.ID)
+			m := ix.attrs[oid]
+			for name, v := range o.Attrs {
+				if name != "" {
+					m[name] = strings.TrimSpace(v) // what Store.TextOf reads back
+				}
+			}
+		}
+	}
+	for _, l := range doc.Links {
+		ix.addAssoc(l.Association, l.From, l.To)
+	}
+	return id, nil
+}
+
 // ObjectsOfClass returns the element oids of all objects of a class.
 func (db *Database) ObjectsOfClass(class string) []bat.OID {
-	return append([]bat.OID(nil), db.index().byClass[class]...)
+	return append([]bat.OID(nil), db.objects.byClass[class]...)
 }
 
 // AttrOf returns an attribute value of an object.
 func (db *Database) AttrOf(oid bat.OID, attr string) string {
-	return db.index().attrs[oid][attr]
+	return db.objects.attrs[oid][attr]
 }
 
 // QIDOf returns the qualified id of an object element.
-func (db *Database) QIDOf(oid bat.OID) string { return db.index().qidOf[oid] }
+func (db *Database) QIDOf(oid bat.OID) string { return db.objects.qidOf[oid] }
 
 // OIDOf returns the element oid of a qualified id.
 func (db *Database) OIDOf(qid string) (bat.OID, bool) {
-	oid, ok := db.index().oidOf[qid]
+	oid, ok := db.objects.oidOf[qid]
 	return oid, ok
 }
 
 // AssocPairs returns the (from, to) qualified-id pairs of an
 // association.
 func (db *Database) AssocPairs(name string) [][2]string {
-	return db.index().assocs[name]
+	return db.objects.assocs[name]
 }
 
 // --- meta-index access (video events) ---
@@ -184,16 +222,15 @@ const (
 	pathNetplay  = "MMO/mm_type/video/segment/shot/type/tennis/event/netplay"
 )
 
-// VideoEvents derives (and caches) the per-video shot/event table from
-// the meta-index: location URL -> tennis shots with netplay state.
-// Everything is resolved through the path-named relations the FDE
-// parse trees were stored into.
-func (db *Database) VideoEvents() map[string][]ShotEvent {
-	if db.events != nil {
-		return db.events
-	}
+// VideoEvents returns the per-video shot/event table derived from the
+// meta-index: location URL -> tennis shots with netplay state.
+func (db *Database) VideoEvents() map[string][]ShotEvent { return db.events }
+
+// buildVideoEvents derives the video-event table. Everything is
+// resolved through the path-named relations the FDE parse trees were
+// stored into.
+func (db *Database) buildVideoEvents() map[string][]ShotEvent {
 	out := map[string][]ShotEvent{}
-	db.events = out
 	shotRel := db.Store.Relation(pathShot)
 	if shotRel == nil {
 		return out

@@ -2,6 +2,8 @@ package query
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"sort"
 	"strings"
 
@@ -24,11 +26,14 @@ type Result struct {
 }
 
 // ExecStats expose optimizer-relevant cost counters (experiment E17).
+// A bounded ranking (see Executor) reports the attempt it accepted.
 type ExecStats struct {
 	ConceptualCandidates int // objects surviving conceptual selections
 	IRDocsScored         int // documents the IR predicates scored
 	EventChecks          int // meta-index lookups
 	BindingsEnumerated   int // join bindings considered
+	Ranked               int // the bounded ranking's size k; 0 when unbounded, -1 for the whole collection
+	Widened              int // attempts the bounded ranking discarded
 }
 
 // ContentRanker evaluates the content-based (contains) predicates of
@@ -39,16 +44,16 @@ type ExecStats struct {
 // distributed cluster instead — the conceptual engine then runs
 // unchanged on top of remote content.
 type ContentRanker interface {
-	// Collection reports the document count behind the index key
-	// ("Class.attr") and whether the key is served at all; the count
-	// is the unrestricted ranking's n.
-	Collection(key string) (int, bool)
-	// Rank returns the RES set of one contains predicate: at most n
-	// results over the key's collection, restricted to the candidate
-	// set when non-nil (a nil map means unrestricted). The quality
-	// estimate is the zero value for an exact evaluation and the
-	// budgeted plan's accounting otherwise; the executor folds
-	// non-zero estimates into its cumulative Quality.
+	// Serves reports whether a full-text index stands behind the key
+	// ("Class.attr").
+	Serves(key string) bool
+	// Rank returns the RES set of one contains predicate: the top n
+	// results (every matching document when n < 0) over the key's
+	// collection, restricted to the candidate set when non-nil (a nil
+	// map means unrestricted). The top n are a prefix of the top n' > n
+	// (score desc, doc asc). The quality estimate is the zero value for
+	// an exact evaluation and the budgeted plan's accounting otherwise;
+	// the executor folds non-zero estimates into its cumulative Quality.
 	Rank(key, text string, n int, candidates map[bat.OID]bool) ([]ir.Result, ir.QualityEstimate, error)
 }
 
@@ -56,6 +61,15 @@ type ContentRanker interface {
 // applies the paper's optimizer hooks: cheap conceptual selections
 // restrict the candidate set a-priori before the IR ranking runs
 // (DisableRestriction turns this off to quantify the benefit).
+//
+// A query with a LIMIT and exactly one contains predicate, under the
+// restriction, ranks only as deep as its answer needs: the executor
+// asks the ranker for the top k documents, runs the rest of the
+// pipeline on those, and accepts the answer when the ranking came back
+// short of k or the LIMIT-th row scores strictly above the k-th ranked
+// document — no unranked document can then enter or tie the answer.
+// Otherwise it widens k and repeats. Every other query shape ranks
+// every matching document.
 //
 // Plan, when set, makes the executor evaluate contains predicates
 // under a fragment-budgeted ir.EvalPlan — the idf cut-off as a
@@ -76,6 +90,13 @@ type Executor struct {
 	Stats              ExecStats
 }
 
+// The bounded ranking's first attempt ranks rankStart × LIMIT
+// documents, and each widening multiplies k by rankGrowth.
+const (
+	rankStart  = 8
+	rankGrowth = 4
+)
+
 // NewExecutor returns an executor over the database.
 func NewExecutor(db *Database) *Executor { return &Executor{DB: db} }
 
@@ -95,20 +116,17 @@ func (ex *Executor) ranker() ContentRanker {
 // under the budgeted plan when one is picked.
 type localRanker Executor
 
-// Collection implements ContentRanker.
-func (r *localRanker) Collection(key string) (int, bool) {
-	idx := r.DB.IR[key]
-	if idx == nil {
-		return 0, false
-	}
-	return idx.DocCount(), true
-}
+// Serves implements ContentRanker.
+func (r *localRanker) Serves(key string) bool { return r.DB.IR[key] != nil }
 
 // Rank implements ContentRanker (nil candidates = unrestricted).
 func (r *localRanker) Rank(key, text string, n int, candidates map[bat.OID]bool) ([]ir.Result, ir.QualityEstimate, error) {
 	idx := r.DB.IR[key]
 	if idx == nil {
 		return nil, ir.QualityEstimate{}, fmt.Errorf("query: no full-text index for %s", key)
+	}
+	if n < 0 {
+		n = idx.DocCount()
 	}
 	req := ir.Request{Query: text, Plan: ir.EvalPlan{N: n}, Candidates: candidates}
 	idx.Freeze() // resolve and rank against frozen state
@@ -132,10 +150,9 @@ func (ex *Executor) Run(q *Query) (*Result, error) {
 	for _, b := range q.From {
 		cands[b.Var] = ex.DB.ObjectsOfClass(b.Class)
 	}
-	scores := map[string]map[bat.OID]float64{}
-	shots := map[string]map[bat.OID][]ShotEvent{}
 
 	// 2. Conceptual selections first (a-priori restriction).
+	restricted := map[string]bool{}
 	for _, p := range q.Preds {
 		ap, ok := p.(*AttrPred)
 		if !ok {
@@ -148,6 +165,7 @@ func (ex *Executor) Run(q *Query) (*Result, error) {
 			}
 		}
 		cands[ap.Field.Var] = kept
+		restricted[ap.Field.Var] = true
 	}
 	for _, set := range cands {
 		ex.Stats.ConceptualCandidates += len(set)
@@ -156,6 +174,8 @@ func (ex *Executor) Run(q *Query) (*Result, error) {
 	// 3. Content-based IR predicates, evaluated by the content ranker
 	// (local indexes by default, a cluster fan-out when injected).
 	ranker := ex.ranker()
+	var contains []*ContainsPred
+	var keys []string
 	for _, p := range q.Preds {
 		cp, ok := p.(*ContainsPred)
 		if !ok {
@@ -163,60 +183,128 @@ func (ex *Executor) Run(q *Query) (*Result, error) {
 		}
 		b, _ := q.Binding(cp.Field.Var)
 		key := b.Class + "." + cp.Field.Attr
-		total, served := ranker.Collection(key)
-		if !served {
+		if !ranker.Serves(key) {
 			return nil, fmt.Errorf("query: no full-text index for %s.%s", b.Class, cp.Field.Attr)
 		}
-		var ranked []rankedDoc
+		contains = append(contains, cp)
+		keys = append(keys, key)
+	}
+	if len(contains) == 1 && q.Limit > 0 && !ex.DisableRestriction {
+		return ex.runBounded(q, ranker, contains[0], keys[0], cands, restricted[contains[0].Field.Var])
+	}
+	scores := map[string]map[bat.OID]float64{}
+	for i, cp := range contains {
+		var res []ir.Result
 		var est ir.QualityEstimate
+		var err error
 		if ex.DisableRestriction {
 			// Unoptimized: rank the whole collection, filter late.
-			res, e, err := ranker.Rank(key, cp.Text, total, nil)
-			if err != nil {
-				return nil, err
-			}
-			est = e
-			for _, r := range res {
-				ranked = append(ranked, rankedDoc{r.Doc, r.Score})
-			}
+			res, est, err = ranker.Rank(keys[i], cp.Text, -1, nil)
 		} else {
 			// Optimized: push the conceptual candidate set below the
 			// ranking (the paper's a-priori restriction).
-			set := make(map[bat.OID]bool, len(cands[cp.Field.Var]))
-			for _, oid := range cands[cp.Field.Var] {
-				set[oid] = true
-			}
-			res, e, err := ranker.Rank(key, cp.Text, len(set), set)
-			if err != nil {
-				return nil, err
-			}
-			est = e
-			for _, r := range res {
-				ranked = append(ranked, rankedDoc{r.Doc, r.Score})
-			}
+			set := oidSet(cands[cp.Field.Var])
+			res, est, err = ranker.Rank(keys[i], cp.Text, len(set), set)
 		}
-		if est != (ir.QualityEstimate{}) {
-			ex.Quality = ir.MergeQuality(ex.Quality, est)
+		if err != nil {
+			return nil, err
 		}
-		ex.Stats.IRDocsScored += len(ranked)
-		sc := scores[cp.Field.Var]
-		if sc == nil {
-			sc = map[bat.OID]float64{}
-			scores[cp.Field.Var] = sc
-		}
-		inRank := map[bat.OID]bool{}
-		for _, r := range ranked {
-			inRank[r.doc] = true
-			sc[r.doc] += r.score
-		}
-		var kept []bat.OID
-		for _, oid := range cands[cp.Field.Var] {
-			if inRank[oid] {
-				kept = append(kept, oid)
-			}
-		}
-		cands[cp.Field.Var] = kept
+		ex.foldQuality(est)
+		ex.applyRanking(cands, scores, cp.Field.Var, res)
 	}
+	return ex.finish(q, cands, scores)
+}
+
+// runBounded evaluates a query whose one contains predicate is ranked
+// only as deep as the LIMIT needs (see Executor). Only a restricted
+// variable ranks under a candidate set; an unrestricted one ranks the
+// whole collection, whose documents outside the class simply bind no
+// row.
+func (ex *Executor) runBounded(q *Query, ranker ContentRanker, cp *ContainsPred, key string, cands map[string][]bat.OID, restricted bool) (*Result, error) {
+	var set map[bat.OID]bool
+	if restricted {
+		set = oidSet(cands[cp.Field.Var])
+	}
+	base := ex.Stats
+	for k, widened := boundedK(q.Limit, rankStart), 0; ; k, widened = boundedK(k, rankGrowth), widened+1 {
+		res, est, err := ranker.Rank(key, cp.Text, k, set)
+		if err != nil {
+			return nil, err
+		}
+		ex.Stats = base
+		ex.Stats.Ranked, ex.Stats.Widened = k, widened
+		attempt := maps.Clone(cands)
+		scores := map[string]map[bat.OID]float64{}
+		ex.applyRanking(attempt, scores, cp.Field.Var, res)
+		out, err := ex.finish(q, attempt, scores)
+		if err != nil {
+			return nil, err
+		}
+		// Every unranked document scores at most the k-th ranked one, and
+		// a row's score is its document's: a LIMIT-th row strictly above
+		// that bound closes the answer, ties included.
+		if k < 0 || len(res) < k || (len(out.Rows) >= q.Limit && out.Rows[q.Limit-1].Score > res[k-1].Score) {
+			ex.foldQuality(est)
+			return out, nil
+		}
+	}
+}
+
+// boundedK returns k × factor, or -1 (the whole collection) when the
+// product overflows.
+func boundedK(k, factor int) int {
+	if k < 0 || k > math.MaxInt/factor {
+		return -1
+	}
+	return k * factor
+}
+
+func oidSet(oids []bat.OID) map[bat.OID]bool {
+	set := make(map[bat.OID]bool, len(oids))
+	for _, oid := range oids {
+		set[oid] = true
+	}
+	return set
+}
+
+// foldQuality merges a non-zero quality estimate into the executor's
+// cumulative Quality.
+func (ex *Executor) foldQuality(est ir.QualityEstimate) {
+	if est != (ir.QualityEstimate{}) {
+		ex.Quality = ir.MergeQuality(ex.Quality, est)
+	}
+}
+
+// applyRanking adds one contains predicate's scores to its variable's
+// and keeps the candidates it ranked.
+func (ex *Executor) applyRanking(cands map[string][]bat.OID, scores map[string]map[bat.OID]float64, v string, ranked []ir.Result) {
+	ex.Stats.IRDocsScored += len(ranked)
+	sc := scores[v]
+	if sc == nil {
+		sc = map[bat.OID]float64{}
+		scores[v] = sc
+	}
+	inRank := make(map[bat.OID]bool, len(ranked))
+	for _, r := range ranked {
+		inRank[r.Doc] = true
+		sc[r.Doc] += r.Score
+	}
+	// Candidate order, not rank order: the stable sort of the rows
+	// breaks score-and-value ties by it.
+	var kept []bat.OID
+	for _, oid := range cands[v] {
+		if inRank[oid] {
+			kept = append(kept, oid)
+		}
+	}
+	cands[v] = kept
+}
+
+// finish runs the pipeline after the ranking: the event predicates,
+// the association joins and binding enumeration, then the sort and the
+// LIMIT.
+func (ex *Executor) finish(q *Query, cands map[string][]bat.OID, scores map[string]map[bat.OID]float64) (*Result, error) {
+	shots := map[string]map[bat.OID][]ShotEvent{}
 
 	// 4. Event predicates against the multimedia meta-index.
 	for _, p := range q.Preds {
@@ -316,11 +404,6 @@ func (ex *Executor) Run(q *Query) (*Result, error) {
 		res.Rows = res.Rows[:q.Limit]
 	}
 	return res, nil
-}
-
-type rankedDoc struct {
-	doc   bat.OID
-	score float64
 }
 
 func assocKey(a *AssocPred) string { return a.Name + "/" + a.FromVar + "/" + a.ToVar }

@@ -147,11 +147,11 @@ type Coordinator struct {
 	streams  atomic.Uint64
 	errs     atomic.Uint64
 
-	// engineMu guards cfg.Engine: /query executes under the read lock,
-	// /add/stream's conceptual writes (and the cache warm that follows
-	// them) under the write lock. When a stream in flight has left the
-	// derived caches invalidated, /query upgrades to the write lock to
-	// re-warm them before executing — readers never lazily rebuild.
+	// engineMu guards cfg.Engine: /query executes and /add/stream
+	// resolves owners under the read lock, and /add/stream's conceptual
+	// writes, which extend the engine's access paths (or rebuild them,
+	// for a repost), take the write lock. The paths are always built, so a reader never
+	// writes.
 	engineMu sync.RWMutex
 
 	// queryLatency holds the /query end-to-end latency histogram, nil
@@ -199,12 +199,6 @@ func NewCoordinator(indexes map[string]*dist.Cluster, cfg *CoordinatorConfig) *C
 		co.seqs[name] = &docSeq{}
 	}
 	co.sem = newSemaphore(co.cfg.MaxConcurrent)
-	if e := co.cfg.Engine; e != nil {
-		// Build the derived access paths before the first concurrent
-		// /query: they are otherwise filled lazily on first use, which
-		// would race between parallel readers.
-		e.DB.Warm()
-	}
 	if ctl := co.cfg.SLO; ctl != nil {
 		// Close the control loop: every node of every cluster feeds its
 		// cost samples into the index's quality/latency curve.

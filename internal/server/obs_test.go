@@ -181,6 +181,48 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
+// executeSpan returns the execute span of the last record in a
+// coordinator's slow-query log.
+func executeSpan(t *testing.T, log string) obs.SpanJSON {
+	t.Helper()
+	lines := strings.Split(strings.TrimSpace(log), "\n")
+	var rec obs.SlowQueryRecord
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &rec); err != nil {
+		t.Fatalf("slow-query line is not JSON: %v\n%s", err, log)
+	}
+	for _, s := range rec.Spans {
+		if s.Name == "execute" {
+			return s
+		}
+	}
+	t.Fatalf("slow-query record has no execute span: %+v", rec)
+	return obs.SpanJSON{}
+}
+
+// TestQueryExecuteSpanDetail: the /query trace's execute span says how
+// deep a bounded contains ranking went (ranked=<k> widened=<n>), and
+// the slow-query log carries it. A query the bound does not apply to
+// has no detail.
+func TestQueryExecuteSpanDetail(t *testing.T) {
+	var slow syncBuffer
+	h, _ := tieCoordinator(t, 20, &slow)
+	for _, c := range []struct{ query, detail string }{
+		// 20 ties: k = 24 comes back short, so the first attempt stands;
+		// k = 8 ends inside the tie group and widens to 32.
+		{tieQuery, "ranked=24 widened=0"},
+		{"SELECT p.name FROM Player p WHERE contains(p.history, 'tiebreak') LIMIT 1", "ranked=32 widened=1"},
+		{"SELECT p.name FROM Player p WHERE contains(p.history, 'tiebreak')", ""},
+	} {
+		body, _ := json.Marshal(QueryRequest{Query: c.query})
+		if w := postJSON(t, h, "/query", string(body)); w.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", c.query, w.Code, w.Body)
+		}
+		if got := executeSpan(t, slow.String()).Detail; got != c.detail {
+			t.Fatalf("%s: execute span detail %q, want %q", c.query, got, c.detail)
+		}
+	}
+}
+
 // TestNodeQueryUntracedWhenUninstrumented: without a request ID and
 // without a slow-query log, the node query path must not create a
 // trace (no echoed header) — that is what keeps the benchmark path

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"dlsearch/internal/bat"
@@ -83,84 +84,95 @@ func (e *clusterErr) Unwrap() error { return e.err }
 // quality estimate are independent of the candidate set, and the
 // cluster merge and the local restricted top-n share one comparator
 // (score desc, doc asc) — restricting before or after ranking selects
-// the same documents with the same scores.
+// the same documents with the same scores. The whole-collection
+// ranking is merged once per predicate: a widened bounded ranking
+// filters it again instead of fanning out again. An unrestricted top-n
+// fans out for exactly n and never asks the nodes for their size; its
+// first widening ranks the whole collection, whose prefix is the top
+// n' under the same plan, since neither a document's score nor the
+// quality estimate depends on n.
 type clusterRanker struct {
 	co   *Coordinator
 	ctx  context.Context
 	plan ir.EvalPlan // every fan-out's plan; N set per call
 
-	counts map[string]int   // collection sizes, by index key
-	errs   map[string]error // Collection probe failures, surfaced by Rank
+	counts map[string]int // collection sizes, by index key
 
-	// Aggregated degradation across every fan-out of one query.
-	dropped    int
-	failovers  int
-	diverged   int
-	staleStats bool
+	// The latest fan-out per predicate (index key + text). The response
+	// reports the degradation of these, so a predicate counts once, as
+	// the ranking the executor accepted saw it.
+	fanouts map[string]*fanout
+}
+
+// fanout is one contains predicate's cluster ranking.
+type fanout struct {
+	sr    *dist.SearchResult
+	whole bool // sr ranks the whole collection
 }
 
 func newClusterRanker(co *Coordinator, ctx context.Context, plan ir.EvalPlan) *clusterRanker {
 	return &clusterRanker{
 		co: co, ctx: ctx, plan: plan,
-		counts: map[string]int{},
-		errs:   map[string]error{},
+		counts:  map[string]int{},
+		fanouts: map[string]*fanout{},
 	}
 }
 
-// Collection implements query.ContentRanker. A probe failure is
-// remembered and surfaced by the following Rank call, which can
-// return an error.
-func (cr *clusterRanker) Collection(key string) (int, bool) {
-	cluster := cr.co.indexes[key]
-	if cluster == nil {
-		return 0, false
-	}
+// Serves implements query.ContentRanker.
+func (cr *clusterRanker) Serves(key string) bool { return cr.co.indexes[key] != nil }
+
+// count returns the document count of an index's collection.
+func (cr *clusterRanker) count(key string, cluster *dist.Cluster) (int, error) {
 	if n, ok := cr.counts[key]; ok {
-		return n, true
+		return n, nil
 	}
 	infos, err := cluster.NodeInfoContext(cr.ctx)
 	if err != nil {
-		cr.errs[key] = err
-		return 0, true
+		return 0, err
 	}
 	n := 0
 	for _, l := range infos {
 		n += l.Docs
 	}
 	cr.counts[key] = n
-	return n, true
+	return n, nil
 }
 
 // Rank implements query.ContentRanker.
 func (cr *clusterRanker) Rank(key, text string, n int, candidates map[bat.OID]bool) ([]ir.Result, ir.QualityEstimate, error) {
-	if err := cr.errs[key]; err != nil {
-		return nil, ir.QualityEstimate{}, &clusterErr{fmt.Errorf("index %s: %w", key, err)}
-	}
 	cluster := cr.co.indexes[key]
 	if cluster == nil {
 		return nil, ir.QualityEstimate{}, fmt.Errorf("query: no cluster serves index %s", key)
 	}
-	if n <= 0 {
+	if n == 0 || (candidates != nil && len(candidates) == 0) {
 		return nil, ir.QualityEstimate{}, nil
 	}
-	plan := cr.plan
-	plan.N = n
-	if candidates != nil {
-		// Rank the whole collection; the merged ranking is filtered to
-		// the candidates below.
-		plan.N = max(n, cr.counts[key])
+	id := key + "\x00" + text
+	f := cr.fanouts[id]
+	// Only an unrestricted predicate's first top-n stops short of the
+	// whole collection: its widening ranks the whole collection once,
+	// so a predicate fans out at most twice however often it widens.
+	whole := n < 0 || candidates != nil || f != nil
+	if f == nil || !f.whole {
+		plan := cr.plan
+		plan.N = n
+		if whole {
+			total, err := cr.count(key, cluster)
+			if err != nil {
+				return nil, ir.QualityEstimate{}, &clusterErr{fmt.Errorf("index %s: %w", key, err)}
+			}
+			plan.N = max(n, total)
+		}
+		sr, err := cluster.SearchPlan(cr.ctx, text, plan)
+		if err != nil {
+			return nil, ir.QualityEstimate{}, &clusterErr{fmt.Errorf("index %s: %w", key, err)}
+		}
+		f = &fanout{sr: sr, whole: whole}
+		cr.fanouts[id] = f
 	}
-	sr, err := cluster.SearchPlan(cr.ctx, text, plan)
-	if err != nil {
-		return nil, ir.QualityEstimate{}, &clusterErr{fmt.Errorf("index %s: %w", key, err)}
-	}
-	cr.dropped += len(sr.Dropped)
-	cr.failovers += sr.FailoverTotal()
-	cr.diverged += len(sr.Diverged)
-	cr.staleStats = cr.staleStats || sr.StaleStats
-	res := sr.Results
+	res := f.sr.Results
 	if candidates != nil {
-		kept := make([]ir.Result, 0, n)
+		var kept []ir.Result
 		for _, r := range res {
 			if candidates[r.Doc] {
 				kept = append(kept, r)
@@ -170,8 +182,21 @@ func (cr *clusterRanker) Rank(key, text string, n int, candidates map[bat.OID]bo
 			}
 		}
 		res = kept
+	} else if n >= 0 && len(res) > n {
+		res = res[:n]
 	}
-	return res, sr.Quality, nil
+	return res, f.sr.Quality, nil
+}
+
+// degradation sums the degradation report over the query's fan-outs.
+func (cr *clusterRanker) degradation() (dropped, failovers, diverged int, staleStats bool) {
+	for _, f := range cr.fanouts {
+		dropped += len(f.sr.Dropped)
+		failovers += f.sr.FailoverTotal()
+		diverged += len(f.sr.Diverged)
+		staleStats = staleStats || f.sr.StaleStats
+	}
+	return dropped, failovers, diverged, staleStats
 }
 
 // query serves POST /query: parse the conceptual query, execute its
@@ -244,25 +269,17 @@ func (co *Coordinator) query(w http.ResponseWriter, r *http.Request) {
 	execStart := time.Now()
 	cr := newClusterRanker(co, ctx, plan)
 	co.engineMu.RLock()
-	// A streaming ingest in flight invalidates the engine's derived
-	// access paths between its conceptual lines; executing now would
-	// lazily rebuild them under the shared lock, racing with parallel
-	// queries. Upgrade to the write lock and warm first. Loop: another
-	// conceptual write can sneak in between the Unlock and the
-	// re-acquired read lock and invalidate again.
-	for !co.cfg.Engine.DB.Warmed() {
-		co.engineMu.RUnlock()
-		co.engineMu.Lock()
-		co.cfg.Engine.DB.Warm()
-		co.engineMu.Unlock()
-		co.engineMu.RLock()
-	}
 	ex := query.NewExecutor(co.cfg.Engine.DB)
 	ex.Ranker = cr
 	ex.DisableRestriction = req.DisableRestriction
 	res, err := ex.Run(q)
 	co.engineMu.RUnlock()
-	tr.AddSpan("execute", execStart)
+	if ex.Stats.Ranked != 0 {
+		tr.AddSpanDetail("execute", execStart,
+			"ranked="+strconv.Itoa(ex.Stats.Ranked)+" widened="+strconv.Itoa(ex.Stats.Widened))
+	} else {
+		tr.AddSpan("execute", execStart)
+	}
 	if err != nil {
 		co.errs.Add(1)
 		co.observeQuery(tr, &req, nil, ex)
@@ -275,15 +292,16 @@ func (co *Coordinator) query(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	co.queries.Add(1)
+	dropped, failovers, diverged, stale := cr.degradation()
 	resp := QueryResponse{
 		Columns:    res.Columns,
 		Rows:       make([]QueryRowJSON, len(res.Rows)),
 		Quality:    dist.QualityToJSON(ex.Quality),
-		Dropped:    cr.dropped,
-		Failovers:  cr.failovers,
-		Diverged:   cr.diverged,
-		StaleStats: cr.staleStats,
-		Complete:   cr.dropped == 0 && cr.diverged == 0 && !cr.staleStats,
+		Dropped:    dropped,
+		Failovers:  failovers,
+		Diverged:   diverged,
+		StaleStats: stale,
+		Complete:   dropped == 0 && diverged == 0 && !stale,
 	}
 	for i, row := range res.Rows {
 		rj := QueryRowJSON{Values: row.Values, Score: row.Score}

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,6 +19,7 @@ import (
 	"dlsearch/internal/crawler"
 	"dlsearch/internal/dist"
 	"dlsearch/internal/ir"
+	"dlsearch/internal/obs"
 	"dlsearch/internal/query"
 	"dlsearch/internal/site"
 	"dlsearch/internal/webspace"
@@ -38,12 +40,30 @@ func TestQueryClusterMatchesSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both sides also hold tie players, whose identical histories make
+	// a LIMIT query's bounded ranking widen past a tie group.
+	ties := tiePlayers(30)
+	for _, tp := range ties {
+		if err := ref.AddDocument(tp.doc); err != nil {
+			t.Fatal(err)
+		}
+		oid, _ := ref.DB.OIDOf(tp.owner)
+		ref.IR["Player.history"].Add(oid, tp.owner, tp.text)
+	}
+	ref.IR["Player.history"].Freeze()
 	want, err := ref.Query(core.Figure13Query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want.Rows) == 0 {
 		t.Fatal("reference answer is empty")
+	}
+	wantTies, tieStats, err := ref.QueryWithStats(tieQuery, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tieStats.Widened == 0 || len(wantTies.Rows) != 3 {
+		t.Fatalf("tie query: %d rows, stats %+v; want 3 rows after a widening", len(wantTies.Rows), tieStats)
 	}
 
 	// Cluster side: a cold engine over the same schema. Media objects
@@ -78,6 +98,13 @@ func TestQueryClusterMatchesSingleProcess(t *testing.T) {
 			Text:  m.Inline,
 		}); err != nil {
 			t.Fatal(err)
+		}
+	}
+	for _, tp := range ties {
+		for _, line := range tp.lines() {
+			if err := enc.Encode(line); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if _, err := eng.Populate(&media); err != nil {
@@ -150,6 +177,7 @@ func TestQueryClusterMatchesSingleProcess(t *testing.T) {
 	}{
 		{"exact", QueryRequest{Query: core.Figure13Query}, want, ir.QualityEstimate{}},
 		{"restricted+budgeted", QueryRequest{Query: core.Figure13Query, Frags: &four, Budget: &four}, wantBudgeted, wantQuality},
+		{"tie-heavy LIMIT", QueryRequest{Query: tieQuery}, wantTies, ir.QualityEstimate{}},
 	} {
 		body, _ := json.Marshal(in.req)
 		qw := postJSON(t, h, "/query", string(body))
@@ -195,18 +223,147 @@ func TestQueryClusterMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestQueryDuringStreamWarm: conceptual queries racing a streaming
-// ingest must never observe half-built derived caches. A webspace
-// line invalidates them mid-stream; /query upgrades to the write lock
-// and re-warms before executing (run with -race to catch regressions:
-// a lazy rebuild under the shared lock is a concurrent map write).
-func TestQueryDuringStreamWarm(t *testing.T) {
+// tieQuery ranks the tie players: all their histories score the same,
+// so LIMIT 3 lands inside the tie group.
+const tieQuery = "SELECT p.name FROM Player p WHERE contains(p.history, 'tiebreak') LIMIT 3"
+
+// tiePlayer is a player whose history every other tie player shares.
+type tiePlayer struct {
+	doc         *webspace.Document
+	owner, text string
+}
+
+// lines renders the player as its /add/stream webspace and owner lines.
+func (tp tiePlayer) lines() []StreamLine {
+	return []StreamLine{{Webspace: tp.doc}, {Index: "Player.history", Owner: tp.owner, Text: tp.text}}
+}
+
+// tiePlayers returns n players with identical histories and
+// alternating genders. Runs of four share a name, later runs sorting
+// first, so a tie the ranking puts last can lead the answer.
+func tiePlayers(n int) []tiePlayer {
+	out := make([]tiePlayer, n)
+	for i := range out {
+		id := fmt.Sprintf("tie-%03d", i)
+		gender := "female"
+		if i%2 == 1 {
+			gender = "male"
+		}
+		out[i] = tiePlayer{
+			doc: &webspace.Document{URL: "ties/" + id, Objects: []*webspace.Object{{
+				Class: "Player", ID: id,
+				Attrs: map[string]string{"name": fmt.Sprintf("Tie %03d", (n-i)/4), "gender": gender},
+			}}},
+			owner: "Player:" + id,
+			text:  "a tiebreak specialist",
+		}
+	}
+	return out
+}
+
+// countingNode counts the RPCs a coordinator sends one node.
+type countingNode struct {
+	dist.Node
+	loads, searches atomic.Int64
+}
+
+func (n *countingNode) Load(ctx context.Context) (dist.NodeLoad, error) {
+	n.loads.Add(1)
+	return n.Node.Load(ctx)
+}
+
+func (n *countingNode) SearchPlan(ctx context.Context, q string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
+	n.searches.Add(1)
+	return n.Node.SearchPlan(ctx, q, plan, global)
+}
+
+// tieCoordinator serves n tie players, streamed in through
+// /add/stream, from an engine over a two-node Player.history cluster
+// whose RPCs are counted. A non-nil slow log records every /query.
+func tieCoordinator(t *testing.T, n int, slow io.Writer) (http.Handler, []*countingNode) {
+	t.Helper()
 	eng, err := core.NewAusOpen(site.Generate(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A fat conceptual store widens the race window: every lazy
-	// rebuild of the derived caches walks all of it.
+	nodes := []*countingNode{{Node: dist.NewLocalNode(ir.NewIndex())}, {Node: dist.NewLocalNode(ir.NewIndex())}}
+	cfg := &CoordinatorConfig{Engine: eng}
+	if slow != nil {
+		cfg.SlowQuery = obs.NewSlowQueryLog(slow, time.Nanosecond)
+	}
+	cluster := dist.NewClusterOf([]dist.Node{nodes[0], nodes[1]}, nil)
+	h := NewCoordinator(map[string]*dist.Cluster{"Player.history": cluster}, cfg).Handler()
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for _, tp := range tiePlayers(n) {
+		for _, line := range tp.lines() {
+			if err := enc.Encode(line); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	w := postJSON(t, h, "/add/stream", body.String())
+	if want := fmt.Sprintf(`"committed":%d,"degraded":0,"failed":0,"errors":0`, 2*n); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), want) {
+		t.Fatalf("stream = %d, want %s: %s", w.Code, want, w.Body)
+	}
+	return h, nodes
+}
+
+// TestQueryNodeRPCs: a /query sends the nodes only the RPCs its
+// ranking uses. An unrestricted LIMIT query fans out for the top k and
+// never asks for the collection's size unless it widens; a restricted
+// one counts the collection and ranks it whole once. Either way a
+// predicate fans out at most twice: a widening past the whole ranking
+// filters it again instead of fanning out again.
+func TestQueryNodeRPCs(t *testing.T) {
+	var slow syncBuffer
+	h, nodes := tieCoordinator(t, 80, &slow)
+	rpcs := func() (loads, searches int64) {
+		for _, n := range nodes {
+			loads += n.loads.Load()
+			searches += n.searches.Load()
+		}
+		return loads, searches
+	}
+	for _, c := range []struct {
+		name, query       string
+		loads, searches   int64
+		executeSpanDetail string
+	}{
+		// k = 160 comes back short: one top-k fan-out over two nodes.
+		{"unrestricted", "SELECT p.name FROM Player p WHERE contains(p.history, 'tiebreak') LIMIT 20", 0, 2, "ranked=160 widened=0"},
+		// k = 8 ends inside the tie group: the widening to 32 counts the
+		// collection and ranks it whole, which k = 128 filters again.
+		{"unrestricted, widened", "SELECT p.name FROM Player p WHERE contains(p.history, 'tiebreak') LIMIT 1", 2, 4, "ranked=128 widened=2"},
+		// One count and one whole ranking, filtered for k = 24 and 96.
+		{"restricted", "SELECT p.name FROM Player p WHERE p.gender = 'female' AND contains(p.history, 'tiebreak') LIMIT 3", 2, 2, "ranked=96 widened=1"},
+	} {
+		l0, s0 := rpcs()
+		body, _ := json.Marshal(QueryRequest{Query: c.query})
+		w := postJSON(t, h, "/query", string(body))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: query = %d: %s", c.name, w.Code, w.Body)
+		}
+		l1, s1 := rpcs()
+		if l1-l0 != c.loads || s1-s0 != c.searches {
+			t.Fatalf("%s: %d load and %d search RPCs, want %d and %d", c.name, l1-l0, s1-s0, c.loads, c.searches)
+		}
+		if got := executeSpan(t, slow.String()).Detail; got != c.executeSpanDetail {
+			t.Fatalf("%s: execute span detail %q, want %q", c.name, got, c.executeSpanDetail)
+		}
+	}
+}
+
+// TestQueryDuringStream: conceptual queries race a streaming ingest
+// whose webspace lines maintain the engine's access paths and whose
+// owner lines, interleaved with them, resolve oids against those paths
+// (run with -race: a reader that writes, or a writer outside the lock,
+// is a concurrent map access).
+func TestQueryDuringStream(t *testing.T) {
+	eng, err := core.NewAusOpen(site.Generate(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	const seeded = 2000
 	for i := 0; i < seeded; i++ {
 		doc := &webspace.Document{
@@ -220,13 +377,13 @@ func TestQueryDuringStreamWarm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	co := NewCoordinator(map[string]*dist.Cluster{"a": dist.NewCluster(1, nil)},
+	co := NewCoordinator(map[string]*dist.Cluster{"Player.history": dist.NewCluster(1, nil)},
 		&CoordinatorConfig{Engine: eng, StreamFlush: 4})
 	h := co.Handler()
 
-	// The stream body is a pipe paced by the test: webspace lines keep
-	// flowing (each one invalidates the derived caches) until every
-	// query goroutine has run its quota against the live stream.
+	// The stream body is a pipe paced by the test: webspace and owner
+	// lines keep flowing until every query goroutine has run its quota
+	// against the live stream.
 	pr, pw := io.Pipe()
 	streamDone := make(chan struct{})
 	go func() {
@@ -235,23 +392,24 @@ func TestQueryDuringStreamWarm(t *testing.T) {
 		req.Header.Set("Content-Type", "application/x-ndjson")
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
-		if w.Code != http.StatusOK {
-			t.Errorf("stream status = %d: %s", w.Code, w.Body)
+		if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"degraded":0,"failed":0,"errors":0`) {
+			t.Errorf("stream = %d: %s", w.Code, w.Body)
 		}
 	}()
 	const perGoroutine = 50
 	var wg sync.WaitGroup
-	var queries atomic.Int64
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perGoroutine; i++ {
-				req := httptest.NewRequest(http.MethodPost, "/query",
-					strings.NewReader(`{"query":"SELECT p.name FROM Player p"}`))
+				body := `{"query":"SELECT p.name FROM Player p"}`
+				if i%2 == 1 {
+					body = `{"query":"SELECT p.name FROM Player p WHERE contains(p.history, 'volley') LIMIT 5"}`
+				}
+				req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body))
 				w := httptest.NewRecorder()
 				h.ServeHTTP(w, req)
-				queries.Add(1)
 				if w.Code != http.StatusOK {
 					t.Errorf("query status = %d: %s", w.Code, w.Body)
 					return
@@ -259,14 +417,24 @@ func TestQueryDuringStreamWarm(t *testing.T) {
 			}
 		}()
 	}
+	queried := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(queried)
+	}()
 	lines := 0
-	for queries.Load() < 4*perGoroutine {
-		fmt.Fprintf(pw,
-			`{"webspace":{"URL":"u%d","Objects":[{"Class":"Player","ID":"p%d","Attrs":{"name":"N%d"}}]}}`+"\n",
-			lines, lines, lines)
-		lines++
+	for streaming := true; streaming; {
+		select {
+		case <-queried:
+			streaming = false
+		default:
+			fmt.Fprintf(pw,
+				`{"webspace":{"URL":"u%d","Objects":[{"Class":"Player","ID":"p%d","Attrs":{"name":"N%d"}}]}}`+"\n"+
+					`{"index":"Player.history","owner":"Player:p%d","text":"serve and volley %d"}`+"\n",
+				lines, lines, lines, lines, lines)
+			lines++
+		}
 	}
-	wg.Wait()
 	pw.Close()
 	<-streamDone
 

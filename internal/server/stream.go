@@ -23,12 +23,14 @@ const DefaultStreamFlush = 256
 //     document for the named cluster (doc 0 auto-assigns the next oid
 //     of the index's sequence; an empty index selects the sole one).
 //   - {"webspace": {...}} — one conceptual webspace.Document, stored
-//     in the coordinator's engine (requires an engine).
+//     in the coordinator's engine (requires an engine). The engine's
+//     access paths take it in place, so /query sees it at once.
 //   - {"index":..., "owner":"Class:id", "text":...} — content owned
 //     by a conceptual object: the oid is resolved from the owner's
 //     qualified id, so the cluster's document ids line up with the
 //     engine's object element oids (requires an engine, and the
-//     owner's webspace line must precede it in the stream).
+//     owner's webspace line must precede it in the stream, anywhere
+//     before it: interleaving the two kinds costs nothing).
 //
 // The request body is NOT subject to the coordinator's MaxBody cap —
 // the whole point of streaming ingest. Memory is bounded per line
@@ -118,7 +120,6 @@ func (co *Coordinator) addStream(w http.ResponseWriter, r *http.Request) {
 	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 
 	var sum StreamSummaryLine
-	engineTouched := false
 	pending := map[string][]pendingStreamDoc{}
 	pendingOIDs := map[string]map[bat.OID]bool{}
 
@@ -204,7 +205,6 @@ func (co *Coordinator) addStream(w http.ResponseWriter, r *http.Request) {
 				emit(StreamResultLine{Line: line, Error: err.Error()})
 				continue
 			}
-			engineTouched = true
 			sum.Committed++
 			emit(StreamResultLine{Line: line, Committed: 1})
 		case sl.Text == "":
@@ -225,11 +225,9 @@ func (co *Coordinator) addStream(w http.ResponseWriter, r *http.Request) {
 					emit(StreamResultLine{Line: line, Error: "no conceptual engine configured"})
 					continue
 				}
-				// OIDOf may (re)build the derived access paths, so it
-				// needs the write lock like any other engine mutation.
-				co.engineMu.Lock()
+				co.engineMu.RLock()
 				oid, ok := co.cfg.Engine.DB.OIDOf(sl.Owner)
-				co.engineMu.Unlock()
+				co.engineMu.RUnlock()
 				if !ok {
 					sum.Errors++
 					emit(StreamResultLine{Line: line, Error: "unknown owner: " + sl.Owner})
@@ -290,13 +288,6 @@ func (co *Coordinator) addStream(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(names)
 	for _, name := range names {
 		flushIndex(name)
-	}
-	if engineTouched {
-		// Rebuild the derived access paths once, so concurrent /query
-		// readers never trigger a lazy build.
-		co.engineMu.Lock()
-		co.cfg.Engine.DB.Warm()
-		co.engineMu.Unlock()
 	}
 	co.streams.Add(1)
 	// A degraded document is searchable through the replicas that
