@@ -196,23 +196,12 @@ func main() {
 			}
 		}
 		clusters := make(map[string]*dist.Cluster, len(names))
-		caches := map[string]*core.QueryCache{}
 		for i, name := range names {
-			cluster, cqc, err := buildCluster(nodeLists[i], *local, *replicas, *lambda, *nodeTimeout, *cache, reg)
+			cluster, err := buildCluster(name, nodeLists[i], *local, *replicas, *lambda, *nodeTimeout, *cache, reg)
 			if err != nil {
 				fatal(err)
 			}
 			clusters[name] = cluster
-			if cqc != nil {
-				caches[name] = cqc
-			}
-		}
-		// A single index reports its cache top-level; with several,
-		// each local cluster owns its own cache, reported per index.
-		var qc *core.QueryCache
-		if len(names) == 1 {
-			qc = caches[names[0]]
-			caches = nil
 		}
 		var eng *core.Engine
 		switch *engineKind {
@@ -229,8 +218,6 @@ func main() {
 			MaxBody:       *maxBody,
 			MaxConcurrent: *maxConc,
 			SearchTimeout: *searchTimeout,
-			Cache:         qc,
-			Caches:        caches,
 			Frags:         *frags,
 			FragBudget:    *fragBudget,
 			MinQuality:    *minQuality,
@@ -516,36 +503,31 @@ func splitURLs(s string) []string {
 	return out
 }
 
-// buildCluster assembles the coordinator's cluster: remote nodes from
-// the URL list (sliced into replica groups of r), or k in-process
-// nodes as a single-binary deployment. The query cache exists only in
-// the local mode, where it resolves the nodes' query terms and its
-// /stats counters mean something; remote nodes cache server-side
-// (their own -cache flag) instead.
-func buildCluster(nodeURLs string, local, r int, lambda float64, nodeTimeout time.Duration, cacheCap int, reg *obs.Registry) (*dist.Cluster, *core.QueryCache, error) {
-	opts := &dist.Options{Lambda: lambda, NodeTimeout: nodeTimeout, Logger: logger}
-	if reg != nil {
-		opts.Metrics = &dist.ClusterMetrics{
+// buildCluster assembles the coordinator's cluster for the named
+// index: remote nodes from the URL list (sliced into replica groups of
+// r), or k in-process nodes as a single-binary deployment. The query
+// cache exists only in the local mode, where it resolves the nodes'
+// query terms and reg reports it under the index's name; remote nodes
+// cache server-side (their own -cache flag) instead.
+func buildCluster(name, nodeURLs string, local, r int, lambda float64, nodeTimeout time.Duration, cacheCap int, reg *obs.Registry) (*dist.Cluster, error) {
+	opts := &dist.Options{Lambda: lambda, NodeTimeout: nodeTimeout, Logger: logger,
+		Metrics: &dist.ClusterMetrics{
 			RPCLatency:     reg.Histogram("dl_rpc_latency_seconds", "Routed per-node cluster call latency (failures included).", "", obs.LatencyBounds()),
 			AntiEntropyDur: reg.Histogram("dl_anti_entropy_seconds", "Full anti-entropy pass duration.", "", obs.LatencyBounds()),
 			ResyncDur:      reg.Histogram("dl_resync_seconds", "Replica resync duration.", "", obs.LatencyBounds()),
 			Retries:        reg.Counter("dl_retries_total", "Self-healing RPC retries.", ""),
 			BackoffSeconds: reg.Histogram("dl_backoff_seconds", "Backoff sleeps between retries.", "", obs.LatencyBounds()),
-		}
-	}
+		}}
 	if nodeURLs != "" {
-		var rm *dist.RemoteMetrics
-		if reg != nil {
-			rm = &dist.RemoteMetrics{
-				Latency:  reg.Histogram("dl_rpc_client_seconds", "Remote-node RPC round-trip latency.", "", obs.LatencyBounds()),
-				BytesOut: reg.Counter("dl_rpc_bytes_out_total", "Request bytes sent to remote nodes.", ""),
-				BytesIn:  reg.Counter("dl_rpc_bytes_in_total", "Response bytes read from remote nodes.", ""),
-				StatsPullsFull: reg.Counter("dl_stats_pulls_total",
-					"Statistics pulls from remote nodes, by what the node answered: its whole vocabulary (full) or only the stems changed since the last pull (delta).",
-					obs.Labels("kind", "full")),
-				StatsPullsDelta: reg.Counter("dl_stats_pulls_total", "", obs.Labels("kind", "delta")),
-				StatsPullBytes:  reg.Counter("dl_stats_pull_bytes_total", "Response bytes of statistics pulls from remote nodes.", ""),
-			}
+		rm := &dist.RemoteMetrics{
+			Latency:  reg.Histogram("dl_rpc_client_seconds", "Remote-node RPC round-trip latency.", "", obs.LatencyBounds()),
+			BytesOut: reg.Counter("dl_rpc_bytes_out_total", "Request bytes sent to remote nodes.", ""),
+			BytesIn:  reg.Counter("dl_rpc_bytes_in_total", "Response bytes read from remote nodes.", ""),
+			StatsPullsFull: reg.Counter("dl_stats_pulls_total",
+				"Statistics pulls from remote nodes, by what the node answered: its whole vocabulary (full) or only the stems changed since the last pull (delta).",
+				obs.Labels("kind", "full")),
+			StatsPullsDelta: reg.Counter("dl_stats_pulls_total", "", obs.Labels("kind", "delta")),
+			StatsPullBytes:  reg.Counter("dl_stats_pull_bytes_total", "Response bytes of statistics pulls from remote nodes.", ""),
 		}
 		var members []dist.Node
 		for _, u := range strings.Split(nodeURLs, ",") {
@@ -562,10 +544,9 @@ func buildCluster(nodeURLs string, local, r int, lambda float64, nodeTimeout tim
 			members = append(members, rn)
 		}
 		if len(members) == 0 {
-			return nil, nil, fmt.Errorf("no node URLs in -nodes")
+			return nil, fmt.Errorf("no node URLs in -nodes")
 		}
-		cluster, err := dist.NewReplicatedCluster(members, r, opts)
-		return cluster, nil, err
+		return dist.NewReplicatedCluster(members, r, opts)
 	}
 	if local < 1 {
 		local = 1
@@ -573,13 +554,11 @@ func buildCluster(nodeURLs string, local, r int, lambda float64, nodeTimeout tim
 	var qc *core.QueryCache
 	if cacheCap > 0 {
 		qc = core.NewQueryCache(cacheCap)
+		server.InstrumentQueryCache(reg, qc, "index", name)
 	}
-	var nm *dist.NodeMetrics
-	if reg != nil {
-		nm = &dist.NodeMetrics{
-			Scoring:    reg.Histogram("dl_node_scoring_seconds", "Local query evaluation wall time.", "", obs.LatencyBounds()),
-			IngestDocs: reg.Counter("dl_node_ingest_docs_total", "Documents indexed on in-process nodes.", ""),
-		}
+	nm := &dist.NodeMetrics{
+		Scoring:    reg.Histogram("dl_node_scoring_seconds", "Local query evaluation wall time.", "", obs.LatencyBounds()),
+		IngestDocs: reg.Counter("dl_node_ingest_docs_total", "Documents indexed on in-process nodes.", ""),
 	}
 	members := make([]dist.Node, local)
 	for i := range members {
@@ -594,8 +573,7 @@ func buildCluster(nodeURLs string, local, r int, lambda float64, nodeTimeout tim
 		ln.SetMetrics(nm)
 		members[i] = ln
 	}
-	cluster, err := dist.NewReplicatedCluster(members, r, opts)
-	return cluster, qc, err
+	return dist.NewReplicatedCluster(members, r, opts)
 }
 
 func fatal(err error) {

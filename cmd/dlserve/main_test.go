@@ -161,11 +161,11 @@ func TestREADMEMetricTable(t *testing.T) {
 	})
 
 	coReg := obs.NewRegistry()
-	remote, _, err := buildCluster(srv.URL, 0, 1, 0, 5*time.Second, 0, coReg)
+	remote, err := buildCluster("remote", srv.URL, 0, 1, 0, 5*time.Second, 0, coReg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, _, err := buildCluster("", 1, 1, 0, 5*time.Second, 8, coReg)
+	local, err := buildCluster("local", "", 1, 1, 0, 5*time.Second, 8, coReg)
 	if err != nil {
 		t.Fatal(err)
 	}

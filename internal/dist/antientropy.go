@@ -325,8 +325,7 @@ func (c *Cluster) doResyncLocked(ctx context.Context, g, r, src int) error {
 	}
 	// Count the full resync (and its shipped bytes) only now that it is
 	// verified: a rejoin that failed verification leaves the replica
-	// quarantined and must not be reported as a completed heal —
-	// otherwise ResyncsFull+ResyncsDelta could exceed Resyncs.
+	// quarantined and must not be reported as a completed heal.
 	if bytes, err := persist.SizeOf(st); err == nil {
 		c.resyncBytes.Add(uint64(bytes))
 	}
@@ -378,11 +377,10 @@ func (c *Cluster) tryDeltaResync(ctx context.Context, g, r, src int) bool {
 	return true
 }
 
-// finishResync records a verified resync: quarantine lifts, counters
-// bump, the group's statistics go stale.
+// finishResync records a verified resync, already counted by its
+// caller: quarantine lifts, the group's statistics go stale.
 func (c *Cluster) finishResync(g, r int) {
 	c.markResynced(g, r)
-	c.resyncCount.Add(1)
 	// The replica's content changed behind the group's statistics:
 	// logically it now equals the group (same stats), but a resync that
 	// repaired real divergence may shift the group's df/Σdf — pull them

@@ -228,7 +228,6 @@ type Cluster struct {
 	searchCount   atomic.Uint64 // searches served
 	failoverCount atomic.Uint64 // replica failovers across all searches
 	droppedCount  atomic.Uint64 // partitions dropped from merges
-	resyncCount   atomic.Uint64 // successful replica resyncs
 	divergeCount  atomic.Uint64 // divergences detected by anti-entropy
 
 	resyncDeltaCount atomic.Uint64 // resyncs healed by op-log delta
@@ -414,7 +413,8 @@ type Telemetry struct {
 	// a dead primary it can legitimately exceed Searches.
 	Failovers uint64
 	Dropped   uint64 // partitions dropped from merged rankings
-	// Resyncs counts replicas healed from a group member's snapshot;
+	// Resyncs counts replicas healed from a group member, by op-log
+	// delta or by full snapshot (ResyncsDelta + ResyncsFull);
 	// DivergenceDetected counts divergences anti-entropy found BEFORE
 	// they served (write-failure quarantines are not counted here —
 	// they are detected at the write, not by checksum comparison).
@@ -433,16 +433,17 @@ type Telemetry struct {
 
 // Telemetry returns the cumulative counters.
 func (c *Cluster) Telemetry() Telemetry {
-	return Telemetry{
+	t := Telemetry{
 		Searches:           c.searchCount.Load(),
 		Failovers:          c.failoverCount.Load(),
 		Dropped:            c.droppedCount.Load(),
-		Resyncs:            c.resyncCount.Load(),
 		DivergenceDetected: c.divergeCount.Load(),
 		ResyncsDelta:       c.resyncDeltaCount.Load(),
 		ResyncsFull:        c.resyncFullCount.Load(),
 		ResyncBytes:        c.resyncBytes.Load(),
 	}
+	t.Resyncs = t.ResyncsDelta + t.ResyncsFull
+	return t
 }
 
 // record folds one call outcome — and its latency — into a replica's

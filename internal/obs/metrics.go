@@ -4,7 +4,7 @@
 // per observation), a per-query trace with request-ID propagation,
 // and a leveled logger. Serving layers register their instruments in
 // a Registry, which renders them in the Prometheus text exposition
-// format for GET /metrics.
+// format for GET /metrics and as a JSON list for embedding in reports.
 package obs
 
 import (
@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"regexp"
 	"runtime"
 	"sort"
 	"strings"
@@ -280,14 +281,28 @@ type metric struct {
 	hist        *Histogram
 }
 
-// Registry names instruments and renders them as Prometheus text.
-// Registration is idempotent per (name, labels) pair: asking twice
-// returns the same instrument, so packages can register lazily
-// without coordination. All methods are safe for concurrent use.
+// value reads a counter or gauge.
+func (m *metric) value() float64 {
+	switch {
+	case m.counterFunc != nil:
+		return float64(m.counterFunc())
+	case m.gaugeFunc != nil:
+		return m.gaugeFunc()
+	case m.kind == "counter":
+		return float64(m.counter.Value())
+	}
+	return m.gauge.Value()
+}
+
+// Registry names instruments and renders them as Prometheus text
+// (WritePrometheus) or as a JSON-ready list (Series). Registration is
+// idempotent per (name, labels) pair: asking twice returns the same
+// instrument, so packages can register lazily without coordination.
+// All methods are safe for concurrent use.
 type Registry struct {
 	mu         sync.Mutex
 	metrics    map[string]*metric // key: name + labels
-	order      []string
+	order      []*metric          // registration order
 	onScrape   []func()
 	runtimeReg bool // RegisterRuntimeGauges already ran
 }
@@ -297,10 +312,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{metrics: make(map[string]*metric)}
 }
-
-// Default is the process-wide registry used when a config leaves its
-// Metrics field nil.
-var Default = NewRegistry()
 
 // Labels renders an ordered list of key, value pairs as a Prometheus
 // label set. Values are escaped per the text format.
@@ -326,12 +337,29 @@ func Labels(kv ...string) string {
 	return b.String()
 }
 
+var (
+	labelEscaper   = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	labelUnescaper = strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n")
+	labelPair      = regexp.MustCompile(`(\w+)="((?:[^"\\]|\\.)*)"`)
+)
+
 func escapeLabel(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	return labelEscaper.Replace(v)
+}
+
+// parseLabels inverts Labels: a rendered label set back to its pairs.
+func parseLabels(labels string) map[string]string {
+	if labels == "" {
+		return nil
+	}
+	out := make(map[string]string)
+	for _, m := range labelPair.FindAllStringSubmatch(labels, -1) {
+		out[m[1]] = labelUnescaper.Replace(m[2])
+	}
+	return out
 }
 
 func (r *Registry) lookup(name, labels, kind, help string) *metric {
@@ -344,7 +372,7 @@ func (r *Registry) lookup(name, labels, kind, help string) *metric {
 	}
 	m := &metric{name: name, help: help, kind: kind, labels: labels}
 	r.metrics[key] = m
-	r.order = append(r.order, key)
+	r.order = append(r.order, m)
 	return m
 }
 
@@ -401,10 +429,10 @@ func (r *Registry) Histogram(name, help, labels string, bounds []float64) *Histo
 	return m.hist
 }
 
-// OnScrape registers a hook run at the start of every WritePrometheus
-// call, before values are read — the place to refresh GaugeFunc
-// sources that are expensive to compute per-gauge (one ReadMemStats
-// feeding several gauges).
+// OnScrape registers a hook run at the start of every scrape
+// (WritePrometheus or Series), before values are read — the place to
+// refresh GaugeFunc sources that are expensive to compute per-gauge
+// (one ReadMemStats feeding several gauges).
 func (r *Registry) OnScrape(fn func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -449,39 +477,35 @@ func (r *Registry) RegisterRuntimeGauges() {
 		read(func(m *runtime.MemStats) float64 { return float64(m.NumGC) }))
 }
 
+// snapshot runs the scrape hooks, then copies the series list once,
+// in registration order. Both views read one snapshot, so a series
+// cannot appear in one and be missing from the other.
+func (r *Registry) snapshot() []*metric {
+	r.mu.Lock()
+	hooks := append([]func(){}, r.onScrape...)
+	r.mu.Unlock()
+	// Hooks run before the series list is copied so that series a hook
+	// registers lazily (e.g. per-fragment counters whose cardinality is
+	// only known at scrape time) appear in the same scrape that created
+	// them.
+	for _, fn := range hooks {
+		fn()
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]*metric(nil), r.order...)
+}
+
 // WritePrometheus renders every registered instrument in the
 // Prometheus text exposition format (version 0.0.4). Histograms emit
 // cumulative le buckets plus _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	r.mu.Lock()
-	hooks := append([]func(){}, r.onScrape...)
-	r.mu.Unlock()
-
-	// Hooks run before the series list is snapshotted so that series a
-	// hook registers lazily (e.g. per-fragment counters whose
-	// cardinality is only known at scrape time) appear in the same
-	// scrape that created them.
-	for _, fn := range hooks {
-		fn()
-	}
-
-	r.mu.Lock()
-	keys := append([]string{}, r.order...)
-	byKey := make(map[string]*metric, len(r.metrics))
-	for k, m := range r.metrics {
-		byKey[k] = m
-	}
-	r.mu.Unlock()
-
 	// Group series of the same family so # HELP/# TYPE headers are
 	// emitted once, with families in first-registration order.
-	seenFamily := make(map[string]bool)
 	var families []string
 	fam := make(map[string][]*metric)
-	for _, k := range keys {
-		m := byKey[k]
-		if !seenFamily[m.name] {
-			seenFamily[m.name] = true
+	for _, m := range r.snapshot() {
+		if fam[m.name] == nil {
 			families = append(families, m.name)
 		}
 		fam[m.name] = append(fam[m.name], m)
@@ -496,24 +520,58 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "# TYPE %s %s\n", name, first.kind)
 		sort.Slice(series, func(i, j int) bool { return series[i].labels < series[j].labels })
 		for _, m := range series {
-			switch m.kind {
-			case "counter":
-				v := m.counter.Value()
-				if m.counterFunc != nil {
-					v = m.counterFunc()
-				}
-				fmt.Fprintf(w, "%s%s %d\n", m.name, m.labels, v)
-			case "gauge":
-				v := m.gauge.Value()
-				if m.gaugeFunc != nil {
-					v = m.gaugeFunc()
-				}
-				fmt.Fprintf(w, "%s%s %s\n", m.name, m.labels, formatFloat(v))
-			case "histogram":
+			if m.kind == "histogram" {
 				writeHistogram(w, m)
+			} else {
+				fmt.Fprintf(w, "%s%s %s\n", m.name, m.labels, formatFloat(m.value()))
 			}
 		}
 	}
+}
+
+// Series is one instrument in the registry's JSON view: a counter or
+// gauge carries Value, a histogram its count, sum and quantiles.
+type Series struct {
+	Name   string            `json:"name"`
+	Labels map[string]string `json:"labels,omitempty"`
+	Value  *float64          `json:"value,omitempty"`
+	*HistSummary
+}
+
+// HistSummary is a histogram's part of a Series. The quantiles are
+// HistSnapshot.Quantile's estimates, in the histogram's own unit.
+type HistSummary struct {
+	Count uint64  `json:"count"`
+	Sum   float64 `json:"sum"`
+	P50   float64 `json:"p50"`
+	P95   float64 `json:"p95"`
+	P99   float64 `json:"p99"`
+}
+
+// Series renders every registered instrument as a flat list in
+// registration order, read from the same snapshot WritePrometheus
+// takes: the JSON view of the same series.
+func (r *Registry) Series() []Series {
+	ms := r.snapshot()
+	out := make([]Series, len(ms))
+	for i, m := range ms {
+		s := Series{Name: m.name, Labels: parseLabels(m.labels)}
+		if m.kind == "histogram" {
+			snap := m.hist.Snapshot()
+			s.HistSummary = &HistSummary{
+				Count: snap.Count,
+				Sum:   snap.Sum,
+				P50:   snap.Quantile(0.50),
+				P95:   snap.Quantile(0.95),
+				P99:   snap.Quantile(0.99),
+			}
+		} else {
+			v := m.value()
+			s.Value = &v
+		}
+		out[i] = s
+	}
+	return out
 }
 
 func writeHistogram(w io.Writer, m *metric) {

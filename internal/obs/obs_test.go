@@ -229,6 +229,62 @@ func TestRegistryHistogramLabelsInBuckets(t *testing.T) {
 	}
 }
 
+// TestRegistrySeriesView: the JSON view lists every instrument in
+// registration order, its histogram quantiles are HistSnapshot's, and
+// label values carrying the text format's escapes survive the
+// rendered label set and a JSON round trip.
+func TestRegistrySeriesView(t *testing.T) {
+	r := NewRegistry()
+	odd := "a \"quoted\" \\ path\nline two"
+	r.Counter("dl_c_total", "", Labels("index", odd, "kind", "delta")).Add(7)
+	r.GaugeFunc("dl_g", "", "", func() float64 { return 2.5 })
+	h := r.Histogram("dl_h_seconds", "", Labels("index", "a"), LatencyBounds())
+	for _, v := range []float64{0.0001, 0.002, 0.002, 0.03, 1.5} {
+		h.Observe(v)
+	}
+	r.OnScrape(func() { r.Counter("dl_lazy_total", "", "") })
+
+	data, err := json.Marshal(r.Series())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Series
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 4 {
+		t.Fatalf("view = %s, want 4 series", data)
+	}
+	for i, name := range []string{"dl_c_total", "dl_g", "dl_h_seconds", "dl_lazy_total"} {
+		if got[i].Name != name {
+			t.Fatalf("series %d = %q, want %q (registration order)", i, got[i].Name, name)
+		}
+	}
+	c := got[0]
+	if c.Labels["index"] != odd || c.Labels["kind"] != "delta" || len(c.Labels) != 2 {
+		t.Fatalf("labels = %q, want index %q and kind delta", c.Labels, odd)
+	}
+	if c.Value == nil || *c.Value != 7 || c.HistSummary != nil {
+		t.Fatalf("counter = %+v, want value 7 and no histogram part", c)
+	}
+	if g := got[1]; g.Labels != nil || g.Value == nil || *g.Value != 2.5 {
+		t.Fatalf("gauge = %+v, want unlabelled value 2.5", g)
+	}
+	if z := got[3]; z.Value == nil || *z.Value != 0 {
+		t.Fatalf("zero counter = %s, want an explicit value 0", data)
+	}
+	snap := h.Snapshot()
+	hs := got[2].HistSummary
+	if hs == nil || got[2].Value != nil {
+		t.Fatalf("histogram = %+v, want a summary and no value", got[2])
+	}
+	if hs.Count != snap.Count || hs.Sum != snap.Sum ||
+		hs.P50 != snap.Quantile(0.50) || hs.P95 != snap.Quantile(0.95) || hs.P99 != snap.Quantile(0.99) {
+		t.Fatalf("histogram summary = %+v, want the snapshot's count %d, sum %g, quantiles %g/%g/%g",
+			hs, snap.Count, snap.Sum, snap.Quantile(0.50), snap.Quantile(0.95), snap.Quantile(0.99))
+	}
+}
+
 func TestRuntimeGaugesAndHandler(t *testing.T) {
 	r := NewRegistry()
 	r.RegisterRuntimeGauges()

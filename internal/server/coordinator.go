@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dlsearch/internal/bat"
@@ -20,7 +20,7 @@ import (
 )
 
 // CoordinatorConfig tunes a coordinator. The zero value selects the
-// package defaults, no overall search deadline and no cache report.
+// package defaults and no overall search deadline.
 type CoordinatorConfig struct {
 	MaxBody       int64
 	MaxConcurrent int
@@ -30,15 +30,6 @@ type CoordinatorConfig struct {
 	// coordinator answers with the responsive nodes' merged ranking
 	// and reports the dropped nodes. 0 means no deadline.
 	SearchTimeout time.Duration
-	// Cache is the engine's query-side term cache; when set its
-	// hit/miss counters appear under query_cache in /stats. The local
-	// nodes served by this process share it via their NodeConfig.
-	Cache *core.QueryCache
-	// Caches holds per-index query caches for a coordinator whose
-	// local clusters each own one (multi-index mode): every entry's
-	// counters appear under its index in /stats. Use Cache instead
-	// when one cache is shared.
-	Caches map[string]*core.QueryCache
 	// Frags, FragBudget and MinQuality form the default evaluation
 	// plan applied to /search requests that do not carry their own
 	// plan fields: the fragmentation granularity each node uses for
@@ -52,8 +43,9 @@ type CoordinatorConfig struct {
 	// request counters, per-index search latency and served-quality
 	// histograms, the clusters' availability counters, Go runtime
 	// gauges — and is served in Prometheus text format on GET /metrics
-	// (outside the concurrency semaphore, like /healthz). nil disables
-	// both the instrumentation and the endpoint.
+	// (outside the concurrency semaphore, like /healthz). nil keeps the
+	// telemetry in a private registry, still reported by /stats, and
+	// serves no /metrics.
 	Metrics *obs.Registry
 	// SlowQuery, when set, emits one JSON line (request ID, index,
 	// query, span breakdown) for every /search slower than its
@@ -140,32 +132,32 @@ type Coordinator struct {
 	cfg     CoordinatorConfig
 	start   time.Time
 	sem     *semaphore
+	// reg holds every coordinator number: cfg.Metrics, or a private
+	// registry when none is configured. /stats renders it either way.
+	reg *obs.Registry
 
-	searches atomic.Uint64
-	adds     atomic.Uint64
-	queries  atomic.Uint64
-	streams  atomic.Uint64
-	errs     atomic.Uint64
+	// dl_coordinator_requests_total by op, and dl_coordinator_errors_total.
+	searches, adds, queries, streams, errs *obs.Counter
 
-	// engineMu guards cfg.Engine: /query executes and /add/stream
-	// resolves owners under the read lock, and /add/stream's conceptual
-	// writes, which extend the engine's access paths (or rebuild them,
-	// for a repost), take the write lock. The paths are always built, so a reader never
-	// writes.
+	// engineMu guards cfg.Engine. /query executes and /add/stream
+	// resolves owners under the read lock; /add/stream's conceptual
+	// writes, which extend the engine's access paths (or rebuild them
+	// for a repost), take the write lock. The paths are always built,
+	// so a reader never writes.
 	engineMu sync.RWMutex
 
 	// queryLatency holds the /query end-to-end latency histogram, nil
-	// without a registry.
+	// without an engine.
 	queryLatency *obs.Histogram
 
 	// latency and quality hold the per-index /search histograms
-	// (seconds / QualityEstimate.Value), nil maps without a registry.
+	// (seconds / QualityEstimate.Value).
 	latency map[string]*obs.Histogram
 	quality map[string]*obs.Histogram
 
 	// sloBudget and sloPredErr hold the per-index controller
 	// histograms: chosen budgets and |achieved − predicted| latency.
-	// nil maps without a registry or a controller.
+	// nil maps without a controller.
 	sloBudget  map[string]*obs.Histogram
 	sloPredErr map[string]*obs.Histogram
 }
@@ -206,110 +198,118 @@ func NewCoordinator(indexes map[string]*dist.Cluster, cfg *CoordinatorConfig) *C
 			cluster.SetCostCurve(ctl.Curve(name))
 		}
 	}
-	if reg := co.cfg.Metrics; reg != nil {
-		reg.RegisterRuntimeGauges()
-		reg.CounterFunc("dl_coordinator_requests_total",
-			"Coordinator requests served, by operation.",
-			obs.Labels("op", "search"), co.searches.Load)
-		reg.CounterFunc("dl_coordinator_requests_total", "",
-			obs.Labels("op", "add"), co.adds.Load)
-		reg.CounterFunc("dl_coordinator_requests_total", "",
-			obs.Labels("op", "query"), co.queries.Load)
-		reg.CounterFunc("dl_coordinator_requests_total", "",
-			obs.Labels("op", "add_stream"), co.streams.Load)
-		if co.cfg.Engine != nil {
-			co.queryLatency = reg.Histogram("dl_query_latency_seconds",
-				"End-to-end conceptual /query latency.",
-				"", obs.LatencyBounds())
+	co.instrument()
+	return co
+}
+
+// instrument registers every coordinator number in co.reg.
+func (co *Coordinator) instrument() {
+	reg := co.cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	co.reg = reg
+	reg.RegisterRuntimeGauges()
+	const reqHelp = "Coordinator requests served, by operation."
+	co.searches = reg.Counter("dl_coordinator_requests_total", reqHelp, obs.Labels("op", "search"))
+	co.adds = reg.Counter("dl_coordinator_requests_total", reqHelp, obs.Labels("op", "add"))
+	co.queries = reg.Counter("dl_coordinator_requests_total", reqHelp, obs.Labels("op", "query"))
+	co.streams = reg.Counter("dl_coordinator_requests_total", reqHelp, obs.Labels("op", "add_stream"))
+	if co.cfg.Engine != nil {
+		co.queryLatency = reg.Histogram("dl_query_latency_seconds",
+			"End-to-end conceptual /query latency.",
+			"", obs.LatencyBounds())
+	}
+	co.errs = reg.Counter("dl_coordinator_errors_total",
+		"Coordinator requests answered with an error status.", "")
+	reg.CounterFunc("dl_coordinator_shed_total",
+		"Requests shed with 503 because the concurrency semaphore was full.",
+		"", co.sem.Shed)
+	reg.GaugeFunc("dl_coordinator_in_flight",
+		"Requests currently holding a concurrency-semaphore slot.",
+		"", func() float64 { return float64(co.sem.InFlight()) })
+	reg.GaugeFunc("dl_coordinator_waiting",
+		"Requests blocked waiting for a concurrency-semaphore slot (adaptive admission only).",
+		"", func() float64 { return float64(co.sem.Waiting()) })
+	reg.GaugeFunc("dl_coordinator_max_concurrent",
+		"The concurrency semaphore's limit.",
+		"", func() float64 { return float64(co.sem.Limit()) })
+	co.latency = make(map[string]*obs.Histogram, len(co.indexes))
+	co.quality = make(map[string]*obs.Histogram, len(co.indexes))
+	if ctl := co.cfg.SLO; ctl != nil {
+		co.sloBudget = make(map[string]*obs.Histogram, len(co.indexes))
+		co.sloPredErr = make(map[string]*obs.Histogram, len(co.indexes))
+		budgetBounds := make([]float64, ctl.MaxBudget())
+		for i := range budgetBounds {
+			budgetBounds[i] = float64(i + 1)
 		}
-		reg.CounterFunc("dl_coordinator_errors_total",
-			"Coordinator requests answered with an error status.",
-			"", co.errs.Load)
-		reg.CounterFunc("dl_coordinator_shed_total",
-			"Requests shed with 503 because the concurrency semaphore was full.",
-			"", co.sem.Shed)
-		reg.GaugeFunc("dl_coordinator_in_flight",
-			"Requests currently holding a concurrency-semaphore slot.",
-			"", func() float64 { return float64(co.sem.InFlight()) })
-		reg.GaugeFunc("dl_coordinator_waiting",
-			"Requests blocked waiting for a concurrency-semaphore slot (adaptive admission only).",
-			"", func() float64 { return float64(co.sem.Waiting()) })
-		co.latency = make(map[string]*obs.Histogram, len(indexes))
-		co.quality = make(map[string]*obs.Histogram, len(indexes))
-		if ctl := co.cfg.SLO; ctl != nil {
-			co.sloBudget = make(map[string]*obs.Histogram, len(indexes))
-			co.sloPredErr = make(map[string]*obs.Histogram, len(indexes))
-			budgetBounds := make([]float64, ctl.MaxBudget())
-			for i := range budgetBounds {
-				budgetBounds[i] = float64(i + 1)
+		for name := range co.indexes {
+			ix, lbl := name, obs.Labels("index", name)
+			cnt := func(f func(slo.Counters) uint64) func() uint64 {
+				return func() uint64 { return f(ctl.Counters(ix)) }
 			}
-			for name := range indexes {
-				ix, lbl := name, obs.Labels("index", name)
-				cnt := func(f func(slo.Counters) uint64) func() uint64 {
-					return func() uint64 { return f(ctl.Counters(ix)) }
-				}
-				reg.CounterFunc("dl_slo_decisions_total",
-					"Budget-controller decisions taken, by index.",
-					lbl, cnt(func(c slo.Counters) uint64 { return c.Decisions }))
-				reg.CounterFunc("dl_slo_degraded_total",
-					"Decisions that chose a below-full-quality budget, by index.",
-					lbl, cnt(func(c slo.Counters) uint64 { return c.Degraded }))
-				reg.CounterFunc("dl_slo_overrides_total",
-					"Requests that overrode the SLO target via slo_ms, by index.",
-					lbl, cnt(func(c slo.Counters) uint64 { return c.Overrides }))
-				reg.CounterFunc("dl_slo_floor_hits_total",
-					"Decisions clamped upward by the quality floor, by index.",
-					lbl, cnt(func(c slo.Counters) uint64 { return c.FloorHits }))
-				reg.CounterFunc("dl_slo_rejected_total",
-					"Queries refused because the quality floor left nothing to shed, by index.",
-					lbl, cnt(func(c slo.Counters) uint64 { return c.Rejected }))
-				reg.CounterFunc("dl_slo_probes_total",
-					"Decisions that explored one budget above the choice to refresh stale curve points, by index.",
-					lbl, cnt(func(c slo.Counters) uint64 { return c.Probes }))
-				reg.GaugeFunc("dl_slo_shed_level",
-					"Admission-pressure shed level of the latest decision, by index.",
-					lbl, func() float64 { return float64(ctl.Counters(ix).ShedLevel) })
-				co.sloBudget[name] = reg.Histogram("dl_slo_budget",
-					"Fragment budgets the controller chose, by index.",
-					lbl, budgetBounds)
-				co.sloPredErr[name] = reg.Histogram("dl_slo_prediction_error_seconds",
-					"Absolute error of the curve's latency prediction, by index.",
-					lbl, obs.LatencyBounds())
-			}
-		}
-		for name, c := range indexes {
-			co.latency[name] = reg.Histogram("dl_search_latency_seconds",
-				"End-to-end /search latency by index.",
-				obs.Labels("index", name), obs.LatencyBounds())
-			co.quality[name] = reg.Histogram("dl_search_quality",
-				"Served quality estimate (QualityEstimate.Value) by index.",
-				obs.Labels("index", name), obs.QualityBounds())
-			cl := c
-			tel := func(f func(dist.Telemetry) uint64) func() uint64 {
-				return func() uint64 { return f(cl.Telemetry()) }
-			}
-			lbl := obs.Labels("index", name)
-			reg.CounterFunc("dl_cluster_searches_total",
-				"Searches fanned out over the cluster, by index.",
-				lbl, tel(func(t dist.Telemetry) uint64 { return t.Searches }))
-			reg.CounterFunc("dl_cluster_failovers_total",
-				"Replica failovers the routed calls needed, by index.",
-				lbl, tel(func(t dist.Telemetry) uint64 { return t.Failovers }))
-			reg.CounterFunc("dl_cluster_dropped_nodes_total",
-				"Partitions dropped from merged rankings, by index.",
-				lbl, tel(func(t dist.Telemetry) uint64 { return t.Dropped }))
-			reg.CounterFunc("dl_cluster_resyncs_total",
-				"Replicas healed from a group member, by index.",
-				lbl, tel(func(t dist.Telemetry) uint64 { return t.Resyncs }))
-			reg.CounterFunc("dl_cluster_divergence_detected_total",
-				"Divergences anti-entropy checksum comparison caught, by index.",
-				lbl, tel(func(t dist.Telemetry) uint64 { return t.DivergenceDetected }))
-			reg.CounterFunc("dl_cluster_resync_bytes_total",
-				"Bytes resyncs shipped (delta and full), by index.",
-				lbl, tel(func(t dist.Telemetry) uint64 { return t.ResyncBytes }))
+			reg.CounterFunc("dl_slo_decisions_total",
+				"Budget-controller decisions taken, by index.",
+				lbl, cnt(func(c slo.Counters) uint64 { return c.Decisions }))
+			reg.CounterFunc("dl_slo_degraded_total",
+				"Decisions that chose a below-full-quality budget, by index.",
+				lbl, cnt(func(c slo.Counters) uint64 { return c.Degraded }))
+			reg.CounterFunc("dl_slo_overrides_total",
+				"Requests that overrode the SLO target via slo_ms, by index.",
+				lbl, cnt(func(c slo.Counters) uint64 { return c.Overrides }))
+			reg.CounterFunc("dl_slo_floor_hits_total",
+				"Decisions clamped upward by the quality floor, by index.",
+				lbl, cnt(func(c slo.Counters) uint64 { return c.FloorHits }))
+			reg.CounterFunc("dl_slo_rejected_total",
+				"Queries refused because the quality floor left nothing to shed, by index.",
+				lbl, cnt(func(c slo.Counters) uint64 { return c.Rejected }))
+			reg.CounterFunc("dl_slo_probes_total",
+				"Decisions that explored one budget above the choice to refresh stale curve points, by index.",
+				lbl, cnt(func(c slo.Counters) uint64 { return c.Probes }))
+			reg.GaugeFunc("dl_slo_shed_level",
+				"Admission-pressure shed level of the latest decision, by index.",
+				lbl, func() float64 { return float64(ctl.Counters(ix).ShedLevel) })
+			co.sloBudget[name] = reg.Histogram("dl_slo_budget",
+				"Fragment budgets the controller chose, by index.",
+				lbl, budgetBounds)
+			co.sloPredErr[name] = reg.Histogram("dl_slo_prediction_error_seconds",
+				"Absolute error of the curve's latency prediction, by index.",
+				lbl, obs.LatencyBounds())
 		}
 	}
-	return co
+	for name, c := range co.indexes {
+		co.latency[name] = reg.Histogram("dl_search_latency_seconds",
+			"End-to-end /search latency by index.",
+			obs.Labels("index", name), obs.LatencyBounds())
+		co.quality[name] = reg.Histogram("dl_search_quality",
+			"Served quality estimate (QualityEstimate.Value) by index.",
+			obs.Labels("index", name), obs.QualityBounds())
+		cl := c
+		tel := func(f func(dist.Telemetry) uint64) func() uint64 {
+			return func() uint64 { return f(cl.Telemetry()) }
+		}
+		lbl := obs.Labels("index", name)
+		reg.CounterFunc("dl_cluster_searches_total",
+			"Searches fanned out over the cluster, by index.",
+			lbl, tel(func(t dist.Telemetry) uint64 { return t.Searches }))
+		reg.CounterFunc("dl_cluster_failovers_total",
+			"Replica failovers the routed calls needed, by index.",
+			lbl, tel(func(t dist.Telemetry) uint64 { return t.Failovers }))
+		reg.CounterFunc("dl_cluster_dropped_nodes_total",
+			"Partitions dropped from merged rankings, by index.",
+			lbl, tel(func(t dist.Telemetry) uint64 { return t.Dropped }))
+		const resyncHelp = "Replicas healed from a group member, by index and by what was shipped: the op-log suffix (delta) or the whole snapshot (full)."
+		reg.CounterFunc("dl_cluster_resyncs_total", resyncHelp,
+			obs.Labels("index", name, "kind", "delta"), tel(func(t dist.Telemetry) uint64 { return t.ResyncsDelta }))
+		reg.CounterFunc("dl_cluster_resyncs_total", resyncHelp,
+			obs.Labels("index", name, "kind", "full"), tel(func(t dist.Telemetry) uint64 { return t.ResyncsFull }))
+		reg.CounterFunc("dl_cluster_divergence_detected_total",
+			"Divergences anti-entropy checksum comparison caught, by index.",
+			lbl, tel(func(t dist.Telemetry) uint64 { return t.DivergenceDetected }))
+		reg.CounterFunc("dl_cluster_resync_bytes_total",
+			"Bytes resyncs shipped (delta and full), by index.",
+			lbl, tel(func(t dist.Telemetry) uint64 { return t.ResyncBytes }))
+	}
 }
 
 // Handler returns the coordinator's HTTP handler: POST /search,
@@ -567,9 +567,7 @@ func (co *Coordinator) sloTarget(w http.ResponseWriter, r *http.Request, req *Se
 // histograms, and the whole decision in the slow-query record.
 func (co *Coordinator) observeSearch(name string, tr *obs.Trace, req *SearchRequest, sr *dist.SearchResult, dec *slo.Decision) {
 	took := tr.Elapsed()
-	if h := co.latency[name]; h != nil {
-		h.Observe(took.Seconds())
-	}
+	co.latency[name].Observe(took.Seconds())
 	rec := obs.SlowQueryRecord{
 		Role:  "coordinator",
 		Index: name,
@@ -578,20 +576,12 @@ func (co *Coordinator) observeSearch(name string, tr *obs.Trace, req *SearchRequ
 	if sr != nil {
 		rec.Quality = sr.Quality.Value()
 		rec.Results = len(sr.Results)
-		if h := co.quality[name]; h != nil {
-			h.Observe(rec.Quality)
-		}
+		co.quality[name].Observe(rec.Quality)
 	}
 	if dec != nil {
-		if h := co.sloBudget[name]; h != nil {
-			h.Observe(float64(dec.Budget))
-		}
-		if h := co.sloPredErr[name]; h != nil && dec.Predicted > 0 {
-			err := (took - dec.Predicted).Seconds()
-			if err < 0 {
-				err = -err
-			}
-			h.Observe(err)
+		co.sloBudget[name].Observe(float64(dec.Budget))
+		if dec.Predicted > 0 {
+			co.sloPredErr[name].Observe(math.Abs((took - dec.Predicted).Seconds()))
 		}
 		rec.SLO = &obs.SLOJSON{
 			Budget:      dec.Budget,
@@ -674,66 +664,21 @@ func (co *Coordinator) buildPlanInner(w http.ResponseWriter, r *http.Request, re
 	return plan, true
 }
 
-// StatsResponse answers GET /stats.
+// StatsResponse answers GET /stats: what only a live probe or a
+// learned model knows — each index's replica table and SLO curve —
+// beside Metrics, the JSON view of the registry GET /metrics serves.
+// Every counter, gauge and histogram of the coordinator is in
+// Metrics, and nowhere else.
 type StatsResponse struct {
 	UptimeSeconds float64               `json:"uptime_seconds"`
-	Requests      RequestStats          `json:"requests"`
-	Concurrency   *ConcurrencyStats     `json:"concurrency,omitempty"`
 	Indexes       map[string]IndexStats `json:"indexes"`
-	QueryCache    *QueryCacheStats      `json:"query_cache,omitempty"`
+	Metrics       []obs.Series          `json:"metrics"`
 }
 
-// ConcurrencyStats reports the coordinator's semaphore pressure: how
-// many requests are in flight right now, the configured limit, and
-// how many requests overload has shed with a 503 since boot.
-type ConcurrencyStats struct {
-	InFlight int `json:"in_flight"`
-	Limit    int `json:"limit"`
-	// Waiting counts requests blocked for a slot (adaptive admission
-	// queues instead of shedding).
-	Waiting int    `json:"waiting,omitempty"`
-	Shed    uint64 `json:"shed_503_total"`
-}
-
-// QuantilesJSON summarises a histogram for /stats: count, mean and
-// interpolated p50/p95/p99 (each accurate to its bucket's width).
-type QuantilesJSON struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
-// quantilesJSON renders a histogram snapshot, scaling every value by
-// scale (1e3 turns seconds into milliseconds). nil for an empty or
-// absent histogram.
-func quantilesJSON(h *obs.Histogram, scale float64) *QuantilesJSON {
-	snap := h.Snapshot()
-	if snap.Count == 0 {
-		return nil
-	}
-	return &QuantilesJSON{
-		Count: snap.Count,
-		Mean:  snap.Mean() * scale,
-		P50:   snap.Quantile(0.50) * scale,
-		P95:   snap.Quantile(0.95) * scale,
-		P99:   snap.Quantile(0.99) * scale,
-	}
-}
-
-// RequestStats are the coordinator's cumulative request counters.
-type RequestStats struct {
-	Search uint64 `json:"search"`
-	Add    uint64 `json:"add"`
-	Errors uint64 `json:"errors"`
-}
-
-// IndexStats describes one served index: its partitions, their
-// replicas' health, and the cluster's cumulative availability
-// counters. Error is set when the load read was partial (a whole
-// replica group was unreachable): Docs then undercounts and must not
-// be read as data loss.
+// IndexStats describes one served index: its partitions and their
+// replicas' health. Error is set when the load read was partial (a
+// whole replica group was unreachable): Docs then undercounts and must
+// not be read as data loss.
 type IndexStats struct {
 	Nodes     int   `json:"nodes"` // partitions (replica groups)
 	Docs      int   `json:"docs"`
@@ -741,41 +686,11 @@ type IndexStats struct {
 	// Groups reports every replica of every partition: reachability,
 	// routing health and snapshot age.
 	Groups []GroupStats `json:"groups,omitempty"`
-	// Searches/Failovers/DroppedNodes are the cluster's cumulative
-	// availability counters: how many searches fanned out, how many
-	// replica failovers they needed, and how many partitions were
-	// dropped from merged rankings.
-	Searches     uint64 `json:"searches"`
-	Failovers    uint64 `json:"failovers"`
-	DroppedNodes uint64 `json:"dropped_nodes"`
-	// Resyncs/DivergenceDetected are the self-healing counters: how
-	// many replicas were healed from a group member's snapshot, and how
-	// many divergences anti-entropy checksum comparison caught.
-	Resyncs            uint64 `json:"resyncs"`
-	DivergenceDetected uint64 `json:"divergence_detected"`
-	// ResyncsDelta/ResyncsFull split Resyncs by transfer strategy
-	// (op-log suffix vs whole snapshot); ResyncBytes totals the bytes
-	// resyncs shipped either way — the number the op log is meant to
-	// keep far below fragments × snapshot size.
-	ResyncsDelta uint64 `json:"resyncs_delta"`
-	ResyncsFull  uint64 `json:"resyncs_full"`
-	ResyncBytes  uint64 `json:"resync_bytes"`
-	// LatencyMS and Quality summarise this coordinator's served
-	// /search outcomes for the index — p50/p95/p99 end-to-end latency
-	// in milliseconds, and the distribution of served quality
-	// estimates. Absent until a search was served (or without a
-	// Metrics registry).
-	LatencyMS *QuantilesJSON `json:"latency_ms,omitempty"`
-	Quality   *QuantilesJSON `json:"quality,omitempty"`
-	// SLO is the budget controller's state for this index — the
-	// learned quality/latency curve, the current shed level, and the
-	// decision counters. Absent on non-adaptive coordinators.
-	SLO *slo.IndexStats `json:"slo,omitempty"`
-	// QueryCache reports this index's own query cache in multi-index
-	// mode, where each local cluster owns one (CoordinatorConfig.Caches);
-	// a single shared cache reports top-level instead.
-	QueryCache *QueryCacheStats `json:"query_cache,omitempty"`
-	Error      string           `json:"error,omitempty"`
+	// SLO is the budget controller's configuration and learned
+	// quality/latency curve for this index. Absent on non-adaptive
+	// coordinators.
+	SLO   *slo.IndexStats `json:"slo,omitempty"`
+	Error string          `json:"error,omitempty"`
 }
 
 // GroupStats is one partition's replica set.
@@ -837,38 +752,13 @@ type wireInfoNode interface {
 	WireInfo() (codec string, bytesIn, bytesOut uint64)
 }
 
-// QueryCacheStats are the engine's query-side cache counters: term
-// resolutions served from the cache, computed past it, and held.
-type QueryCacheStats struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Entries int    `json:"entries"`
-}
-
-// queryCacheStats snapshots one cache's counters for /stats.
-func queryCacheStats(c *core.QueryCache) *QueryCacheStats {
-	hits, misses := c.Counters()
-	return &QueryCacheStats{Hits: hits, Misses: misses, Entries: c.Len()}
-}
-
 func (co *Coordinator) statsHandler(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
 	resp := StatsResponse{
 		UptimeSeconds: time.Since(co.start).Seconds(),
-		Requests: RequestStats{
-			Search: co.searches.Load(),
-			Add:    co.adds.Load(),
-			Errors: co.errs.Load(),
-		},
-		Indexes: make(map[string]IndexStats, len(co.indexes)),
-	}
-	resp.Concurrency = &ConcurrencyStats{
-		InFlight: co.sem.InFlight(),
-		Limit:    co.sem.Limit(),
-		Waiting:  co.sem.Waiting(),
-		Shed:     co.sem.Shed(),
+		Indexes:       make(map[string]IndexStats, len(co.indexes)),
 	}
 	names := make([]string, 0, len(co.indexes))
 	for name := range co.indexes {
@@ -878,27 +768,13 @@ func (co *Coordinator) statsHandler(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	for _, name := range names {
 		c := co.indexes[name]
-		tel := c.Telemetry()
 		st := IndexStats{
-			Nodes:              c.Size(),
-			NodeLoads:          make([]int, c.Size()),
-			Searches:           tel.Searches,
-			Failovers:          tel.Failovers,
-			DroppedNodes:       tel.Dropped,
-			Resyncs:            tel.Resyncs,
-			DivergenceDetected: tel.DivergenceDetected,
-			ResyncsDelta:       tel.ResyncsDelta,
-			ResyncsFull:        tel.ResyncsFull,
-			ResyncBytes:        tel.ResyncBytes,
-			LatencyMS:          quantilesJSON(co.latency[name], 1e3),
-			Quality:            quantilesJSON(co.quality[name], 1),
+			Nodes:     c.Size(),
+			NodeLoads: make([]int, c.Size()),
 		}
 		if ctl := co.cfg.SLO; ctl != nil {
 			s := ctl.Stats(name)
 			st.SLO = &s
-		}
-		if c := co.cfg.Caches[name]; c != nil {
-			st.QueryCache = queryCacheStats(c)
 		}
 		// One probe of every replica serves both views: the per-replica
 		// report AND the per-partition loads (replicas counted once) —
@@ -979,9 +855,8 @@ func (co *Coordinator) statsHandler(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Indexes[name] = st
 	}
-	if co.cfg.Cache != nil {
-		resp.QueryCache = queryCacheStats(co.cfg.Cache)
-	}
+	// Read last, so the view includes whatever the probe above counted.
+	resp.Metrics = co.reg.Series()
 	writeJSON(w, http.StatusOK, resp)
 }
 

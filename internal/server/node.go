@@ -23,8 +23,8 @@ type NodeConfig struct {
 	MaxBody       int64 // request-body cap, bytes
 	MaxConcurrent int   // in-flight request bound
 	// Cache caches (query → term oids) resolutions for this node's
-	// searches; with Metrics set its traffic is exported as
-	// dl_node_query_cache_total{result="hit"|"miss"}.
+	// searches; with Metrics set it is exported by
+	// InstrumentQueryCache.
 	Cache *core.QueryCache
 	// MemoryBudget, when positive, bounds the resident bytes of the
 	// index's plain posting columns; cold low-idf lists are held
@@ -163,12 +163,8 @@ func NewNodeServer(ix *ir.Index, cfg *NodeConfig) *NodeServer {
 				IngestDocs: reg.Counter("dl_node_ingest_docs_total",
 					"Documents freshly indexed on this node (retried duplicates excluded).", ""),
 			})
-			if qc := cfg.Cache; qc != nil {
-				const help = "Query-term resolutions served from (hit) or computed past (miss) the node's query cache."
-				reg.CounterFunc("dl_node_query_cache_total", help, obs.Labels("result", "hit"),
-					func() uint64 { h, _ := qc.Counters(); return h })
-				reg.CounterFunc("dl_node_query_cache_total", help, obs.Labels("result", "miss"),
-					func() uint64 { _, m := qc.Counters(); return m })
+			if cfg.Cache != nil {
+				InstrumentQueryCache(reg, cfg.Cache)
 			}
 			// Per-fragment cost accounting: postings evaluated per idf
 			// fragment (fragment 0 holds the rarest terms). The fragment
@@ -201,6 +197,20 @@ func NewNodeServer(ix *ir.Index, cfg *NodeConfig) *NodeServer {
 	s.sem = newSemaphore(s.maxConc)
 	s.initWireMetrics(s.reg)
 	return s
+}
+
+// InstrumentQueryCache registers a query cache on reg: its traffic as
+// dl_node_query_cache_total{result="hit"|"miss"} and its occupancy as
+// dl_node_query_cache_entries, each series also carrying the label
+// pairs kv (the index of a coordinator's in-process cluster).
+func InstrumentQueryCache(reg *obs.Registry, qc *core.QueryCache, kv ...string) {
+	const help = "Query-term resolutions served from (hit) or computed past (miss) the node's query cache."
+	reg.CounterFunc("dl_node_query_cache_total", help, obs.Labels(append(kv, "result", "hit")...),
+		func() uint64 { h, _ := qc.Counters(); return h })
+	reg.CounterFunc("dl_node_query_cache_total", help, obs.Labels(append(kv, "result", "miss")...),
+		func() uint64 { _, m := qc.Counters(); return m })
+	reg.GaugeFunc("dl_node_query_cache_entries", "Query-term resolutions the node's query cache holds.",
+		obs.Labels(kv...), func() float64 { return float64(qc.Len()) })
 }
 
 // Handler returns the HTTP handler serving the node wire protocol:

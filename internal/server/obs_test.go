@@ -39,8 +39,8 @@ func (s *syncBuffer) String() string {
 // servers with full instrumentation: the coordinator's request ID must
 // be echoed in the /search response AND appear in the node-side
 // slow-query log (propagated via X-DL-Request), /metrics must serve
-// Prometheus text on both roles, and /stats must report latency
-// quantiles and semaphore pressure.
+// Prometheus text on both roles, and the /stats metrics view must
+// report latency quantiles and the semaphore limit.
 func TestObservabilityEndToEnd(t *testing.T) {
 	var nodeSlow syncBuffer
 	nodeReg := obs.NewRegistry()
@@ -160,22 +160,22 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		}
 	}
 
-	// /stats: latency/quality quantiles per index plus semaphore
-	// pressure.
+	// /stats: latency/quality quantiles per index plus the semaphore
+	// limit, in the metrics view.
 	var st StatsResponse
 	if err := json.Unmarshal([]byte(get(cot.URL+"/stats")), &st); err != nil {
 		t.Fatal(err)
 	}
+	if lat := statsSeries(t, st, "dl_search_latency_seconds", "index", "lib").HistSummary; lat == nil || lat.Count != searches || lat.P95 <= 0 {
+		t.Fatalf("stats latency quantiles = %+v, want count %d with positive p95", lat, searches)
+	}
+	if q := statsSeries(t, st, "dl_search_quality", "index", "lib").HistSummary; q == nil || q.Count != searches {
+		t.Fatalf("stats quality quantiles = %+v, want count %d", q, searches)
+	}
+	if limit := statsValue(t, st, "dl_coordinator_max_concurrent"); limit != DefaultMaxConcurrent {
+		t.Fatalf("stats semaphore limit = %v, want %d", limit, DefaultMaxConcurrent)
+	}
 	lib := st.Indexes["lib"]
-	if lib.LatencyMS == nil || lib.LatencyMS.Count != searches || lib.LatencyMS.P95 <= 0 {
-		t.Fatalf("stats latency quantiles = %+v, want count %d with positive p95", lib.LatencyMS, searches)
-	}
-	if lib.Quality == nil || lib.Quality.Count != searches {
-		t.Fatalf("stats quality quantiles = %+v, want count %d", lib.Quality, searches)
-	}
-	if st.Concurrency == nil || st.Concurrency.Limit != DefaultMaxConcurrent {
-		t.Fatalf("stats concurrency = %+v, want limit %d", st.Concurrency, DefaultMaxConcurrent)
-	}
 	if len(lib.Groups) == 0 || lib.Groups[0].Replicas[0].RPCCalls == 0 {
 		t.Fatalf("replica RPC telemetry missing: %+v", lib.Groups)
 	}

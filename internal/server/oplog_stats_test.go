@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -14,8 +13,8 @@ import (
 
 // TestCoordinatorOpLogStats: /stats surfaces the op-log machinery —
 // per-replica log positions, a lagging replica's log_lag against the
-// group maximum, and the delta/full resync split with shipped bytes —
-// everything the CI delta-resync job asserts on.
+// group maximum — and its metrics view the delta/full resync split
+// with shipped bytes: everything the CI delta-resync job asserts on.
 func TestCoordinatorOpLogStats(t *testing.T) {
 	mkNode := func() *dist.LocalNode {
 		l, err := persist.OpenOpLog(t.TempDir())
@@ -42,15 +41,16 @@ func TestCoordinatorOpLogStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := func() IndexStats {
+	stats := func() (IndexStats, [3]float64) {
 		cluster.InvalidateStats()
-		var st StatsResponse
-		if err := json.Unmarshal(get(t, h, "/stats").Body.Bytes(), &st); err != nil {
-			t.Fatal(err)
+		st := getStats(t, h)
+		return st.Indexes["a"], [3]float64{
+			statsValue(t, st, "dl_cluster_resyncs_total", "index", "a", "kind", "delta"),
+			statsValue(t, st, "dl_cluster_resyncs_total", "index", "a", "kind", "full"),
+			statsValue(t, st, "dl_cluster_resync_bytes_total", "index", "a"),
 		}
-		return st.Indexes["a"]
 	}
-	ixst := stats()
+	ixst, resyncs := stats()
 	r0, r1 := ixst.Groups[0].Replicas[0], ixst.Groups[0].Replicas[1]
 	if r0.LogPos != 25 || r1.LogPos != 20 {
 		t.Fatalf("log positions = %d/%d, want 25/20", r0.LogPos, r1.LogPos)
@@ -58,18 +58,18 @@ func TestCoordinatorOpLogStats(t *testing.T) {
 	if r0.LogLag != 0 || r1.LogLag != 5 {
 		t.Fatalf("log lag = %d/%d, want 0/5", r0.LogLag, r1.LogLag)
 	}
-	if ixst.ResyncsDelta != 0 || ixst.ResyncsFull != 0 || ixst.ResyncBytes != 0 {
-		t.Fatalf("resync counters moved before any resync: %+v", ixst)
+	if resyncs != [3]float64{} {
+		t.Fatalf("resync counters (delta, full, bytes) = %v, moved before any resync", resyncs)
 	}
 	// Heal: the lagging replica catches up by delta, and the counters
 	// split accordingly.
 	if rep := cluster.CheckReplicas(context.Background(), true); rep.Resynced != 1 {
 		t.Fatalf("anti-entropy pass = %+v", rep)
 	}
-	ixst = stats()
-	if ixst.ResyncsDelta != 1 || ixst.ResyncsFull != 0 || ixst.ResyncBytes == 0 {
-		t.Fatalf("post-heal counters = delta %d full %d bytes %d, want 1/0/>0",
-			ixst.ResyncsDelta, ixst.ResyncsFull, ixst.ResyncBytes)
+	ixst, resyncs = stats()
+	if resyncs[0] != 1 || resyncs[1] != 0 || resyncs[2] == 0 {
+		t.Fatalf("post-heal counters = delta %v full %v bytes %v, want 1/0/>0",
+			resyncs[0], resyncs[1], resyncs[2])
 	}
 	r0, r1 = ixst.Groups[0].Replicas[0], ixst.Groups[0].Replicas[1]
 	if r0.LogPos != 25 || r1.LogPos != 25 || r0.LogLag != 0 || r1.LogLag != 0 {

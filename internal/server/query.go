@@ -319,9 +319,7 @@ func (co *Coordinator) query(w http.ResponseWriter, r *http.Request) {
 // query (latency still observed).
 func (co *Coordinator) observeQuery(tr *obs.Trace, req *QueryRequest, res *query.Result, ex *query.Executor) {
 	took := tr.Elapsed()
-	if h := co.queryLatency; h != nil {
-		h.Observe(took.Seconds())
-	}
+	co.queryLatency.Observe(took.Seconds())
 	rec := obs.SlowQueryRecord{
 		Role:  "coordinator",
 		Index: "(conceptual)",

@@ -36,6 +36,50 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 	return w
 }
 
+// getStats GETs and decodes the coordinator's /stats.
+func getStats(t *testing.T, h http.Handler) StatsResponse {
+	t.Helper()
+	w := get(t, h, "/stats")
+	if w.Code != http.StatusOK {
+		t.Fatalf("/stats = %d: %s", w.Code, w.Body)
+	}
+	var st StatsResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// statsSeries returns the first series of the /stats metrics view
+// named name whose labels include the pairs kv.
+func statsSeries(t *testing.T, st StatsResponse, name string, kv ...string) obs.Series {
+	t.Helper()
+next:
+	for _, s := range st.Metrics {
+		if s.Name != name {
+			continue
+		}
+		for i := 0; i < len(kv); i += 2 {
+			if s.Labels[kv[i]] != kv[i+1] {
+				continue next
+			}
+		}
+		return s
+	}
+	t.Fatalf("/stats metrics has no %s%v", name, kv)
+	return obs.Series{}
+}
+
+// statsValue is statsSeries' value, for a counter or gauge.
+func statsValue(t *testing.T, st StatsResponse, name string, kv ...string) float64 {
+	t.Helper()
+	s := statsSeries(t, st, name, kv...)
+	if s.Value == nil {
+		t.Fatalf("/stats series %s%v has no value: %+v", name, kv, s)
+	}
+	return *s.Value
+}
+
 // --- node handler validation ---
 
 func TestNodeHandlerValidation(t *testing.T) {
@@ -186,16 +230,11 @@ func TestCoordinatorSearchAddStats(t *testing.T) {
 		t.Fatalf("nameless /search = %d: %s", w.Code, w.Body)
 	}
 
-	w = get(t, h, "/stats")
-	if w.Code != http.StatusOK {
-		t.Fatalf("/stats = %d", w.Code)
-	}
-	var st StatsResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Requests.Search != 2 || st.Requests.Add != 1 {
-		t.Fatalf("request counters = %+v", st.Requests)
+	st := getStats(t, h)
+	search := statsValue(t, st, "dl_coordinator_requests_total", "op", "search")
+	add := statsValue(t, st, "dl_coordinator_requests_total", "op", "add")
+	if search != 2 || add != 1 {
+		t.Fatalf("request counters = search %v, add %v, want 2, 1", search, add)
 	}
 	ix, ok := st.Indexes["articles"]
 	if !ok || ix.Docs != 4 || ix.Nodes != 2 {
@@ -203,8 +242,9 @@ func TestCoordinatorSearchAddStats(t *testing.T) {
 	}
 }
 
-// TestCoordinatorQueryCacheStats: the engine's cache counters surface
-// in /stats, moving as cached local nodes serve repeated queries.
+// TestCoordinatorQueryCacheStats: the cache of an in-process cluster,
+// registered under its index, surfaces in /stats, moving as cached
+// local nodes serve repeated queries.
 func TestCoordinatorQueryCacheStats(t *testing.T) {
 	qc := core.NewQueryCache(32)
 	ix := ir.NewIndex()
@@ -212,22 +252,21 @@ func TestCoordinatorQueryCacheStats(t *testing.T) {
 	ln.SetResolver(qc.Resolve)
 	cluster := dist.NewClusterOf([]dist.Node{ln}, nil)
 	cluster.Add(1, "u", "melbourne champion trophy")
-	co := NewCoordinator(map[string]*dist.Cluster{"a": cluster}, &CoordinatorConfig{Cache: qc})
+	reg := obs.NewRegistry()
+	InstrumentQueryCache(reg, qc, "index", "a")
+	co := NewCoordinator(map[string]*dist.Cluster{"a": cluster}, &CoordinatorConfig{Metrics: reg})
 	h := co.Handler()
 	for i := 0; i < 3; i++ {
 		if w := postJSON(t, h, "/search", `{"query":"champion","n":5}`); w.Code != http.StatusOK {
 			t.Fatalf("/search = %d: %s", w.Code, w.Body)
 		}
 	}
-	var st StatsResponse
-	if err := json.Unmarshal(get(t, h, "/stats").Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.QueryCache == nil {
-		t.Fatal("query_cache missing from /stats")
-	}
-	if st.QueryCache.Misses == 0 || st.QueryCache.Hits == 0 {
-		t.Fatalf("cache counters = %+v, want hits and misses > 0", st.QueryCache)
+	st := getStats(t, h)
+	hits := statsValue(t, st, "dl_node_query_cache_total", "index", "a", "result", "hit")
+	misses := statsValue(t, st, "dl_node_query_cache_total", "index", "a", "result", "miss")
+	entries := statsValue(t, st, "dl_node_query_cache_entries", "index", "a")
+	if hits == 0 || misses == 0 || entries == 0 {
+		t.Fatalf("cache series = hits %v, misses %v, entries %v, want all > 0", hits, misses, entries)
 	}
 }
 
@@ -528,12 +567,8 @@ func TestCoordinatorAddBatch(t *testing.T) {
 	if _, sum := streamLines(t, h, `{"text":"a"}`+"\n"+`{"url":"u"}`); sum.Committed != 1 || sum.Errors != 1 {
 		t.Fatalf("missing text summary = %+v", sum)
 	}
-	var st StatsResponse
-	if err := json.Unmarshal(get(t, h, "/stats").Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Requests.Add != 4 {
-		t.Fatalf("add counter = %d, want 4 (every committed line)", st.Requests.Add)
+	if add := statsValue(t, getStats(t, h), "dl_coordinator_requests_total", "op", "add"); add != 4 {
+		t.Fatalf("add counter = %v, want 4 (every committed line)", add)
 	}
 }
 
@@ -666,10 +701,7 @@ func TestCoordinatorReplicaStats(t *testing.T) {
 	if _, err := dist.NewRemoteNode(servers[0].URL, servers[0].Client()).Snapshot(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	var st StatsResponse
-	if err := json.Unmarshal(get(t, h, "/stats").Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
+	st := getStats(t, h)
 	ixst := st.Indexes["a"]
 	if ixst.Nodes != 1 || len(ixst.Groups) != 1 || len(ixst.Groups[0].Replicas) != 2 {
 		t.Fatalf("index stats shape = %+v", ixst)
@@ -703,15 +735,13 @@ func TestCoordinatorReplicaStats(t *testing.T) {
 	if !sr.Complete || len(sr.Dropped) != 0 || len(sr.Results) == 0 {
 		t.Fatalf("post-kill search degraded: %+v", sr)
 	}
-	if err := json.Unmarshal(get(t, h, "/stats").Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
+	st = getStats(t, h)
 	ixst = st.Indexes["a"]
-	if ixst.Failovers == 0 {
-		t.Fatalf("failover counter = 0 after killing the primary: %+v", ixst)
+	if statsValue(t, st, "dl_cluster_failovers_total", "index", "a") == 0 {
+		t.Fatalf("failover counter = 0 after killing the primary: %+v", st.Metrics)
 	}
-	if ixst.DroppedNodes != 0 {
-		t.Fatalf("dropped counter moved with a live replica: %+v", ixst)
+	if dropped := statsValue(t, st, "dl_cluster_dropped_nodes_total", "index", "a"); dropped != 0 {
+		t.Fatalf("dropped counter = %v, moved with a live replica", dropped)
 	}
 	r0 = ixst.Groups[0].Replicas[0]
 	if r0.Reachable || r0.Healthy {
@@ -815,12 +845,11 @@ func TestCoordinatorAddPartialCommit(t *testing.T) {
 	h := co.Handler()
 	counters := func(wantAdds, wantErrs uint64) {
 		t.Helper()
-		var st StatsResponse
-		if err := json.Unmarshal(get(t, h, "/stats").Body.Bytes(), &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.Requests.Add != wantAdds || st.Requests.Errors != wantErrs {
-			t.Fatalf("/stats requests = %+v, want add %d, errors %d", st.Requests, wantAdds, wantErrs)
+		st := getStats(t, h)
+		add := statsValue(t, st, "dl_coordinator_requests_total", "op", "add")
+		errs := statsValue(t, st, "dl_coordinator_errors_total")
+		if add != float64(wantAdds) || errs != float64(wantErrs) {
+			t.Fatalf("/stats requests = add %v, errors %v, want add %d, errors %d", add, errs, wantAdds, wantErrs)
 		}
 		met := get(t, h, "/metrics").Body.String()
 		for _, want := range []string{
@@ -1054,15 +1083,13 @@ func TestCoordinatorAntiEntropyEndpoint(t *testing.T) {
 			t.Fatalf("post-heal rank %d = %+v, want %+v", i, postSR.Results[i], preSR.Results[i])
 		}
 	}
-	var st StatsResponse
-	if err := json.Unmarshal(get(t, h, "/stats").Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
+	st := getStats(t, h)
+	resyncs := statsValue(t, st, "dl_cluster_resyncs_total", "index", "a", "kind", "delta") +
+		statsValue(t, st, "dl_cluster_resyncs_total", "index", "a", "kind", "full")
+	if detected := statsValue(t, st, "dl_cluster_divergence_detected_total", "index", "a"); resyncs != 1 || detected != 1 {
+		t.Fatalf("stats counters = resyncs %v, divergence detected %v, want 1, 1", resyncs, detected)
 	}
-	ixst := st.Indexes["a"]
-	if ixst.Resyncs != 1 || ixst.DivergenceDetected != 1 {
-		t.Fatalf("stats counters = %+v", ixst)
-	}
-	healed := ixst.Groups[0].Replicas[1]
+	healed := st.Indexes["a"].Groups[0].Replicas[1]
 	if healed.Checksum == "" || healed.ResyncUnix == 0 || healed.ResyncAgeSeconds < 0 {
 		t.Fatalf("healed replica stats = %+v", healed)
 	}

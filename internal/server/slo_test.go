@@ -121,16 +121,17 @@ func TestAdaptiveSearchDegradesAndRecovers(t *testing.T) {
 	if c := ctl.Counters("a"); c.Decisions < 2 || c.Degraded == 0 || c.Rejected != 0 {
 		t.Fatalf("controller counters = %+v", c)
 	}
-	var stats StatsResponse
-	if err := json.Unmarshal(get(t, h, "/stats").Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
+	stats := getStats(t, h)
+	decisions := statsValue(t, stats, "dl_slo_decisions_total", "index", "a")
+	if degraded := statsValue(t, stats, "dl_slo_degraded_total", "index", "a"); decisions < 2 || degraded == 0 {
+		t.Fatalf("/stats slo counters = decisions %v, degraded %v", decisions, degraded)
 	}
 	sloStats := stats.Indexes["a"].SLO
-	if sloStats == nil || sloStats.Decisions < 2 || sloStats.Degraded == 0 {
+	if sloStats == nil || sloStats.MaxBudget != 8 || sloStats.TargetMs != 1000 {
 		t.Fatalf("/stats slo block = %+v", sloStats)
 	}
 	if len(sloStats.Curve) == 0 {
-		t.Fatalf("/stats slo curve empty after %d decisions", sloStats.Decisions)
+		t.Fatalf("/stats slo curve empty after %v decisions", decisions)
 	}
 	metrics := get(t, h, "/metrics").Body.String()
 	for _, want := range []string{

@@ -363,36 +363,23 @@ func (c *Controller) Counters(index string) Counters {
 	}
 }
 
-// IndexStats is the `slo` block /stats reports per index.
+// IndexStats is the `slo` block /stats reports per index: the
+// controller's configuration and its learned curve. The decision
+// counters are the dl_slo_* series of the metrics registry (Counters).
 type IndexStats struct {
 	TargetMs   float64 `json:"target_ms"`
 	MinQuality float64 `json:"min_quality,omitempty"`
 	MaxBudget  int     `json:"max_budget"`
-	ShedLevel  int     `json:"shed_level"`
-	Decisions  uint64  `json:"decisions"`
-	Degraded   uint64  `json:"degraded"`
-	Overrides  uint64  `json:"overrides"`
-	FloorHits  uint64  `json:"floor_hits"`
-	Rejected   uint64  `json:"rejected"`
-	Probes     uint64  `json:"probes"`
 	Curve      []Point `json:"curve,omitempty"`
 }
 
-// Stats returns the index's full /stats snapshot: counters plus the
+// Stats returns the index's /stats block: configuration plus the
 // observed quality/latency curve.
 func (c *Controller) Stats(index string) IndexStats {
-	ct := c.Counters(index)
 	s := IndexStats{
 		TargetMs:   float64(c.cfg.Target) / float64(time.Millisecond),
 		MinQuality: c.cfg.MinQuality,
 		MaxBudget:  c.cfg.MaxBudget,
-		ShedLevel:  ct.ShedLevel,
-		Decisions:  ct.Decisions,
-		Degraded:   ct.Degraded,
-		Overrides:  ct.Overrides,
-		FloorHits:  ct.FloorHits,
-		Rejected:   ct.Rejected,
-		Probes:     ct.Probes,
 	}
 	c.mu.RLock()
 	st := c.ix[index]
