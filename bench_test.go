@@ -285,6 +285,11 @@ func BenchmarkE14ShotClassification(b *testing.B) {
 }
 
 // --- E16: top-N pushdown vs naive full ranking ---
+//
+// The naive plan materialises the query terms' postings, scores every
+// matching document in a map and sorts the full ranking; the optimized
+// plan scans the posting columns into a score slice and selects the
+// top n with a bounded heap.
 
 func BenchmarkE16TopN(b *testing.B) {
 	docs := textCorpus(5000, 6)

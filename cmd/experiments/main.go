@@ -357,9 +357,11 @@ func e15() {
 	fmt.Printf("  accuracy: %d/%d = %.2f\n", correct, total, float64(correct)/float64(total))
 }
 
-// E16: top-N optimization.
+// E16: top-N optimization. The naive plan materialises the query
+// terms' postings, scores every matching document in a map and sorts
+// the naive full ranking before cutting it to n.
 func e16() {
-	header("E16", "top-N: posting-list pushdown vs full ranking")
+	header("E16", "top-N: posting-list pushdown vs naive full ranking")
 	docs := corpus(5000, 6)
 	ix := ir.NewIndex()
 	for i, d := range docs {

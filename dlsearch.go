@@ -118,7 +118,8 @@ type (
 	XMLStore = monetxml.Store
 	// XMLNode is an in-memory XML node.
 	XMLNode = monetxml.Node
-	// FullTextIndex is the tf·idf index (T/D/DT/TF/IDF relations).
+	// FullTextIndex is the tf·idf index: the T and IDF BATs, dense
+	// document columns (D) and term-clustered DT/TF posting columns.
 	FullTextIndex = ir.Index
 	// EvalPlan is a fragment-budgeted, quality-bounded evaluation
 	// strategy: how many leading idf-descending fragments each node

@@ -2,7 +2,8 @@
 // the full-text meta-index (Section "Scalability", experiment E11):
 // the document collection is fragmented per document over k
 // autonomous partitions, each holding the complete T/D/DT/TF/IDF
-// relations for its document subset.
+// relations for its document subset (an ir.Index: each DT/TF tuple
+// stored once, in its term's posting columns).
 //
 // The protocol mirrors the paper's central-DBMS architecture:
 //

@@ -23,7 +23,9 @@ import (
 // (scores depend only on tf/df/Σdf/|d|, and frozen posting scans run
 // in document-oid order). The digest therefore walks documents in
 // ascending oid order and terms in ascending stem order, and never
-// hashes slot numbers, term oids or pair oids.
+// hashes slot numbers or term oids: replicas whose sequences issued
+// different oids still agree, and so does an index restored from a
+// state with sparse term oids.
 //
 // Deliberately excluded: fragment placement, the memory budget, the
 // freeze epoch and λ. Budgeted reads route to ONE replica and may
@@ -73,10 +75,9 @@ func (ix *Index) Checksum() string {
 	d.uvarint(uint64(len(docs)))
 	for _, doc := range docs {
 		slot := ix.docSlot[doc]
-		url, _ := ix.D.StringOfHead(doc)
 		d.uvarint(uint64(doc))
 		d.uvarint(uint64(ix.docLens[slot]))
-		d.str(url)
+		d.str(ix.docURLs[slot])
 	}
 	stems := make([]string, 0, len(ix.termID))
 	for stem := range ix.termID {

@@ -12,8 +12,8 @@ import (
 // oids are sorted, gap-encoded and varint-packed together with the
 // term frequencies. The paper notes the TF and DT relations "are prone
 // to grow huge, even when compression techniques are applied" — this
-// is that compression technique, used by the ablation experiment to
-// quantify the space/time trade-off against plain posting slices.
+// is that compression technique: under a memory budget the index holds
+// its coldest posting lists in this form (SetMemoryBudget).
 type CompressedPostings struct {
 	n   int
 	buf []byte
@@ -107,23 +107,4 @@ func (ix *Index) PostingsOf(id bat.OID) []Posting {
 		out[i] = Posting{Doc: ix.docIDs[slot], TF: int(pl.tfs[i])}
 	}
 	return out
-}
-
-// CompressIndex encodes every posting list of the index and returns
-// the compressed lists plus the plain and compressed sizes in bytes
-// (16 bytes per plain posting: oid + int).
-func CompressIndex(ix *Index) (map[bat.OID]CompressedPostings, int, int) {
-	out := make(map[bat.OID]CompressedPostings, len(ix.termID))
-	plain, packed := 0, 0
-	for _, id := range ix.termID {
-		ps := ix.PostingsOf(id)
-		if len(ps) == 0 {
-			continue
-		}
-		c := Compress(ps)
-		out[id] = c
-		plain += 16 * len(ps)
-		packed += c.Bytes()
-	}
-	return out, plain, packed
 }

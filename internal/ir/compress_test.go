@@ -109,8 +109,10 @@ func TestPropertyCompressRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompressionRatio: gap+varint encoding must beat the plain 16
-// bytes/posting representation substantially on dense posting lists.
+// TestCompressionRatio: under a memory budget too small for any plain
+// list, every posting list is held gap+varint encoded, and the encoding
+// must beat the plain 8 bytes/posting columns substantially on dense
+// posting lists.
 func TestCompressionRatio(t *testing.T) {
 	ix := NewIndex()
 	rng := rand.New(rand.NewSource(3))
@@ -122,7 +124,13 @@ func TestCompressionRatio(t *testing.T) {
 		}
 		ix.Add(bat.OID(d), "u", text)
 	}
-	_, plain, packed := CompressIndex(ix)
+	ix.Freeze()
+	plain, _, _ := ix.MemoryFootprint()
+	ix.SetMemoryBudget(1)
+	left, packed, cold := ix.MemoryFootprint()
+	if left != 0 || cold != ix.TermCount() {
+		t.Fatalf("budget left %d plain bytes, %d of %d terms compressed", left, cold, ix.TermCount())
+	}
 	if packed >= plain/3 {
 		t.Fatalf("compression too weak: %d packed vs %d plain", packed, plain)
 	}

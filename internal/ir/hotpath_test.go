@@ -3,6 +3,8 @@ package ir
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"dlsearch/internal/bat"
@@ -65,26 +67,68 @@ func TestIncrementalIDF(t *testing.T) {
 	}
 }
 
-// TestMultiAddSameDoc: re-adding text for an existing document must
-// merge term frequencies in the access path so the optimized plan
-// agrees with the naive DT-based plan.
+// TestMultiAddSameDoc: re-adding text for an existing document folds
+// its term frequencies into the existing postings — through the sorted
+// (binary search) and the unsorted (reverse scan) lookup alike — keeps
+// the first url, and appends postings for terms the document did not
+// have. The independent reference is the same documents added once
+// with their texts concatenated: rankings (documents and scores) and
+// the content checksum must be identical, and so must the optimized
+// and naive plans.
 func TestMultiAddSameDoc(t *testing.T) {
+	multi := NewIndex()
+	multi.Add(1, "d1", "winner rally")
+	multi.Add(2, "d2", "winner winner winner serve rally")
+	multi.Add(1, "d1-again", "winner serve") // fold into sorted winner, append to serve
+	multi.Add(1, "d1-again", "serve ace")    // fold into unsorted serve, new term ace
+	multi.Add(3, "d3", "serve rally")
+	ref := NewIndex()
+	ref.Add(1, "d1", "winner rally winner serve serve ace")
+	ref.Add(2, "d2", "winner winner winner serve rally")
+	ref.Add(3, "d3", "serve rally")
+	if multi.DocCount() != 3 {
+		t.Fatalf("DocCount = %d, want 3", multi.DocCount())
+	}
+	for _, q := range []string{"winner serve rally", "ace serve", "winner"} {
+		want := ref.TopN(q, 10)
+		sameResults(t, q+" (TopN)", multi.TopN(q, 10), want)
+		sameResults(t, q+" (TopNNaive)", multi.TopNNaive(q, 10), want)
+		sameResults(t, q+" (reference TopNNaive)", ref.TopNNaive(q, 10), want)
+	}
+	if got, want := multi.Checksum(), ref.Checksum(); got != want {
+		t.Fatalf("checksum %s, want %s", got, want)
+	}
+}
+
+// TestIndexHeapPerPosting bounds the heap an index retains per posting,
+// so a second copy of the postings cannot creep back in beside the
+// columnar lists. The columns cost 8 bytes a posting; the bound leaves
+// room for the per-term and per-document state of a realistic
+// vocabulary.
+func TestIndexHeapPerPosting(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	zipf := rand.NewZipf(rng, 1.1, 1, 4999)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	ix := NewIndex()
-	ix.Add(1, "d1", "winner rally")
-	ix.Add(1, "d1", "winner serve")
-	ix.Add(2, "d2", "winner winner winner serve rally")
-	if ix.DocCount() != 2 {
-		t.Fatalf("DocCount = %d, want 2", ix.DocCount())
-	}
-	opt := ix.TopN("winner serve rally", 10)
-	naive := ix.TopNNaive("winner serve rally", 10)
-	if len(opt) != len(naive) {
-		t.Fatalf("plans disagree: %v vs %v", opt, naive)
-	}
-	for i := range opt {
-		if opt[i] != naive[i] {
-			t.Fatalf("rank %d: optimized %+v, naive %+v", i, opt[i], naive[i])
+	var text strings.Builder
+	for d := 1; d <= 2000; d++ {
+		text.Reset()
+		for w := 0; w < 150; w++ {
+			fmt.Fprintf(&text, "w%d ", zipf.Uint64())
 		}
+		ix.Add(bat.OID(d), fmt.Sprintf("http://lib.example/doc/%d", d), text.String())
+	}
+	ix.Freeze()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	postings := ix.totalDF
+	perPosting := float64(after.HeapAlloc-before.HeapAlloc) / float64(postings)
+	runtime.KeepAlive(ix)
+	t.Logf("%d postings, %d terms: %.1f B of heap per posting", postings, ix.TermCount(), perPosting)
+	if perPosting > 40 {
+		t.Fatalf("index retains %.1f B per posting, want at most 40", perPosting)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 const DefaultLambda = 0.15
 
 // Posting is one (document, term frequency) entry of a term's posting
-// list. Postings are an access-path view over the DT/TF relations.
+// list: one DT/TF tuple, materialised from the term's posting columns.
 type Posting struct {
 	Doc bat.OID
 	TF  int
@@ -52,30 +52,32 @@ type plist struct {
 	sorted bool
 }
 
-// Index is the full-text meta-index: the five relations of the paper
-// plus derived in-memory access paths.
+// Index is the full-text meta-index. Of the paper's five relations it
+// keeps T and IDF as BATs; D is held as dense document columns and
+// DT/TF as term-clustered posting columns, each fact stored once:
 //
 //	T   term index           term-oid × term (stemmed, stopped)
-//	D   document index       doc-oid × doc-url
-//	DT  document term list   pair-oid × doc-oid and pair-oid × term-oid
-//	TF  term frequency       pair-oid × tf
+//	D   document index       slot → doc-oid, |d|, url (docIDs/docLens/docURLs)
+//	DT  document term list   term-oid → doc slots (plist.slots)
+//	TF  term frequency       term-oid → tf, parallel to the slots (plist.tfs)
 //	IDF inverse doc freq     term-oid × idf, idf = 1/df
 //
-// The query hot path is columnar: documents live in dense slots
-// (docIDs/docLens), posting lists address those slots directly, and
-// per-query score accumulation runs over a reusable doc-indexed score
-// slice instead of hash maps. Derived state (IDF rows, posting-list
-// sort order, fragment placement) is maintained incrementally; Freeze
-// flushes whatever is still pending.
+// A term's DT/TF tuples live either in its plain posting columns or,
+// under a memory budget, delta+varint compressed (cold) — never both.
+// Term oids come from seq, which issues nothing else, so they ascend
+// in first-appearance order; Fragmentize's and applyMemoryBudget's oid
+// tie-breaks rely on only that order, not on the oid values.
+//
+// The query hot path is columnar: posting lists address document slots
+// directly, and per-query score accumulation runs over a reusable
+// doc-indexed score slice instead of hash maps. Derived state (IDF
+// rows, posting-list sort order, fragment placement) is maintained
+// incrementally; Freeze flushes whatever is still pending.
 type Index struct {
 	T   *bat.BAT
-	D   *bat.BAT
-	DTd *bat.BAT
-	DTt *bat.BAT
-	TF  *bat.BAT
 	IDF *bat.BAT
 
-	seq    *bat.Sequence
+	seq    *bat.Sequence // term oids only
 	lambda float64
 
 	termID map[string]bat.OID
@@ -84,12 +86,12 @@ type Index struct {
 	// Columnar document store: slot = dense insertion index.
 	docIDs  []bat.OID
 	docLens []int32
+	docURLs []string // the url of a document's first Add
 	docSlot map[bat.OID]int32
 	maxDoc  bat.OID
 
-	docTerms map[bat.OID]map[bat.OID]int // doc -> term -> tf (naive plan's access path)
-	df       map[bat.OID]int
-	totalDF  int
+	df      map[bat.OID]int
+	totalDF int
 
 	idfPos map[bat.OID]int      // term -> row of the IDF relation
 	dirty  map[bat.OID]struct{} // terms with pending derived-state work
@@ -135,21 +137,16 @@ type Index struct {
 // NewIndex returns an empty index with the default ranking parameter.
 func NewIndex() *Index {
 	return &Index{
-		T:        bat.New("T", bat.KindString),
-		D:        bat.New("D", bat.KindString),
-		DTd:      bat.New("DT.doc", bat.KindOID),
-		DTt:      bat.New("DT.term", bat.KindOID),
-		TF:       bat.New("TF", bat.KindInt),
-		IDF:      bat.New("IDF", bat.KindFloat),
-		seq:      bat.NewSequence(),
-		lambda:   DefaultLambda,
-		termID:   make(map[string]bat.OID),
-		plists:   make(map[bat.OID]*plist),
-		docSlot:  make(map[bat.OID]int32),
-		docTerms: make(map[bat.OID]map[bat.OID]int),
-		df:       make(map[bat.OID]int),
-		idfPos:   make(map[bat.OID]int),
-		dirty:    make(map[bat.OID]struct{}),
+		T:       bat.New("T", bat.KindString),
+		IDF:     bat.New("IDF", bat.KindFloat),
+		seq:     bat.NewSequence(),
+		lambda:  DefaultLambda,
+		termID:  make(map[string]bat.OID),
+		plists:  make(map[bat.OID]*plist),
+		docSlot: make(map[bat.OID]int32),
+		df:      make(map[bat.OID]int),
+		idfPos:  make(map[bat.OID]int),
+		dirty:   make(map[bat.OID]struct{}),
 	}
 }
 
@@ -162,15 +159,13 @@ func (ix *Index) Lambda() float64 { return ix.lambda }
 // MemoryBudget returns the posting-store memory budget (0 = unbounded).
 func (ix *Index) MemoryBudget() int { return ix.memBudget }
 
-// slotOf returns the dense slot of a document, registering it if new.
-func (ix *Index) slotOf(doc bat.OID) int32 {
-	if slot, ok := ix.docSlot[doc]; ok {
-		return slot
-	}
+// addDoc registers a new document in the next dense slot.
+func (ix *Index) addDoc(doc bat.OID, url string) int32 {
 	slot := int32(len(ix.docIDs))
 	ix.docSlot[doc] = slot
 	ix.docIDs = append(ix.docIDs, doc)
 	ix.docLens = append(ix.docLens, 0)
+	ix.docURLs = append(ix.docURLs, url)
 	if doc > ix.maxDoc {
 		ix.maxDoc = doc
 	}
@@ -180,8 +175,10 @@ func (ix *Index) slotOf(doc bat.OID) int32 {
 // Add indexes the body text of a document. The caller supplies the
 // document oid from the global OID space; the paper's incremental
 // indexing process fills DT/T/D first and derives TF/IDF, which here
-// happens transparently (incrementally on the next freeze). Add must
-// not run concurrently with queries.
+// happens transparently (incrementally on the next freeze). Adding to
+// a document seen before keeps its first url and folds the new
+// occurrences into its existing postings. Add must not run
+// concurrently with queries.
 func (ix *Index) Add(doc bat.OID, url, text string) {
 	terms := Terms(text)
 	counts := make(map[bat.OID]int, len(terms))
@@ -194,19 +191,12 @@ func (ix *Index) Add(doc bat.OID, url, text string) {
 		}
 		counts[id]++
 	}
-	ix.D.AppendString(doc, url)
-	slot := ix.slotOf(doc)
-	ix.docLens[slot] += int32(len(terms))
-	dt := ix.docTerms[doc]
-	if dt == nil {
-		dt = make(map[bat.OID]int, len(counts))
-		ix.docTerms[doc] = dt
+	slot, seen := ix.docSlot[doc]
+	if !seen {
+		slot = ix.addDoc(doc, url)
 	}
+	ix.docLens[slot] += int32(len(terms))
 	for id, tf := range counts {
-		pair := ix.seq.Next()
-		ix.DTd.AppendOID(pair, doc)
-		ix.DTt.AppendOID(pair, id)
-		ix.TF.AppendInt(pair, int64(tf))
 		if cp, ok := ix.cold[id]; ok {
 			// The term's postings are held compressed: re-inflate before
 			// appending; the next Freeze re-applies the memory budget.
@@ -217,48 +207,50 @@ func (ix *Index) Add(doc bat.OID, url, text string) {
 			pl = &plist{sorted: true}
 			ix.plists[id] = pl
 		}
-		if dt[id] == 0 {
-			ix.df[id]++
-			ix.totalDF++
-			if len(pl.slots) > 0 && ix.docIDs[pl.slots[len(pl.slots)-1]] > doc {
-				pl.sorted = false
-			}
-			pl.slots = append(pl.slots, slot)
-			pl.tfs = append(pl.tfs, int32(tf))
-			ix.plainBytes += 8
-			ix.dirty[id] = struct{}{}
-			if ix.fragments != nil {
-				ix.placeFragTerm(id, 1)
-			}
-		} else {
-			// The document was added before with this term: fold the
-			// new occurrences into the existing posting so the access
-			// path agrees with the merged DT view (and with the naive
-			// plan) instead of splitting the tf over two postings.
-			// The fold changes scores (tf, and docLens above), so the
-			// term is dirtied like any other mutation — epoch-guarded
-			// caches must not keep serving the pre-fold ranking, and
-			// the next Freeze re-applies any memory budget to the
-			// re-inflated list.
-			ix.dirty[id] = struct{}{}
-			if pl.sorted {
-				i := sort.Search(len(pl.slots), func(i int) bool {
-					return ix.docIDs[pl.slots[i]] >= doc
-				})
-				if i < len(pl.slots) && pl.slots[i] == slot {
-					pl.tfs[i] += int32(tf)
-				}
-			} else {
-				for i := len(pl.slots) - 1; i >= 0; i-- {
-					if pl.slots[i] == slot {
-						pl.tfs[i] += int32(tf)
-						break
-					}
-				}
-			}
+		// Either mutation changes scores (a fold changes tf, and docLens
+		// above), so the term is dirtied: epoch-guarded caches must not
+		// keep serving the old ranking, and the next Freeze re-applies
+		// any memory budget to a re-inflated list.
+		ix.dirty[id] = struct{}{}
+		if seen && pl.fold(ix.docIDs, slot, int32(tf)) {
+			continue
 		}
-		dt[id] += tf
+		ix.df[id]++
+		ix.totalDF++
+		if len(pl.slots) > 0 && ix.docIDs[pl.slots[len(pl.slots)-1]] > doc {
+			pl.sorted = false
+		}
+		pl.slots = append(pl.slots, slot)
+		pl.tfs = append(pl.tfs, int32(tf))
+		ix.plainBytes += 8
+		if ix.fragments != nil {
+			ix.placeFragTerm(id, 1)
+		}
 	}
+}
+
+// fold adds tf to the document's posting if the list holds one, so a
+// document added twice keeps one posting per term instead of splitting
+// its tf over two.
+func (pl *plist) fold(docIDs []bat.OID, slot, tf int32) bool {
+	if pl.sorted {
+		doc := docIDs[slot]
+		i := sort.Search(len(pl.slots), func(i int) bool {
+			return docIDs[pl.slots[i]] >= doc
+		})
+		if i < len(pl.slots) && pl.slots[i] == slot {
+			pl.tfs[i] += tf
+			return true
+		}
+		return false
+	}
+	for i := len(pl.slots) - 1; i >= 0; i-- {
+		if pl.slots[i] == slot {
+			pl.tfs[i] += tf
+			return true
+		}
+	}
+	return false
 }
 
 // DocCount returns the number of indexed documents.
@@ -540,24 +532,19 @@ func (ix *Index) TopN(query string, n int) []Result {
 	return res
 }
 
-// TopNNaive computes the same answer with the unoptimized plan: every
-// document is scored against every query term through the DT access
-// path, then the full ranking is cut to n. The reference the tests
-// compare Evaluate against, and experiment E16's baseline.
+// TopNNaive computes the same answer with the unoptimized plan: each
+// query term's postings are materialised, every document's score is
+// accumulated in a map, and the full ranking is sorted and cut to n.
+// The reference the tests compare Evaluate against, and experiment
+// E16's baseline.
 func (ix *Index) TopNNaive(query string, n int) []Result {
 	ix.Freeze()
 	var stems [8]string // scratch; the naive plan needs only the oids
 	_, qts := ix.resolveInto(stems[:0], nil, query)
 	scores := make(map[bat.OID]float64)
-	for doc, terms := range ix.docTerms {
-		s := 0.0
-		for _, id := range qts {
-			if tf, ok := terms[id]; ok {
-				s += ix.weight(tf, ix.df[id], ix.docLenOf(doc))
-			}
-		}
-		if s > 0 {
-			scores[doc] = s
+	for _, id := range qts {
+		for _, p := range ix.PostingsOf(id) {
+			scores[p.Doc] += ix.weight(p.TF, ix.df[id], ix.docLenOf(p.Doc))
 		}
 	}
 	return topNFromScores(scores, n)

@@ -33,19 +33,6 @@ func TestIndexCounts(t *testing.T) {
 	}
 }
 
-func TestRelationsShape(t *testing.T) {
-	ix := smallIndex()
-	// DT decomposition is aligned: same pair oids in both columns.
-	if ix.DTd.Len() != ix.DTt.Len() || ix.DTd.Len() != ix.TF.Len() {
-		t.Fatalf("DT/TF misaligned: %d %d %d", ix.DTd.Len(), ix.DTt.Len(), ix.TF.Len())
-	}
-	for i := 0; i < ix.DTd.Len(); i++ {
-		if ix.DTd.Head(i) != ix.DTt.Head(i) || ix.DTd.Head(i) != ix.TF.Head(i) {
-			t.Fatalf("pair oid mismatch at %d", i)
-		}
-	}
-}
-
 func TestIDFDefinition(t *testing.T) {
 	ix := smallIndex()
 	// "winner" appears in docs 1, 2, 4 -> df=3 -> idf=1/3.

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dlsearch/internal/bat"
@@ -10,8 +11,8 @@ import (
 // IndexState is the complete logical content of an Index in a stable,
 // implementation-independent shape: the serialization boundary between
 // the in-memory columnar access paths and the durability layer
-// (internal/persist). Everything derived — df, docTerms, idf rows,
-// slot numbers, fragment membership maps, compressed cold lists — is
+// (internal/persist). Everything derived — df, idf rows, slot
+// numbers, fragment membership maps, compressed cold lists — is
 // reconstructed from it, so the format survives hot-path refactors as
 // long as the logical relations stay expressible.
 //
@@ -74,8 +75,7 @@ func (ix *Index) ExportState() *IndexState {
 	}
 	st.Docs = make([]DocState, len(ix.docIDs))
 	for slot, doc := range ix.docIDs {
-		url, _ := ix.D.StringOfHead(doc)
-		st.Docs[slot] = DocState{OID: doc, URL: url, Len: ix.docLens[slot]}
+		st.Docs[slot] = DocState{OID: doc, URL: ix.docURLs[slot], Len: ix.docLens[slot]}
 	}
 	ids := make([]bat.OID, 0, len(ix.termID))
 	for _, id := range ix.termID {
@@ -106,13 +106,18 @@ func (ix *Index) ExportState() *IndexState {
 }
 
 // ImportState rebuilds a fully functional index from exported state:
-// base relations (T, D, DT, TF), columnar access paths, derived
-// statistics and IDF rows, fragment placement and the memory budget
-// (cold lists re-compressed by the same deterministic coldest-first
-// policy). It validates referential integrity and fails closed — a
-// state whose postings reference unknown documents or fragments
-// reference unknown terms yields an error, never a partial index.
+// the T relation, the document columns, the DT/TF posting columns,
+// derived statistics and IDF rows, fragment placement and the memory
+// budget (cold lists re-compressed by the same deterministic
+// coldest-first policy). The state may come from outside the process,
+// so ImportState validates it and fails closed — a state whose
+// postings reference unknown documents, whose fragments reference
+// unknown terms, or whose tf, document length or λ no index could hold
+// yields an error, never a partial index.
 func ImportState(st *IndexState) (*Index, error) {
+	if math.IsNaN(st.Lambda) || st.Lambda >= 1 {
+		return nil, fmt.Errorf("ir: import: smoothing parameter λ = %v, must be below 1", st.Lambda)
+	}
 	ix := NewIndex()
 	if st.Lambda > 0 {
 		ix.lambda = st.Lambda
@@ -128,17 +133,19 @@ func ImportState(st *IndexState) (*Index, error) {
 		if _, dup := ix.docSlot[d.OID]; dup {
 			return nil, fmt.Errorf("ir: import: duplicate document oid %d", d.OID)
 		}
-		slot := ix.slotOf(d.OID)
+		if d.Len < 0 {
+			return nil, fmt.Errorf("ir: import: document %d has negative length %d", d.OID, d.Len)
+		}
+		slot := ix.addDoc(d.OID, d.URL)
 		ix.docLens[slot] = d.Len
-		ix.D.AppendString(d.OID, d.URL)
 	}
-	// Pair oids for the rebuilt DT/TF rows are drawn after re-seeding
-	// the sequence past every persisted oid, so they never collide with
-	// restored term oids (nor with each other). A NextOID at or below a
-	// restored term oid would hand a live oid out again on the next Add
-	// — merging two unrelated terms silently — so it fails closed here.
-	// (Document oids live in the caller's global space and may
-	// legitimately exceed the node-local sequence.)
+	// The sequence resumes at NextOID. A NextOID at or below a restored
+	// term oid would hand a live oid out again on the next Add —
+	// merging two unrelated terms silently — so it fails closed here.
+	// Term oids may be sparse (states written when the sequence also
+	// issued pair oids); only their order matters. (Document oids live
+	// in the caller's global space and may legitimately exceed the
+	// node-local sequence.)
 	for _, t := range st.Terms {
 		if t.OID >= st.NextOID {
 			return nil, fmt.Errorf("ir: import: term oid %d not below the sequence position %d — a post-restore allocation would reuse it", t.OID, st.NextOID)
@@ -173,22 +180,12 @@ func ImportState(st *IndexState) (*Index, error) {
 			if p.Doc <= prev {
 				return nil, fmt.Errorf("ir: import: term %q postings not in ascending doc order", t.Stem)
 			}
-			if p.TF < 1 {
-				return nil, fmt.Errorf("ir: import: term %q has non-positive tf %d for document %d", t.Stem, p.TF, p.Doc)
+			if p.TF < 1 || p.TF > math.MaxInt32 {
+				return nil, fmt.Errorf("ir: import: term %q has tf %d for document %d outside [1, 2^31)", t.Stem, p.TF, p.Doc)
 			}
 			prev = p.Doc
 			pl.slots = append(pl.slots, slot)
 			pl.tfs = append(pl.tfs, int32(p.TF))
-			dt := ix.docTerms[p.Doc]
-			if dt == nil {
-				dt = make(map[bat.OID]int)
-				ix.docTerms[p.Doc] = dt
-			}
-			dt[t.OID] = p.TF
-			pair := ix.seq.Next()
-			ix.DTd.AppendOID(pair, p.Doc)
-			ix.DTt.AppendOID(pair, t.OID)
-			ix.TF.AppendInt(pair, int64(p.TF))
 		}
 		ix.plists[t.OID] = pl
 		ix.plainBytes += 8 * len(t.Postings)

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math"
 	"testing"
 
 	"dlsearch/internal/bat"
@@ -50,8 +51,8 @@ func TestSnapshotRoundTripExact(t *testing.T) {
 			sameResults(t, q, got.TopN(q, n), ix.TopN(q, n))
 		}
 	}
-	// The naive plan reads the rebuilt docTerms access path; it must
-	// agree too, proving the base relations round-tripped.
+	// The naive plan materialises the rebuilt posting columns through
+	// PostingsOf; it must agree too.
 	sameResults(t, "naive", got.TopNNaive("champion winner", 10), ix.TopNNaive("champion winner", 10))
 	// Global-statistics scoring (the distributed read path).
 	global := ix.StatsLocal()
@@ -167,6 +168,23 @@ func TestImportStateFailsClosed(t *testing.T) {
 			// A forgotten/zeroed NextOID would let a post-restore Add
 			// reissue a live term oid, silently merging two terms.
 			st.NextOID = 0
+		}},
+		{"tf beyond int32", func(st *IndexState) {
+			// Truncated to int32 it would restore a different index than
+			// the state's checksum names.
+			st.Terms[0].Postings[0].TF = 1 << 31
+		}},
+		{"negative document length", func(st *IndexState) {
+			st.Docs[0].Len = -1
+		}},
+		{"lambda not below 1", func(st *IndexState) {
+			st.Lambda = 1
+		}},
+		{"lambda +Inf", func(st *IndexState) {
+			st.Lambda = math.Inf(1)
+		}},
+		{"lambda NaN", func(st *IndexState) {
+			st.Lambda = math.NaN()
 		}},
 		{"unsorted postings", func(st *IndexState) {
 			// Swap the first two postings of the longest list; the 20-doc

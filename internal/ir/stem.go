@@ -1,6 +1,7 @@
 // Package ir implements the paper's full-text retrieval support: the
 // T/D/DT/TF/IDF relations transparently integrated into the database
-// ([VW99]), a tf·idf ranking variant derived from the probabilistic
+// ([VW99]) — T and IDF as BATs, D as dense document columns, DT/TF as
+// term-clustered posting columns — a tf·idf ranking variant derived from the probabilistic
 // retrieval model of [Hie98], horizontal fragmentation of the TF/DT
 // relations on descending idf, and top-N query evaluation with
 // a-priori fragment cut-off and the quality estimate of [BHC+01].

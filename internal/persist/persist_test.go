@@ -2,9 +2,12 @@ package persist
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -206,4 +209,81 @@ func TestLoadIndexCorruptState(t *testing.T) {
 	if _, err := LoadIndex(path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
+}
+
+// framePayload wraps a snapshot payload in a valid header and sha256,
+// so the decoder and ImportState, not the digest, face its bytes.
+func framePayload(payload []byte) []byte {
+	var buf bytes.Buffer
+	buf.Write(magic[:])
+	var n [12]byte
+	binary.LittleEndian.PutUint32(n[:4], Version)
+	binary.LittleEndian.PutUint64(n[4:], uint64(len(payload)))
+	buf.Write(n[:])
+	sum := sha256.Sum256(payload)
+	buf.Write(sum[:])
+	buf.Write(payload)
+	return buf.Bytes()
+}
+
+// FuzzSnapshotLoad: no payload may panic Load or ImportState, and every
+// state both accept restores to an index whose checksum is the state's
+// — the checksum a snapshot header promises — and survives
+// ExportState → Save → Load → ImportState with that checksum intact.
+func FuzzSnapshotLoad(f *testing.F) {
+	ix := snapCorpus(12, 5)
+	ix.Fragmentize(3)
+	ix.SetMemoryBudget(128)
+	if _, _, cold := ix.MemoryFootprint(); cold == 0 {
+		f.Fatal("seed index holds no compressed posting list")
+	}
+	var snap bytes.Buffer
+	if err := Save(&snap, ix.ExportState()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap.Bytes()[len(magic)+12+sha256.Size:])
+	// A state at the edge of what the index holds: tf and document
+	// length at the int32 limit, one mutation away from overflowing.
+	snap.Reset()
+	edge := &ir.IndexState{
+		Lambda:  ir.DefaultLambda,
+		NextOID: 2,
+		Docs:    []ir.DocState{{OID: 1, URL: "d1", Len: math.MaxInt32}},
+		Terms:   []ir.TermState{{OID: 1, Stem: "seles", Postings: []ir.Posting{{Doc: 1, TF: math.MaxInt32}}}},
+	}
+	if err := Save(&snap, edge); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap.Bytes()[len(magic)+12+sha256.Size:])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		st, err := Load(bytes.NewReader(framePayload(payload)))
+		if err != nil {
+			return
+		}
+		ix, err := ir.ImportState(st)
+		if err != nil {
+			return
+		}
+		want := st.Checksum()
+		if got := ix.Checksum(); got != want {
+			t.Fatalf("restored checksum %s, state's %s", got, want)
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, ix.ExportState()); err != nil {
+			t.Fatalf("re-save: %v", err)
+		}
+		st2, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("re-load: %v", err)
+		}
+		ix2, err := ir.ImportState(st2)
+		if err != nil {
+			t.Fatalf("re-import: %v", err)
+		}
+		if got := ix2.Checksum(); got != want {
+			t.Fatalf("round-tripped checksum %s, state's %s", got, want)
+		}
+	})
 }
