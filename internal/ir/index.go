@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -132,6 +133,10 @@ type Index struct {
 	plainBytes int // resident bytes of the plain slot/tf columns
 
 	scorers sync.Pool // *scorer: reusable per-query buffers
+
+	// Add's scratch, reused across documents: the term oid of every
+	// token of the document being added.
+	addIDs []bat.OID
 }
 
 // NewIndex returns an empty index with the default ranking parameter.
@@ -179,24 +184,39 @@ func (ix *Index) addDoc(doc bat.OID, url string) int32 {
 // a document seen before keeps its first url and folds the new
 // occurrences into its existing postings. Add must not run
 // concurrently with queries.
+//
+// Each stem resolves straight to its term oid; only a stem the index
+// has never seen allocates its vocabulary key. The document's term
+// oids are sorted into runs, so tf is a run's length and the terms'
+// postings (and incremental fragment placement) are touched in
+// ascending oid order, the same on every replica.
 func (ix *Index) Add(doc bat.OID, url, text string) {
-	terms := Terms(text)
-	counts := make(map[bat.OID]int, len(terms))
-	for _, t := range terms {
-		id, ok := ix.termID[t]
-		if !ok {
+	var scratch [32]byte // longer stems spill to the heap
+	ids := ix.addIDs[:0]
+	low := strings.ToLower(text) // text itself when already lower-case
+	for stem, tok, i := nextStem(low, 0, scratch[:0]); tok != ""; stem, tok, i = nextStem(low, i, stem) {
+		id, known := ix.termID[string(stem)]
+		if !known {
+			t := string(stem)
 			id = ix.seq.Next()
 			ix.termID[t] = id
 			ix.T.AppendString(id, t)
 		}
-		counts[id]++
+		ids = append(ids, id)
 	}
+	ix.addIDs = ids
 	slot, seen := ix.docSlot[doc]
 	if !seen {
 		slot = ix.addDoc(doc, url)
 	}
-	ix.docLens[slot] += int32(len(terms))
-	for id, tf := range counts {
+	ix.docLens[slot] += int32(len(ids))
+	slices.Sort(ids)
+	for i := 0; i < len(ids); {
+		id, run := ids[i], i
+		for i < len(ids) && ids[i] == id {
+			i++
+		}
+		tf := int32(i - run)
 		if cp, ok := ix.cold[id]; ok {
 			// The term's postings are held compressed: re-inflate before
 			// appending; the next Freeze re-applies the memory budget.
@@ -212,7 +232,7 @@ func (ix *Index) Add(doc bat.OID, url, text string) {
 		// keep serving the old ranking, and the next Freeze re-applies
 		// any memory budget to a re-inflated list.
 		ix.dirty[id] = struct{}{}
-		if seen && pl.fold(ix.docIDs, slot, int32(tf)) {
+		if seen && pl.fold(ix.docIDs, slot, tf) {
 			continue
 		}
 		ix.df[id]++
@@ -221,7 +241,7 @@ func (ix *Index) Add(doc bat.OID, url, text string) {
 			pl.sorted = false
 		}
 		pl.slots = append(pl.slots, slot)
-		pl.tfs = append(pl.tfs, int32(tf))
+		pl.tfs = append(pl.tfs, tf)
 		ix.plainBytes += 8
 		if ix.fragments != nil {
 			ix.placeFragTerm(id, 1)
@@ -453,7 +473,7 @@ func (ix *Index) Dirty() bool { return len(ix.dirty) > 0 }
 // slices. Terms outside this index's vocabulary are omitted: they
 // cannot contribute postings here (the global statistics a distributed
 // node receives are keyed by stem, which is why the stems ride along).
-// The stems may alias the query text (see eachTerm).
+// The stems may alias the query text (see queryStem).
 func (ix *Index) ResolveQuery(query string) (stems []string, oids []bat.OID) {
 	return ix.resolveInto(nil, nil, query)
 }
@@ -462,12 +482,14 @@ func (ix *Index) ResolveQuery(query string) (stems []string, oids []bat.OID) {
 // Queries are a handful of terms, so duplicates are eliminated with a
 // linear scan instead of an allocated seen-set.
 func (ix *Index) resolveInto(stems []string, oids []bat.OID, query string) ([]string, []bat.OID) {
-	eachTerm(query, true, func(t string) {
-		if id, ok := ix.termID[t]; ok && !slices.Contains(oids, id) {
-			stems = append(stems, t)
+	var scratch [32]byte // longer stems spill to the heap
+	low := strings.ToLower(query)
+	for stem, tok, i := nextStem(low, 0, scratch[:0]); tok != ""; stem, tok, i = nextStem(low, i, stem) {
+		if id, known := ix.termID[string(stem)]; known && !slices.Contains(oids, id) {
+			stems = append(stems, queryStem(stem, tok))
 			oids = append(oids, id)
 		}
-	})
+	}
 	return stems, oids
 }
 

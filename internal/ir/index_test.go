@@ -3,6 +3,9 @@ package ir
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"dlsearch/internal/bat"
@@ -269,5 +272,104 @@ func BenchmarkAddDocument(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ix.Add(bat.OID(i+1), "u", text)
+	}
+}
+
+// lib20kTexts returns n document bodies shaped like the benchmark's
+// lib20k corpus: 80 words drawn with P(k) ∝ 1/(k+1) from a vocabulary
+// of 20 000 words w00000…w19999.
+func lib20kTexts(seed int64, n int) []string {
+	const vocab, perDoc = 20000, 80
+	cdf := make([]float64, vocab)
+	sum := 0.0
+	for k := range cdf {
+		sum += 1 / float64(k+1)
+		cdf[k] = sum
+	}
+	rng := rand.New(rand.NewSource(seed))
+	texts := make([]string, n)
+	var sb strings.Builder
+	for i := range texts {
+		sb.Reset()
+		for w := 0; w < perDoc; w++ {
+			if w > 0 {
+				sb.WriteByte(' ')
+			}
+			fmt.Fprintf(&sb, "w%05d", sort.SearchFloat64s(cdf, rng.Float64()*sum))
+		}
+		texts[i] = sb.String()
+	}
+	return texts
+}
+
+// lib20kIndex returns a frozen index of n lib20k-shaped documents with
+// oids 1..n.
+func lib20kIndex(seed int64, n int) *Index {
+	ix := NewIndex()
+	for d, text := range lib20kTexts(seed, n) {
+		ix.Add(bat.OID(d+1), fmt.Sprintf("d%d", d+1), text)
+	}
+	ix.Freeze()
+	return ix
+}
+
+// TestAddAllocsPerDocument guards Add's allocation budget on a warm
+// index: a stem resolves to its term oid without allocating, and the
+// per-document term scratch is reused, so what remains is the keys of
+// unseen terms and amortised column growth.
+func TestAddAllocsPerDocument(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 4 000-document index")
+	}
+	ix := lib20kIndex(1, 4000)
+	fresh := lib20kTexts(2, 201)
+	next := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		ix.Add(bat.OID(4001+next), "u", fresh[next])
+		next++
+	})
+	t.Logf("%.1f allocations per document", allocs)
+	if allocs > 20 {
+		t.Fatalf("Add makes %.1f allocations per document, want at most 20", allocs)
+	}
+}
+
+// BenchmarkIndexAdd adds lib20k-shaped documents to a warm index.
+func BenchmarkIndexAdd(b *testing.B) {
+	ix := lib20kIndex(1, 4000)
+	texts := lib20kTexts(2, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.Add(bat.OID(4001+i), "u", texts[i%len(texts)])
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/doc")
+}
+
+// TestIncrementalFragmentsDeterministic: two indexes fed the same
+// documents after Fragmentize end with the same fragmentation, term
+// order included, so replicas holding the same content export the same
+// snapshot fragment section.
+func TestIncrementalFragmentsDeterministic(t *testing.T) {
+	texts := lib20kTexts(3, 600)
+	build := func() *Index {
+		ix := NewIndex()
+		for d, text := range texts[:300] {
+			ix.Add(bat.OID(d+1), "u", text)
+		}
+		ix.Fragmentize(8)
+		for d, text := range texts[300:] {
+			ix.Add(bat.OID(d+301), "u", text)
+		}
+		ix.Freeze()
+		return ix
+	}
+	a, b := build(), build()
+	if !reflect.DeepEqual(a.Fragments(), b.Fragments()) {
+		t.Fatal("incremental fragment placement differs between identical builds")
+	}
+	sa, sb := a.ExportState(), b.ExportState()
+	if !reflect.DeepEqual(sa.Fragments, sb.Fragments) {
+		t.Fatal("snapshot fragment sections differ between identical builds")
 	}
 }

@@ -13,25 +13,18 @@ import "strings"
 // algorithm (1980). The paper stores "the corresponding stems" in the
 // term relation T; this is the standard stemmer that implies.
 func Stem(word string) string {
-	return stemToken(strings.ToLower(word), false)
+	var scratch [32]byte // longer words spill to the heap
+	return string(stemInto(scratch[:0], strings.ToLower(word)))
 }
 
-// stemToken stems one lower-case token. With alias set, a stem that is
-// a prefix of the token is returned as a substring of it rather than a
-// copy; otherwise the stem always owns its bytes.
-func stemToken(tok string, alias bool) string {
-	if len(tok) <= 2 {
-		if alias {
-			return tok
-		}
-		return strings.Clone(tok)
+// stemInto appends the stem of one lower-case token to dst[:0] and
+// returns it. Tokens of one or two letters are their own stem.
+func stemInto(dst []byte, tok string) []byte {
+	w := append(dst[:0], tok...)
+	if len(w) <= 2 {
+		return w
 	}
-	var scratch [32]byte // longer tokens spill to the heap
-	w := porter(append(scratch[:0], tok...))
-	if alias && len(w) <= len(tok) && tok[:len(w)] == string(w) {
-		return tok[:len(w)]
-	}
-	return string(w)
+	return porter(w)
 }
 
 // porter runs the stemmer's steps over w, which it may overwrite.
@@ -123,21 +116,67 @@ func endsCVC(w []byte) bool {
 	return true
 }
 
+// hasSuffix compares from the last byte, so a word that does not end
+// in s is usually rejected after one compare.
 func hasSuffix(w []byte, s string) bool {
-	return len(w) >= len(s) && string(w[len(w)-len(s):]) == s
+	if len(w) < len(s) {
+		return false
+	}
+	w = w[len(w)-len(s):]
+	for i := len(s) - 1; i >= 0; i-- {
+		if w[i] != s[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // replaceSuffix replaces suffix s with r if the stem before s has
-// measure > m. Returns the new word and whether a replacement happened.
+// measure > m. Returns the new word and whether the suffix matched (a
+// match consumes the rule even when the measure leaves w unchanged).
+// No replacement is longer than its suffix, so w is rewritten in place.
 func replaceSuffix(w []byte, s, r string, m int) ([]byte, bool) {
 	if !hasSuffix(w, s) {
 		return w, false
 	}
 	stem := w[:len(w)-len(s)]
 	if measure(stem) <= m {
-		return w, true // suffix matched; rule consumed but no change
+		return w, true
 	}
-	return append(append([]byte{}, stem...), r...), true
+	return append(stem, r...), true
+}
+
+// suffixRule rewrites suffix s to r.
+type suffixRule struct{ s, r string }
+
+func (r suffixRule) suffix() string { return r.s }
+
+// byFinal indexes a rule table by the final letter of each suffix,
+// keeping the table's order within a letter. Two suffixes that can
+// both match a word end in the same letter, so trying only the word's
+// final letter's rules, in table order, picks the rule the whole table
+// would.
+type byFinal[R any] [26][]R
+
+func indexByFinal[R any](table []R, suffix func(R) string) *byFinal[R] {
+	var idx byFinal[R]
+	for _, r := range table {
+		s := suffix(r)
+		c := s[len(s)-1] - 'a'
+		idx[c] = append(idx[c], r)
+	}
+	return &idx
+}
+
+// of returns the rules whose suffix ends in w's final letter.
+func (idx *byFinal[R]) of(w []byte) []R {
+	if len(w) == 0 {
+		return nil
+	}
+	if c := w[len(w)-1] - 'a'; c < 26 {
+		return idx[c]
+	}
+	return nil
 }
 
 func step1a(w []byte) []byte {
@@ -188,7 +227,7 @@ func step1c(w []byte) []byte {
 	return w
 }
 
-var step2Rules = []struct{ s, r string }{
+var step2Rules = []suffixRule{
 	{"ational", "ate"}, {"tional", "tion"}, {"enci", "ence"}, {"anci", "ance"},
 	{"izer", "ize"}, {"abli", "able"}, {"alli", "al"}, {"entli", "ent"},
 	{"eli", "e"}, {"ousli", "ous"}, {"ization", "ize"}, {"ation", "ate"},
@@ -196,27 +235,9 @@ var step2Rules = []struct{ s, r string }{
 	{"ousness", "ous"}, {"aliti", "al"}, {"iviti", "ive"}, {"biliti", "ble"},
 }
 
-func step2(w []byte) []byte {
-	for _, rule := range step2Rules {
-		if nw, ok := replaceSuffix(w, rule.s, rule.r, 0); ok {
-			return nw
-		}
-	}
-	return w
-}
-
-var step3Rules = []struct{ s, r string }{
+var step3Rules = []suffixRule{
 	{"icate", "ic"}, {"ative", ""}, {"alize", "al"}, {"iciti", "ic"},
 	{"ical", "ic"}, {"ful", ""}, {"ness", ""},
-}
-
-func step3(w []byte) []byte {
-	for _, rule := range step3Rules {
-		if nw, ok := replaceSuffix(w, rule.s, rule.r, 0); ok {
-			return nw
-		}
-	}
-	return w
 }
 
 var step4Suffixes = []string{
@@ -224,16 +245,35 @@ var step4Suffixes = []string{
 	"ment", "ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 }
 
+var (
+	step2Index = indexByFinal(step2Rules, suffixRule.suffix)
+	step3Index = indexByFinal(step3Rules, suffixRule.suffix)
+	step4Index = indexByFinal(step4Suffixes, func(s string) string { return s })
+)
+
+func step2(w []byte) []byte {
+	for _, rule := range step2Index.of(w) {
+		if nw, ok := replaceSuffix(w, rule.s, rule.r, 0); ok {
+			return nw
+		}
+	}
+	return w
+}
+
+func step3(w []byte) []byte {
+	for _, rule := range step3Index.of(w) {
+		if nw, ok := replaceSuffix(w, rule.s, rule.r, 0); ok {
+			return nw
+		}
+	}
+	return w
+}
+
 func step4(w []byte) []byte {
-	for _, s := range step4Suffixes {
-		if !hasSuffix(w, s) {
-			continue
+	for _, s := range step4Index.of(w) {
+		if nw, ok := replaceSuffix(w, s, "", 1); ok {
+			return nw
 		}
-		stem := w[:len(w)-len(s)]
-		if measure(stem) > 1 {
-			return stem
-		}
-		return w
 	}
 	if hasSuffix(w, "ion") {
 		stem := w[:len(w)-3]
@@ -256,8 +296,10 @@ func step5a(w []byte) []byte {
 	return w
 }
 
+// step5b drops one l of a final ll (a double consonant) when the
+// measure exceeds 1; the suffix is tested first because it is cheap.
 func step5b(w []byte) []byte {
-	if measure(w) > 1 && endsDoubleCons(w) && hasSuffix(w, "ll") {
+	if hasSuffix(w, "ll") && measure(w) > 1 {
 		return w[:len(w)-1]
 	}
 	return w

@@ -67,28 +67,45 @@ func Tokenize(text string) []string {
 	return out
 }
 
-// eachTerm pushes text through the tokenizer, the stop filter and the
-// stemmer — exactly the pipeline the central database server applies to
-// both documents and query terms in the paper — and calls f with every
-// stem in text order. With alias set, a stem that is a prefix of its
-// token (Porter mostly strips suffixes) is a substring of the
-// lower-cased text instead of a copy: right for a query, which outlives
-// its stems, and wrong for a document, whose text a vocabulary key would
-// pin.
-func eachTerm(text string, alias bool, f func(stem string)) {
-	low := strings.ToLower(text)
-	for tok, i := nextToken(low, 0); tok != ""; tok, i = nextToken(low, i) {
+// nextStem pushes lower-cased text through the tokenizer, the stop
+// filter and the stemmer — exactly the pipeline the central database
+// server applies to both documents and query terms in the paper. It
+// returns the first token at or after offset i that is not a stop
+// word, its stem built in buf, and the offset just past the token; the
+// token is empty when none remains. Passing each stem back as the next
+// call's buf reuses one scratch for a whole text, so a caller's stack
+// scratch stays on the stack.
+func nextStem(low string, i int, buf []byte) (stem []byte, tok string, next int) {
+	for {
+		if tok, i = nextToken(low, i); tok == "" {
+			return buf, "", i
+		}
 		if !stopWords[tok] {
-			f(stemToken(tok, alias))
+			return stemInto(buf, tok), tok, i
 		}
 	}
+}
+
+// queryStem returns a query's stem as a string. A stem that is a prefix
+// of its token (Porter mostly strips suffixes) is a substring of the
+// lower-cased query instead of a copy: right for a query, which
+// outlives its stems, and wrong for a document, whose text a vocabulary
+// key would pin.
+func queryStem(stem []byte, tok string) string {
+	if len(stem) <= len(tok) && tok[:len(stem)] == string(stem) {
+		return tok[:len(stem)]
+	}
+	return string(stem)
 }
 
 // Terms returns the stems of text, in text order, each owning its
 // bytes.
 func Terms(text string) []string {
 	var out []string
-	eachTerm(text, false, func(stem string) { out = append(out, stem) })
+	low := strings.ToLower(text)
+	for stem, tok, i := nextStem(low, 0, nil); tok != ""; stem, tok, i = nextStem(low, i, stem) {
+		out = append(out, string(stem))
+	}
 	return out
 }
 
@@ -97,15 +114,18 @@ func Terms(text string) []string {
 // by a linear scan — a query is a handful of words — so resolving a
 // typical query into a reused dst allocates nothing.
 func QueryStems(dst []string, query string) []string {
-	eachTerm(query, true, func(stem string) {
+	var scratch [32]byte // longer stems spill to the heap
+	low := strings.ToLower(query)
+next:
+	for stem, tok, i := nextStem(low, 0, scratch[:0]); tok != ""; stem, tok, i = nextStem(low, i, stem) {
 		// Not slices.Contains: a generic callee makes dst's backing
 		// array — the caller's stack scratch — escape.
 		for _, have := range dst {
-			if have == stem {
-				return
+			if have == string(stem) {
+				continue next
 			}
 		}
-		dst = append(dst, stem)
-	})
+		dst = append(dst, queryStem(stem, tok))
+	}
 	return dst
 }
