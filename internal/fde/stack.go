@@ -65,48 +65,3 @@ func (s Stack) Push(toks []detector.Token) Stack {
 	}
 	return s
 }
-
-// CopyStack is the naive mutable token stack that copies all tokens on
-// every version save. It exists only as the baseline of experiment
-// E13 (shared-suffix versions vs full copies); the engine itself uses
-// Stack.
-type CopyStack struct {
-	toks []detector.Token // toks[len-1] is the top
-}
-
-// NewCopyStack builds a naive stack whose top is toks[0].
-func NewCopyStack(toks []detector.Token) *CopyStack {
-	c := &CopyStack{toks: make([]detector.Token, len(toks))}
-	for i, t := range toks {
-		c.toks[len(toks)-1-i] = t
-	}
-	return c
-}
-
-// Save returns a full copy of the stack: the O(stack) cost the shared
-// suffix representation avoids.
-func (c *CopyStack) Save() *CopyStack {
-	cp := make([]detector.Token, len(c.toks))
-	copy(cp, c.toks)
-	return &CopyStack{toks: cp}
-}
-
-// Len returns the number of tokens.
-func (c *CopyStack) Len() int { return len(c.toks) }
-
-// Pop removes and returns the top token.
-func (c *CopyStack) Pop() (detector.Token, bool) {
-	if len(c.toks) == 0 {
-		return detector.Token{}, false
-	}
-	t := c.toks[len(c.toks)-1]
-	c.toks = c.toks[:len(c.toks)-1]
-	return t, true
-}
-
-// Push adds toks such that toks[0] becomes the new top.
-func (c *CopyStack) Push(toks []detector.Token) {
-	for i := len(toks) - 1; i >= 0; i-- {
-		c.toks = append(c.toks, toks[i])
-	}
-}

@@ -289,14 +289,6 @@ func (ix *Index) TermOID(stem string) (bat.OID, bool) {
 	return id, ok
 }
 
-// docLenOf returns |d| for a document oid (0 if unknown).
-func (ix *Index) docLenOf(doc bat.OID) int {
-	if slot, ok := ix.docSlot[doc]; ok {
-		return int(ix.docLens[slot])
-	}
-	return 0
-}
-
 // Freeze brings all incrementally maintained derived state up to
 // date: stale IDF rows are rewritten in place (new terms appended)
 // and posting lists that received out-of-order appends are re-sorted
@@ -504,45 +496,14 @@ func (ix *Index) IDFOf(stem string) float64 {
 	return v
 }
 
-// weight is the per-term contribution of the [Hie98]-derived model:
+// logWeight is the per-term contribution of the [Hie98]-derived model:
 //
 //	w(t,d) = log(1 + λ·tf(t,d)·Σ_t' df(t') / ((1-λ)·df(t)·|d|))
 //
 // Rare terms (low df, high idf) contribute most, which is exactly the
 // property the idf-descending fragmentation exploits.
-func (ix *Index) weight(tf, df, docLen int) float64 {
-	if tf == 0 || df == 0 || docLen == 0 {
-		return 0
-	}
-	return logWeight(ix.lambda, tf, df, ix.totalDF, docLen)
-}
-
 func logWeight(lambda float64, tf, df, totalDF, docLen int) float64 {
 	return math.Log(1 + lambda*float64(tf)*float64(totalDF)/((1-lambda)*float64(df)*float64(docLen)))
-}
-
-// topNFromScores selects the n best (score desc, doc asc) results
-// from a score map; retained as the naive plan's selection step.
-func topNFromScores(scores map[bat.OID]float64, n int) []Result {
-	res := make([]Result, 0, len(scores))
-	for d, s := range scores {
-		if s > 0 {
-			res = append(res, Result{Doc: d, Score: s})
-		}
-	}
-	sort.Slice(res, func(i, j int) bool {
-		if res[i].Score != res[j].Score {
-			return res[i].Score > res[j].Score
-		}
-		return res[i].Doc < res[j].Doc
-	})
-	if n < 0 {
-		n = 0
-	}
-	if len(res) > n {
-		res = res[:n]
-	}
-	return res
 }
 
 // TopN returns the n best-ranking documents for the query: the one
@@ -552,24 +513,6 @@ func (ix *Index) TopN(query string, n int) []Result {
 	ix.Freeze()
 	res, _ := ix.Evaluate(Request{Query: query, Plan: EvalPlan{N: n}})
 	return res
-}
-
-// TopNNaive computes the same answer with the unoptimized plan: each
-// query term's postings are materialised, every document's score is
-// accumulated in a map, and the full ranking is sorted and cut to n.
-// The reference the tests compare Evaluate against, and experiment
-// E16's baseline.
-func (ix *Index) TopNNaive(query string, n int) []Result {
-	ix.Freeze()
-	var stems [8]string // scratch; the naive plan needs only the oids
-	_, qts := ix.resolveInto(stems[:0], nil, query)
-	scores := make(map[bat.OID]float64)
-	for _, id := range qts {
-		for _, p := range ix.PostingsOf(id) {
-			scores[p.Doc] += ix.weight(p.TF, ix.df[id], ix.docLenOf(p.Doc))
-		}
-	}
-	return topNFromScores(scores, n)
 }
 
 // Fragmentize partitions the vocabulary into k horizontal fragments on

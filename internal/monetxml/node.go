@@ -13,8 +13,8 @@
 // Character data is modelled as a special attribute of pcdata nodes,
 // exactly as in the paper. Encoding the full path into the relation
 // name yields the semantic clustering that distinguishes this mapping
-// from generic edge tables (see the EdgeStore baseline in this
-// package) and makes the ubiquitous XML path expressions single-scan
+// from generic edge tables (see the EdgeStore baseline in
+// edge_test.go) and makes the ubiquitous XML path expressions single-scan
 // operations.
 package monetxml
 
