@@ -279,27 +279,44 @@ func BenchmarkAddDocument(b *testing.B) {
 // lib20k corpus: 80 words drawn with P(k) ∝ 1/(k+1) from a vocabulary
 // of 20 000 words w00000…w19999.
 func lib20kTexts(seed int64, n int) []string {
-	const vocab, perDoc = 20000, 80
+	return zipfTexts(seed, n, 20000, func(*rand.Rand) int { return 80 })
+}
+
+// zipfTexts returns n document bodies of docLen words each, drawn with
+// P(k) ∝ 1/(k+1) from a vocabulary of vocab words w00000, w00001, …
+func zipfTexts(seed int64, n, vocab int, docLen func(*rand.Rand) int) []string {
+	z := newZipfWords(vocab)
+	rng := rand.New(rand.NewSource(seed))
+	texts := make([]string, n)
+	var sb strings.Builder
+	for i := range texts {
+		sb.Reset()
+		for w, words := 0, docLen(rng); w < words; w++ {
+			if w > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteString(z.draw(rng))
+		}
+		texts[i] = sb.String()
+	}
+	return texts
+}
+
+// zipfWords draws words w00000, w00001, … with P(k) ∝ 1/(k+1).
+type zipfWords struct{ cdf []float64 }
+
+func newZipfWords(vocab int) zipfWords {
 	cdf := make([]float64, vocab)
 	sum := 0.0
 	for k := range cdf {
 		sum += 1 / float64(k+1)
 		cdf[k] = sum
 	}
-	rng := rand.New(rand.NewSource(seed))
-	texts := make([]string, n)
-	var sb strings.Builder
-	for i := range texts {
-		sb.Reset()
-		for w := 0; w < perDoc; w++ {
-			if w > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "w%05d", sort.SearchFloat64s(cdf, rng.Float64()*sum))
-		}
-		texts[i] = sb.String()
-	}
-	return texts
+	return zipfWords{cdf: cdf}
+}
+
+func (z zipfWords) draw(rng *rand.Rand) string {
+	return fmt.Sprintf("w%05d", sort.SearchFloat64s(z.cdf, rng.Float64()*z.cdf[len(z.cdf)-1]))
 }
 
 // lib20kIndex returns a frozen index of n lib20k-shaped documents with

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -39,13 +40,15 @@ func evalText(ix *Index, q string, plan EvalPlan) ([]Result, QualityEstimate) {
 	return ix.Evaluate(Request{Query: q, Plan: plan})
 }
 
+// sameResults holds two rankings to byte identity: the same documents
+// in the same order with the same float64 bits.
 func sameResults(t *testing.T, ctx string, got, want []Result) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d results, want %d", ctx, len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Doc != want[i].Doc || got[i].Score != want[i].Score {
+		if got[i].Doc != want[i].Doc || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
 			t.Fatalf("%s: rank %d = %+v, want %+v", ctx, i, got[i], want[i])
 		}
 	}

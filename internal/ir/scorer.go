@@ -9,9 +9,10 @@ import (
 // scorer holds the reusable per-query buffers of the columnar hot
 // path: a doc-slot-indexed score column, the list of slots touched by
 // the current query (so only those are reset afterwards, not the
-// whole column), the resolved query terms and the bounded top-N heap.
-// Scorers live in the index's sync.Pool, which makes concurrent
-// queries over a frozen index race-free without locking.
+// whole column), the resolved query terms, the bounded top-N heap and
+// the per-term weight memo. Scorers live in the index's sync.Pool,
+// which makes concurrent queries over a frozen index race-free without
+// locking.
 type scorer struct {
 	scores  []float64
 	touched []int32
@@ -20,6 +21,71 @@ type scorer struct {
 	heap    []Result
 	dfs     []int   // per-query-term df the term is weighed with
 	frag    []int32 // per-query-term fragment index (plan evaluation)
+	memo    weightMemo
+}
+
+// weightMemo caches logWeight for the term being scored. Within one
+// term lambda, df and totalDF are fixed, so the weight depends only on
+// (tf, |d|): far fewer distinct values than the list has postings. The
+// table is direct-mapped on (tf, |d|). An entry counts only while it
+// carries the current generation, which open bumps once per term, so
+// nothing is cleared between terms.
+type weightMemo struct {
+	lambda      float64
+	df, totalDF int
+	gen         uint32
+	slots       [memoSlots]memoEntry
+}
+
+// memoBits sizes the weight memo: 4 096 entries of 24 bytes (96 KiB).
+// A term over constant-length documents needs a few dozen entries; a
+// common term over varied lengths meets thousands of distinct pairs,
+// and a smaller table would evict most of them.
+const (
+	memoBits  = 12
+	memoSlots = 1 << memoBits
+)
+
+// memoEntry is one memoised weight: logWeight of the (tf, |d|) packed
+// in key under the statistics of the term opened as generation gen.
+type memoEntry struct {
+	key uint64
+	gen uint32
+	w   float64
+}
+
+// open starts a memo generation for a term weighed with these
+// statistics, which invalidates every entry at once. Only when the
+// stamp wraps are the entries actually cleared.
+func (m *weightMemo) open(lambda float64, df, totalDF int) {
+	m.lambda, m.df, m.totalDF = lambda, df, totalDF
+	m.gen++
+	if m.gen == 0 {
+		clear(m.slots[:])
+		m.gen = 1
+	}
+}
+
+// lookup returns the entry (tf, docLen) maps to, and whether it holds
+// that pair's weight for the open term. On a miss the caller fills it.
+// The hit path is small enough to inline into the scan loops.
+func (m *weightMemo) lookup(tf, docLen int32) (e *memoEntry, hit bool) {
+	key := memoKey(tf, docLen)
+	e = &m.slots[key*0x9e3779b97f4a7c15>>(64-memoBits)]
+	return e, e.key == key && e.gen == m.gen
+}
+
+// fill stores the weight of (tf, docLen) under the open term's
+// statistics in e: logWeight with exactly these arguments, so a
+// memoised weight has the same float64 bits as the unmemoised formula.
+func (m *weightMemo) fill(e *memoEntry, tf, docLen int32) {
+	*e = memoEntry{key: memoKey(tf, docLen), gen: m.gen, w: logWeight(m.lambda, int(tf), m.df, m.totalDF, int(docLen))}
+}
+
+// memoKey packs (tf, docLen). Both are int32 columns, so the key
+// identifies the pair exactly.
+func memoKey(tf, docLen int32) uint64 {
+	return uint64(uint32(tf))<<32 | uint64(uint32(docLen))
 }
 
 // getScorer fetches a scorer with an all-zero score column covering
@@ -51,36 +117,40 @@ func (ix *Index) putScorer(s *scorer) {
 // "first touch" and the slot is recorded for reset and selection.
 // Terms the memory budget holds compressed are walked in place — the
 // same (doc, tf) sequence in the same doc order, so scores come out
-// identical, just slower per posting.
+// identical, just slower per posting. Both paths read weights through
+// the scorer's memo, opened afresh for this term.
 func (ix *Index) scoreTerm(s *scorer, id bat.OID, df, totalDF int, candidates map[bat.OID]bool) {
 	if df == 0 {
 		return
 	}
+	s.memo.open(ix.lambda, df, totalDF)
 	pl := ix.plists[id]
 	if pl == nil {
 		if cp, ok := ix.cold[id]; ok {
-			ix.scoreCompressed(s, cp, df, totalDF, candidates)
+			ix.scoreCompressed(s, cp, candidates)
 		}
 		return
 	}
-	lambda := ix.lambda
 	docIDs, docLens := ix.docIDs, ix.docLens
 	for i, slot := range pl.slots {
 		if candidates != nil && !candidates[docIDs[slot]] {
 			continue
 		}
-		w := logWeight(lambda, int(pl.tfs[i]), df, totalDF, int(docLens[slot]))
+		e, hit := s.memo.lookup(pl.tfs[i], docLens[slot])
+		if !hit {
+			s.memo.fill(e, pl.tfs[i], docLens[slot])
+		}
 		if s.scores[slot] == 0 {
 			s.touched = append(s.touched, slot)
 		}
-		s.scores[slot] += w
+		s.scores[slot] += e.w
 	}
 }
 
 // scoreCompressed is scoreTerm's access path over a compressed posting
-// list: decode-as-you-go via Walk, no materialised slice.
-func (ix *Index) scoreCompressed(s *scorer, cp CompressedPostings, df, totalDF int, candidates map[bat.OID]bool) {
-	lambda := ix.lambda
+// list: decode-as-you-go via Walk, no materialised slice. The list was
+// compressed from the int32 tf column, so int32(tf) is exact.
+func (ix *Index) scoreCompressed(s *scorer, cp CompressedPostings, candidates map[bat.OID]bool) {
 	cp.Walk(func(doc bat.OID, tf int) bool {
 		if candidates != nil && !candidates[doc] {
 			return true
@@ -89,11 +159,14 @@ func (ix *Index) scoreCompressed(s *scorer, cp CompressedPostings, df, totalDF i
 		if !ok {
 			return true
 		}
-		w := logWeight(lambda, tf, df, totalDF, int(ix.docLens[slot]))
+		e, hit := s.memo.lookup(int32(tf), ix.docLens[slot])
+		if !hit {
+			s.memo.fill(e, int32(tf), ix.docLens[slot])
+		}
 		if s.scores[slot] == 0 {
 			s.touched = append(s.touched, slot)
 		}
-		s.scores[slot] += w
+		s.scores[slot] += e.w
 		return true
 	})
 }

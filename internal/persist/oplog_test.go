@@ -451,6 +451,41 @@ func TestOpsWireRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeOps: DecodeOps reads untrusted request bodies (a node's
+// POST /node/oplog), so no input may panic it. A delta it accepts
+// re-encodes to one that decodes to the same (from, ops); one it
+// rejects fails with ErrCorrupt or as an unsupported version.
+func FuzzDecodeOps(f *testing.F) {
+	for _, ops := range [][]Op{nil, logOps(1), logOps(12)} {
+		var buf bytes.Buffer
+		if err := EncodeOps(&buf, uint64(len(ops))*7+3, ops); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		from, ops, err := DecodeOps(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !strings.HasPrefix(err.Error(), "persist: unsupported delta version") {
+				t.Fatalf("rejected with %v, want ErrCorrupt or an unsupported version", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := EncodeOps(&buf, from, ops); err != nil {
+			t.Fatal(err)
+		}
+		from2, ops2, err := DecodeOps(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded delta rejected: %v", err)
+		}
+		if from2 != from {
+			t.Fatalf("re-decoded from=%d, want %d", from2, from)
+		}
+		sameOps(t, "re-decoded", ops2, ops)
+	})
+}
+
 // TestSnapshotCarriesLogPos: the v2 snapshot format persists the
 // op-log position so boot knows where replay starts.
 func TestSnapshotCarriesLogPos(t *testing.T) {
