@@ -45,6 +45,10 @@ var allocBudgets = []struct {
 	{row: "server/search/codec=wire/nodes=2", bound: 35},
 	{row: "server/search/codec=wire/nodes=4", bound: 60},
 	{row: "server/search/codec=wire/nodes=8", bound: 111},
+	{row: "server/search/codec=wire/traced/nodes=1", bound: 33},
+	{row: "server/search/codec=wire/traced/nodes=2", bound: 51},
+	{row: "server/search/codec=wire/traced/nodes=4", bound: 84},
+	{row: "server/search/codec=wire/traced/nodes=8", bound: 154},
 	{row: "server/search/budget=1-of-8", bound: 470},
 	{row: "server/search/budget=2-of-8", bound: 470},
 	{row: "server/search/budget=4-of-8", bound: 470},
@@ -216,8 +220,14 @@ func serverAllocOps(t *testing.T) map[string]func() error {
 		}
 		return c
 	}
-	search := func(c *dist.Cluster, query string, plan ir.EvalPlan) func() error {
+	// traced is non-empty for rows whose every search carries a fresh
+	// request-ID trace in its context, as each coordinator /search does.
+	search := func(c *dist.Cluster, query string, plan ir.EvalPlan, traced string) func() error {
 		return func() error {
+			ctx := ctx
+			if traced != "" {
+				ctx = obs.NewContext(ctx, obs.NewTrace(traced))
+			}
 			sr, err := c.SearchPlan(ctx, query, plan)
 			if err != nil {
 				return err
@@ -229,19 +239,20 @@ func serverAllocOps(t *testing.T) map[string]func() error {
 		}
 	}
 	for _, cc := range []struct {
-		name  string
-		codec dist.Codec
-	}{{"binary", dist.CodecBinary}, {"wire", dist.CodecWire}} {
+		name   string
+		codec  dist.Codec
+		traced string
+	}{{"binary", dist.CodecBinary, ""}, {"wire", dist.CodecWire, ""}, {"wire/traced", dist.CodecWire, "3dcc9328f078fc1b"}} {
 		for _, k := range []int{1, 2, 4, 8} {
 			ops[fmt.Sprintf("search/codec=%s/nodes=%d", cc.name, k)] =
-				search(cluster(k, cc.codec), "champion winner serve", ir.EvalPlan{N: 10})
+				search(cluster(k, cc.codec), "champion winner serve", ir.EvalPlan{N: 10}, cc.traced)
 		}
 	}
 	budgeted := cluster(4, dist.CodecBinary)
 	budgeted.SetCostCurve(slo.New(slo.Config{Target: 50 * time.Millisecond, MaxBudget: 8}).Curve("bench"))
 	for _, budget := range []int{1, 2, 4, 8} {
 		ops[fmt.Sprintf("search/budget=%d-of-8", budget)] =
-			search(budgeted, "seles champion volley match", ir.EvalPlan{N: 10, Frags: 8, Budget: budget})
+			search(budgeted, "seles champion volley match", ir.EvalPlan{N: 10, Frags: 8, Budget: budget}, "")
 	}
 
 	const streamDocs = 1000

@@ -379,7 +379,9 @@ type (
 )
 
 // HeaderRequestID is the HTTP header carrying the request ID across
-// process boundaries (coordinator → node, and echoed to clients).
+// process boundaries (coordinator → node over HTTP, and echoed to
+// clients); on the persistent node connection the ID travels inside
+// the search frame instead.
 const HeaderRequestID = obs.HeaderRequestID
 
 // NewMetricsRegistry returns an empty metrics registry.

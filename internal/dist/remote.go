@@ -359,16 +359,23 @@ var wireHeader = http.Header{
 	"Accept":       {persist.WireContentType},
 }
 
+// frameFunc frames one hot-path request into wb. id is the request ID
+// the frame itself must carry, or "" for the plain kind; it is non-empty
+// only on a persistent connection whose peer reads traced frames.
+type frameFunc func(wb *persist.WireBuffer, id string)
+
 // doBinary runs one hot-path RPC over the best available transport:
-// the persistent connection when the peer speaks it (and no trace needs
-// HTTP headers), else the frame as an HTTP body. handle receives the
-// response frame.
-func (rn *RemoteNode) doBinary(ctx context.Context, path string, req *persist.WireBuffer, handle func(frame []byte) error) error {
+// the persistent connection when the peer speaks it, else the frame as
+// an HTTP body. id is the request ID the RPC must deliver ("" for
+// none): on a connection whose peer does not read traced frames it
+// travels as the X-DL-Request header of an HTTP body instead. handle
+// receives the response frame.
+func (rn *RemoteNode) doBinary(ctx context.Context, path, id string, encode frameFunc, handle func(frame []byte) error) error {
 	if rn.met == nil && obs.FromContext(ctx) == nil {
-		return rn.binaryRoundTrip(ctx, path, req, handle)
+		return rn.binaryRoundTrip(ctx, path, id, encode, handle)
 	}
 	start := time.Now()
-	err := rn.binaryRoundTrip(ctx, path, req, handle)
+	err := rn.binaryRoundTrip(ctx, path, id, encode, handle)
 	if rn.met != nil {
 		rn.met.Latency.ObserveSince(start)
 	}
@@ -376,21 +383,25 @@ func (rn *RemoteNode) doBinary(ctx context.Context, path string, req *persist.Wi
 	return err
 }
 
-func (rn *RemoteNode) binaryRoundTrip(ctx context.Context, path string, req *persist.WireBuffer, handle func(frame []byte) error) error {
-	if rn.pool != nil && obs.FromContext(ctx) == nil {
-		err := rn.connRPC(ctx, path, req, handle)
-		if !errors.Is(err, errWireUnsupported) {
+func (rn *RemoteNode) binaryRoundTrip(ctx context.Context, path, id string, encode frameFunc, handle func(frame []byte) error) error {
+	wb := persist.GetWireBuffer()
+	defer persist.PutWireBuffer(wb)
+	if rn.pool != nil {
+		err := rn.connRPC(ctx, path, id, wb, encode, handle)
+		if !errors.Is(err, errWireUnsupported) && !errors.Is(err, errWireUntraced) {
 			return err
 		}
-		// The peer refused the upgrade; try binary bodies over HTTP.
+		// The peer refused the upgrade, or cannot read the request ID in
+		// a frame; send an HTTP body.
 	}
-	return rn.httpBinary(ctx, path, req, handle)
+	encode(wb, "")
+	return rn.httpBinary(ctx, path, id, wb, handle)
 }
 
-// httpBinary POSTs one framed request over HTTP and hands the framed
-// response to handle, whose decode verifies it; any non-200 answer is
-// an error.
-func (rn *RemoteNode) httpBinary(ctx context.Context, path string, wb *persist.WireBuffer, handle func(frame []byte) error) error {
+// httpBinary POSTs one framed request over HTTP, with id (if any) in
+// the X-DL-Request header, and hands the framed response to handle,
+// whose decode verifies it; any non-200 answer is an error.
+func (rn *RemoteNode) httpBinary(ctx context.Context, path, id string, wb *persist.WireBuffer, handle func(frame []byte) error) error {
 	if err := wb.Err(); err != nil {
 		return fmt.Errorf("dist: encode %s: %w", path, err)
 	}
@@ -411,11 +422,11 @@ func (rn *RemoteNode) httpBinary(ctx context.Context, path string, wb *persist.W
 		ContentLength: int64(len(body)),
 		Host:          u.Host,
 	}
-	if tr := obs.FromContext(ctx); tr != nil && tr.ID != "" {
+	if id != "" {
 		h := make(http.Header, 3)
 		h["Content-Type"] = wireHeader["Content-Type"]
 		h["Accept"] = wireHeader["Accept"]
-		h.Set(obs.HeaderRequestID, tr.ID)
+		h.Set(obs.HeaderRequestID, id)
 		hreq.Header = h
 	}
 	hreq = hreq.WithContext(ctx)
@@ -540,14 +551,14 @@ func (rn *RemoteNode) roundTrip(ctx context.Context, path string, in, out any) (
 // round-trip. The node server wraps a LocalNode, so a retried batch is
 // a no-op for already-applied documents.
 func (rn *RemoteNode) AddBatch(ctx context.Context, docs []Doc) error {
-	wb := persist.GetWireBuffer()
-	defer persist.PutWireBuffer(wb)
 	ops := make([]persist.Op, len(docs))
 	for i, d := range docs {
 		ops[i] = persist.Op{Doc: d.OID, URL: d.URL, Text: d.Text}
 	}
-	wb.EncodeAddBatchRequest(ops)
-	return rn.doBinary(ctx, PathNodeAddBatch, wb, persist.DecodeAck)
+	// The node keeps no trace of ingest, so a batch carries no request ID.
+	return rn.doBinary(ctx, PathNodeAddBatch, "", func(wb *persist.WireBuffer, _ string) {
+		wb.EncodeAddBatchRequest(ops)
+	}, persist.DecodeAck)
 }
 
 // Stats implements Node as a versioned pull: the node is asked only for
@@ -616,13 +627,22 @@ func (rn *RemoteNode) SearchPlan(ctx context.Context, query string, plan ir.Eval
 }
 
 // searchRPC is SearchPlan's round-trip without the cost-curve wrapper.
+// The trace's request ID rides the request so the node's spans and
+// slow-query line join the coordinator's.
 func (rn *RemoteNode) searchRPC(ctx context.Context, query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
-	wb := persist.GetWireBuffer()
-	defer persist.PutWireBuffer(wb)
-	wb.EncodeSearchRequest(query, plan, global)
+	var id string
+	if tr := obs.FromContext(ctx); tr != nil {
+		id = tr.ID
+	}
 	var out []ir.Result
 	var outQ ir.QualityEstimate
-	err := rn.doBinary(ctx, PathNodeSearch, wb, func(frame []byte) error {
+	err := rn.doBinary(ctx, PathNodeSearch, id, func(wb *persist.WireBuffer, id string) {
+		if id != "" {
+			wb.EncodeTracedSearchRequest(id, query, plan, global)
+		} else {
+			wb.EncodeSearchRequest(query, plan, global)
+		}
+	}, func(frame []byte) error {
 		rs, q, err := persist.DecodeSearchResponse(frame)
 		out, outQ = rs, q
 		return err

@@ -1,11 +1,13 @@
 package dist_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +15,8 @@ import (
 	"dlsearch/internal/core"
 	"dlsearch/internal/dist"
 	"dlsearch/internal/ir"
+	"dlsearch/internal/obs"
+	"dlsearch/internal/persist"
 	"dlsearch/internal/server"
 )
 
@@ -33,11 +37,13 @@ func startCodecCluster(t testing.TB, k int, codec dist.Codec) *dist.Cluster {
 }
 
 // TestCodecsByteIdentical is the cross-transport property in one
-// {exact, budgeted, quality floor} × {binary, wire} table: for
-// k ∈ {1, 2, 4, 8}, frames as HTTP bodies and frames on the
-// persistent-connection transport return rankings byte-identical —
-// documents AND float-bit-exact scores — to a cluster of in-process
-// LocalNodes, with identical quality.
+// {exact, budgeted, quality floor} × {binary, wire, wire traced} table:
+// for k ∈ {1, 2, 4, 8}, frames as HTTP bodies, frames on the
+// persistent-connection transport, and traced frames on it (every query
+// run with a request-ID trace in its context, as the coordinator runs
+// each /search) return rankings byte-identical — documents AND
+// float-bit-exact scores — to a cluster of in-process LocalNodes, with
+// identical quality.
 //
 // It is also the proof that shipping only the query's share of the
 // global statistics changes nothing: every cluster answer is compared
@@ -59,11 +65,13 @@ func TestCodecsByteIdentical(t *testing.T) {
 		"quetzalcoatl the zanzibar",         // all of the above at once
 	}
 	codecs := []struct {
-		name  string
-		codec dist.Codec
+		name   string
+		codec  dist.Codec
+		traced bool
 	}{
-		{"binary", dist.CodecBinary},
-		{"wire", dist.CodecWire},
+		{"binary", dist.CodecBinary, false},
+		{"wire", dist.CodecWire, false},
+		{"wire-traced", dist.CodecWire, true},
 	}
 	plans := []struct {
 		name string
@@ -101,7 +109,11 @@ func TestCodecsByteIdentical(t *testing.T) {
 					sameSearch(t, fmt.Sprintf("local k=%d q=%q n=%d %s", k, q, n, p.name), got, want)
 					for ci, c := range codecs {
 						ctxs := fmt.Sprintf("codec=%s k=%d q=%q n=%d %s", c.name, k, q, n, p.name)
-						got, err := clusters[ci].SearchPlan(ctx, q, plan)
+						qctx := ctx
+						if c.traced {
+							qctx = obs.NewContext(ctx, obs.NewTrace(fmt.Sprintf("k%dn%d%s", k, n, p.name)))
+						}
+						got, err := clusters[ci].SearchPlan(qctx, q, plan)
 						if err != nil {
 							t.Fatalf("%s: %v", ctxs, err)
 						}
@@ -109,6 +121,154 @@ func TestCodecsByteIdentical(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// oldBuildListener serves connections whose node answers the wire
+// upgrade as a build from before traced frames did: the 101 carries no
+// persist.WireTracedHeader. It also keeps every byte the node read, so
+// a test can tell which frame kinds arrived.
+type oldBuildListener struct {
+	net.Listener
+	mu   sync.Mutex
+	read bytes.Buffer
+}
+
+func (l *oldBuildListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &oldBuildConn{Conn: c, l: l}, nil
+}
+
+// received reports whether the node read bytes containing sub.
+func (l *oldBuildListener) received(sub []byte) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return bytes.Contains(l.read.Bytes(), sub)
+}
+
+type oldBuildConn struct {
+	net.Conn
+	l *oldBuildListener
+}
+
+func (c *oldBuildConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.l.mu.Lock()
+	c.l.read.Write(p[:n])
+	c.l.mu.Unlock()
+	return n, err
+}
+
+// Write drops the advertisement from the upgrade answer, which the
+// node writes in one piece.
+func (c *oldBuildConn) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, []byte("HTTP/1.1 101 ")) {
+		adv := []byte(persist.WireTracedHeader + ": 1\r\n")
+		if !bytes.Contains(p, adv) {
+			return 0, fmt.Errorf("upgrade answer without the advertisement: %q", p)
+		}
+		if _, err := c.Conn.Write(bytes.Replace(p, adv, nil, 1)); err != nil {
+			return 0, err
+		}
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+// TestTracedSearchToOldNode covers version skew the other way round: a
+// new coordinator over nodes whose upgrade answer lacks the traced-frame
+// advertisement. Traced searches reach them as HTTP bodies carrying the
+// request ID in X-DL-Request, no traced frame is ever sent, untraced
+// searches and batches keep the persistent connection, and rankings are
+// byte-identical to in-process nodes.
+func TestTracedSearchToOldNode(t *testing.T) {
+	docs := remoteCorpus(200, 5)
+	const k = 2
+	local := dist.NewCluster(k, nil)
+	nodes := make([]dist.Node, k)
+	var listeners []*oldBuildListener
+	var mu sync.Mutex
+	var headerIDs []string // X-DL-Request of every HTTP /node/search
+	for i := range nodes {
+		ns := server.NewNodeServer(ir.NewIndex(), nil)
+		h := ns.Handler()
+		srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == dist.PathNodeSearch {
+				mu.Lock()
+				headerIDs = append(headerIDs, r.Header.Get(obs.HeaderRequestID))
+				mu.Unlock()
+			}
+			h.ServeHTTP(w, r)
+		}))
+		ln := &oldBuildListener{Listener: srv.Listener}
+		srv.Listener = ln
+		srv.Start()
+		listeners = append(listeners, ln)
+		rn := dist.NewRemoteNode(srv.URL, srv.Client())
+		rn.SetCodec(dist.CodecWire)
+		t.Cleanup(func() { rn.SetCodec(dist.CodecBinary); srv.Close(); ns.Close() })
+		nodes[i] = rn
+	}
+	remote := dist.NewClusterOf(nodes, nil)
+	ctx := context.Background()
+	for i, d := range docs {
+		local.Add(bat.OID(i+1), "u", d)
+		if err := remote.AddContext(ctx, bat.OID(i+1), "u", d); err != nil {
+			t.Fatalf("add: %v", err)
+		}
+	}
+	var ids []string
+	for i, q := range []string{"champion winner serve", "seles", "melbourne trophy volley match", "quetzalcoatl"} {
+		for _, plan := range []ir.EvalPlan{{N: 5}, {N: 5, Budget: 1}} {
+			want, err := local.SearchPlan(ctx, q, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := fmt.Sprintf("old-build-%d-%d", i, plan.Budget)
+			ids = append(ids, id)
+			got, err := remote.SearchPlan(obs.NewContext(ctx, obs.NewTrace(id)), q, plan)
+			if err != nil {
+				t.Fatalf("traced %q: %v", q, err)
+			}
+			sameSearch(t, "traced "+q, got, want)
+			if got, err = remote.SearchPlan(ctx, q, plan); err != nil {
+				t.Fatalf("untraced %q: %v", q, err)
+			}
+			sameSearch(t, "untraced "+q, got, want)
+		}
+	}
+
+	// Every traced search reached every node over HTTP with its ID, and
+	// only those: the untraced ones rode the connection.
+	mu.Lock()
+	defer mu.Unlock()
+	if len(headerIDs) != k*len(ids) {
+		t.Fatalf("%d HTTP searches (IDs %q), want %d traced searches × %d nodes", len(headerIDs), headerIDs, len(ids), k)
+	}
+	arrived := map[string]int{}
+	for _, id := range headerIDs {
+		arrived[id]++
+	}
+	for _, id := range ids {
+		if arrived[id] != k {
+			t.Fatalf("request ID %s reached the nodes %d times (IDs %q), want %d", id, arrived[id], headerIDs, k)
+		}
+	}
+	for i, ln := range listeners {
+		if ln.received([]byte("DLWIRE\x01\x05")) {
+			t.Fatalf("node %d read a traced frame although it never advertised one", i)
+		}
+		if !ln.received([]byte("Upgrade: " + persist.WireProtocol)) {
+			t.Fatalf("node %d: the client never upgraded a connection", i)
+		}
+	}
+	for i, n := range nodes {
+		if codec, _, _ := n.(*dist.RemoteNode).WireInfo(); codec != "wire" {
+			t.Fatalf("node %d: WireInfo codec = %q, want wire", i, codec)
 		}
 	}
 }

@@ -22,12 +22,20 @@ import (
 // request (GET /node/wire, Upgrade: dlwire). A peer that cannot be
 // reached this way (a proxy that strips Upgrade, say) refuses the
 // upgrade once and the RemoteNode sends the same frames as HTTP bodies
-// to that peer from then on.
+// to that peer from then on. A traced search rides the connection as a
+// WireTracedSearchRequest frame when the peer's upgrade answer
+// advertised it (persist.WireTracedHeader); a peer from an older build
+// gets that one search as an HTTP body with the X-DL-Request header.
 
 // errWireUnsupported reports a peer that refused the upgrade; the
 // caller sends the frame as an HTTP body instead, and the pool
 // remembers.
 var errWireUnsupported = errors.New("dist: peer does not speak the persistent wire transport")
+
+// errWireUntraced reports a connection whose peer did not advertise
+// traced frames, met by a request that must deliver its request ID; the
+// caller sends that request as an HTTP body.
+var errWireUntraced = errors.New("dist: peer does not read traced wire frames")
 
 const (
 	// maxWireResponse caps one response frame read from a node — far
@@ -71,12 +79,14 @@ func newWirePool(base string) *wirePool {
 }
 
 // wireConn is one upgraded connection: the raw conn, its buffered
-// reader (owns bytes buffered during the upgrade) and the reusable
-// frame scratch.
+// reader (owns bytes buffered during the upgrade), the reusable frame
+// scratch, and whether the peer's upgrade answer advertised traced
+// search frames.
 type wireConn struct {
-	c     net.Conn
-	br    *bufio.Reader
-	frame []byte
+	c      net.Conn
+	br     *bufio.Reader
+	frame  []byte
+	traced bool
 }
 
 func (wc *wireConn) close() { wc.c.Close() }
@@ -187,18 +197,19 @@ func (p *wirePool) dial(ctx context.Context) (*wireConn, error) {
 	c.SetDeadline(time.Time{})
 	// Bytes the response read buffered beyond the 101 belong to the
 	// frame stream, so the same reader carries over.
-	return &wireConn{c: c, br: br}, nil
+	return &wireConn{c: c, br: br, traced: resp.Header.Get(persist.WireTracedHeader) != ""}, nil
 }
 
 // connRPC runs one framed RPC over the node's persistent-connection
-// transport: write the request frame, read one response frame, hand
-// it to handle (which must copy anything it keeps). A stale idle
-// connection (closed by the peer while pooled) earns one retry on a
-// fresh dial; an error after any response byte is terminal.
-func (rn *RemoteNode) connRPC(ctx context.Context, path string, req *persist.WireBuffer, handle func(frame []byte) error) error {
-	if err := req.Err(); err != nil {
-		return fmt.Errorf("dist: encode %s: %w", path, err)
-	}
+// transport: frame the request into wb for the connection at hand,
+// write it, read one response frame, hand it to handle (which must copy
+// anything it keeps). The frame kind is chosen per connection: a
+// request ID travels in the frame only to a peer that advertised it,
+// and any other peer's connection goes back to the pool unused while
+// the call reports errWireUntraced. A stale idle connection (closed by
+// the peer while pooled) earns one retry on a fresh dial; an error
+// after any response byte is terminal.
+func (rn *RemoteNode) connRPC(ctx context.Context, path, id string, wb *persist.WireBuffer, encode frameFunc, handle func(frame []byte) error) error {
 	deadline := time.Now().Add(rn.timeout())
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -208,7 +219,16 @@ func (rn *RemoteNode) connRPC(ctx context.Context, path string, req *persist.Wir
 		if err != nil {
 			return err
 		}
-		gotResponse, err := rn.connExchange(wc, deadline, path, req.Bytes(), handle)
+		if id != "" && !wc.traced {
+			rn.pool.put(wc)
+			return errWireUntraced
+		}
+		encode(wb, id)
+		if err := wb.Err(); err != nil {
+			rn.pool.put(wc)
+			return fmt.Errorf("dist: encode %s: %w", path, err)
+		}
+		gotResponse, err := rn.connExchange(wc, deadline, path, wb.Bytes(), handle)
 		if err == nil {
 			rn.pool.put(wc)
 			return nil

@@ -9,8 +9,10 @@ import (
 )
 
 // HeaderRequestID is the HTTP header carrying a query's request ID
-// from the coordinator to the nodes (and echoed back to the client),
-// so node-side spans and slow-query log lines join the same trace.
+// from the coordinator to the nodes it reaches over HTTP (and echoed
+// back to the client), so node-side spans and slow-query log lines
+// join the same trace. On the persistent node connection the ID
+// travels inside the search frame instead.
 const HeaderRequestID = "X-DL-Request"
 
 // Span is one timed stage of a query: parse/plan, cache lookup,

@@ -17,7 +17,7 @@ func rewriteAsV1(t *testing.T, v2 []byte) []byte {
 	t.Helper()
 	const hdrLen = 8 + 4 + 8 + sha256.Size
 	payload := append([]byte{}, v2[hdrLen:]...)
-	off := 8 // Lambda (f64)
+	off := 8                 // Lambda (f64)
 	for i := 0; i < 4; i++ { // Epoch, NextOID, MemBudget, FragK
 		_, n := binary.Uvarint(payload[off:])
 		if n <= 0 {

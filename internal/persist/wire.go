@@ -59,6 +59,12 @@ const WireContentType = "application/x-dlsearch-wire"
 // no per-request HTTP overhead).
 const WireProtocol = "dlwire"
 
+// WireTracedHeader is the response header of a node's 101 Switching
+// Protocols answer advertising that it reads WireTracedSearchRequest
+// frames on the upgraded connection. A peer whose answer lacks it gets
+// traced searches as HTTP bodies with the ID in X-DL-Request.
+const WireTracedHeader = "X-DL-Wire-Traced"
+
 // wireMagic identifies one framed wire message.
 var wireMagic = [6]byte{'D', 'L', 'W', 'I', 'R', 'E'}
 
@@ -88,6 +94,11 @@ const (
 	WireSearchRequest WireKind = 0x02
 	// WireAddBatchRequest ships one partition of a document batch.
 	WireAddBatchRequest WireKind = 0x03
+	// WireTracedSearchRequest is WireSearchRequest carrying the
+	// coordinator's request ID: the ID string, then the 0x02 payload byte
+	// for byte. Sent only to a peer whose upgrade answer carried
+	// WireTracedHeader.
+	WireTracedSearchRequest WireKind = 0x05
 
 	// WireSearchResponse answers WireSearchRequest with a RES set and
 	// the achieved quality estimate.
@@ -227,13 +238,27 @@ func (b *WireBuffer) results(rs []ir.Result) {
 // EncodeSearchRequest frames a planned search request.
 func (b *WireBuffer) EncodeSearchRequest(query string, plan ir.EvalPlan, stats ir.Stats) {
 	b.begin(WireSearchRequest)
+	b.search(query, plan, stats)
+	b.finish()
+}
+
+// EncodeTracedSearchRequest frames a planned search request carrying
+// the coordinator's request ID.
+func (b *WireBuffer) EncodeTracedSearchRequest(id, query string, plan ir.EvalPlan, stats ir.Stats) {
+	b.begin(WireTracedSearchRequest)
+	b.str(id)
+	b.search(query, plan, stats)
+	b.finish()
+}
+
+// search writes the search request payload both request kinds share.
+func (b *WireBuffer) search(query string, plan ir.EvalPlan, stats ir.Stats) {
 	b.str(query)
 	b.i(int64(plan.N))
 	b.i(int64(plan.Frags))
 	b.i(int64(plan.Budget))
 	b.f64(plan.MinQuality)
 	b.stats(stats)
-	b.finish()
 }
 
 // EncodeSearchResponse frames a RES set plus the achieved quality.
@@ -299,7 +324,7 @@ func DecodeWire(msg []byte) (WireKind, []byte, error) {
 	}
 	kind := WireKind(msg[7])
 	switch kind {
-	case WireSearchRequest, WireAddBatchRequest, WireSearchResponse, WireAck, WireError:
+	case WireSearchRequest, WireAddBatchRequest, WireTracedSearchRequest, WireSearchResponse, WireAck, WireError:
 	default:
 		return WireInvalid, nil, fmt.Errorf("%w: unknown kind 0x%02x", ErrWireCorrupt, byte(kind))
 	}
@@ -411,6 +436,27 @@ func DecodeSearchRequest(msg []byte, cache *WireStatsCache) (query string, plan 
 		return "", ir.EvalPlan{}, ir.Stats{}, err
 	}
 	d := decoder{buf: payload}
+	return d.search(cache)
+}
+
+// DecodeTracedSearchRequest decodes a WireTracedSearchRequest frame:
+// the request ID, then what DecodeSearchRequest returns.
+func DecodeTracedSearchRequest(msg []byte, cache *WireStatsCache) (id, query string, plan ir.EvalPlan, stats ir.Stats, err error) {
+	payload, err := expectWire(msg, WireTracedSearchRequest)
+	if err != nil {
+		return "", "", ir.EvalPlan{}, ir.Stats{}, err
+	}
+	d := decoder{buf: payload}
+	id = d.str()
+	query, plan, stats, err = d.search(cache)
+	if err != nil {
+		return "", "", ir.EvalPlan{}, ir.Stats{}, err
+	}
+	return id, query, plan, stats, nil
+}
+
+// search reads the search request payload both request kinds share.
+func (d *decoder) search(cache *WireStatsCache) (query string, plan ir.EvalPlan, stats ir.Stats, err error) {
 	query = d.str()
 	plan = ir.EvalPlan{
 		N:      int(d.ivarint()),

@@ -65,6 +65,10 @@ func wireMessages(t *testing.T) map[string]struct {
 			enc(func(b *WireBuffer) { b.EncodeSearchRequest("champion", plan, stats) }),
 			func(m []byte) error { _, _, _, err := DecodeSearchRequest(m, nil); return err },
 		},
+		"traced-search-request": {
+			enc(func(b *WireBuffer) { b.EncodeTracedSearchRequest("3dcc9328f078fc1b", "champion", plan, stats) }),
+			func(m []byte) error { _, _, _, _, err := DecodeTracedSearchRequest(m, nil); return err },
+		},
 		"search-response": {
 			enc(func(b *WireBuffer) { b.EncodeSearchResponse(rs, q) }),
 			func(m []byte) error { _, _, err := DecodeSearchResponse(m); return err },
@@ -110,6 +114,25 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if query != "champion" || gotPlan != plan || !reflect.DeepEqual(st, stats) {
 		t.Fatalf("search request round trip: %q %+v %+v", query, gotPlan, st)
+	}
+
+	// The traced kind carries the request ID, then the plain kind's
+	// payload byte for byte.
+	plain := append([]byte(nil), b.Bytes()...)
+	b.EncodeTracedSearchRequest("3dcc9328f078fc1b", "champion", plan, stats)
+	id, query, gotPlan, st, err := DecodeTracedSearchRequest(append([]byte(nil), b.Bytes()...), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != "3dcc9328f078fc1b" || query != "champion" || gotPlan != plan || !reflect.DeepEqual(st, stats) {
+		t.Fatalf("traced search request round trip: %q %q %+v %+v", id, query, gotPlan, st)
+	}
+	if traced := b.Bytes()[WireHeaderLen:]; !bytes.Equal(traced[1+len(id):], plain[WireHeaderLen:]) || traced[0] != byte(len(id)) {
+		t.Fatalf("traced payload is not the ID followed by the plain payload:\n%x\n%x", traced, plain[WireHeaderLen:])
+	}
+	b.EncodeTracedSearchRequest("", "", ir.EvalPlan{}, ir.Stats{})
+	if id, _, _, st, err := DecodeTracedSearchRequest(b.Bytes(), nil); err != nil || id != "" || len(st.DF) != 0 {
+		t.Fatalf("empty traced request: %q %+v %v", id, st, err)
 	}
 
 	q := ir.QualityEstimate{CoveredIDF: 1.5, TotalIDF: 2.5, FragsUsed: 3, FragsTotal: 8}
@@ -231,6 +254,18 @@ func TestWireVersionAndKind(t *testing.T) {
 	}
 	if _, _, _, err := DecodeSearchRequest(msg, nil); err == nil {
 		t.Fatal("ack accepted as search request")
+	}
+
+	// The two search request kinds are not interchangeable: a traced
+	// frame handed to the plain decoder (a node that does not route on
+	// the kind) fails closed, and so does the converse.
+	b.EncodeTracedSearchRequest("3dcc9328f078fc1b", "champion", ir.EvalPlan{N: 5}, wireTestStats())
+	if _, _, _, err := DecodeSearchRequest(b.Bytes(), nil); !errors.Is(err, ErrWireCorrupt) {
+		t.Fatalf("traced request accepted as plain search request: %v", err)
+	}
+	b.EncodeSearchRequest("champion", ir.EvalPlan{N: 5}, wireTestStats())
+	if _, _, _, _, err := DecodeTracedSearchRequest(b.Bytes(), nil); !errors.Is(err, ErrWireCorrupt) {
+		t.Fatalf("plain request accepted as traced search request: %v", err)
 	}
 
 	// The retired exact top-N kinds (0x01 request, 0x11 response), the
@@ -369,6 +404,8 @@ func FuzzWireDecode(f *testing.F) {
 	b := GetWireBuffer()
 	b.EncodeSearchRequest("champion ace", ir.EvalPlan{N: 10, Budget: 2}, wireTestStats())
 	f.Add(append([]byte(nil), b.Bytes()...))
+	b.EncodeTracedSearchRequest("3dcc9328f078fc1b", "champion ace", ir.EvalPlan{N: 10, Budget: 2}, wireTestStats())
+	f.Add(append([]byte(nil), b.Bytes()...))
 	b.EncodeSearchResponse(wireTestResults(), ir.QualityEstimate{CoveredIDF: 1, TotalIDF: 2, FragsUsed: 1, FragsTotal: 4})
 	f.Add(append([]byte(nil), b.Bytes()...))
 	f.Add(retiredTopNRequest(f))
@@ -387,6 +424,7 @@ func FuzzWireDecode(f *testing.F) {
 		var cache WireStatsCache
 		DecodeWire(data)
 		DecodeSearchRequest(data, &cache)
+		DecodeTracedSearchRequest(data, &cache)
 		DecodeSearchResponse(data)
 		DecodeAddBatchRequest(data)
 		DecodeAck(data)
@@ -438,8 +476,9 @@ func retiredFrames(t testing.TB) [][]byte {
 // TestWireGoldenFrames pins the surviving frames to the bytes the
 // parent of the top-N retirement produced for the same values: kinds
 // were not renumbered, payload layouts did not move, and WireVersion
-// did not need a bump. A deliberate format change updates these
-// literals AND the version.
+// did not need a bump. The traced search request, added later under the
+// same version, is pinned from the build that introduced it. A
+// deliberate format change updates these literals AND the version.
 func TestWireGoldenFrames(t *testing.T) {
 	if WireVersion != 1 {
 		t.Fatalf("WireVersion = %d: re-capture the golden frames below", WireVersion)
@@ -467,6 +506,11 @@ func TestWireGoldenFrames(t *testing.T) {
 		{"ack",
 			func(b *WireBuffer) { b.EncodeAck() },
 			"444c57495245011400000000e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+		{"traced search request",
+			func(b *WireBuffer) {
+				b.EncodeTracedSearchRequest("3dcc9328f078fc1b", "champion ace", ir.EvalPlan{N: 10, Frags: 8, Budget: 2, MinQuality: 0.5}, stats)
+			},
+			"444c5749524501054100000006d8ce2a2c4b3c4d8684dc4f5af19f4c971f8d73d30a01353d3459018614a42610336463633933323866303738666331620c6368616d70696f6e20616365141004000000000000e03f2a12030361636506086368616d70696f6e0e047365727616"},
 	} {
 		b := GetWireBuffer()
 		tc.encode(b)

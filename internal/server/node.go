@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"net"
 	"net/http"
@@ -57,10 +58,11 @@ type NodeConfig struct {
 	// both the instrumentation and the endpoint; the query hot path
 	// then stays byte-identical to an uninstrumented server.
 	Metrics *obs.Registry
-	// SlowQuery, when set, emits one JSON line per /node/search slower
-	// than its threshold, carrying the coordinator's request ID
-	// (X-DL-Request) so node-side lines join the coordinator's. nil
-	// disables.
+	// SlowQuery, when set, emits one JSON line per search slower than
+	// its threshold, over either transport, carrying the coordinator's
+	// request ID (the X-DL-Request header of an HTTP body, or inside a
+	// traced frame on /node/wire) so node-side lines join the
+	// coordinator's. nil disables.
 	SlowQuery *obs.SlowQueryLog
 	// Backend, when set, is the search backend this node serves instead
 	// of a bare index — e.g. core.NewEngineBackend, so the partition
@@ -270,17 +272,27 @@ func (s *NodeServer) instrument(path string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// queryTrace builds the node-side trace for a query endpoint: created
-// only when the coordinator sent a request ID (X-DL-Request) or a
-// slow-query log wants spans, so the untraced hot path allocates
-// nothing. The ID is echoed in the response headers.
-func (s *NodeServer) queryTrace(w http.ResponseWriter, r *http.Request) *obs.Trace {
-	id := r.Header.Get(obs.HeaderRequestID)
+// serveSearch scores one decoded search request and frames the answer
+// into wb — the search path both transports share. id is the
+// coordinator's request ID ("" when none arrived). A trace is built
+// only when an ID arrived or a slow-query log wants spans, so the
+// untraced hot path allocates nothing; it records the scoring span and
+// feeds the slow-query log, and is returned so the HTTP transport can
+// echo its ID.
+func (s *NodeServer) serveSearch(ctx context.Context, id, query string, plan ir.EvalPlan, stats ir.Stats, wb *persist.WireBuffer) *obs.Trace {
 	if id == "" && s.slow == nil {
+		res, est, _ := s.node.SearchPlan(ctx, query, plan, stats)
+		wb.EncodeSearchResponse(res, est)
 		return nil
 	}
 	tr := obs.NewTrace(id)
-	w.Header().Set(obs.HeaderRequestID, tr.ID)
+	scoreStart := time.Now()
+	res, est, _ := s.node.SearchPlan(ctx, query, plan, stats)
+	tr.AddSpan("scoring", scoreStart)
+	wb.EncodeSearchResponse(res, est)
+	s.slow.Record(tr, obs.SlowQueryRecord{
+		Role: "node", Query: query, Quality: est.Value(), Results: len(res),
+	})
 	return tr
 }
 
@@ -403,24 +415,12 @@ func (s *NodeServer) search(w http.ResponseWriter, r *http.Request) {
 	// the coordinator, and the cluster's local/remote transparency
 	// depends on the node protocol never rejecting what a LocalNode
 	// accepts.
-	tr := s.queryTrace(w, r)
-	var scoreStart time.Time
-	if tr != nil {
-		scoreStart = time.Now()
-	}
-	res, est, _ := s.node.SearchPlan(r.Context(), query, plan, stats)
-	if tr != nil {
-		tr.AddSpan("scoring", scoreStart)
-	}
 	wb := persist.GetWireBuffer()
-	wb.EncodeSearchResponse(res, est)
+	if tr := s.serveSearch(r.Context(), r.Header.Get(obs.HeaderRequestID), query, plan, stats, wb); tr != nil {
+		w.Header().Set(obs.HeaderRequestID, tr.ID)
+	}
 	writeWire(w, wb)
 	persist.PutWireBuffer(wb)
-	if tr != nil {
-		s.slow.Record(tr, obs.SlowQueryRecord{
-			Role: "node", Query: query, Quality: est.Value(), Results: len(res),
-		})
-	}
 }
 
 func (s *NodeServer) load(w http.ResponseWriter, r *http.Request) {

@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,26 +39,49 @@ func (s *syncBuffer) String() string {
 }
 
 // TestObservabilityEndToEnd drives a coordinator over two remote node
-// servers with full instrumentation: the coordinator's request ID must
-// be echoed in the /search response AND appear in the node-side
-// slow-query log (propagated via X-DL-Request), /metrics must serve
-// Prometheus text on both roles, and the /stats metrics view must
-// report latency quantiles and the semaphore limit.
+// servers with full instrumentation, once per node transport: the
+// coordinator's request ID must be echoed in the /search response AND
+// appear in a node-side slow-query line with a scoring span
+// (propagated as X-DL-Request over HTTP, inside a traced frame on the
+// persistent connection — which then carries every search), /metrics
+// must serve Prometheus text on both roles with every node search
+// counted, and the /stats metrics view must report latency quantiles
+// and the semaphore limit.
 func TestObservabilityEndToEnd(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		codec dist.Codec
+	}{{"binary", dist.CodecBinary}, {"wire", dist.CodecWire}} {
+		t.Run(tc.name, func(t *testing.T) { testObservabilityEndToEnd(t, tc.codec, tc.name) })
+	}
+}
+
+func testObservabilityEndToEnd(t *testing.T, codec dist.Codec, codecName string) {
 	var nodeSlow syncBuffer
 	nodeReg := obs.NewRegistry()
 	var nodeServers []*httptest.Server
 	var nodes []dist.Node
+	var remotes []*dist.RemoteNode
+	var httpSearches atomic.Int64 // searches that arrived as HTTP bodies
 	for i := 0; i < 2; i++ {
-		ix := ir.NewIndex()
-		h := NewNodeHandler(ix, &NodeConfig{
+		ns := NewNodeServer(ir.NewIndex(), &NodeConfig{
 			Metrics:   nodeReg,
 			SlowQuery: obs.NewSlowQueryLog(&nodeSlow, time.Nanosecond),
 		})
-		ts := httptest.NewServer(h)
-		defer ts.Close()
+		h := ns.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == dist.PathNodeSearch {
+				httpSearches.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() { ts.Close(); ns.Close() })
 		nodeServers = append(nodeServers, ts)
-		nodes = append(nodes, dist.NewRemoteNode(ts.URL, nil))
+		rn := dist.NewRemoteNode(ts.URL, nil)
+		rn.SetCodec(codec)
+		t.Cleanup(func() { rn.SetCodec(dist.CodecBinary) })
+		nodes = append(nodes, rn)
+		remotes = append(remotes, rn)
 	}
 	cluster := dist.NewClusterOf(nodes, nil)
 
@@ -111,22 +137,40 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// The coordinator's request ID must appear in BOTH slow-query logs
-	// — that is the trace join the whole feature is for.
-	for _, log := range []struct{ role, text string }{
-		{"coordinator", coSlow.String()},
-		{"node", nodeSlow.String()},
+	// — that is the trace join the whole feature is for — and the node's
+	// line must break out its scoring.
+	for _, log := range []struct{ role, text, span string }{
+		{"coordinator", coSlow.String(), "fanout"},
+		{"node", nodeSlow.String(), "scoring"},
 	} {
-		if !strings.Contains(log.text, reqID) {
+		var line string
+		for _, l := range strings.Split(log.text, "\n") {
+			if strings.Contains(l, reqID) {
+				line = l
+				break
+			}
+		}
+		if line == "" {
 			t.Fatalf("%s slow-query log does not carry request ID %s:\n%s", log.role, reqID, log.text)
 		}
 		var rec obs.SlowQueryRecord
-		line := log.text[:strings.IndexByte(log.text, '\n')]
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("%s slow-query line is not JSON: %v\n%s", log.role, err, line)
 		}
-		if rec.Role != log.role || len(rec.Spans) == 0 {
-			t.Fatalf("%s slow-query record = %+v, want role %q with spans", log.role, rec, log.role)
+		if rec.Role != log.role || rec.RequestID != reqID || !slices.ContainsFunc(rec.Spans, func(s obs.SpanJSON) bool { return s.Name == log.span }) {
+			t.Fatalf("%s slow-query record = %+v, want role %q, ID %s and a %s span", log.role, rec, log.role, reqID, log.span)
 		}
+	}
+
+	// The transport carried what it claims: over the persistent
+	// connection no search falls back to an HTTP body.
+	for i, rn := range remotes {
+		if got, _, _ := rn.WireInfo(); got != codecName {
+			t.Fatalf("node %d: WireInfo codec = %q, want %q", i, got, codecName)
+		}
+	}
+	if n := httpSearches.Load(); (codec == dist.CodecWire) != (n == 0) {
+		t.Fatalf("codec=%s: %d searches arrived as HTTP bodies", codecName, n)
 	}
 
 	// Coordinator /metrics: Prometheus text with the search counter at
@@ -142,10 +186,12 @@ func TestObservabilityEndToEnd(t *testing.T) {
 			t.Fatalf("coordinator /metrics missing %q:\n%s", want, met)
 		}
 	}
-	// Node /metrics: per-endpoint counters and scoring histogram fed.
+	// Node /metrics (one registry for both nodes): every search reached
+	// both nodes and was counted on its endpoint, whatever the transport;
+	// the scoring histogram is fed.
 	nmet := get(nodeServers[0].URL + "/metrics")
 	for _, want := range []string{
-		`dl_node_requests_total{path="/node/search"}`,
+		fmt.Sprintf(`dl_node_requests_total{path="/node/search"} %d`, 2*searches),
 		"dl_node_scoring_seconds_count",
 		"dl_node_ingest_docs_total",
 	} {

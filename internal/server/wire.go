@@ -14,6 +14,7 @@ import (
 
 	"dlsearch/internal/bat"
 	"dlsearch/internal/dist"
+	"dlsearch/internal/ir"
 	"dlsearch/internal/obs"
 	"dlsearch/internal/persist"
 )
@@ -121,8 +122,10 @@ func (s *NodeServer) wireUpgrade(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.untrackWireConn(conn)
 	conn.SetWriteDeadline(time.Now().Add(wireWriteTimeout))
+	// The advertisement tells the client this node reads traced search
+	// frames; a client that ignores it still speaks plain search frames.
 	if _, err := io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nUpgrade: "+
-		persist.WireProtocol+"\r\nConnection: Upgrade\r\n\r\n"); err != nil {
+		persist.WireProtocol+"\r\nConnection: Upgrade\r\n"+persist.WireTracedHeader+": 1\r\n\r\n"); err != nil {
 		return
 	}
 	s.serveWire(conn, rw.Reader)
@@ -230,8 +233,16 @@ func (s *NodeServer) handleWireFrame(frame []byte, wb *persist.WireBuffer) {
 		start = time.Now()
 	}
 	switch kind {
-	case persist.WireSearchRequest:
-		query, plan, stats, err := persist.DecodeSearchRequest(frame, nil)
+	case persist.WireSearchRequest, persist.WireTracedSearchRequest:
+		var id, query string
+		var plan ir.EvalPlan
+		var stats ir.Stats
+		var err error
+		if kind == persist.WireTracedSearchRequest {
+			id, query, plan, stats, err = persist.DecodeTracedSearchRequest(frame, nil)
+		} else {
+			query, plan, stats, err = persist.DecodeSearchRequest(frame, nil)
+		}
 		if err != nil {
 			wb.EncodeError(http.StatusBadRequest, "unusable wire body: "+err.Error())
 			break
@@ -240,9 +251,8 @@ func (s *NodeServer) handleWireFrame(frame []byte, wb *persist.WireBuffer) {
 			wb.EncodeError(http.StatusServiceUnavailable, "server at capacity")
 			break
 		}
-		res, est, _ := s.node.SearchPlan(ctx, query, plan, stats)
+		s.serveSearch(ctx, id, query, plan, stats, wb)
 		s.sem.Release()
-		wb.EncodeSearchResponse(res, est)
 	case persist.WireAddBatchRequest:
 		docs, errmsg := decodeBatch(frame)
 		if errmsg != "" {
@@ -301,10 +311,11 @@ func (s *NodeServer) initWireMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	s.wireMet = make(map[persist.WireKind]wireEndpointMetrics, 2)
+	s.wireMet = make(map[persist.WireKind]wireEndpointMetrics, 3)
 	for kind, path := range map[persist.WireKind]string{
-		persist.WireSearchRequest:   dist.PathNodeSearch,
-		persist.WireAddBatchRequest: dist.PathNodeAddBatch,
+		persist.WireSearchRequest:       dist.PathNodeSearch,
+		persist.WireTracedSearchRequest: dist.PathNodeSearch,
+		persist.WireAddBatchRequest:     dist.PathNodeAddBatch,
 	} {
 		s.wireMet[kind] = wireEndpointMetrics{
 			count: reg.Counter("dl_node_requests_total",
