@@ -32,6 +32,7 @@ var allocBudgets = []struct {
 	{row: "ir/evaluate/cutoff=2-of-8", bound: 3},
 	{row: "ir/evaluate/cutoff=4-of-8", bound: 3},
 	{row: "ir/evaluate/cutoff=8-of-8", bound: 3},
+	{row: "ir/evaluate/exact/pruned", bound: 3},
 	{row: "ir/compressed/plain", bound: 3},
 	{row: "ir/compressed/budget=1/4", bound: 3},
 	{row: "ir/compressed/budget=1/16", bound: 3},
@@ -118,7 +119,8 @@ func TestAllocBudgets(t *testing.T) {
 }
 
 // irAllocOps builds the scoring rows: the a-priori fragment cut-off
-// (E10) and the compressed cold postings (E19).
+// (E10), an exact plan that MaxScore prunes, and the compressed cold
+// postings (E19).
 func irAllocOps(t *testing.T) map[string]func() error {
 	ops := map[string]func() error{}
 	ix := ir.NewIndex()
@@ -134,6 +136,19 @@ func irAllocOps(t *testing.T) map[string]func() error {
 			}
 			return nil
 		}
+	}
+	// An exact plan on which MaxScore fires: the answer check demands
+	// skipped postings, so the row counts the pruned path.
+	pruned := ir.Request{Query: "seles champion volley match", Plan: ir.EvalPlan{N: 10}}
+	ops["evaluate/exact/pruned"] = func() error {
+		_, skipped := ix.PostingCounts()
+		if res, _ := ix.Evaluate(pruned); len(res) != 10 {
+			return fmt.Errorf("%d results, want 10", len(res))
+		}
+		if _, after := ix.PostingCounts(); after == skipped {
+			return fmt.Errorf("no posting skipped: the row does not measure pruning")
+		}
+		return nil
 	}
 
 	docs := textCorpus(5000, 6)

@@ -4,10 +4,11 @@ package ir
 // SLO-driven adaptive serving. Each budgeted evaluation reports one
 // PlanCostSample (how many fragments were admitted, how many postings
 // that cost, how long scoring took, what quality came out) through a
-// nil-safe observer hook, and per-fragment evaluated-postings counters
+// nil-safe observer hook, and per-fragment admitted-postings counters
 // expose where the evaluation cost concentrates. Everything here is
 // free when unused: no observer, no clock read; no fragmentation, no
-// counters.
+// counters. Both count what the plan admitted, before MaxScore decides
+// which postings to weigh; PostingCounts reports that split.
 
 // PlanCostSample is the cost accounting of one budgeted evaluation.
 type PlanCostSample struct {
@@ -37,11 +38,12 @@ type PlanCostSample struct {
 func (ix *Index) SetCostObserver(fn func(PlanCostSample)) { ix.costObs = fn }
 
 // FragmentPostings returns a snapshot of the per-fragment
-// evaluated-postings counters: element f is the cumulative number of
-// posting tuples scored from fragment f since the current
-// fragmentation was built. Nil before the first Fragmentize. Safe to
-// call concurrently with evaluation and re-fragmentation (counters
-// reset when Fragmentize rebuilds the fragmentation).
+// admitted-postings counters: element f is the cumulative number of
+// posting tuples budgeted evaluations admitted from fragment f since
+// the current fragmentation was built. Nil before the first
+// Fragmentize. Safe to call concurrently with evaluation and
+// re-fragmentation (counters reset when Fragmentize rebuilds the
+// fragmentation).
 func (ix *Index) FragmentPostings() []int64 {
 	fe := ix.fragEval.Load()
 	if fe == nil {
@@ -52,4 +54,14 @@ func (ix *Index) FragmentPostings() []int64 {
 		out[i] = (*fe)[i].Load()
 	}
 	return out
+}
+
+// PostingCounts returns the cumulative number of admitted postings
+// evaluations weighed (scored) and passed over unweighed (skipped):
+// those MaxScore proved unable to reach the top n, and those outside a
+// request's candidate set. The two sum to the admitted postings of
+// every evaluation, exact and budgeted alike. Safe to call
+// concurrently with evaluation.
+func (ix *Index) PostingCounts() (scored, skipped int64) {
+	return ix.postingsScored.Load(), ix.postingsSkipped.Load()
 }

@@ -51,6 +51,33 @@ type plist struct {
 	slots  []int32
 	tfs    []int32
 	sorted bool
+	weightBound
+}
+
+// coldList is a posting list the memory budget holds compressed,
+// with the weight bound of its plain form.
+type coldList struct {
+	CompressedPostings
+	weightBound
+}
+
+// weightBound is the (tf, |d|) of the posting with the largest tf/|d|
+// a list has held. logWeight increases with tf/|d| under any one
+// term's statistics, so the weight of this pair bounds the weight of
+// every posting of the list: the per-list bound the scorer's MaxScore
+// cut-off sums. A document's |d| only grows, so a bound recorded
+// against an older, shorter |d| stays an upper bound. Nothing of it is
+// persisted; every path that builds a list raises it.
+type weightBound struct {
+	bTF, bLen int32
+}
+
+// raise records (tf, docLen) as the bound if its tf/|d| exceeds the
+// bound's, compared by cross-multiplying in int64, so exactly.
+func (b *weightBound) raise(tf, docLen int32) {
+	if b.bTF == 0 || int64(tf)*int64(b.bLen) > int64(b.bTF)*int64(docLen) {
+		b.bTF, b.bLen = tf, docLen
+	}
 }
 
 // Index is the full-text meta-index. Of the paper's five relations it
@@ -109,11 +136,15 @@ type Index struct {
 	fragOf    map[bat.OID]int // term -> fragment index
 	fragK     int             // granularity Fragmentize was last asked for
 
-	// Plan-cost accounting (see cost.go): per-fragment evaluated-postings
+	// Plan-cost accounting (see cost.go): per-fragment admitted-postings
 	// counters (atomic.Pointer so /metrics scrapes race-free against
 	// re-fragmentation) and the budgeted-evaluation cost observer.
 	fragEval atomic.Pointer[[]atomic.Int64]
 	costObs  func(PlanCostSample)
+
+	// What MaxScore made of the admitted postings, every evaluation
+	// added once (see PostingCounts).
+	postingsScored, postingsSkipped atomic.Int64
 
 	// Content checksum, cached per freeze epoch (see checksum.go).
 	// checksumDocs guards the one mutation Freeze cannot see: adding a
@@ -129,7 +160,7 @@ type Index struct {
 	// holding the coldest (lowest idf, largest) lists delta+varint
 	// compressed; the scorer walks them without materialising.
 	memBudget  int
-	cold       map[bat.OID]CompressedPostings
+	cold       map[bat.OID]coldList
 	plainBytes int // resident bytes of the plain slot/tf columns
 
 	scorers sync.Pool // *scorer: reusable per-query buffers
@@ -232,9 +263,13 @@ func (ix *Index) Add(doc bat.OID, url, text string) {
 		// keep serving the old ranking, and the next Freeze re-applies
 		// any memory budget to a re-inflated list.
 		ix.dirty[id] = struct{}{}
-		if seen && pl.fold(ix.docIDs, slot, tf) {
-			continue
+		if seen {
+			if ftf, folded := pl.fold(ix.docIDs, slot, tf); folded {
+				pl.raise(ftf, ix.docLens[slot])
+				continue
+			}
 		}
+		pl.raise(tf, ix.docLens[slot])
 		ix.df[id]++
 		ix.totalDF++
 		if len(pl.slots) > 0 && ix.docIDs[pl.slots[len(pl.slots)-1]] > doc {
@@ -251,8 +286,8 @@ func (ix *Index) Add(doc bat.OID, url, text string) {
 
 // fold adds tf to the document's posting if the list holds one, so a
 // document added twice keeps one posting per term instead of splitting
-// its tf over two.
-func (pl *plist) fold(docIDs []bat.OID, slot, tf int32) bool {
+// its tf over two. It returns the folded tf.
+func (pl *plist) fold(docIDs []bat.OID, slot, tf int32) (int32, bool) {
 	if pl.sorted {
 		doc := docIDs[slot]
 		i := sort.Search(len(pl.slots), func(i int) bool {
@@ -260,17 +295,17 @@ func (pl *plist) fold(docIDs []bat.OID, slot, tf int32) bool {
 		})
 		if i < len(pl.slots) && pl.slots[i] == slot {
 			pl.tfs[i] += tf
-			return true
+			return pl.tfs[i], true
 		}
-		return false
+		return 0, false
 	}
 	for i := len(pl.slots) - 1; i >= 0; i-- {
 		if pl.slots[i] == slot {
 			pl.tfs[i] += tf
-			return true
+			return pl.tfs[i], true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // DocCount returns the number of indexed documents.
@@ -396,24 +431,27 @@ func (ix *Index) compressTerm(id bat.OID) {
 		ps[i] = Posting{Doc: ix.docIDs[slot], TF: int(pl.tfs[i])}
 	}
 	if ix.cold == nil {
-		ix.cold = make(map[bat.OID]CompressedPostings)
+		ix.cold = make(map[bat.OID]coldList)
 	}
-	ix.cold[id] = Compress(ps)
+	ix.cold[id] = coldList{Compress(ps), pl.weightBound}
 	delete(ix.plists, id)
 	ix.plainBytes -= 8 * len(ps)
 }
 
 // inflate materialises a compressed posting list back into the plain
-// columns (doc-sorted, so the access-path invariants hold).
-func (ix *Index) inflate(id bat.OID, cp CompressedPostings) {
+// columns (doc-sorted, so the access-path invariants hold), its weight
+// bound recomputed against today's document lengths.
+func (ix *Index) inflate(id bat.OID, cp coldList) {
 	pl := &plist{
 		slots:  make([]int32, 0, cp.Len()),
 		tfs:    make([]int32, 0, cp.Len()),
 		sorted: true,
 	}
 	cp.Walk(func(doc bat.OID, tf int) bool {
-		pl.slots = append(pl.slots, ix.docSlot[doc])
+		slot := ix.docSlot[doc]
+		pl.slots = append(pl.slots, slot)
 		pl.tfs = append(pl.tfs, int32(tf))
+		pl.raise(int32(tf), ix.docLens[slot])
 		return true
 	})
 	ix.plists[id] = pl

@@ -169,7 +169,9 @@ func TestLogWeightGolden(t *testing.T) {
 // queries on a 10 000-document index of a 20 000-word Zipf vocabulary,
 // in two document-length shapes: lib20k's constant 80 words, and
 // log-normal lengths around the same median (5–600 words), which give
-// the weight memo many more distinct (tf, |d|) pairs per term.
+// the weight memo many more distinct (tf, |d|) pairs per term. It
+// reports the postings a query admits and, from PostingCounts, the
+// share of them MaxScore weighed.
 func BenchmarkEvaluateZipf(b *testing.B) {
 	const docs, vocab = 10000, 20000
 	shapes := []struct {
@@ -189,7 +191,7 @@ func BenchmarkEvaluateZipf(b *testing.B) {
 		ix.Freeze()
 		rng, z := rand.New(rand.NewSource(2)), newZipfWords(vocab)
 		queries := make([]string, 512)
-		postings := make([]int, len(queries)) // postings the query scans
+		postings := make([]int, len(queries)) // postings the query admits
 		for i := range queries {
 			words := make([]string, 2+rng.Intn(3))
 			for j := range words {
@@ -202,15 +204,18 @@ func BenchmarkEvaluateZipf(b *testing.B) {
 			}
 		}
 		b.Run(shape.name, func(b *testing.B) {
-			scanned := 0
+			admitted := 0
+			scored0, _ := ix.PostingCounts()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := i % len(queries)
 				ix.Evaluate(Request{Query: queries[q], Plan: EvalPlan{N: 10}})
-				scanned += postings[q]
+				admitted += postings[q]
 			}
+			scored, _ := ix.PostingCounts()
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/query")
-			b.ReportMetric(float64(scanned)/float64(b.N), "postings/query")
+			b.ReportMetric(float64(admitted)/float64(b.N), "postings/query")
+			b.ReportMetric(float64(scored-scored0)/float64(b.N), "scored/query")
 		})
 	}
 }

@@ -169,8 +169,8 @@ func (ix *Index) Evaluate(req Request) ([]Result, QualityEstimate) {
 		s.qstems, s.qterms = ix.resolveInto(s.qstems[:0], s.qterms[:0], req.Query)
 		stems, oids = s.qstems, s.qterms
 	}
-	est := ix.evalPlan(s, stems, oids, &req)
-	return s.selectTopN(ix.docIDs, req.Plan.N), est
+	ranked, est := ix.evalPlan(s, stems, oids, &req)
+	return s.selectTopN(ix.docIDs, ranked, req.Plan.N), est
 }
 
 // idfMass is a term's share of the query's idf mass: idf = 1/df, and
@@ -182,16 +182,20 @@ func idfMass(df int) float64 {
 	return 1.0 / float64(df)
 }
 
-// evalPlan scores the query terms the plan admits and returns the
-// quality accounting. Terms are scored in their original query order
-// so a full-budget plan accumulates floating-point scores in exactly
-// the order the exact plan does — byte-identical rankings, not just
-// equivalent ones.
-func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, req *Request) QualityEstimate {
+// evalPlan admits the query terms the plan allows, scores them in one
+// MaxScore pass (scoreLists), and returns the slots to select the top
+// n from with the quality accounting. The exact plan admits every
+// term, a budget the leading fragments' terms; either way every
+// returned slot carries the score the terms give it added in their
+// original query order, so a full-budget plan ranks byte-identically
+// to the exact one, and both to a scan that weighs every posting.
+// Pruning moves no accounting: fragment and cost counters count the
+// admitted postings, scored or skipped.
+func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, req *Request) ([]int32, QualityEstimate) {
 	// The statistics each term is weighed with. Under global statistics
 	// a term the shipped DF lacks (a document streamed in after the
-	// coordinator cached them) weighs nothing: scoreTerm skips a zero
-	// df, and the accounting below skips it with it.
+	// coordinator cached them) weighs nothing: it is not admitted, and
+	// the accounting skips it with it.
 	totalDF := ix.totalDF
 	dfs := s.dfs[:0]
 	if g := req.Stats; g != nil {
@@ -206,19 +210,59 @@ func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, req *Reques
 	}
 	s.dfs = dfs
 	plan := req.Plan
-	if plan.Exact() {
-		for i, id := range oids {
-			ix.scoreTerm(s, id, dfs[i], totalDF, req.Candidates)
-		}
-		return QualityEstimate{}
-	}
+	var est QualityEstimate
 	// Cost accounting (cost.go): clock reads only when an observer is
 	// installed, per-fragment counters only when fragmented. Both are
-	// allocation-free on this path.
+	// allocation-free on this path, and the exact plan feeds neither.
 	var costStart time.Time
-	if ix.costObs != nil {
-		costStart = time.Now()
+	if !plan.Exact() {
+		if ix.costObs != nil {
+			costStart = time.Now()
+		}
+		est = ix.fragmentBudget(s, oids, dfs, plan)
 	}
+	fe := ix.fragEval.Load()
+	postings := 0
+	scan := s.scan[:0]
+	for i, id := range oids {
+		if dfs[i] == 0 {
+			continue // weightless term
+		}
+		if !plan.Exact() {
+			f := int(s.frag[i])
+			if f >= est.FragsUsed {
+				continue // a-priori ignored fragment
+			}
+			ldf := ix.df[id] // local posting-list length: the physical cost
+			postings += ldf
+			if fe != nil && f < len(*fe) {
+				(*fe)[f].Add(int64(ldf))
+			}
+		}
+		if bound, n := ix.termBound(id, dfs[i], totalDF); n > 0 {
+			scan = append(scan, scanList{q: i, id: id, df: dfs[i], postings: n, bound: bound})
+		}
+	}
+	s.scan = scan
+	ranked := ix.scoreLists(s, totalDF, req.Candidates, plan.N)
+	if !plan.Exact() && ix.costObs != nil {
+		ix.costObs(PlanCostSample{
+			Frags:    est.FragsTotal,
+			Budget:   est.FragsUsed,
+			Postings: postings,
+			Seconds:  time.Since(costStart).Seconds(),
+			Quality:  est.Value(),
+		})
+	}
+	return ranked, est
+}
+
+// fragmentBudget places every query term in its fragment (s.frag) and
+// decides how many leading fragments a budgeted plan admits: the
+// budget, extended fragment by fragment while the quality floor is
+// unmet. It returns the quality accounting, FragsUsed the admitted
+// prefix.
+func (ix *Index) fragmentBudget(s *scorer, oids []bat.OID, dfs []int, plan EvalPlan) QualityEstimate {
 	frags := len(ix.fragments)
 	if frags == 0 {
 		frags = 1 // unfragmented: one implicit fragment holding everything
@@ -256,7 +300,7 @@ func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, req *Reques
 		sort.Slice(order, func(a, b int) bool { return frag[order[a]] < frag[order[b]] })
 		// Extend whole fragments at a time: admitting a fragment admits
 		// every query term it holds, and the accounting must agree with
-		// the scoring loop below.
+		// the admission loop.
 		for j := 0; j < len(order) && covered/total < plan.MinQuality-1e-12; {
 			b := int(frag[order[j]]) + 1
 			for ; j < len(order) && int(frag[order[j]]) < b; j++ {
@@ -265,28 +309,5 @@ func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, req *Reques
 			budget = b
 		}
 	}
-	fe := ix.fragEval.Load()
-	postings := 0
-	for i, id := range oids {
-		if int(frag[i]) >= budget || dfs[i] == 0 {
-			continue // a-priori ignored fragment, or weightless term
-		}
-		ldf := ix.df[id] // local posting-list length: the physical cost
-		postings += ldf
-		if fe != nil && int(frag[i]) < len(*fe) {
-			(*fe)[frag[i]].Add(int64(ldf))
-		}
-		ix.scoreTerm(s, id, dfs[i], totalDF, req.Candidates)
-	}
-	est := QualityEstimate{CoveredIDF: covered, TotalIDF: total, FragsUsed: budget, FragsTotal: frags}
-	if ix.costObs != nil {
-		ix.costObs(PlanCostSample{
-			Frags:    frags,
-			Budget:   budget,
-			Postings: postings,
-			Seconds:  time.Since(costStart).Seconds(),
-			Quality:  est.Value(),
-		})
-	}
-	return est
+	return QualityEstimate{CoveredIDF: covered, TotalIDF: total, FragsUsed: budget, FragsTotal: frags}
 }

@@ -186,6 +186,7 @@ func ImportState(st *IndexState) (*Index, error) {
 			prev = p.Doc
 			pl.slots = append(pl.slots, slot)
 			pl.tfs = append(pl.tfs, int32(p.TF))
+			pl.raise(int32(p.TF), ix.docLens[slot])
 		}
 		ix.plists[t.OID] = pl
 		ix.plainBytes += 8 * len(t.Postings)

@@ -168,6 +168,13 @@ func NewNodeServer(ix *ir.Index, cfg *NodeConfig) *NodeServer {
 			if cfg.Cache != nil {
 				InstrumentQueryCache(reg, cfg.Cache)
 			}
+			// What MaxScore made of the admitted postings, exact and
+			// budgeted plans alike.
+			const postingsHelp = "Admitted postings evaluations weighed (scored) or passed over (skipped: unable to reach the top n, or outside the candidate set)."
+			reg.CounterFunc("dl_node_postings_total", postingsHelp, obs.Labels("kind", "scored"),
+				func() uint64 { scored, _ := ix.PostingCounts(); return uint64(scored) })
+			reg.CounterFunc("dl_node_postings_total", postingsHelp, obs.Labels("kind", "skipped"),
+				func() uint64 { _, skipped := ix.PostingCounts(); return uint64(skipped) })
 			// Per-fragment cost accounting: postings evaluated per idf
 			// fragment (fragment 0 holds the rarest terms). The fragment
 			// count is only known after the first budgeted evaluation, so
@@ -177,7 +184,7 @@ func NewNodeServer(ix *ir.Index, cfg *NodeConfig) *NodeServer {
 				for i := range ix.FragmentPostings() {
 					frag := i
 					reg.CounterFunc("dl_node_frag_postings_total",
-						"Postings evaluated per idf fragment (frag 0 = rarest terms); shows where the budget cut lands.",
+						"Postings budgeted evaluations admitted per idf fragment (frag 0 = rarest terms), scored or skipped; shows where the budget cut lands.",
 						obs.Labels("frag", strconv.Itoa(frag)), func() uint64 {
 							if fp := ix.FragmentPostings(); frag < len(fp) {
 								return uint64(fp[frag])

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dlsearch/internal/bat"
 	"dlsearch/internal/core"
 	"dlsearch/internal/dist"
 	"dlsearch/internal/ir"
@@ -320,5 +321,46 @@ func TestNodeQueryCacheMetrics(t *testing.T) {
 		if hit, miss := series(); hit != want[0] || miss != want[1] {
 			t.Fatalf("after search %d: hit=%q miss=%q, want hit=%s miss=%s", i, hit, miss, want[0], want[1])
 		}
+	}
+}
+
+// TestNodePostingsMetrics: an exact multi-term search whose rare term
+// settles the top n moves dl_node_postings_total{kind="skipped"}, and
+// scored plus skipped is every admitted posting.
+func TestNodePostingsMetrics(t *testing.T) {
+	ix := ir.NewIndex()
+	for d := 1; d <= 200; d++ {
+		text := "match court ball play"
+		if d%10 == 0 {
+			text += " melbourne melbourne"
+		}
+		ix.Add(bat.OID(d), "u", text)
+	}
+	ix.Freeze()
+	h := NewNodeServer(ix, &NodeConfig{Metrics: obs.NewRegistry()}).Handler()
+	series := func() (scored, skipped string) {
+		t.Helper()
+		for _, line := range strings.Split(get(t, h, "/metrics").Body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `dl_node_postings_total{kind="scored"} `); ok {
+				scored = v
+			}
+			if v, ok := strings.CutPrefix(line, `dl_node_postings_total{kind="skipped"} `); ok {
+				skipped = v
+			}
+		}
+		return scored, skipped
+	}
+	if scored, skipped := series(); scored != "0" || skipped != "0" {
+		t.Fatalf("before any search: scored=%q skipped=%q, want 0 and 0", scored, skipped)
+	}
+	search := searchFrame(t, "melbourne match", ir.EvalPlan{N: 5}, ix.StatsLocal())
+	if w := postWire(t, h, dist.PathNodeSearch, search); w.Code != http.StatusOK {
+		t.Fatalf("search = %d: %s", w.Code, w.Body)
+	}
+	// melbourne's 20 postings are weighed; they settle a top 5 no
+	// document holding only match can reach, so of match's 200 only
+	// the 20 melbourne documents' are.
+	if scored, skipped := series(); scored != "40" || skipped != "180" {
+		t.Fatalf("after the search: scored=%q skipped=%q, want 40 and 180", scored, skipped)
 	}
 }
