@@ -121,7 +121,7 @@ func BenchmarkE10FragmentedTopN(b *testing.B) {
 	for i, d := range docs {
 		ix.Add(bat.OID(i+1), "u", d)
 	}
-	ix.Fragmentize(8)
+	ix.Freeze()
 	for _, frags := range []int{1, 2, 4, 8} {
 		req := ir.Request{Query: "seles champion volley match", Plan: ir.EvalPlan{N: 10, Budget: frags}}
 		res, quality := ix.Evaluate(req)

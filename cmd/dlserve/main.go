@@ -96,8 +96,8 @@ func main() {
 	nodeTimeout := fs.Duration("node-timeout", 2*time.Second, "per-node call deadline, 0 disables (coordinator)")
 	searchTimeout := fs.Duration("search-timeout", 5*time.Second, "end-to-end /search deadline, 0 disables (coordinator)")
 	maxConc := fs.Int("max-concurrent", server.DefaultMaxConcurrent, "bound on in-flight requests")
-	frags := fs.Int("frags", 0, "per-node idf fragmentation granularity for budgeted /search, 0 selects the default (coordinator)")
-	fragBudget := fs.Int("frag-budget", 0, "default /search fragment budget: leading fragments evaluated per node, 0 = exact (coordinator)")
+	frags := fs.Int("frags", 0, "idf fragmentation granularity of budgeted /search: fragments of whole df classes the cut-off splits the vocabulary into, 0 selects the default (coordinator)")
+	fragBudget := fs.Int("frag-budget", 0, "default /search fragment budget: leading fragments evaluated, 0 = exact (coordinator)")
 	minQuality := fs.Float64("min-quality", 0, "default /search quality floor in (0,1], 0 disables (coordinator)")
 	sloMS := fs.Float64("slo-ms", 0, "target /search latency SLO in milliseconds — enables the adaptive budget controller: fragment budgets are picked from the learned quality/latency curve and overload degrades quality instead of 503ing (503 only below -min-quality); 0 keeps /search manual (coordinator)")
 	memBudget := fs.Int("mem-budget", 0, "posting-store memory budget in bytes, cold lists held compressed, 0 disables (node)")
@@ -152,8 +152,8 @@ func main() {
 			*addr = ":8080"
 		}
 		// Adaptive serving: the controller owns the per-index
-		// quality/latency curve; every node of the cluster feeds it
-		// through its cost hook.
+		// quality/latency curve; the coordinator feeds it every
+		// budgeted search's latency.
 		var ctl *slo.Controller
 		if *sloMS > 0 {
 			fragK := *frags

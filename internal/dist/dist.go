@@ -42,18 +42,19 @@
 // consecutive failures, last error — steers routing and is exported
 // for the serving layer's /stats.
 //
-// SearchPlan combines the paper's two scaling axes: the query ships
-// with an ir.EvalPlan, each shared-nothing partition fragments its own
-// document subset on descending idf and evaluates only the budgeted
-// prefix (the a-priori cut-off of [BHC+01], pushed below the per-node
-// RES sets), and the merge additionally folds the partitions' quality
-// estimates into a cluster-wide ir.QualityEstimate.
+// SearchPlan combines the paper's two scaling axes: the central site
+// makes the a-priori cut-off of [BHC+01] once, under the collection's
+// df (ir.Cutoff), and ships every partition only the admitted stems'
+// statistics, so each node scores only the budgeted prefix below its
+// RES set. The cut-off, the ranking and the ir.QualityEstimate are
+// those of a single index over the whole collection.
 package dist
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -225,6 +226,11 @@ type Cluster struct {
 	mu         sync.Mutex   // guards the stats fields below
 	gstats     []groupStats // per replica group, the one copy of the statistics
 	retryAfter time.Time    // failed-refresh backoff deadline
+	statsGen   uint64       // bumped whenever a refresh stores a group's statistics
+	cut        clusterCut   // the budgeted searches' cut-off table
+	// fragPostings[f] is the global df the cut-offs admitted from
+	// fragment f (see FragmentPostings).
+	fragPostings []uint64
 
 	searchCount   atomic.Uint64 // searches served
 	failoverCount atomic.Uint64 // replica failovers across all searches
@@ -368,15 +374,6 @@ func (c *Cluster) NodeAt(i int) Node { return c.groups[i][0] }
 
 // ReplicaAt returns replica r of partition g.
 func (c *Cluster) ReplicaAt(g, r int) Node { return c.groups[g][r] }
-
-// LocalIndex returns the underlying index of partition i's primary
-// replica if it is an in-process node, nil otherwise.
-func (c *Cluster) LocalIndex(i int) *ir.Index {
-	if ln, ok := c.groups[i][0].(*LocalNode); ok {
-		return ln.Index()
-	}
-	return nil
-}
 
 // ReplicaHealth returns a snapshot of every replica's routing state,
 // indexed [partition][replica].
@@ -984,6 +981,7 @@ func (c *Cluster) refreshStats(ctx context.Context) (int, error) {
 		}
 		gs := &c.gstats[g]
 		gs.st, gs.have = pulled[i], true
+		c.statsGen++
 		if gs.gen == gens[i] {
 			gs.fresh = true
 		}
@@ -1001,31 +999,100 @@ func (c *Cluster) refreshStats(ctx context.Context) (int, error) {
 
 // projectStats sums the groups' statistics for the given stems: the
 // global statistics a query over exactly these stems is scored with —
-// their global df, Σdf and |D|. It reads whatever each group last
+// their global df, Σdf and |D|. A budgeted plan is cut here, once for
+// the whole cluster: the stems its cut-off leaves out are left out of
+// the projection, so they weigh nothing on any node, and the returned
+// estimate is the cut-off's. It reads whatever each group last
 // reported, fresh or not, and reports false while some group has never
 // reported at all.
-func (c *Cluster) projectStats(stems []string) (ir.Stats, bool) {
+func (c *Cluster) projectStats(stems []string, plan ir.EvalPlan) (ir.Stats, ir.QualityEstimate, bool) {
 	st := ir.Stats{DF: make(map[string]int, len(stems))}
+	var est ir.QualityEstimate
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for g := range c.gstats {
 		gs := &c.gstats[g]
 		if !gs.have {
-			return ir.Stats{}, false
+			return ir.Stats{}, est, false
 		}
 		st.TotalDF += gs.st.TotalDF
 		st.Docs += gs.st.Docs
 	}
+	var dfScratch [8]int
+	dfs := dfScratch[:0]
 	for _, stem := range stems {
 		df := 0
 		for g := range c.gstats {
 			df += c.gstats[g].st.DF[stem]
 		}
-		if df > 0 {
-			st.DF[stem] = df
-		}
+		dfs = append(dfs, df)
 	}
-	return st, true
+	var fragScratch [8]int32
+	frag := fragScratch[:0]
+	if !plan.Exact() {
+		frag, est = ir.Cutoff(frag, c.cutTable(plan.Frags), dfs, plan)
+	}
+	for i, stem := range stems {
+		if dfs[i] == 0 {
+			continue
+		}
+		if !plan.Exact() {
+			f := int(frag[i])
+			if f >= est.FragsUsed {
+				continue // cut a priori
+			}
+			if f >= len(c.fragPostings) {
+				c.fragPostings = append(c.fragPostings, make([]uint64, f+1-len(c.fragPostings))...)
+			}
+			c.fragPostings[f] += uint64(dfs[i])
+		}
+		st.DF[stem] = dfs[i]
+	}
+	return st, est, true
+}
+
+// clusterCut is the cluster's cut-off table: cut from the global df
+// histogram of statistics generation gen, for granularity k (already
+// clamped to the histogram's classes).
+type clusterCut struct {
+	built bool
+	gen   uint64
+	hist  ir.DFHistogram
+	k     int
+	table ir.CutTable
+}
+
+// cutTable returns the cut-off table for granularity k (<= 0 selects
+// ir.DefaultFragments) under the global df. The histogram is rebuilt
+// from the groups' statistics only when a refresh stored new ones, the
+// table only when the granularity changed. The caller holds c.mu and
+// has checked that every group has reported.
+func (c *Cluster) cutTable(k int) ir.CutTable {
+	if k <= 0 {
+		k = ir.DefaultFragments
+	}
+	if !c.cut.built || c.cut.gen != c.statsGen {
+		locals := make([]ir.Stats, len(c.gstats))
+		for g := range c.gstats {
+			locals[g] = c.gstats[g].st
+		}
+		c.cut = clusterCut{built: true, gen: c.statsGen, hist: ir.MergeStats(locals...).Histogram(), k: -1}
+	}
+	if k = min(k, c.cut.hist.Classes()); c.cut.k != k {
+		c.cut.k, c.cut.table = k, c.cut.hist.Table(k)
+	}
+	return c.cut.table
+}
+
+// FragmentPostings returns the postings the cluster's cut-offs have
+// admitted per fragment (element f for fragment f, 0 = the rarest
+// terms): the global df of every admitted stem, so the cluster-wide
+// posting lists its nodes scan. Cumulative; nil before the first
+// budgeted search.
+func (c *Cluster) FragmentPostings() []uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.fragPostings)
 }
 
 // GlobalStatsContext returns the aggregated collection statistics —
@@ -1063,10 +1130,10 @@ func (c *Cluster) GlobalStats() ir.Stats {
 // replica; it never degrades the ranking).
 type SearchResult struct {
 	Results []ir.Result
-	// Quality is the cluster-wide quality estimate of a budgeted
-	// search: the responsive partitions' per-fragment idf-mass
-	// accounting merged by MergeQuality. Exact searches report the
-	// trivially exact estimate (Value() == 1).
+	// Quality is the quality estimate of a budgeted search: the
+	// coordinator's cut-off under global df, the estimate a single
+	// index over the whole collection reports. Exact searches report
+	// the zero estimate (Value() == 1).
 	Quality ir.QualityEstimate
 	Dropped []int         // indices of dropped partitions, ascending
 	Errs    map[int]error // reason per dropped partition
@@ -1122,15 +1189,18 @@ func (c *Cluster) Search(ctx context.Context, query string, n int) (*SearchResul
 	return c.SearchPlan(ctx, query, ir.EvalPlan{N: n})
 }
 
-// SearchPlan is Search under an evaluation plan: the plan ships with
-// the query to every partition, each partition fragments its own
-// document subset on descending idf and evaluates only the budgeted
-// prefix, and the coordinator merges the RES sets plus a cluster-wide
-// quality estimate. The a-priori cut-off thus executes *below* the
-// per-node RES sets — each partition skips its own trailing fragments
-// — rather than centrally after full evaluation. An exact plan (zero
-// Budget) is exactly Search: the merged ranking is identical to a
-// single index over the whole collection.
+// SearchPlan is Search under an evaluation plan. A budgeted plan is
+// decided here, once: the coordinator cuts the query's stems under the
+// global df (ir.Cutoff over a table cut from the cluster-wide df
+// histogram), ships every partition the admitted stems' statistics
+// under the exact plan — a stem missing from them weighs nothing — and
+// reports the cut-off's quality estimate. The a-priori cut-off thus
+// executes below the per-node RES sets, and the merged ranking and
+// estimate equal those of the same plan on a single index over the
+// whole collection, however the documents are partitioned or
+// replicated. ?frags= changes nothing on the nodes, so any granularity
+// costs only the table it cuts. An exact plan (zero Budget) is exactly
+// Search.
 func (c *Cluster) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan) (*SearchResult, error) {
 	sr := &SearchResult{}
 	if plan.N <= 0 {
@@ -1142,11 +1212,11 @@ func (c *Cluster) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan
 	statsStart := time.Now()
 	refreshed, err := c.refreshStats(ctx)
 	// The query's stems are resolved once, here, and every node receives
-	// the global statistics of exactly those, under every plan: what
-	// scoring reads (see ir.Request.Stats), a few hundred bytes instead
-	// of the vocabulary.
+	// the global statistics of exactly those the cut-off admits, under
+	// the exact plan: what scoring reads (see ir.Request.Stats), a few
+	// hundred bytes instead of the vocabulary.
 	var scratch [8]string
-	global, ok := c.projectStats(ir.QueryStems(scratch[:0], query))
+	global, est, ok := c.projectStats(ir.QueryStems(scratch[:0], query), plan)
 	if err != nil {
 		if !ok {
 			return nil, err
@@ -1157,15 +1227,13 @@ func (c *Cluster) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan
 		tr.AddSpanDetail("stats", statsStart,
 			"groups_refreshed="+strconv.Itoa(refreshed)+" stems_shipped="+strconv.Itoa(len(global.DF)))
 	}
+	sr.Quality = est
+	nodePlan := ir.EvalPlan{N: plan.N}
 	c.searchCount.Add(1)
 	fanStart := time.Now()
-	type planRes struct {
-		res []ir.Result
-		est ir.QualityEstimate
-	}
 	type groupRes struct {
 		g        int
-		r        planRes
+		res      []ir.Result
 		fo       int
 		diverged bool
 		err      error
@@ -1173,20 +1241,14 @@ func (c *Cluster) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan
 	ch := make(chan groupRes, len(c.groups))
 	for g := range c.groups {
 		go func(g int) {
-			r, fo, diverged, err := groupCall(c, ctx, g, 1, func(nctx context.Context, n Node) (planRes, error) {
-				res, est, err := n.SearchPlan(nctx, query, plan, global)
-				return planRes{res, est}, err
+			r, fo, diverged, err := groupCall(c, ctx, g, 1, func(nctx context.Context, n Node) ([]ir.Result, error) {
+				res, _, err := n.SearchPlan(nctx, query, nodePlan, global)
+				return res, err
 			})
 			ch <- groupRes{g, r, fo, diverged, err}
 		}(g)
 	}
 	rankings := make([][]ir.Result, len(c.groups))
-	// Estimates are kept in partition order: merging sums
-	// floating-point masses, and summation in nondeterministic arrival
-	// order would make the reported cluster quality differ between
-	// identical queries in the last bit. A failed partition's zero
-	// estimate is a no-op in the merge.
-	ests := make([]ir.QualityEstimate, len(c.groups))
 	answered := make([]bool, len(c.groups))
 	pending := len(c.groups)
 collect:
@@ -1205,8 +1267,7 @@ collect:
 			if r.err != nil {
 				sr.fail(r.g, r.err)
 			} else {
-				rankings[r.g] = r.r.res
-				ests[r.g] = r.r.est
+				rankings[r.g] = r.res
 				if r.diverged {
 					sr.Diverged = append(sr.Diverged, r.g)
 				}
@@ -1229,7 +1290,6 @@ collect:
 	tr.AddSpan("fanout", fanStart)
 	mergeStart := time.Now()
 	sr.Results = ir.Merge(plan.N, rankings...)
-	sr.Quality = ir.MergeQuality(ests...)
 	tr.AddSpan("merge", mergeStart)
 	return sr, nil
 }

@@ -51,11 +51,12 @@ type Node interface {
 	// SearchPlan evaluates the query over the node's local fragment
 	// using the supplied global statistics and returns at most plan.N
 	// results — the RES(doc-oid, score) set of the paper — plus the
-	// quality it achieved. Under a budgeted plan the node fragments its
-	// own partition on descending idf and evaluates only the budgeted
-	// prefix, pushing the a-priori cut-off of [BHC+01] below the
-	// per-node RES sets; an exact plan scores every posting and reports
-	// the zero estimate.
+	// quality it achieved. A Cluster sends exact plans only: it has made
+	// the a-priori cut-off of [BHC+01] itself, under global df, and a
+	// stem it cut is missing from global, so it weighs nothing here. An
+	// exact plan scores every posting of the weighed stems and reports
+	// the zero estimate; a budgeted plan sent directly is cut against
+	// the node's own df histogram.
 	SearchPlan(ctx context.Context, query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate, error)
 	// Load returns the node's document load. It is a monitoring probe
 	// and must stay O(1): the checksum is whatever digest is cached,
@@ -175,9 +176,9 @@ type LocalNode struct {
 	// compare and nothing else.
 	met *NodeMetrics
 
-	// cost, when set, receives budgeted-evaluation cost samples via
-	// the index's ir hook (see SetCostCurve in cost.go).
-	cost CostCurve
+	// postingsBase holds the posting counts of the indexes RestoreState
+	// replaced, so PostingCounts never runs backwards; guarded by mu.
+	postingsBase [2]int64
 }
 
 // NodeMetrics is the node-side instrumentation a serving layer may
@@ -214,9 +215,24 @@ func NewLocalNodeBackend(b SearchBackend) *LocalNode {
 	return &LocalNode{backend: b, ix: b.ContentIndex(), incarnation: newIncarnation()}
 }
 
-// Index exposes the underlying index for experiments and tests. Do
-// not mutate it while the node is serving queries — go through AddBatch.
-func (n *LocalNode) Index() *ir.Index { return n.ix }
+// Index exposes the underlying index for experiments and tests, as of
+// the call: RestoreState swaps in another. Do not mutate it while the
+// node is serving queries — go through AddBatch.
+func (n *LocalNode) Index() *ir.Index {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.ix
+}
+
+// PostingCounts returns the admitted postings the node's evaluations
+// weighed (scored) and passed over (skipped), cumulative across
+// RestoreState: the counts of every index the node has served.
+func (n *LocalNode) PostingCounts() (scored, skipped int64) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	scored, skipped = n.ix.PostingCounts()
+	return n.postingsBase[0] + scored, n.postingsBase[1] + skipped
+}
 
 // Backend exposes the node's search backend (never nil).
 func (n *LocalNode) Backend() SearchBackend { return n.backend }
@@ -440,29 +456,18 @@ func (n *LocalNode) SearchPlan(_ context.Context, query string, plan ir.EvalPlan
 }
 
 // evaluate is SearchPlan without the instrumentation wrapper. It runs
-// under the read lock — an exact plan even on a dirty index, so reads
-// run beside ingest. Only a budgeted plan the index is not ready for
-// (pending adds, or a different fragmentation granularity) takes the
-// write lock, with the freeze/re-fragment AND the evaluation under one
-// acquisition, so the budget is always interpreted against the
-// granularity this very plan asked for — never against a concurrent
-// plan's. Re-fragmentation is O(vocabulary log vocabulary): the
-// granularity is meant to be a deployment constant (the coordinator's
-// -frags default), not a per-request variable.
+// under the read lock, every plan alike, even on a dirty index, so
+// reads run beside ingest. A cluster ships its nodes exact plans: the
+// coordinator has already cut the query's stems under global df and
+// left the cut ones out of global. A budgeted plan sent to the node
+// itself cuts against the index's own table (ir.Index.Evaluate), which
+// is free for any granularity.
 //
 // On a clean index a resolver, when injected, supplies the (cached)
 // pre-resolved terms; the result is identical either way.
 func (n *LocalNode) evaluate(query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate) {
 	n.mu.RLock()
-	if plan.Exact() || n.ix.PlanReady(plan) {
-		defer n.mu.RUnlock()
-	} else {
-		n.mu.RUnlock()
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.ix.Freeze()
-		n.ix.EnsureFragments(plan)
-	}
+	defer n.mu.RUnlock()
 	// ir.Request's pointers escape with its query (the resolved stems
 	// alias it), so &global would move the parameter to the heap on every
 	// search; a pooled holder keeps the evaluation's only allocation the
@@ -577,6 +582,11 @@ func (n *LocalNode) RestoreState(_ context.Context, st *ir.IndexState) error {
 		}
 	}
 	n.pos = st.LogPos
+	// The replaced index's posting counts fold into the node's base, so
+	// the node's counts stay monotone across the swap.
+	scored, skipped := n.ix.PostingCounts()
+	n.postingsBase[0] += scored
+	n.postingsBase[1] += skipped
 	// Re-home the restored index under its owner (an engine-owned
 	// backend re-binds it so conceptual queries rank against the
 	// restored content), then refresh the node's hot-path cache.
@@ -585,9 +595,6 @@ func (n *LocalNode) RestoreState(_ context.Context, st *ir.IndexState) error {
 	// A different index counts the epochs now: statistics versions
 	// issued before the restore say nothing about it.
 	n.incarnation = newIncarnation()
-	// The restored index starts without the cost hook — re-wire it so
-	// the quality/latency curve keeps learning across resyncs.
-	n.installCostObserver()
 	return nil
 }
 

@@ -70,9 +70,10 @@ func TestRemotePlanReducedBudget(t *testing.T) {
 	c := startRemoteCluster(t, 3, false, nil)
 	loadCluster(t, c, docs)
 	// Rare ("seles") plus very common ("match ball") terms: the
-	// trailing fragments hold the common ones, so a budget of 1 must
-	// cut coverage.
-	sr, err := c.SearchPlan(context.Background(), "seles match ball", ir.EvalPlan{N: 10, Frags: 8, Budget: 1})
+	// trailing fragments hold the common ones, so a budget of 2 must
+	// cut coverage. (Under this corpus's global df, "seles" lies in the
+	// second of the eight fragments.)
+	sr, err := c.SearchPlan(context.Background(), "seles match ball", ir.EvalPlan{N: 10, Frags: 8, Budget: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,10 +201,6 @@ type RemoteNode struct {
 	// /stats surfaces.
 	bytesOut, bytesIn atomic.Uint64
 
-	// cost, when set, receives budgeted SearchPlan cost samples
-	// (effective budget, round-trip seconds, achieved quality).
-	cost CostCurve
-
 	// stats is the node's statistics as of the last pull and statsVer
 	// the version token the node gave them; the next pull asks only for
 	// what changed since. The map is never written once stored — a pull
@@ -612,24 +608,9 @@ func patchDF(base, changed map[string]int) map[string]int {
 }
 
 // SearchPlan implements Node: exact and budgeted plans alike ship over
-// /node/search. Only a budgeted evaluation feeds the cost curve — an
-// exact plan has no budget to learn from.
+// /node/search. The trace's request ID rides the request so the node's
+// spans and slow-query line join the coordinator's.
 func (rn *RemoteNode) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
-	if rn.cost == nil || plan.Exact() {
-		return rn.searchRPC(ctx, query, plan, global)
-	}
-	start := time.Now()
-	res, est, err := rn.searchRPC(ctx, query, plan, global)
-	if err == nil {
-		rn.observeCost(start, est)
-	}
-	return res, est, err
-}
-
-// searchRPC is SearchPlan's round-trip without the cost-curve wrapper.
-// The trace's request ID rides the request so the node's spans and
-// slow-query line join the coordinator's.
-func (rn *RemoteNode) searchRPC(ctx context.Context, query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
 	var id string
 	if tr := obs.FromContext(ctx); tr != nil {
 		id = tr.ID

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -234,5 +235,106 @@ func TestDivergedReplicaQuarantinedAndFlagged(t *testing.T) {
 		// so its RES set is empty — exactly the silent-miss the flag
 		// exists to expose.
 		t.Fatalf("diverged replica returned %+v", sr.Results)
+	}
+}
+
+// TestBudgetedFailoverAcrossHistories: replicas holding the same
+// documents by different histories — added in another order, or
+// restored from a snapshot and then fed the rest — give identical
+// budgeted answers, before and after the primaries die: the cut-off is
+// the coordinator's, under global df, so no replica's past can move
+// it. Both equal the same plan on a single index over the corpus.
+func TestBudgetedFailoverAcrossHistories(t *testing.T) {
+	ctx := context.Background()
+	texts := corpus(400, 71)
+	single := ir.NewIndex()
+	for i, text := range texts {
+		single.Add(bat.OID(i+1), "u", text)
+	}
+	single.Freeze()
+	const parts = 2
+	// part returns partition g's documents in the given oid order.
+	part := func(g int, oids []int) []Doc {
+		var docs []Doc
+		for _, oid := range oids {
+			if roundRobin(bat.OID(oid), parts) == g {
+				docs = append(docs, Doc{OID: bat.OID(oid), URL: "u", Text: texts[oid-1]})
+			}
+		}
+		return docs
+	}
+	ascending := make([]int, len(texts))
+	for i := range ascending {
+		ascending[i] = i + 1
+	}
+	reversed := make([]int, len(texts))
+	for i := range reversed {
+		reversed[i] = len(texts) - i
+	}
+	plans := []ir.EvalPlan{
+		{N: 10, Frags: 8, Budget: 1},
+		{N: 10, Frags: 8, Budget: 2},
+		{N: 10, Frags: 8, Budget: 4},
+		{N: 10, Frags: 8, Budget: 8},
+		{N: 10, Budget: 1, MinQuality: 0.9},
+	}
+	queries := []string{"seles match ball", "champion winner serve melbourne", "court game set trophy"}
+	for _, history := range []string{"reordered", "restored"} {
+		groups := make([][]Node, parts)
+		primaries := make([]*readFailNode, parts)
+		for g := range groups {
+			primaries[g] = &readFailNode{Node: NewLocalNode(ir.NewIndex())}
+			if err := primaries[g].AddBatch(ctx, part(g, ascending)); err != nil {
+				t.Fatal(err)
+			}
+			replica := NewLocalNode(ir.NewIndex())
+			switch history {
+			case "reordered":
+				if err := replica.AddBatch(ctx, part(g, reversed)); err != nil {
+					t.Fatal(err)
+				}
+			case "restored":
+				donor := NewLocalNode(ir.NewIndex())
+				if err := donor.AddBatch(ctx, part(g, reversed[:200])); err != nil {
+					t.Fatal(err)
+				}
+				if err := replica.RestoreState(ctx, donor.ExportState()); err != nil {
+					t.Fatal(err)
+				}
+				if err := replica.AddBatch(ctx, part(g, reversed[200:])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			groups[g] = []Node{primaries[g], replica}
+		}
+		c := NewReplicatedClusterOf(groups, nil)
+		check := func(phase string) {
+			for _, q := range queries {
+				for _, plan := range plans {
+					label := fmt.Sprintf("%s %s q=%q plan=%+v", history, phase, q, plan)
+					want, wantEst := single.Evaluate(ir.Request{Query: q, Plan: plan})
+					sr, err := c.SearchPlan(ctx, q, plan)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !sr.Complete() {
+						t.Fatalf("%s: incomplete: %+v", label, sr)
+					}
+					sameRanking(t, label, sr.Results, want)
+					if sr.Quality != wantEst {
+						t.Fatalf("%s: quality %+v, want %+v", label, sr.Quality, wantEst)
+					}
+				}
+			}
+		}
+		check("primaries up")
+		for _, p := range primaries {
+			p.broken.Store(true)
+		}
+		c.InvalidateStats()
+		check("primaries down")
+		if c.Telemetry().Failovers < parts {
+			t.Fatalf("%s: %d failovers, want every partition served by its replica", history, c.Telemetry().Failovers)
+		}
 	}
 }

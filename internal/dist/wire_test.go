@@ -37,19 +37,21 @@ func startCodecCluster(t testing.TB, k int, codec dist.Codec) *dist.Cluster {
 }
 
 // TestCodecsByteIdentical is the cross-transport property in one
-// {exact, budgeted, quality floor} × {binary, wire, wire traced} table:
-// for k ∈ {1, 2, 4, 8}, frames as HTTP bodies, frames on the
-// persistent-connection transport, and traced frames on it (every query
-// run with a request-ID trace in its context, as the coordinator runs
-// each /search) return rankings byte-identical — documents AND
-// float-bit-exact scores — to a cluster of in-process LocalNodes, with
-// identical quality.
+// {exact, budget b of 8, quality floor} × {binary, wire, wire traced}
+// table: for k ∈ {1, 2, 4, 8} nodes, an in-process cluster, frames as
+// HTTP bodies, frames on the persistent-connection transport, and
+// traced frames on it (every query run with a request-ID trace in its
+// context, as the coordinator runs each /search) all return what ONE
+// ir.Index over the whole corpus returns under the same plan: the
+// ranking byte-identical — documents AND float-bit-exact scores — and
+// the same quality estimate. The cut-off is the coordinator's, under
+// global df, so no partitioning moves it.
 //
 // It is also the proof that shipping only the query's share of the
-// global statistics changes nothing: every cluster answer is compared
+// global statistics changes nothing: every exact answer is compared
 // with the partitions scored directly under the WHOLE merged vocabulary
-// (wholeVocabulary), result for result, score bit for score bit and
-// quality for quality — over queries chosen for the projection's edges.
+// (wholeVocabulary) too — over queries chosen for the projection's
+// edges.
 func TestCodecsByteIdentical(t *testing.T) {
 	// One document carries a term no other has, so for k > 1 exactly one
 	// partition knows its stem.
@@ -78,10 +80,19 @@ func TestCodecsByteIdentical(t *testing.T) {
 		plan ir.EvalPlan
 	}{
 		{"exact", ir.EvalPlan{}},
+		{"budget=1-of-8", ir.EvalPlan{Frags: 8, Budget: 1}},
+		{"budget=2-of-8", ir.EvalPlan{Frags: 8, Budget: 2}},
+		{"budget=4-of-8", ir.EvalPlan{Frags: 8, Budget: 4}},
+		{"budget=8-of-8", ir.EvalPlan{Frags: 8, Budget: 8}},
 		{"budgeted", ir.EvalPlan{Budget: 1}},
 		{"floor", ir.EvalPlan{Budget: 1, MinQuality: 0.9}},
 	}
 	ctx := context.Background()
+	single := ir.NewIndex()
+	for i, d := range docs {
+		single.Add(bat.OID(i+1), "u", d)
+	}
+	single.Freeze()
 	for _, k := range []int{1, 2, 4, 8} {
 		local := dist.NewCluster(k, nil)
 		clusters := make([]*dist.Cluster, len(codecs))
@@ -101,7 +112,11 @@ func TestCodecsByteIdentical(t *testing.T) {
 				for _, p := range plans {
 					plan := p.plan
 					plan.N = n
-					want := wholeVocabulary(t, local, q, plan)
+					res, est := single.Evaluate(ir.Request{Query: q, Plan: plan})
+					want := &dist.SearchResult{Results: res, Quality: est}
+					if plan.Exact() {
+						sameSearch(t, fmt.Sprintf("whole vocabulary k=%d q=%q n=%d", k, q, n), wholeVocabulary(t, local, q, plan), want)
+					}
 					got, err := local.SearchPlan(ctx, q, plan)
 					if err != nil {
 						t.Fatalf("k=%d q=%q n=%d %s local: %v", k, q, n, p.name, err)
@@ -273,10 +288,10 @@ func TestTracedSearchToOldNode(t *testing.T) {
 	}
 }
 
-// wholeVocabulary is the reference every cluster answer is held to: each
-// partition of the in-process cluster scored directly under the whole
-// merged vocabulary — what the central site shipped before it projected
-// the statistics onto the query — and the RES sets merged centrally.
+// wholeVocabulary is each partition of the in-process cluster scored
+// directly under the exact plan and the whole merged vocabulary — what
+// the central site shipped before it projected the statistics onto the
+// query — and the RES sets merged centrally.
 func wholeVocabulary(t *testing.T, c *dist.Cluster, q string, plan ir.EvalPlan) *dist.SearchResult {
 	t.Helper()
 	ctx := context.Background()
@@ -285,13 +300,12 @@ func wholeVocabulary(t *testing.T, c *dist.Cluster, q string, plan ir.EvalPlan) 
 		t.Fatalf("global stats: %v", err)
 	}
 	rankings := make([][]ir.Result, c.Size())
-	ests := make([]ir.QualityEstimate, c.Size())
 	for g := range rankings {
-		if rankings[g], ests[g], err = c.NodeAt(g).SearchPlan(ctx, q, plan, whole); err != nil {
+		if rankings[g], _, err = c.NodeAt(g).SearchPlan(ctx, q, plan, whole); err != nil {
 			t.Fatalf("partition %d: %v", g, err)
 		}
 	}
-	return &dist.SearchResult{Results: ir.Merge(plan.N, rankings...), Quality: ir.MergeQuality(ests...)}
+	return &dist.SearchResult{Results: ir.Merge(plan.N, rankings...)}
 }
 
 // sameSearch fails unless got is complete and equals want result for

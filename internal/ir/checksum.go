@@ -27,13 +27,11 @@ import (
 // different oids still agree, and so does an index restored from a
 // state with sparse term oids.
 //
-// Deliberately excluded: fragment placement, the memory budget, the
-// freeze epoch and λ. Budgeted reads route to ONE replica and may
-// re-fragment it (LocalNode.SearchPlan calls EnsureFragments under its
-// write lock), so fragmentation granularity legitimately differs
-// between replicas holding identical documents — hashing it would make
-// anti-entropy flag healthy groups forever. Compression state is a
-// per-node space/speed trade-off with no ranking effect.
+// Deliberately excluded: the memory budget, the freeze epoch and λ.
+// Compression state is a per-node space/speed trade-off with no
+// ranking effect. There is no fragment placement to exclude: a term's
+// fragment is a function of its df (CutTable), so replicas holding the
+// same documents cut the same way.
 
 // checksumMagic domain-separates the digest from any other sha256 use.
 var checksumMagic = []byte("dlsearch-content-v1\x00")

@@ -34,9 +34,10 @@ func TestChecksumCanonical(t *testing.T) {
 	if cs := a.ExportState().Checksum(); cs != ca {
 		t.Fatalf("state checksum %s != index checksum %s", cs, ca)
 	}
-	// Fragmentation and compression are per-replica physical choices:
-	// neither may move the content checksum.
-	a.Fragmentize(4)
+	// Compression is a per-replica physical choice, and a budgeted
+	// evaluation caches a cut-off table: neither may move the content
+	// checksum.
+	a.Evaluate(Request{Query: "winner", Plan: EvalPlan{N: 1, Budget: 1}})
 	a.SetMemoryBudget(16)
 	if got := a.Checksum(); got != ca {
 		t.Fatalf("physical layout changed the checksum: %s != %s", got, ca)

@@ -31,7 +31,7 @@ func filterResults(res []Result, candidates map[bat.OID]bool, n int) []Result {
 func TestEvaluateRequestSpace(t *testing.T) {
 	const frags, n = 8, 10
 	ix := planCorpus(400, 7)
-	ix.Fragmentize(frags)
+	ix.Freeze()
 	global := ix.StatsLocal()
 	candidates := map[bat.OID]bool{}
 	for d := bat.OID(3); d <= 400; d += 7 {
@@ -110,7 +110,6 @@ func TestEvaluateStaleGlobalStats(t *testing.T) {
 	global := ix.StatsLocal() // cached before the add below
 	ix.Add(9001, "d9001", "xylophone champion serve")
 	ix.Freeze()
-	ix.Fragmentize(4)
 	if _, ok := ix.TermOID(Stem("xylophone")); !ok {
 		t.Fatal("index does not know the streamed-in term")
 	}

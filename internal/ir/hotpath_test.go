@@ -132,84 +132,6 @@ func TestIndexHeapPerPosting(t *testing.T) {
 	}
 }
 
-// TestFragmentsSurviveAdd: after Fragmentize, adding documents keeps
-// the fragmentation valid through incremental placement — every term
-// in exactly one fragment, idf descending across fragments, tuple
-// counts exact — and the fragment cut-off path still answers.
-func TestFragmentsSurviveAdd(t *testing.T) {
-	ix := NewIndex()
-	ix.Add(1, "d1", "seles melbourne trophy")
-	ix.Add(2, "d2", "winner winner serve")
-	ix.Add(3, "d3", "winner rally serve")
-	ix.Fragmentize(3)
-	// Stream in documents: an unseen rare term, more mass on a common
-	// term (moves it to a lower-idf fragment), and a repeat document.
-	ix.Add(4, "d4", "quetzalcoatl winner")
-	ix.Add(5, "d5", "winner serve rally melbourne")
-	ix.Add(5, "d5", "winner again")
-	frags := ix.Fragments()
-	if frags == nil {
-		t.Fatal("fragments discarded by Add")
-	}
-	for i := 1; i < len(frags); i++ {
-		if frags[i].MaxIDF > frags[i-1].MinIDF+1e-12 {
-			t.Fatalf("fragment %d idf ordering broken: %v after %v", i, frags[i].MaxIDF, frags[i-1].MinIDF)
-		}
-	}
-	seen := make(map[bat.OID]bool)
-	total, tuples := 0, 0
-	for fi, f := range frags {
-		for _, id := range f.Terms {
-			if seen[id] {
-				t.Fatalf("term %d in two fragments", id)
-			}
-			seen[id] = true
-			total++
-			idf := ix.IDFOf(termOfOID(t, ix, id))
-			if idf > f.MaxIDF+1e-12 || idf < f.MinIDF-1e-12 {
-				t.Fatalf("term %d idf %v outside fragment %d bounds [%v, %v]", id, idf, fi, f.MinIDF, f.MaxIDF)
-			}
-		}
-		tuples += f.Tuples
-		want := 0
-		for _, id := range f.Terms {
-			want += len(ix.PostingsOf(id))
-		}
-		if f.Tuples != want {
-			t.Fatalf("fragment %d Tuples = %d, want %d", fi, f.Tuples, want)
-		}
-	}
-	if total != ix.TermCount() {
-		t.Fatalf("fragments cover %d terms, vocabulary has %d", total, ix.TermCount())
-	}
-	// Full-fragment evaluation still equals the exact ranking.
-	ix.Freeze()
-	res, q := ix.Evaluate(Request{Query: "winner melbourne quetzalcoatl", Plan: EvalPlan{N: 10, Budget: len(frags)}})
-	if q.Value() != 1.0 {
-		t.Fatalf("full evaluation quality = %v", q.Value())
-	}
-	exact := ix.TopN("winner melbourne quetzalcoatl", 10)
-	if len(res) != len(exact) {
-		t.Fatalf("fragment eval %v, exact %v", res, exact)
-	}
-	for i := range res {
-		if res[i].Doc != exact[i].Doc {
-			t.Fatalf("rank %d: fragment %+v, exact %+v", i, res[i], exact[i])
-		}
-	}
-}
-
-// termOfOID reverses the term oid to its stemmed string via the T
-// relation.
-func termOfOID(t *testing.T, ix *Index, id bat.OID) string {
-	t.Helper()
-	s, ok := ix.T.StringOfHead(id)
-	if !ok {
-		t.Fatalf("term oid %d not in T", id)
-	}
-	return s
-}
-
 // TestUnsortedAddsGetSortedAtFreeze: documents added out of oid order
 // must end up with posting lists sorted by doc oid after a freeze.
 func TestUnsortedAddsGetSortedAtFreeze(t *testing.T) {

@@ -28,18 +28,6 @@ type Result struct {
 	Score float64
 }
 
-// Fragment describes one horizontal fragment of the TF/DT relations.
-// Fragments are formed on descending idf: fragment 0 holds the rarest
-// (most significant, cheapest) terms, the last fragment the most
-// frequent (least significant, most expensive) ones. The query
-// optimizer may a-priori ignore trailing fragments ([BHC+01]).
-type Fragment struct {
-	Terms  []bat.OID // term oids in this fragment
-	MaxIDF float64   // highest idf in the fragment
-	MinIDF float64   // lowest idf in the fragment
-	Tuples int       // number of DT tuples covered
-}
-
 // plist is the columnar access path of one term's posting list: two
 // parallel arrays of dense document slots and term frequencies, the
 // Monet-style decomposition the scorer scans. Slots index the
@@ -93,14 +81,15 @@ func (b *weightBound) raise(tf, docLen int32) {
 // A term's DT/TF tuples live either in its plain posting columns or,
 // under a memory budget, delta+varint compressed (cold) — never both.
 // Term oids come from seq, which issues nothing else, so they ascend
-// in first-appearance order; Fragmentize's and applyMemoryBudget's oid
-// tie-breaks rely on only that order, not on the oid values.
+// in first-appearance order; applyMemoryBudget's oid tie-break relies
+// on only that order, not on the oid values.
 //
 // The query hot path is columnar: posting lists address document slots
 // directly, and per-query score accumulation runs over a reusable
 // doc-indexed score slice instead of hash maps. Derived state (IDF
-// rows, posting-list sort order, fragment placement) is maintained
-// incrementally; Freeze flushes whatever is still pending.
+// rows, posting-list sort order) is maintained
+// incrementally; Freeze flushes whatever is still pending. A term's
+// fragment is no state at all: the cut-off derives it from its df.
 type Index struct {
 	T   *bat.BAT
 	IDF *bat.BAT
@@ -132,15 +121,10 @@ type Index struct {
 	dfEpoch   []uint64
 	baseEpoch uint64
 
-	fragments []Fragment
-	fragOf    map[bat.OID]int // term -> fragment index
-	fragK     int             // granularity Fragmentize was last asked for
-
-	// Plan-cost accounting (see cost.go): per-fragment admitted-postings
-	// counters (atomic.Pointer so /metrics scrapes race-free against
-	// re-fragmentation) and the budgeted-evaluation cost observer.
-	fragEval atomic.Pointer[[]atomic.Int64]
-	costObs  func(PlanCostSample)
+	// The a-priori cut-off's table and fragment counters, cut from the
+	// df histogram once per freeze epoch (see cutoff.go). Published
+	// through an atomic pointer so Evaluate stays read-only.
+	cut atomic.Pointer[cutCache]
 
 	// What MaxScore made of the admitted postings, every evaluation
 	// added once (see PostingCounts).
@@ -219,8 +203,8 @@ func (ix *Index) addDoc(doc bat.OID, url string) int32 {
 // Each stem resolves straight to its term oid; only a stem the index
 // has never seen allocates its vocabulary key. The document's term
 // oids are sorted into runs, so tf is a run's length and the terms'
-// postings (and incremental fragment placement) are touched in
-// ascending oid order, the same on every replica.
+// postings are touched in ascending oid order, the same on every
+// replica.
 func (ix *Index) Add(doc bat.OID, url, text string) {
 	var scratch [32]byte // longer stems spill to the heap
 	ids := ix.addIDs[:0]
@@ -278,9 +262,6 @@ func (ix *Index) Add(doc bat.OID, url, text string) {
 		pl.slots = append(pl.slots, slot)
 		pl.tfs = append(pl.tfs, tf)
 		ix.plainBytes += 8
-		if ix.fragments != nil {
-			ix.placeFragTerm(id, 1)
-		}
 	}
 }
 
@@ -539,7 +520,7 @@ func (ix *Index) IDFOf(stem string) float64 {
 //	w(t,d) = log(1 + λ·tf(t,d)·Σ_t' df(t') / ((1-λ)·df(t)·|d|))
 //
 // Rare terms (low df, high idf) contribute most, which is exactly the
-// property the idf-descending fragmentation exploits.
+// property the idf-descending cut-off exploits.
 func logWeight(lambda float64, tf, df, totalDF, docLen int) float64 {
 	return math.Log(1 + lambda*float64(tf)*float64(totalDF)/((1-lambda)*float64(df)*float64(docLen)))
 }
@@ -552,122 +533,6 @@ func (ix *Index) TopN(query string, n int) []Result {
 	res, _ := ix.Evaluate(Request{Query: query, Plan: EvalPlan{N: n}})
 	return res
 }
-
-// Fragmentize partitions the vocabulary into k horizontal fragments on
-// descending idf with approximately equal DT tuple counts per
-// fragment, mirroring the paper's physical design: high-idf
-// (significant, cheap) terms lead; low-idf (insignificant, expensive)
-// terms trail, where they can be cut off a-priori.
-func (ix *Index) Fragmentize(k int) {
-	if k < 1 {
-		k = 1
-	}
-	ix.Freeze()
-	ix.fragK = k
-	ids := make([]bat.OID, 0, len(ix.df))
-	total := 0
-	for id := range ix.df {
-		ids = append(ids, id)
-		total += ix.postingLen(id)
-	}
-	// Descending idf == ascending df; ties broken by oid for determinism.
-	sort.Slice(ids, func(i, j int) bool {
-		if ix.df[ids[i]] != ix.df[ids[j]] {
-			return ix.df[ids[i]] < ix.df[ids[j]]
-		}
-		return ids[i] < ids[j]
-	})
-	per := (total + k - 1) / k
-	if per < 1 {
-		per = 1
-	}
-	ix.fragments = nil
-	ix.fragOf = make(map[bat.OID]int, len(ids))
-	cur := Fragment{MaxIDF: 0, MinIDF: math.Inf(1)}
-	for _, id := range ids {
-		idf := 1.0 / float64(ix.df[id])
-		cur.Terms = append(cur.Terms, id)
-		ix.fragOf[id] = len(ix.fragments)
-		cur.Tuples += ix.postingLen(id)
-		if idf > cur.MaxIDF {
-			cur.MaxIDF = idf
-		}
-		if idf < cur.MinIDF {
-			cur.MinIDF = idf
-		}
-		if cur.Tuples >= per && len(ix.fragments) < k-1 {
-			ix.fragments = append(ix.fragments, cur)
-			cur = Fragment{MaxIDF: 0, MinIDF: math.Inf(1)}
-		}
-	}
-	if len(cur.Terms) > 0 {
-		ix.fragments = append(ix.fragments, cur)
-	}
-	// Fresh fragmentation, fresh per-fragment cost counters (cost.go).
-	fe := make([]atomic.Int64, len(ix.fragments))
-	ix.fragEval.Store(&fe)
-}
-
-// placeFragTerm incrementally maintains the fragmentation when Add
-// touches a term: instead of discarding the whole fragmentation, the
-// term is (re)placed into the fragment whose idf range covers its new
-// idf, and tuple counts are adjusted by deltaTuples. Balance may
-// drift as documents stream in — Fragmentize re-balances — but the
-// invariants the cut-off relies on (every term in exactly one
-// fragment, idf descending across fragments) hold continuously.
-func (ix *Index) placeFragTerm(id bat.OID, deltaTuples int) {
-	idf := 1.0 / float64(ix.df[id])
-	// Target: the first fragment whose idf range reaches down to this
-	// idf; terms rarer than everything seen go to fragment 0, terms
-	// more common than everything seen extend the last fragment.
-	target := len(ix.fragments) - 1
-	for f := range ix.fragments {
-		if ix.fragments[f].MinIDF <= idf {
-			target = f
-			break
-		}
-	}
-	old, had := ix.fragOf[id]
-	tuples := ix.postingLen(id)
-	if had {
-		if old == target {
-			ix.fragments[old].Tuples += deltaTuples
-			ix.expandFrag(target, idf)
-			return
-		}
-		// df changed enough to cross a fragment boundary: move the
-		// term. The old fragment keeps its (now conservative) bounds.
-		fo := &ix.fragments[old]
-		fo.Tuples -= tuples - deltaTuples
-		for i, t := range fo.Terms {
-			if t == id {
-				fo.Terms[i] = fo.Terms[len(fo.Terms)-1]
-				fo.Terms = fo.Terms[:len(fo.Terms)-1]
-				break
-			}
-		}
-	}
-	ft := &ix.fragments[target]
-	ft.Terms = append(ft.Terms, id)
-	ft.Tuples += tuples
-	ix.fragOf[id] = target
-	ix.expandFrag(target, idf)
-}
-
-// expandFrag widens a fragment's idf bounds to cover idf.
-func (ix *Index) expandFrag(f int, idf float64) {
-	if idf > ix.fragments[f].MaxIDF {
-		ix.fragments[f].MaxIDF = idf
-	}
-	if idf < ix.fragments[f].MinIDF {
-		ix.fragments[f].MinIDF = idf
-	}
-}
-
-// Fragments returns the current fragmentation (nil before the first
-// Fragmentize; afterwards it stays valid across Add through
-// incremental placement).
-func (ix *Index) Fragments() []Fragment { return ix.fragments }
 
 // Merge folds per-node rankings into a master ranking of size n; the
 // central DBMS of the paper performs exactly this merge over the

@@ -105,59 +105,74 @@ func TestEvaluateRestricted(t *testing.T) {
 	}
 }
 
+// TestFragmentize: the table cut from the index's df histogram
+// splits the vocabulary into at most k fragments of whole df classes,
+// idf descending, every fragment holding at least one term.
 func TestFragmentize(t *testing.T) {
 	ix := smallIndex()
-	ix.Fragmentize(3)
-	frags := ix.Fragments()
-	if len(frags) == 0 || len(frags) > 3 {
-		t.Fatalf("fragments = %d", len(frags))
+	ix.Freeze()
+	hist := histogramOf(ix.df)
+	table := ix.cutFor(3).table
+	if len(table) != min(3, hist.Classes()) {
+		t.Fatalf("table %v for %d classes", table, hist.Classes())
 	}
-	// idf must descend across fragments.
-	for i := 1; i < len(frags); i++ {
-		if frags[i].MaxIDF > frags[i-1].MinIDF+1e-12 {
-			t.Fatalf("fragment %d idf ordering broken: %v after %v", i, frags[i].MaxIDF, frags[i-1].MinIDF)
+	// Thresholds ascend strictly (idf descends across fragments), and
+	// the last one is the largest df, so every term has a fragment.
+	for f := 1; f < len(table); f++ {
+		if table[f] <= table[f-1] {
+			t.Fatalf("table %v not strictly ascending", table)
 		}
 	}
-	// Every term appears in exactly one fragment.
-	seen := make(map[bat.OID]bool)
-	total := 0
-	for _, f := range frags {
-		for _, id := range f.Terms {
-			if seen[id] {
-				t.Fatal("term in two fragments")
-			}
-			seen[id] = true
-			total++
-		}
+	if table[len(table)-1] != hist.dfs[len(hist.dfs)-1] {
+		t.Fatalf("table %v stops below the largest df %d", table, hist.dfs[len(hist.dfs)-1])
 	}
-	if total != ix.TermCount() {
-		t.Fatalf("fragments cover %d terms, vocabulary has %d", total, ix.TermCount())
+	terms := make([]int, len(table))
+	for _, df := range ix.df {
+		terms[table.frag(df)]++
+	}
+	for f, n := range terms {
+		if n == 0 {
+			t.Fatalf("fragment %d of %v holds no term", f, table)
+		}
 	}
 }
 
+// TestFragmentizeDegenerate: granularities outside [1, classes] clamp,
+// and an empty vocabulary is one fragment.
 func TestFragmentizeDegenerate(t *testing.T) {
 	ix := smallIndex()
-	ix.Fragmentize(0) // clamped to 1
-	if len(ix.Fragments()) != 1 {
-		t.Fatalf("k=0 fragments = %d", len(ix.Fragments()))
+	ix.Freeze()
+	hist := histogramOf(ix.df)
+	if got := hist.Table(0); len(got) != 1 {
+		t.Fatalf("k=0 table = %v", got)
 	}
-	ix.Fragmentize(1000) // more fragments than tuples
-	for _, f := range ix.Fragments() {
-		if len(f.Terms) == 0 {
-			t.Fatal("empty fragment emitted")
-		}
+	if got := ix.cutFor(0).table; len(got) != min(DefaultFragments, hist.Classes()) {
+		t.Fatalf("default table = %v", got)
+	}
+	// More fragments than classes: one class per fragment.
+	if got := hist.Table(1000); len(got) != hist.Classes() {
+		t.Fatalf("k=1000 table = %v, want one entry per class of %v", got, hist.dfs)
+	}
+	empty := NewIndex()
+	if got := empty.cutFor(4).table; len(got) != 0 {
+		t.Fatalf("empty index table = %v", got)
+	}
+	res, est := empty.Evaluate(Request{Query: "anything", Plan: EvalPlan{N: 5, Frags: 4, Budget: 1}})
+	if len(res) != 0 || est.Value() != 1.0 || est.FragsTotal != 1 {
+		t.Fatalf("empty-index plan = %v / %+v", res, est)
 	}
 }
 
 func TestFragmentCutoffQuality(t *testing.T) {
 	ix := smallIndex()
-	ix.Fragmentize(4)
-	full, q := ix.Evaluate(Request{Query: "winner melbourne", Plan: EvalPlan{N: 10, Budget: len(ix.Fragments())}})
+	ix.Freeze()
+	frags := len(ix.cutFor(4).table)
+	full, q := ix.Evaluate(Request{Query: "winner melbourne", Plan: EvalPlan{N: 10, Frags: 4, Budget: frags}})
 	if q.Value() != 1.0 || !q.Exact() {
 		t.Fatalf("full evaluation quality = %+v", q)
 	}
-	if q.FragsUsed != len(ix.Fragments()) || q.FragsTotal != len(ix.Fragments()) {
-		t.Fatalf("fragment accounting = %+v, want all %d", q, len(ix.Fragments()))
+	if q.FragsUsed != frags || q.FragsTotal != frags {
+		t.Fatalf("fragment accounting = %+v, want all %d", q, frags)
 	}
 	exact := ix.TopN("winner melbourne", 10)
 	if len(full) != len(exact) {
@@ -165,8 +180,8 @@ func TestFragmentCutoffQuality(t *testing.T) {
 	}
 	// Cutting fragments can only lower (or keep) quality.
 	prev := 0.0
-	for k := 1; k <= len(ix.Fragments()); k++ {
-		_, qk := ix.Evaluate(Request{Query: "winner melbourne", Plan: EvalPlan{N: 10, Budget: k}})
+	for k := 1; k <= frags; k++ {
+		_, qk := ix.Evaluate(Request{Query: "winner melbourne", Plan: EvalPlan{N: 10, Frags: 4, Budget: k}})
 		if qk.Value() < prev-1e-12 {
 			t.Fatalf("quality not monotone: %v after %v at k=%d", qk.Value(), prev, k)
 		}
@@ -182,29 +197,18 @@ func TestFragmentCutoffKeepsRareTerms(t *testing.T) {
 	// fragment than the common "winner" (df=3); with one fragment cut
 	// off, the rare term's contribution must survive.
 	ix := smallIndex()
-	ix.Fragmentize(ix.TermCount()) // one term per fragment, idf-desc
+	ix.Freeze()
+	k := ix.TermCount() // clamped: one df class per fragment, idf-desc
 	melbourne, _ := ix.TermOID(Stem("melbourne"))
 	winner, _ := ix.TermOID(Stem("winner"))
-	fragOf := func(id bat.OID) int {
-		for fi, f := range ix.Fragments() {
-			for _, t := range f.Terms {
-				if t == id {
-					return fi
-				}
-			}
-		}
-		return -1
-	}
-	fm, fw := fragOf(melbourne), fragOf(winner)
-	if fm < 0 || fw < 0 {
-		t.Fatal("query terms missing from fragments")
-	}
+	table := ix.cutFor(k).table
+	fm, fw := table.frag(ix.df[melbourne]), table.frag(ix.df[winner])
 	if fm >= fw {
 		t.Fatalf("rare term (df=1) in fragment %d, common term (df=3) in %d; idf order broken", fm, fw)
 	}
 	// Cut off everything after melbourne's fragment: its contribution
 	// survives, winner's is dropped, quality falls below 1.
-	res, q := ix.Evaluate(Request{Query: "melbourne winner", Plan: EvalPlan{N: 10, Budget: fm + 1}})
+	res, q := ix.Evaluate(Request{Query: "melbourne winner", Plan: EvalPlan{N: 10, Frags: k, Budget: fm + 1}})
 	if len(res) == 0 || res[0].Doc != 3 {
 		t.Fatalf("melbourne doc should rank, got %v", res)
 	}
@@ -253,8 +257,8 @@ func TestPropertyPlansAgree(t *testing.T) {
 				t.Fatalf("iter %d: plan rank mismatch at %d: %v vs %v", iter, i, opt, naive)
 			}
 		}
-		ix.Fragmentize(1 + rng.Intn(5))
-		frag, q := ix.Evaluate(Request{Query: query, Plan: EvalPlan{N: 5, Budget: len(ix.Fragments())}})
+		frags := 1 + rng.Intn(5)
+		frag, q := ix.Evaluate(Request{Query: query, Plan: EvalPlan{N: 5, Frags: frags, Budget: frags}})
 		if q.Value() != 1.0 {
 			t.Fatalf("iter %d: full-fragment quality %v", iter, q.Value())
 		}
@@ -363,30 +367,42 @@ func BenchmarkIndexAdd(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/doc")
 }
 
-// TestIncrementalFragmentsDeterministic: two indexes fed the same
-// documents after Fragmentize end with the same fragmentation, term
-// order included, so replicas holding the same content export the same
-// snapshot fragment section.
+// TestIncrementalFragmentsDeterministic: two indexes holding the same
+// documents, added in different orders and frozen at different points,
+// cut the same table and answer every budgeted plan identically —
+// replicas cannot disagree about a cut-off, so failover cannot move a
+// budgeted answer.
 func TestIncrementalFragmentsDeterministic(t *testing.T) {
 	texts := lib20kTexts(3, 600)
-	build := func() *Index {
+	build := func(order []int) *Index {
 		ix := NewIndex()
-		for d, text := range texts[:300] {
-			ix.Add(bat.OID(d+1), "u", text)
-		}
-		ix.Fragmentize(8)
-		for d, text := range texts[300:] {
-			ix.Add(bat.OID(d+301), "u", text)
+		for i, d := range order {
+			ix.Add(bat.OID(d+1), "u", texts[d])
+			if i == 300 {
+				ix.Freeze()
+				ix.Evaluate(Request{Query: "game", Plan: EvalPlan{N: 1, Budget: 1}})
+			}
 		}
 		ix.Freeze()
 		return ix
 	}
-	a, b := build(), build()
-	if !reflect.DeepEqual(a.Fragments(), b.Fragments()) {
-		t.Fatal("incremental fragment placement differs between identical builds")
+	order := make([]int, len(texts))
+	for i := range order {
+		order[i] = i
 	}
-	sa, sb := a.ExportState(), b.ExportState()
-	if !reflect.DeepEqual(sa.Fragments, sb.Fragments) {
-		t.Fatal("snapshot fragment sections differ between identical builds")
+	a := build(order)
+	rand.New(rand.NewSource(9)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	b := build(order)
+	if ta, tb := a.cutFor(8).table, b.cutFor(8).table; !reflect.DeepEqual(ta, tb) {
+		t.Fatalf("tables differ between add orders: %v vs %v", ta, tb)
+	}
+	for _, q := range []string{"game set match", "court player", "the winner of the open"} {
+		for _, plan := range []EvalPlan{{N: 10, Budget: 1}, {N: 10, Budget: 2}, {N: 10, Frags: 4, Budget: 1, MinQuality: 0.8}} {
+			ra, ea := a.Evaluate(Request{Query: q, Plan: plan})
+			rb, eb := b.Evaluate(Request{Query: q, Plan: plan})
+			if !reflect.DeepEqual(ra, rb) || ea != eb {
+				t.Fatalf("q=%q plan=%+v: %v / %+v vs %v / %+v", q, plan, ra, ea, rb, eb)
+			}
+		}
 	}
 }

@@ -76,7 +76,7 @@ func oracleRanking(ix *Index, oids []bat.OID, dfs []int, totalDF int, admit func
 func TestMemoVariedLengthsMatchesNaive(t *testing.T) {
 	const frags, docs, n = 8, 6000, 20
 	ix := variedCorpus(41, docs)
-	ix.Fragmentize(frags)
+	ix.Freeze()
 	global := MergeStats(ix.StatsLocal(), variedCorpus(42, 300).StatsLocal())
 	spread, _ := ix.TermOID(Stem("spread"))
 	if k := distinctWeightKeys(ix, spread); k <= memoSlots {
@@ -117,11 +117,12 @@ func TestMemoVariedLengthsMatchesNaive(t *testing.T) {
 				for _, cands := range []map[bat.OID]bool{nil, candidates} {
 					cell := fmt.Sprintf("%q cold=%v global=%v restricted=%v", q, budget > 0, stats != nil, cands != nil)
 					req := Request{Query: q, Stats: stats, Candidates: cands}
+					table := ix.cutFor(frags).table
 					for k := 0; k <= frags; k++ {
-						req.Plan = EvalPlan{N: n, Budget: k}
+						req.Plan = EvalPlan{N: n, Frags: frags, Budget: k}
 						got, _ := ix.Evaluate(req)
 						want := oracleRanking(ix, oids, dfs, totalDF, func(i int) bool {
-							return k == 0 || ix.fragOf[oids[i]] < k
+							return k == 0 || table.frag(dfs[i]) < k
 						}, cands, n)
 						sameResults(t, fmt.Sprintf("%s budget %d", cell, k), got, want)
 					}

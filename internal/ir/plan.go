@@ -1,11 +1,6 @@
 package ir
 
-import (
-	"sort"
-	"time"
-
-	"dlsearch/internal/bat"
-)
+import "dlsearch/internal/bat"
 
 // DefaultFragments is the fragmentation granularity an EvalPlan
 // selects when it does not name one: the sweep width of the paper's
@@ -26,10 +21,11 @@ const DefaultFragments = 8
 type EvalPlan struct {
 	// N is the ranking size.
 	N int
-	// Frags is the fragmentation granularity the evaluating index
-	// should use. 0 keeps whatever fragmentation exists (creating
-	// DefaultFragments on a never-fragmented index); a positive value
-	// re-fragments an index whose granularity differs.
+	// Frags is the fragmentation granularity: how many fragments of
+	// whole df classes the cut-off table splits the vocabulary into
+	// (clamped to the number of classes). 0 selects DefaultFragments.
+	// Any value costs nothing beyond cutting a table of at most that
+	// many entries (see Cutoff).
 	Frags int
 	// Budget is the number of leading idf-descending fragments to
 	// evaluate. <= 0 means all fragments: the exact plan.
@@ -48,9 +44,10 @@ func (p EvalPlan) Exact() bool { return p.Budget <= 0 }
 // QualityEstimate is the structured quality accounting of a budgeted
 // evaluation: how much of the query's idf mass the evaluated fragments
 // covered. Covered == Total (or Total == 0) proves the cut-off did not
-// change the candidate term set. Estimates from shared-nothing nodes
-// merge by summing the masses (MergeQuality), giving the cluster-wide
-// estimate the coordinator reports.
+// change the candidate term set. A cluster reports the estimate its
+// coordinator's cut-off made under global df (Cutoff); MergeQuality
+// folds the estimates of separate rankings, such as the contains
+// predicates of one conceptual query.
 type QualityEstimate struct {
 	CoveredIDF float64 // idf mass of the evaluated query terms
 	TotalIDF   float64 // idf mass of all query terms known to the index
@@ -76,9 +73,8 @@ func (q QualityEstimate) Value() float64 {
 // candidate term set.
 func (q QualityEstimate) Exact() bool { return q.Value() >= 1 }
 
-// MergeQuality folds per-node estimates into the cluster-wide
-// estimate: idf masses sum (each node accounts for the query mass of
-// its own partition), fragment counts report the widest node.
+// MergeQuality folds the estimates of separate rankings into one:
+// idf masses sum, fragment counts report the widest.
 func MergeQuality(ests ...QualityEstimate) QualityEstimate {
 	var m QualityEstimate
 	for _, e := range ests {
@@ -92,40 +88,6 @@ func MergeQuality(ests ...QualityEstimate) QualityEstimate {
 		}
 	}
 	return m
-}
-
-// EnsureFragments brings the index's fragmentation in line with the
-// plan: a never-fragmented index is partitioned (plan granularity, or
-// DefaultFragments), and a positive plan granularity that differs from
-// the current one re-fragments. Mutates the index — serving layers
-// call it under their write lock before evaluating plans read-only.
-func (ix *Index) EnsureFragments(plan EvalPlan) {
-	if ix.fragments == nil {
-		k := plan.Frags
-		if k <= 0 {
-			k = DefaultFragments
-		}
-		ix.Fragmentize(k)
-		return
-	}
-	if plan.Frags > 0 && ix.fragK != plan.Frags {
-		ix.Fragmentize(plan.Frags)
-	}
-}
-
-// PlanReady reports whether the index can evaluate the plan without
-// mutating: derived state frozen and fragmentation at the plan's
-// granularity. An empty vocabulary is trivially ready — there is
-// nothing to fragment, and treating it as unready would force every
-// budgeted query on an empty partition through the write lock.
-func (ix *Index) PlanReady(plan EvalPlan) bool {
-	if ix.Dirty() {
-		return false
-	}
-	if ix.fragments == nil {
-		return len(ix.termID) == 0
-	}
-	return plan.Frags <= 0 || ix.fragK == plan.Frags
 }
 
 // Request is one top-N evaluation: what to rank (query text, or the
@@ -157,10 +119,10 @@ type Request struct {
 // Evaluate ranks the request against this index: the one evaluation
 // entry point. It never mutates the index, so any number of goroutines
 // may call it concurrently — callers that need fresh derived state
-// Freeze first, and callers of a budgeted plan EnsureFragments first
-// (see PlanReady; an unfragmented index evaluates over one implicit
-// fragment). An exact plan returns the zero QualityEstimate and feeds
-// no cost accounting.
+// Freeze first. A budgeted plan cuts against the table of the index's
+// own df histogram, cached per freeze epoch (see cutFor). An exact
+// plan returns the zero QualityEstimate and feeds no fragment
+// accounting.
 func (ix *Index) Evaluate(req Request) ([]Result, QualityEstimate) {
 	s := ix.getScorer()
 	defer ix.putScorer(s)
@@ -173,15 +135,6 @@ func (ix *Index) Evaluate(req Request) ([]Result, QualityEstimate) {
 	return s.selectTopN(ix.docIDs, ranked, req.Plan.N), est
 }
 
-// idfMass is a term's share of the query's idf mass: idf = 1/df, and
-// nothing for a term the statistics do not know.
-func idfMass(df int) float64 {
-	if df <= 0 {
-		return 0
-	}
-	return 1.0 / float64(df)
-}
-
 // evalPlan admits the query terms the plan allows, scores them in one
 // MaxScore pass (scoreLists), and returns the slots to select the top
 // n from with the quality accounting. The exact plan admits every
@@ -189,7 +142,7 @@ func idfMass(df int) float64 {
 // returned slot carries the score the terms give it added in their
 // original query order, so a full-budget plan ranks byte-identically
 // to the exact one, and both to a scan that weighs every posting.
-// Pruning moves no accounting: fragment and cost counters count the
+// Pruning moves no accounting: the fragment counters count the
 // admitted postings, scored or skipped.
 func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, req *Request) ([]int32, QualityEstimate) {
 	// The statistics each term is weighed with. Under global statistics
@@ -211,33 +164,23 @@ func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, req *Reques
 	s.dfs = dfs
 	plan := req.Plan
 	var est QualityEstimate
-	// Cost accounting (cost.go): clock reads only when an observer is
-	// installed, per-fragment counters only when fragmented. Both are
-	// allocation-free on this path, and the exact plan feeds neither.
-	var costStart time.Time
+	var cut *cutCache
 	if !plan.Exact() {
-		if ix.costObs != nil {
-			costStart = time.Now()
-		}
-		est = ix.fragmentBudget(s, oids, dfs, plan)
+		cut = ix.cutFor(plan.Frags)
+		s.frag, est = Cutoff(s.frag[:0], cut.table, dfs, plan)
 	}
-	fe := ix.fragEval.Load()
-	postings := 0
 	scan := s.scan[:0]
 	for i, id := range oids {
 		if dfs[i] == 0 {
 			continue // weightless term
 		}
-		if !plan.Exact() {
+		if cut != nil {
 			f := int(s.frag[i])
 			if f >= est.FragsUsed {
 				continue // a-priori ignored fragment
 			}
-			ldf := ix.df[id] // local posting-list length: the physical cost
-			postings += ldf
-			if fe != nil && f < len(*fe) {
-				(*fe)[f].Add(int64(ldf))
-			}
+			// The local posting-list length: the physical cost.
+			cut.postings[f].Add(int64(ix.df[id]))
 		}
 		if bound, n := ix.termBound(id, dfs[i], totalDF); n > 0 {
 			scan = append(scan, scanList{q: i, id: id, df: dfs[i], postings: n, bound: bound})
@@ -245,69 +188,5 @@ func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, req *Reques
 	}
 	s.scan = scan
 	ranked := ix.scoreLists(s, totalDF, req.Candidates, plan.N)
-	if !plan.Exact() && ix.costObs != nil {
-		ix.costObs(PlanCostSample{
-			Frags:    est.FragsTotal,
-			Budget:   est.FragsUsed,
-			Postings: postings,
-			Seconds:  time.Since(costStart).Seconds(),
-			Quality:  est.Value(),
-		})
-	}
 	return ranked, est
-}
-
-// fragmentBudget places every query term in its fragment (s.frag) and
-// decides how many leading fragments a budgeted plan admits: the
-// budget, extended fragment by fragment while the quality floor is
-// unmet. It returns the quality accounting, FragsUsed the admitted
-// prefix.
-func (ix *Index) fragmentBudget(s *scorer, oids []bat.OID, dfs []int, plan EvalPlan) QualityEstimate {
-	frags := len(ix.fragments)
-	if frags == 0 {
-		frags = 1 // unfragmented: one implicit fragment holding everything
-	}
-	budget := min(plan.Budget, frags)
-	// Per-term fragment placement, in the scorer's pooled buffer, and
-	// the query's total idf mass.
-	frag := s.frag[:0]
-	var total float64
-	for i, id := range oids {
-		f := int32(0)
-		if ix.fragments != nil {
-			f = int32(ix.fragOf[id])
-		}
-		frag = append(frag, f)
-		total += idfMass(dfs[i])
-	}
-	s.frag = frag
-	// Admit the budgeted prefix; then extend fragment by fragment (in
-	// idf-descending order, so the cheapest extensions first) until the
-	// quality floor is met or fragments run out.
-	covered := 0.0
-	for i := range oids {
-		if int(frag[i]) < budget {
-			covered += idfMass(dfs[i])
-		}
-	}
-	if plan.MinQuality > 0 && total > 0 {
-		order := make([]int, 0, len(oids))
-		for i := range oids {
-			if int(frag[i]) >= budget {
-				order = append(order, i)
-			}
-		}
-		sort.Slice(order, func(a, b int) bool { return frag[order[a]] < frag[order[b]] })
-		// Extend whole fragments at a time: admitting a fragment admits
-		// every query term it holds, and the accounting must agree with
-		// the admission loop.
-		for j := 0; j < len(order) && covered/total < plan.MinQuality-1e-12; {
-			b := int(frag[order[j]]) + 1
-			for ; j < len(order) && int(frag[order[j]]) < b; j++ {
-				covered += idfMass(dfs[order[j]])
-			}
-			budget = b
-		}
-	}
-	return QualityEstimate{CoveredIDF: covered, TotalIDF: total, FragsUsed: budget, FragsTotal: frags}
 }

@@ -31,12 +31,10 @@ func planCorpus(n int, seed int64) *Index {
 	return ix
 }
 
-// evalText freezes the index, brings its fragmentation in line with
-// the plan and evaluates the query text with local statistics: the
-// steps a single-index caller of Evaluate performs.
+// evalText freezes the index and evaluates the query text with local
+// statistics: the steps a single-index caller of Evaluate performs.
 func evalText(ix *Index, q string, plan EvalPlan) ([]Result, QualityEstimate) {
 	ix.Freeze()
-	ix.EnsureFragments(plan)
 	return ix.Evaluate(Request{Query: q, Plan: plan})
 }
 
@@ -83,7 +81,6 @@ func TestEvaluateGlobalStatsBudgetEqualsExact(t *testing.T) {
 	global := ix.StatsLocal()
 	const q = "champion winner serve melbourne"
 	want, _ := ix.Evaluate(Request{Query: q, Plan: EvalPlan{N: 10}, Stats: &global})
-	ix.EnsureFragments(EvalPlan{Frags: 4})
 	res, est := ix.Evaluate(Request{Query: q, Plan: EvalPlan{N: 10, Frags: 4, Budget: 4}, Stats: &global})
 	sameResults(t, "plan with stats", res, want)
 	if est.Value() != 1.0 {
@@ -229,24 +226,6 @@ func TestReAddDirtiesIndex(t *testing.T) {
 	ix.Freeze()
 	if ix.Epoch() == before {
 		t.Fatal("epoch did not move after tf fold")
-	}
-}
-
-// TestPlanReadyEmptyIndex: an empty vocabulary is trivially plan-ready
-// (nothing to fragment), so budgeted queries on an empty partition
-// stay on the read-lock path.
-func TestPlanReadyEmptyIndex(t *testing.T) {
-	ix := NewIndex()
-	if !ix.PlanReady(EvalPlan{N: 5, Frags: 4, Budget: 1}) {
-		t.Fatal("empty index not plan-ready")
-	}
-	res, est := ix.Evaluate(Request{Query: "anything", Plan: EvalPlan{N: 5, Frags: 4, Budget: 1}, Stats: &Stats{}})
-	if len(res) != 0 || est.Value() != 1.0 {
-		t.Fatalf("empty-index plan eval = %v / %+v", res, est)
-	}
-	ix.Add(1, "d", "winner")
-	if ix.PlanReady(EvalPlan{N: 5, Frags: 4, Budget: 1}) {
-		t.Fatal("dirty index reported plan-ready")
 	}
 }
 

@@ -75,8 +75,9 @@ func FuzzEvaluate(f *testing.F) {
 			ix.Add(oid, "u", text())
 		}
 		ix.Freeze()
+		frags := 8
 		if flags&1 != 0 {
-			ix.Fragmentize(8)
+			frags = 4
 		}
 		if flags&2 != 0 {
 			full, _, _ := ix.MemoryFootprint()
@@ -110,10 +111,11 @@ func FuzzEvaluate(f *testing.F) {
 			stats.TotalDF = totalDF + n
 			totalDF = stats.TotalDF
 		}
-		for k := 0; k <= 8; k++ {
-			got, _ := ix.Evaluate(Request{Query: query, Plan: EvalPlan{N: n, Budget: k}, Stats: stats, Candidates: cands})
+		table := ix.cutFor(frags).table
+		for k := 0; k <= frags; k++ {
+			got, _ := ix.Evaluate(Request{Query: query, Plan: EvalPlan{N: n, Frags: frags, Budget: k}, Stats: stats, Candidates: cands})
 			want := oracleRanking(ix, oids, dfs, totalDF, func(i int) bool {
-				return k == 0 || ix.fragOf[oids[i]] < k
+				return k == 0 || table.frag(dfs[i]) < k
 			}, cands, n)
 			sameResults(t, fmt.Sprintf("%q n=%d budget %d flags %#x", query, n, k, flags), got, want)
 		}

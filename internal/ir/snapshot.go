@@ -12,7 +12,7 @@ import (
 // implementation-independent shape: the serialization boundary between
 // the in-memory columnar access paths and the durability layer
 // (internal/persist). Everything derived — df, idf rows, slot
-// numbers, fragment membership maps, compressed cold lists — is
+// numbers, the cut-off table, compressed cold lists — is
 // reconstructed from it, so the format survives hot-path refactors as
 // long as the logical relations stay expressible.
 //
@@ -26,13 +26,10 @@ type IndexState struct {
 	Epoch     uint64  // freeze epoch at export time
 	NextOID   bat.OID // sequence position: restored allocations continue past it
 	MemBudget int     // posting-store memory budget (0 = unbounded)
-	FragK     int     // granularity Fragmentize was last asked for (0 = never)
 	LogPos    uint64  // op-log position this state covers (0 = no log)
 
-	Docs      []DocState
-	Terms     []TermState // ascending by term oid
-	Fragments []FragmentState
-	HasFrags  bool // distinguishes "no fragmentation" from zero fragments
+	Docs  []DocState
+	Terms []TermState // ascending by term oid
 }
 
 // DocState is one document: its global oid, url and length in terms.
@@ -52,15 +49,6 @@ type TermState struct {
 	Postings []Posting
 }
 
-// FragmentState is one horizontal fragment of the idf-descending
-// fragmentation, term membership order preserved.
-type FragmentState struct {
-	Terms  []bat.OID
-	MaxIDF float64
-	MinIDF float64
-	Tuples int
-}
-
 // ExportState freezes the index and captures its complete logical
 // state. The caller must hold the index's write side (it may mutate
 // via Freeze); the returned state shares no memory with the index.
@@ -71,7 +59,6 @@ func (ix *Index) ExportState() *IndexState {
 		Epoch:     ix.epoch,
 		NextOID:   ix.seq.Peek(),
 		MemBudget: ix.memBudget,
-		FragK:     ix.fragK,
 	}
 	st.Docs = make([]DocState, len(ix.docIDs))
 	for slot, doc := range ix.docIDs {
@@ -90,29 +77,16 @@ func (ix *Index) ExportState() *IndexState {
 	for i, id := range ids {
 		st.Terms[i] = TermState{OID: id, Stem: stemOf[id], Postings: ix.PostingsOf(id)}
 	}
-	if ix.fragments != nil {
-		st.HasFrags = true
-		st.Fragments = make([]FragmentState, len(ix.fragments))
-		for f, frag := range ix.fragments {
-			st.Fragments[f] = FragmentState{
-				Terms:  append([]bat.OID(nil), frag.Terms...),
-				MaxIDF: frag.MaxIDF,
-				MinIDF: frag.MinIDF,
-				Tuples: frag.Tuples,
-			}
-		}
-	}
 	return st
 }
 
 // ImportState rebuilds a fully functional index from exported state:
 // the T relation, the document columns, the DT/TF posting columns,
-// derived statistics and IDF rows, fragment placement and the memory
-// budget (cold lists re-compressed by the same deterministic
-// coldest-first policy). The state may come from outside the process,
-// so ImportState validates it and fails closed — a state whose
-// postings reference unknown documents, whose fragments reference
-// unknown terms, or whose tf, document length or λ no index could hold
+// derived statistics and IDF rows, and the memory budget (cold lists
+// re-compressed by the same deterministic coldest-first policy). The
+// state may come from outside the process, so ImportState validates it
+// and fails closed — a state whose postings reference unknown
+// documents, or whose tf, document length or λ no index could hold
 // yields an error, never a partial index.
 func ImportState(st *IndexState) (*Index, error) {
 	if math.IsNaN(st.Lambda) || st.Lambda >= 1 {
@@ -124,7 +98,6 @@ func ImportState(st *IndexState) (*Index, error) {
 	}
 	ix.epoch = st.Epoch
 	ix.baseEpoch = st.Epoch
-	ix.fragK = st.FragK
 
 	for _, d := range st.Docs {
 		if d.OID == bat.NilOID {
@@ -196,27 +169,6 @@ func ImportState(st *IndexState) (*Index, error) {
 			ix.idfPos[t.OID] = ix.IDF.Len()
 			ix.IDF.AppendFloat(t.OID, 1.0/float64(df))
 			ix.dfEpoch = append(ix.dfEpoch, st.Epoch)
-		}
-	}
-	if st.HasFrags {
-		ix.fragments = make([]Fragment, len(st.Fragments))
-		ix.fragOf = make(map[bat.OID]int)
-		for f, frag := range st.Fragments {
-			for _, id := range frag.Terms {
-				if !seen[id] {
-					return nil, fmt.Errorf("ir: import: fragment %d references unknown term oid %d", f, id)
-				}
-				if prev, dup := ix.fragOf[id]; dup {
-					return nil, fmt.Errorf("ir: import: term oid %d in fragments %d and %d", id, prev, f)
-				}
-				ix.fragOf[id] = f
-			}
-			ix.fragments[f] = Fragment{
-				Terms:  append([]bat.OID(nil), frag.Terms...),
-				MaxIDF: frag.MaxIDF,
-				MinIDF: frag.MinIDF,
-				Tuples: frag.Tuples,
-			}
 		}
 	}
 	if st.MemBudget > 0 {

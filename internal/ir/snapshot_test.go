@@ -63,24 +63,20 @@ func TestSnapshotRoundTripExact(t *testing.T) {
 }
 
 // TestSnapshotRoundTripPlans: budgeted evaluation after restore is
-// byte-identical — the fragment placement (including incremental
-// drift) round-trips exactly, not just the documents.
+// byte-identical — the restored df histogram cuts the same table, so
+// the round-trip of the documents carries the cut-off with it.
 func TestSnapshotRoundTripPlans(t *testing.T) {
 	ix := planCorpus(300, 23)
-	ix.Fragmentize(6)
-	// Drift the placement incrementally past the initial Fragmentize so
-	// the exported fragments differ from what a fresh Fragmentize(6)
-	// would build — the round-trip must preserve the drifted state.
 	ix.Add(9001, "d9001", "champion serve volley extra melbourne")
 	ix.Add(9002, "d9002", "seles hingis capriati trophy")
 	ix.Freeze()
 	got := roundTrip(t, ix)
 	for _, q := range snapQueries {
 		for _, plan := range []EvalPlan{
-			{N: 10, Budget: 1},
-			{N: 10, Budget: 3},
-			{N: 10, Budget: 6},
-			{N: 10, Budget: 2, MinQuality: 0.9},
+			{N: 10, Frags: 6, Budget: 1},
+			{N: 10, Frags: 6, Budget: 3},
+			{N: 10, Frags: 6, Budget: 6},
+			{N: 10, Frags: 6, Budget: 2, MinQuality: 0.9},
 		} {
 			wantRes, wantEst := evalText(ix, q, plan)
 			gotRes, gotEst := evalText(got, q, plan)
@@ -138,9 +134,7 @@ func TestSnapshotThenAdd(t *testing.T) {
 // a partial index.
 func TestImportStateFailsClosed(t *testing.T) {
 	base := func() *IndexState {
-		ix := planCorpus(20, 7)
-		ix.Fragmentize(2)
-		return ix.ExportState()
+		return planCorpus(20, 7).ExportState()
 	}
 	cases := []struct {
 		name   string
@@ -160,9 +154,6 @@ func TestImportStateFailsClosed(t *testing.T) {
 		}},
 		{"duplicate stem", func(st *IndexState) {
 			st.Terms[1].Stem = st.Terms[0].Stem
-		}},
-		{"fragment references unknown term", func(st *IndexState) {
-			st.Fragments[0].Terms[0] = 999999
 		}},
 		{"sequence below term oids", func(st *IndexState) {
 			// A forgotten/zeroed NextOID would let a post-restore Add

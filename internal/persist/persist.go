@@ -12,9 +12,12 @@
 //	payload  [length]byte
 //
 // The payload encodes the logical index state: documents, the
-// vocabulary with delta+varint posting lists, the idf-descending
-// fragment placement, the freeze epoch and the posting-store memory
-// budget. Everything derived is rebuilt on load (ir.ImportState).
+// vocabulary with delta+varint posting lists, the freeze epoch and the
+// posting-store memory budget. Everything derived is rebuilt on load
+// (ir.ImportState). Two fields stay in the layout for readers older
+// than the df-derived cut-off, which kept a fragment placement: the
+// writer emits a zero granularity and an empty fragment section, and
+// the reader decodes and discards whatever an older writer put there.
 //
 // Loads fail closed: a truncated file, a flipped bit, an unknown
 // version or a payload that decodes to an inconsistent state all yield
@@ -260,7 +263,7 @@ func (e *encoder) state(st *ir.IndexState) {
 		mb = 0
 	}
 	e.uvarint(uint64(mb))
-	e.uvarint(uint64(st.FragK))
+	e.uvarint(0) // legacy fragmentation granularity
 	e.uvarint(st.LogPos)
 	e.uvarint(uint64(len(st.Docs)))
 	for _, d := range st.Docs {
@@ -283,21 +286,7 @@ func (e *encoder) state(st *ir.IndexState) {
 			e.uvarint(uint64(p.TF))
 		}
 	}
-	if st.HasFrags {
-		e.uvarint(1)
-		e.uvarint(uint64(len(st.Fragments)))
-		for _, f := range st.Fragments {
-			e.f64(f.MaxIDF)
-			e.f64(f.MinIDF)
-			e.uvarint(uint64(f.Tuples))
-			e.uvarint(uint64(len(f.Terms)))
-			for _, id := range f.Terms {
-				e.uvarint(uint64(id))
-			}
-		}
-	} else {
-		e.uvarint(0)
-	}
+	e.uvarint(0) // legacy fragment section: none
 }
 
 // decoder deserialises the payload, mirroring encoder. The checksum
@@ -380,8 +369,8 @@ func (d *decoder) state() *ir.IndexState {
 		Epoch:     d.uvarint(),
 		NextOID:   bat.OID(d.uvarint()),
 		MemBudget: int(d.uvarint()),
-		FragK:     int(d.uvarint()),
 	}
+	d.uvarint() // legacy fragmentation granularity
 	if d.ver != 1 {
 		// Version 2 added the op-log position. A v1 snapshot predates
 		// the op log entirely, so "position 0 = no log prefix covered"
@@ -408,19 +397,15 @@ func (d *decoder) state() *ir.IndexState {
 		st.Terms[i] = t
 	}
 	if d.uvarint() == 1 {
-		st.HasFrags = true
-		st.Fragments = make([]ir.FragmentState, d.count(18))
-		for i := range st.Fragments {
-			f := ir.FragmentState{
-				MaxIDF: d.f64(),
-				MinIDF: d.f64(),
-				Tuples: int(d.uvarint()),
+		// A legacy fragment placement: decoded to its bounds and dropped,
+		// since the cut-off derives every term's fragment from its df.
+		for range d.count(18) {
+			d.f64()
+			d.f64()
+			d.uvarint()
+			for range d.count(1) {
+				d.uvarint()
 			}
-			f.Terms = make([]bat.OID, d.count(1))
-			for j := range f.Terms {
-				f.Terms[j] = bat.OID(d.uvarint())
-			}
-			st.Fragments[i] = f
 		}
 	}
 	return st

@@ -58,7 +58,6 @@ func sameResults(t *testing.T, ctx string, got, want []ir.Result) {
 func TestFileRoundTrip(t *testing.T) {
 	for _, memBudget := range []int{0, 2048} {
 		ix := snapCorpus(250, 41)
-		ix.Fragmentize(4)
 		if memBudget > 0 {
 			ix.SetMemoryBudget(memBudget)
 		}
@@ -232,7 +231,6 @@ func framePayload(payload []byte) []byte {
 // ExportState → Save → Load → ImportState with that checksum intact.
 func FuzzSnapshotLoad(f *testing.F) {
 	ix := snapCorpus(12, 5)
-	ix.Fragmentize(3)
 	ix.SetMemoryBudget(128)
 	if _, _, cold := ix.MemoryFootprint(); cold == 0 {
 		f.Fatal("seed index holds no compressed posting list")

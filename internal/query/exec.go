@@ -133,7 +133,6 @@ func (r *localRanker) Rank(key, text string, n int, candidates map[bat.OID]bool)
 	if r.Plan != nil {
 		req.Plan = *r.Plan
 		req.Plan.N = n
-		idx.EnsureFragments(req.Plan)
 	}
 	if r.DB.ResolveTerms != nil {
 		req.Terms = r.DB.ResolveTerms(idx, text)

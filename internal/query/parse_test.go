@@ -2,8 +2,8 @@ package query
 
 import "testing"
 
-func TestParseFigure13(t *testing.T) {
-	q, err := Parse(`
+// figure13 is the paper's Figure 13 query in the query language.
+const figure13 = `
 SELECT p.name, v.video
 FROM Player p, Profile v
 WHERE p.gender = 'female'
@@ -11,7 +11,10 @@ WHERE p.gender = 'female'
   AND contains(p.history, 'Winner')
   AND About(v, p)
   AND event(v.video, 'netplay')
-LIMIT 10`)
+LIMIT 10`
+
+func TestParseFigure13(t *testing.T) {
+	q, err := Parse(figure13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,28 +69,30 @@ func TestParseOperators(t *testing.T) {
 	}
 }
 
+// badQueries are queries the parser must reject.
+var badQueries = []string{
+	"",
+	"FROM Player p",
+	"SELECT p.name",
+	"SELECT p FROM Player p",
+	"SELECT p.name FROM Player",
+	"SELECT p.name FROM Player p WHERE",
+	"SELECT p.name FROM Player p WHERE p.x",
+	"SELECT p.name FROM Player p WHERE p.x = unquoted",
+	"SELECT p.name FROM Player p WHERE contains(p.x 'y')",
+	"SELECT p.name FROM Player p WHERE contains(p.x, 'y'",
+	"SELECT p.name FROM Player p LIMIT 'x'",
+	"SELECT p.name FROM Player p trailing",
+	"SELECT p.name FROM Player p WHERE q.x = 'y'",           // unbound var
+	"SELECT q.name FROM Player p",                           // unbound select
+	"SELECT p.name FROM Player p, Article p",                // dup var
+	"SELECT p.name FROM Player p WHERE About(p, q)",         // unbound assoc var
+	"SELECT p.name FROM Player p WHERE p.x = 'unterminated", // bad string
+	"SELECT p.name FROM Player p WHERE p.x @ 'y'",           // bad char
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"FROM Player p",
-		"SELECT p.name",
-		"SELECT p FROM Player p",
-		"SELECT p.name FROM Player",
-		"SELECT p.name FROM Player p WHERE",
-		"SELECT p.name FROM Player p WHERE p.x",
-		"SELECT p.name FROM Player p WHERE p.x = unquoted",
-		"SELECT p.name FROM Player p WHERE contains(p.x 'y')",
-		"SELECT p.name FROM Player p WHERE contains(p.x, 'y'",
-		"SELECT p.name FROM Player p LIMIT 'x'",
-		"SELECT p.name FROM Player p trailing",
-		"SELECT p.name FROM Player p WHERE q.x = 'y'",           // unbound var
-		"SELECT q.name FROM Player p",                           // unbound select
-		"SELECT p.name FROM Player p, Article p",                // dup var
-		"SELECT p.name FROM Player p WHERE About(p, q)",         // unbound assoc var
-		"SELECT p.name FROM Player p WHERE p.x = 'unterminated", // bad string
-		"SELECT p.name FROM Player p WHERE p.x @ 'y'",           // bad char
-	}
-	for _, src := range bad {
+	for _, src := range badQueries {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("accepted bad query: %s", src)
 		}

@@ -32,10 +32,10 @@ type CoordinatorConfig struct {
 	SearchTimeout time.Duration
 	// Frags, FragBudget and MinQuality form the default evaluation
 	// plan applied to /search requests that do not carry their own
-	// plan fields: the fragmentation granularity each node uses for
-	// its own partition, how many leading idf-descending fragments it
-	// evaluates (0 = all: exact search), and the quality floor that
-	// re-admits trailing fragments. Requests override per field.
+	// plan fields: how many idf-descending fragments the cluster's
+	// cut-off splits the vocabulary into, how many leading ones a
+	// search evaluates (0 = all: exact search), and the quality floor
+	// that re-admits trailing fragments. Requests override per field.
 	Frags      int
 	FragBudget int
 	MinQuality float64
@@ -191,13 +191,6 @@ func NewCoordinator(indexes map[string]*dist.Cluster, cfg *CoordinatorConfig) *C
 		co.seqs[name] = &docSeq{}
 	}
 	co.sem = newSemaphore(co.cfg.MaxConcurrent)
-	if ctl := co.cfg.SLO; ctl != nil {
-		// Close the control loop: every node of every cluster feeds its
-		// cost samples into the index's quality/latency curve.
-		for name, cluster := range indexes {
-			cluster.SetCostCurve(ctl.Curve(name))
-		}
-	}
 	co.instrument()
 	return co
 }
@@ -298,6 +291,23 @@ func (co *Coordinator) instrument() {
 		reg.CounterFunc("dl_cluster_dropped_nodes_total",
 			"Partitions dropped from merged rankings, by index.",
 			lbl, tel(func(t dist.Telemetry) uint64 { return t.Dropped }))
+		// Postings the cluster's cut-offs admitted per idf fragment. The
+		// fragments are only known once budgeted searches ran, so the
+		// series register at scrape time (registration is idempotent
+		// per label set).
+		index := name
+		reg.OnScrape(func() {
+			for f := range cl.FragmentPostings() {
+				reg.CounterFunc("dl_cluster_frag_postings_total",
+					"Global df of the stems budgeted searches admitted, per idf fragment (frag 0 = rarest terms): the postings the cut-off sent the nodes to scan.",
+					obs.Labels("index", index, "frag", strconv.Itoa(f)), func() uint64 {
+						if fp := cl.FragmentPostings(); f < len(fp) {
+							return fp[f]
+						}
+						return 0
+					})
+			}
+		})
 		const resyncHelp = "Replicas healed from a group member, by index and by what was shipped: the op-log suffix (delta) or the whole snapshot (full)."
 		reg.CounterFunc("dl_cluster_resyncs_total", resyncHelp,
 			obs.Labels("index", name, "kind", "delta"), tel(func(t dist.Telemetry) uint64 { return t.ResyncsDelta }))
@@ -377,13 +387,15 @@ type SearchRequest struct {
 	Index string `json:"index,omitempty"`
 	Query string `json:"query"`
 	N     int    `json:"n"`
-	// Frags is the per-node fragmentation granularity (0 = keep the
-	// node's current one). Absent fields keep the coordinator's
+	// Frags is how many idf-descending fragments the cut-off splits the
+	// vocabulary into (0 = the default; clamped to the number of df
+	// classes). Any value is free per request. Absent fields keep the
+	// coordinator's
 	// configured defaults; present fields override them — including
 	// explicit zeros, so "budget": 0 requests the exact search even
 	// when the coordinator defaults to a budget.
 	Frags *int `json:"frags,omitempty"`
-	// Budget is how many leading idf-descending fragments each node
+	// Budget is how many leading idf-descending fragments the search
 	// evaluates; 0 means all — the exact search.
 	Budget *int `json:"budget,omitempty"`
 	// MinQuality is the quality floor in [0, 1]; 0 disables it.
@@ -564,10 +576,15 @@ func (co *Coordinator) sloTarget(w http.ResponseWriter, r *http.Request, req *Se
 // log. sr is nil for a failed search (latency still observed). dec is
 // the budget controller's decision for adaptively served queries: the
 // chosen budget and the prediction error land in the dl_slo_*
-// histograms, and the whole decision in the slow-query record.
+// histograms, and the whole decision in the slow-query record. Every
+// budgeted search, adaptive or explicit, teaches the index's curve
+// the same whole-search latency the predictions are scored against.
 func (co *Coordinator) observeSearch(name string, tr *obs.Trace, req *SearchRequest, sr *dist.SearchResult, dec *slo.Decision) {
 	took := tr.Elapsed()
 	co.latency[name].Observe(took.Seconds())
+	if ctl := co.cfg.SLO; ctl != nil && sr != nil && sr.Quality.FragsTotal > 0 {
+		ctl.Curve(name).ObserveCost(sr.Quality.FragsUsed, took.Seconds(), sr.Quality.Value())
+	}
 	rec := obs.SlowQueryRecord{
 		Role:  "coordinator",
 		Index: name,

@@ -169,30 +169,12 @@ func NewNodeServer(ix *ir.Index, cfg *NodeConfig) *NodeServer {
 				InstrumentQueryCache(reg, cfg.Cache)
 			}
 			// What MaxScore made of the admitted postings, exact and
-			// budgeted plans alike.
+			// budgeted plans alike, across every index the node served.
 			const postingsHelp = "Admitted postings evaluations weighed (scored) or passed over (skipped: unable to reach the top n, or outside the candidate set)."
 			reg.CounterFunc("dl_node_postings_total", postingsHelp, obs.Labels("kind", "scored"),
-				func() uint64 { scored, _ := ix.PostingCounts(); return uint64(scored) })
+				func() uint64 { scored, _ := s.node.PostingCounts(); return uint64(scored) })
 			reg.CounterFunc("dl_node_postings_total", postingsHelp, obs.Labels("kind", "skipped"),
-				func() uint64 { _, skipped := ix.PostingCounts(); return uint64(skipped) })
-			// Per-fragment cost accounting: postings evaluated per idf
-			// fragment (fragment 0 holds the rarest terms). The fragment
-			// count is only known after the first budgeted evaluation, so
-			// the counters register lazily at scrape time — registration
-			// is idempotent per label set.
-			reg.OnScrape(func() {
-				for i := range ix.FragmentPostings() {
-					frag := i
-					reg.CounterFunc("dl_node_frag_postings_total",
-						"Postings budgeted evaluations admitted per idf fragment (frag 0 = rarest terms), scored or skipped; shows where the budget cut lands.",
-						obs.Labels("frag", strconv.Itoa(frag)), func() uint64 {
-							if fp := ix.FragmentPostings(); frag < len(fp) {
-								return uint64(fp[frag])
-							}
-							return 0
-						})
-				}
-			})
+				func() uint64 { _, skipped := s.node.PostingCounts(); return uint64(skipped) })
 			if s.oplog != nil {
 				s.oplog.Instrument(
 					reg.Histogram("dl_oplog_append_seconds",

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,10 +22,15 @@ import (
 func adaptiveFixture(t *testing.T, cfg *CoordinatorConfig) (*Coordinator, http.Handler) {
 	t.Helper()
 	cluster := dist.NewCluster(2, nil)
+	// Every tenth document holds the rare terms (df 6); the common term
+	// j holds the documents whose oid mod 10 lies in 1..9-j (df 54, 48,
+	// …, 12). Nine df classes: enough for an eight-fragment cut-off, and
+	// "match ball" (df 54 and 48) lie in its last two fragments.
+	common := strings.Fields("match ball play game set court net serve")
 	for i := 0; i < 60; i++ {
-		text := "match play game set court ball"
-		if i%10 == 0 {
-			text = "seles melbourne trophy"
+		text := "seles melbourne trophy"
+		if r := i % 10; r > 0 {
+			text = strings.Join(common[:min(len(common), 10-r)], " ")
 		}
 		cluster.Add(bat.OID(i+1), "u", text)
 	}
@@ -139,6 +145,11 @@ func TestAdaptiveSearchDegradesAndRecovers(t *testing.T) {
 		`dl_slo_degraded_total{index="a"}`,
 		`dl_slo_shed_level{index="a"}`,
 		"dl_slo_budget_bucket",
+		// The coordinator's cut-offs: "seles" (df 6) admitted from the
+		// rarest fragment by both searches, "match" (df 54) from the
+		// last by the full-budget one only.
+		`dl_cluster_frag_postings_total{index="a",frag="0"} 12`,
+		`dl_cluster_frag_postings_total{index="a",frag="7"} 54`,
 	} {
 		if !bytes.Contains([]byte(metrics), []byte(want)) {
 			t.Fatalf("/metrics missing %s", want)
@@ -367,17 +378,5 @@ func TestNodeTelemetryBypassesSemaphore(t *testing.T) {
 	// The request plane meanwhile sheds as configured.
 	if w := postWire(t, h, "/node/search", searchFrame(t, "alpha", ir.EvalPlan{N: 5}, ir.Stats{})); w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("saturated /node/search = %d, want 503", w.Code)
-	}
-	// After a budgeted evaluation the per-fragment postings counters
-	// register lazily and report where the budget cut landed.
-	s.sem.Release()
-	if w := postWire(t, h, "/node/search", searchFrame(t, "alpha", ir.EvalPlan{N: 5, Frags: 2, Budget: 1}, ir.Stats{})); w.Code != http.StatusOK {
-		t.Fatalf("/node/search = %d: %s", w.Code, w.Body)
-	}
-	if !s.sem.TryAcquire() {
-		t.Fatal("could not re-saturate")
-	}
-	if w := get(t, h, "/metrics"); !bytes.Contains(w.Body.Bytes(), []byte(`dl_node_frag_postings_total{frag="0"}`)) {
-		t.Fatal("/metrics missing per-fragment postings counters after budgeted search")
 	}
 }

@@ -74,7 +74,7 @@ type Decision struct {
 	Predicted time.Duration
 	// PredictedQuality is the quality the curve predicts (1 when
 	// unknown: unobserved budgets are assumed full-quality, and the
-	// plan's MinQuality floor makes nodes extend if that's wrong).
+	// plan's MinQuality floor makes the cut-off extend if that's wrong).
 	PredictedQuality float64
 	// Confidence in [0, 1]: how much decayed evidence backs the
 	// prediction (0 = none, extrapolated predictions are halved).
@@ -166,8 +166,8 @@ func (c *Controller) state(index string) *indexState {
 }
 
 // Curve returns the index's quality/latency curve, creating it on
-// first use. The serving layer installs it as the cost sink of the
-// index's nodes (dist.CostCurve).
+// first use. The coordinator feeds it every budgeted search of the
+// index.
 func (c *Controller) Curve(index string) *Curve { return c.state(index).curve }
 
 // predict returns the p95 latency the curve supports at the budget,

@@ -16,9 +16,10 @@ import (
 
 // Curve is the learned cost model of one index: for every fragment
 // budget b in 1..MaxBudget, a decayed latency distribution and a
-// decayed mean of the achieved quality. It is fed by the serving
-// layer's cost observations (LocalNode's ir hook, RemoteNode's RPC
-// timing) and read by the Controller; both paths are allocation-free.
+// decayed mean of the achieved quality. The coordinator feeds it one
+// observation per budgeted search — the whole search's latency, the
+// same span the Controller's predictions are scored against — and the
+// Controller reads it; both paths are allocation-free.
 type Curve struct {
 	points []*point // index b-1
 }
@@ -70,11 +71,12 @@ func curveLatencyBounds() []float64 {
 // MaxBudget returns the largest budget the curve models.
 func (c *Curve) MaxBudget() int { return len(c.points) }
 
-// ObserveCost records one budgeted evaluation: it took seconds and
-// achieved quality at the given fragment budget. Budgets outside
-// 1..MaxBudget clamp to the nearest modelled point (re-fragmentation
-// races are tolerated, not fatal). Allocation-free; safe for
-// concurrent use. Satisfies dist.CostCurve.
+// ObserveCost records one budgeted search: it took seconds end to end
+// and achieved quality at the given fragment budget (the fragments
+// admitted, after any quality-floor extension). Budgets outside
+// 1..MaxBudget clamp to the nearest modelled point (a request may ask
+// for more fragments than the curve models). Allocation-free; safe for
+// concurrent use.
 func (c *Curve) ObserveCost(budget int, seconds, quality float64) {
 	if c == nil || len(c.points) == 0 {
 		return
