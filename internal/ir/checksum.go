@@ -84,19 +84,19 @@ func (ix *Index) Checksum() string {
 	sort.Strings(stems)
 	d.uvarint(uint64(len(stems)))
 	for _, stem := range stems {
-		id := ix.termID[stem]
+		t := &ix.terms[ix.termID[stem]-1]
 		d.str(stem)
-		d.uvarint(uint64(ix.postingLen(id)))
+		d.uvarint(uint64(t.postingLen()))
 		prev := uint64(0)
-		if pl := ix.plists[id]; pl != nil {
-			for i, slot := range pl.slots {
+		if t.cold == nil {
+			for i, slot := range t.slots {
 				doc := uint64(ix.docIDs[slot])
 				d.uvarint(doc - prev)
 				prev = doc
-				d.uvarint(uint64(pl.tfs[i]))
+				d.uvarint(uint64(t.tfs[i]))
 			}
-		} else if cp, ok := ix.cold[id]; ok {
-			cp.Walk(func(doc bat.OID, tf int) bool {
+		} else {
+			t.cold.Walk(func(doc bat.OID, tf int) bool {
 				d.uvarint(uint64(doc) - prev)
 				prev = uint64(doc)
 				d.uvarint(uint64(tf))

@@ -94,13 +94,13 @@ func (c CompressedPostings) Walk(f func(doc bat.OID, tf int) bool) error {
 // pairs in the access path's order, decoding terms the memory budget
 // holds compressed.
 func (ix *Index) PostingsOf(id bat.OID) []Posting {
-	pl := ix.plists[id]
+	pl := ix.termAt(id)
 	if pl == nil {
-		if cp, ok := ix.cold[id]; ok {
-			ps, _ := cp.Decode()
-			return ps
-		}
 		return nil
+	}
+	if pl.cold != nil {
+		ps, _ := pl.cold.Decode()
+		return ps
 	}
 	out := make([]Posting, len(pl.slots))
 	for i, slot := range pl.slots {

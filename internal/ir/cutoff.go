@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"iter"
+	"maps"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -23,11 +25,11 @@ type DFHistogram struct {
 	total    int
 }
 
-// histogramOf returns the df histogram of a term → df column. Terms
-// without postings hold no class.
-func histogramOf[K comparable](column map[K]int) DFHistogram {
+// histogramOf returns the df histogram of a vocabulary's dfs, one per
+// term. Terms without postings hold no class.
+func histogramOf(dfs iter.Seq[int]) DFHistogram {
 	terms := map[int]int{} // df → terms of that df
-	for _, df := range column {
+	for df := range dfs {
 		if df > 0 {
 			terms[df]++
 		}
@@ -46,7 +48,7 @@ func histogramOf[K comparable](column map[K]int) DFHistogram {
 }
 
 // Histogram returns the df histogram of the statistics' vocabulary.
-func (st Stats) Histogram() DFHistogram { return histogramOf(st.DF) }
+func (st Stats) Histogram() DFHistogram { return histogramOf(maps.Values(st.DF)) }
 
 // Classes returns the number of df classes.
 func (h DFHistogram) Classes() int { return len(h.dfs) }
@@ -175,7 +177,7 @@ func (ix *Index) cutFor(k int) *cutCache {
 	}
 	c := ix.cut.Load()
 	if c == nil || c.epoch != ix.epoch {
-		c = &cutCache{epoch: ix.epoch, hist: histogramOf(ix.df), k: -1}
+		c = &cutCache{epoch: ix.epoch, hist: histogramOf(ix.dfs()), k: -1}
 	}
 	if k = min(k, c.hist.Classes()); c.k != k {
 		table := c.hist.Table(k)

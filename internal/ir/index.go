@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"cmp"
+	"iter"
 	"math"
 	"slices"
 	"sort"
@@ -42,13 +44,6 @@ type plist struct {
 	weightBound
 }
 
-// coldList is a posting list the memory budget holds compressed,
-// with the weight bound of its plain form.
-type coldList struct {
-	CompressedPostings
-	weightBound
-}
-
 // weightBound is the (tf, |d|) of the posting with the largest tf/|d|
 // a list has held. logWeight increases with tf/|d| under any one
 // term's statistics, so the weight of this pair bounds the weight of
@@ -68,21 +63,46 @@ func (b *weightBound) raise(tf, docLen int32) {
 	}
 }
 
+// term is one row of the index's term column: everything the index
+// keeps about the term of oid id, at position id-1. Its df is its
+// posting count (postingLen).
+type term struct {
+	plist                      // DT/TF columns; empty while the list is cold
+	cold   *CompressedPostings // the list, while the memory budget holds it compressed
+	idfRow int32               // row of the IDF relation; -1 before the term's first Freeze
+	dirty  bool                // derived state (IDF row, sort order, budget) pending a Freeze
+	addTF  int32               // Add's scratch: the term's tf in the document being added
+}
+
+// postingLen returns the posting count of the term over both stores:
+// its df.
+func (t *term) postingLen() int {
+	if t.cold != nil {
+		return t.cold.Len()
+	}
+	return len(t.slots)
+}
+
 // Index is the full-text meta-index. Of the paper's five relations it
 // keeps T and IDF as BATs; D is held as dense document columns and
 // DT/TF as term-clustered posting columns, each fact stored once:
 //
 //	T   term index           term-oid × term (stemmed, stopped)
 //	D   document index       slot → doc-oid, |d|, url (docIDs/docLens/docURLs)
-//	DT  document term list   term-oid → doc slots (plist.slots)
-//	TF  term frequency       term-oid → tf, parallel to the slots (plist.tfs)
+//	DT  document term list   term-oid → doc slots (term.slots)
+//	TF  term frequency       term-oid → tf, parallel to the slots (term.tfs)
 //	IDF inverse doc freq     term-oid × idf, idf = 1/df
+//
+// As in the paper's BATs, term oids are dense: the term of oid id is
+// row id-1 of T and of the term column, which holds its posting
+// columns, its IDF row and its pending-work flag, so nothing past the
+// stem → oid dictionary is found by hashing. Add issues oids 1, 2, …
+// in first-appearance order; ImportState renumbers a state's terms
+// densely in ascending-oid order. applyMemoryBudget's oid tie-break
+// relies on only that order, not on the oid values.
 //
 // A term's DT/TF tuples live either in its plain posting columns or,
 // under a memory budget, delta+varint compressed (cold) — never both.
-// Term oids come from seq, which issues nothing else, so they ascend
-// in first-appearance order; applyMemoryBudget's oid tie-break relies
-// on only that order, not on the oid values.
 //
 // The query hot path is columnar: posting lists address document slots
 // directly, and per-query score accumulation runs over a reusable
@@ -94,11 +114,10 @@ type Index struct {
 	T   *bat.BAT
 	IDF *bat.BAT
 
-	seq    *bat.Sequence // term oids only
 	lambda float64
 
 	termID map[string]bat.OID
-	plists map[bat.OID]*plist
+	terms  []term // the term column: terms[id-1] is term oid id
 
 	// Columnar document store: slot = dense insertion index.
 	docIDs  []bat.OID
@@ -107,12 +126,10 @@ type Index struct {
 	docSlot map[bat.OID]int32
 	maxDoc  bat.OID
 
-	df      map[bat.OID]int
 	totalDF int
 
-	idfPos map[bat.OID]int      // term -> row of the IDF relation
-	dirty  map[bat.OID]struct{} // terms with pending derived-state work
-	epoch  uint64               // freeze epoch: bumped by every Freeze that did work
+	dirty []bat.OID // terms with pending derived-state work (term.dirty set)
+	epoch uint64    // freeze epoch: bumped by every Freeze that did work
 
 	// dfEpoch stamps every IDF row with the freeze epoch that last
 	// rewrote it, so StatsSince finds the terms whose df changed after a
@@ -144,13 +161,13 @@ type Index struct {
 	// holding the coldest (lowest idf, largest) lists delta+varint
 	// compressed; the scorer walks them without materialising.
 	memBudget  int
-	cold       map[bat.OID]coldList
 	plainBytes int // resident bytes of the plain slot/tf columns
+	coldTerms  int // terms held compressed
 
 	scorers sync.Pool // *scorer: reusable per-query buffers
 
-	// Add's scratch, reused across documents: the term oid of every
-	// token of the document being added.
+	// Add's scratch, reused across documents: the distinct term oids
+	// of the document being added, in first-appearance order.
 	addIDs []bat.OID
 }
 
@@ -159,15 +176,29 @@ func NewIndex() *Index {
 	return &Index{
 		T:       bat.New("T", bat.KindString),
 		IDF:     bat.New("IDF", bat.KindFloat),
-		seq:     bat.NewSequence(),
 		lambda:  DefaultLambda,
 		termID:  make(map[string]bat.OID),
-		plists:  make(map[bat.OID]*plist),
 		docSlot: make(map[bat.OID]int32),
-		df:      make(map[bat.OID]int),
-		idfPos:  make(map[bat.OID]int),
-		dirty:   make(map[bat.OID]struct{}),
 	}
+}
+
+// termAt returns the column row of a term oid, nil for an oid the index
+// never issued. The pointer is valid only until the next Add.
+func (ix *Index) termAt(id bat.OID) *term {
+	if id == bat.NilOID || id > bat.OID(len(ix.terms)) {
+		return nil
+	}
+	return &ix.terms[id-1]
+}
+
+// newTerm enters a stem into T and the term column under the next
+// dense oid.
+func (ix *Index) newTerm(stem string) bat.OID {
+	ix.terms = append(ix.terms, term{plist: plist{sorted: true}, idfRow: -1})
+	id := bat.OID(len(ix.terms))
+	ix.termID[stem] = id
+	ix.T.AppendString(id, stem)
+	return id
 }
 
 // SetLambda overrides the smoothing parameter (0 < λ < 1).
@@ -201,66 +232,64 @@ func (ix *Index) addDoc(doc bat.OID, url string) int32 {
 // concurrently with queries.
 //
 // Each stem resolves straight to its term oid; only a stem the index
-// has never seen allocates its vocabulary key. The document's term
-// oids are sorted into runs, so tf is a run's length and the terms'
-// postings are touched in ascending oid order, the same on every
-// replica.
+// has never seen allocates its vocabulary key. A token counts towards
+// its term's tf in the term's column row, and the distinct terms are
+// then applied in first-appearance order: each posting lands in its
+// own list, so the order changes nothing, and no sort is needed.
 func (ix *Index) Add(doc bat.OID, url, text string) {
 	var scratch [32]byte // longer stems spill to the heap
 	ids := ix.addIDs[:0]
+	tokens := int32(0)
 	low := strings.ToLower(text) // text itself when already lower-case
 	for stem, tok, i := nextStem(low, 0, scratch[:0]); tok != ""; stem, tok, i = nextStem(low, i, stem) {
 		id, known := ix.termID[string(stem)]
 		if !known {
-			t := string(stem)
-			id = ix.seq.Next()
-			ix.termID[t] = id
-			ix.T.AppendString(id, t)
+			id = ix.newTerm(string(stem))
 		}
-		ids = append(ids, id)
+		t := &ix.terms[id-1]
+		if t.addTF == 0 {
+			ids = append(ids, id)
+		}
+		t.addTF++
+		tokens++
 	}
 	ix.addIDs = ids
 	slot, seen := ix.docSlot[doc]
 	if !seen {
 		slot = ix.addDoc(doc, url)
 	}
-	ix.docLens[slot] += int32(len(ids))
-	slices.Sort(ids)
-	for i := 0; i < len(ids); {
-		id, run := ids[i], i
-		for i < len(ids) && ids[i] == id {
-			i++
-		}
-		tf := int32(i - run)
-		if cp, ok := ix.cold[id]; ok {
+	ix.docLens[slot] += tokens
+	docLen := ix.docLens[slot]
+	for _, id := range ids {
+		t := &ix.terms[id-1]
+		tf := t.addTF
+		t.addTF = 0
+		if t.cold != nil {
 			// The term's postings are held compressed: re-inflate before
 			// appending; the next Freeze re-applies the memory budget.
-			ix.inflate(id, cp)
-		}
-		pl := ix.plists[id]
-		if pl == nil {
-			pl = &plist{sorted: true}
-			ix.plists[id] = pl
+			ix.inflate(t)
 		}
 		// Either mutation changes scores (a fold changes tf, and docLens
 		// above), so the term is dirtied: epoch-guarded caches must not
 		// keep serving the old ranking, and the next Freeze re-applies
 		// any memory budget to a re-inflated list.
-		ix.dirty[id] = struct{}{}
+		if !t.dirty {
+			t.dirty = true
+			ix.dirty = append(ix.dirty, id)
+		}
 		if seen {
-			if ftf, folded := pl.fold(ix.docIDs, slot, tf); folded {
-				pl.raise(ftf, ix.docLens[slot])
+			if ftf, folded := t.fold(ix.docIDs, slot, tf); folded {
+				t.raise(ftf, docLen)
 				continue
 			}
 		}
-		pl.raise(tf, ix.docLens[slot])
-		ix.df[id]++
+		t.raise(tf, docLen)
 		ix.totalDF++
-		if len(pl.slots) > 0 && ix.docIDs[pl.slots[len(pl.slots)-1]] > doc {
-			pl.sorted = false
+		if len(t.slots) > 0 && ix.docIDs[t.slots[len(t.slots)-1]] > doc {
+			t.sorted = false
 		}
-		pl.slots = append(pl.slots, slot)
-		pl.tfs = append(pl.tfs, tf)
+		t.slots = append(t.slots, slot)
+		t.tfs = append(t.tfs, tf)
 		ix.plainBytes += 8
 	}
 }
@@ -297,12 +326,31 @@ func (ix *Index) DocCount() int { return len(ix.docIDs) }
 func (ix *Index) MaxDoc() bat.OID { return ix.maxDoc }
 
 // TermCount returns the size of the vocabulary.
-func (ix *Index) TermCount() int { return len(ix.termID) }
+func (ix *Index) TermCount() int { return len(ix.terms) }
 
 // TermOID returns the oid of a raw (already stemmed) term.
 func (ix *Index) TermOID(stem string) (bat.OID, bool) {
 	id, ok := ix.termID[stem]
 	return id, ok
+}
+
+// postingLen returns the posting count of a term oid: its local df.
+func (ix *Index) postingLen(id bat.OID) int {
+	if t := ix.termAt(id); t != nil {
+		return t.postingLen()
+	}
+	return 0
+}
+
+// dfs yields the local df of every term, in oid order.
+func (ix *Index) dfs() iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for i := range ix.terms {
+			if !yield(ix.terms[i].postingLen()) {
+				return
+			}
+		}
+	}
 }
 
 // Freeze brings all incrementally maintained derived state up to
@@ -318,26 +366,24 @@ func (ix *Index) Freeze() {
 		return
 	}
 	ix.epoch++
-	ids := make([]bat.OID, 0, len(ix.dirty))
-	for id := range ix.dirty {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		idf := 1.0 / float64(ix.df[id])
-		if pos, ok := ix.idfPos[id]; ok {
-			ix.IDF.SetFloatAt(pos, idf)
-			ix.dfEpoch[pos] = ix.epoch
+	slices.Sort(ix.dirty)
+	for _, id := range ix.dirty {
+		t := &ix.terms[id-1]
+		t.dirty = false
+		idf := 1.0 / float64(t.postingLen())
+		if t.idfRow >= 0 {
+			ix.IDF.SetFloatAt(int(t.idfRow), idf)
+			ix.dfEpoch[t.idfRow] = ix.epoch
 		} else {
-			ix.idfPos[id] = ix.IDF.Len()
+			t.idfRow = int32(ix.IDF.Len())
 			ix.IDF.AppendFloat(id, idf)
 			ix.dfEpoch = append(ix.dfEpoch, ix.epoch)
 		}
-		if pl := ix.plists[id]; pl != nil && !pl.sorted {
-			pl.sortByDoc(ix.docIDs)
+		if !t.sorted {
+			t.sortByDoc(ix.docIDs)
 		}
 	}
-	clear(ix.dirty)
+	ix.dirty = ix.dirty[:0]
 	ix.applyMemoryBudget()
 }
 
@@ -362,10 +408,12 @@ func (ix *Index) SetMemoryBudget(budget int) {
 // (8 per uncompressed posting), compressed bytes, and how many terms
 // are held compressed.
 func (ix *Index) MemoryFootprint() (plain, compressed, coldTerms int) {
-	for _, cp := range ix.cold {
-		compressed += cp.Bytes()
+	for i := range ix.terms {
+		if cp := ix.terms[i].cold; cp != nil {
+			compressed += cp.Bytes()
+		}
 	}
-	return ix.plainBytes, compressed, len(ix.cold)
+	return ix.plainBytes, compressed, ix.coldTerms
 }
 
 // applyMemoryBudget enforces the memory budget: with no budget every
@@ -373,79 +421,72 @@ func (ix *Index) MemoryFootprint() (plain, compressed, coldTerms int) {
 // compressed until the plain columns fit.
 func (ix *Index) applyMemoryBudget() {
 	if ix.memBudget <= 0 {
-		for id, cp := range ix.cold {
-			ix.inflate(id, cp)
+		for i := 0; ix.coldTerms > 0; i++ {
+			if t := &ix.terms[i]; t.cold != nil {
+				ix.inflate(t)
+			}
 		}
 		return
 	}
 	if ix.plainBytes <= ix.memBudget {
 		return
 	}
-	ids := make([]bat.OID, 0, len(ix.plists))
-	for id, pl := range ix.plists {
-		if len(pl.slots) > 0 && pl.sorted {
-			ids = append(ids, id)
+	var ids []bat.OID
+	for i := range ix.terms {
+		if t := &ix.terms[i]; len(t.slots) > 0 && t.sorted {
+			ids = append(ids, bat.OID(i+1))
 		}
 	}
 	// Coldest first: highest df (lowest idf); ties by oid for
 	// determinism.
-	sort.Slice(ids, func(i, j int) bool {
-		if ix.df[ids[i]] != ix.df[ids[j]] {
-			return ix.df[ids[i]] > ix.df[ids[j]]
+	slices.SortFunc(ids, func(a, b bat.OID) int {
+		if c := cmp.Compare(len(ix.terms[b-1].slots), len(ix.terms[a-1].slots)); c != 0 {
+			return c
 		}
-		return ids[i] < ids[j]
+		return cmp.Compare(a, b)
 	})
 	for _, id := range ids {
 		if ix.plainBytes <= ix.memBudget {
 			break
 		}
-		ix.compressTerm(id)
+		ix.compressTerm(&ix.terms[id-1])
 	}
 }
 
 // compressTerm moves one term's postings from the plain columns into
-// the compressed store.
-func (ix *Index) compressTerm(id bat.OID) {
-	pl := ix.plists[id]
-	ps := make([]Posting, len(pl.slots))
-	for i, slot := range pl.slots {
-		ps[i] = Posting{Doc: ix.docIDs[slot], TF: int(pl.tfs[i])}
+// the compressed store. The list keeps its weight bound.
+func (ix *Index) compressTerm(t *term) {
+	ps := make([]Posting, len(t.slots))
+	for i, slot := range t.slots {
+		ps[i] = Posting{Doc: ix.docIDs[slot], TF: int(t.tfs[i])}
 	}
-	if ix.cold == nil {
-		ix.cold = make(map[bat.OID]coldList)
-	}
-	ix.cold[id] = coldList{Compress(ps), pl.weightBound}
-	delete(ix.plists, id)
+	cp := Compress(ps)
+	t.cold = &cp
+	t.slots, t.tfs = nil, nil
 	ix.plainBytes -= 8 * len(ps)
+	ix.coldTerms++
 }
 
 // inflate materialises a compressed posting list back into the plain
 // columns (doc-sorted, so the access-path invariants hold), its weight
 // bound recomputed against today's document lengths.
-func (ix *Index) inflate(id bat.OID, cp coldList) {
-	pl := &plist{
+func (ix *Index) inflate(t *term) {
+	cp := t.cold
+	t.plist = plist{
 		slots:  make([]int32, 0, cp.Len()),
 		tfs:    make([]int32, 0, cp.Len()),
 		sorted: true,
 	}
 	cp.Walk(func(doc bat.OID, tf int) bool {
 		slot := ix.docSlot[doc]
-		pl.slots = append(pl.slots, slot)
-		pl.tfs = append(pl.tfs, int32(tf))
-		pl.raise(int32(tf), ix.docLens[slot])
+		t.slots = append(t.slots, slot)
+		t.tfs = append(t.tfs, int32(tf))
+		t.raise(int32(tf), ix.docLens[slot])
 		return true
 	})
-	ix.plists[id] = pl
-	delete(ix.cold, id)
-	ix.plainBytes += 8 * len(pl.slots)
-}
-
-// postingLen returns the posting count of a term over both stores.
-func (ix *Index) postingLen(id bat.OID) int {
-	if pl := ix.plists[id]; pl != nil {
-		return len(pl.slots)
-	}
-	return ix.cold[id].Len()
+	t.cold = nil
+	ix.plainBytes += 8 * len(t.slots)
+	ix.coldTerms--
 }
 
 // sortByDoc co-sorts the slot/tf columns ascending by document oid.
@@ -511,8 +552,10 @@ func (ix *Index) IDFOf(stem string) float64 {
 		return 0
 	}
 	ix.Freeze()
-	v, _ := ix.IDF.FloatOfHead(id)
-	return v
+	if row := ix.terms[id-1].idfRow; row >= 0 {
+		return ix.IDF.TailFloat(int(row))
+	}
+	return 0
 }
 
 // logWeight is the per-term contribution of the [Hie98]-derived model:

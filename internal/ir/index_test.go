@@ -111,7 +111,7 @@ func TestEvaluateRestricted(t *testing.T) {
 func TestFragmentize(t *testing.T) {
 	ix := smallIndex()
 	ix.Freeze()
-	hist := histogramOf(ix.df)
+	hist := histogramOf(ix.dfs())
 	table := ix.cutFor(3).table
 	if len(table) != min(3, hist.Classes()) {
 		t.Fatalf("table %v for %d classes", table, hist.Classes())
@@ -127,7 +127,7 @@ func TestFragmentize(t *testing.T) {
 		t.Fatalf("table %v stops below the largest df %d", table, hist.dfs[len(hist.dfs)-1])
 	}
 	terms := make([]int, len(table))
-	for _, df := range ix.df {
+	for df := range ix.dfs() {
 		terms[table.frag(df)]++
 	}
 	for f, n := range terms {
@@ -142,7 +142,7 @@ func TestFragmentize(t *testing.T) {
 func TestFragmentizeDegenerate(t *testing.T) {
 	ix := smallIndex()
 	ix.Freeze()
-	hist := histogramOf(ix.df)
+	hist := histogramOf(ix.dfs())
 	if got := hist.Table(0); len(got) != 1 {
 		t.Fatalf("k=0 table = %v", got)
 	}
@@ -202,7 +202,7 @@ func TestFragmentCutoffKeepsRareTerms(t *testing.T) {
 	melbourne, _ := ix.TermOID(Stem("melbourne"))
 	winner, _ := ix.TermOID(Stem("winner"))
 	table := ix.cutFor(k).table
-	fm, fw := table.frag(ix.df[melbourne]), table.frag(ix.df[winner])
+	fm, fw := table.frag(ix.postingLen(melbourne)), table.frag(ix.postingLen(winner))
 	if fm >= fw {
 		t.Fatalf("rare term (df=1) in fragment %d, common term (df=3) in %d; idf order broken", fm, fw)
 	}
@@ -350,8 +350,9 @@ func TestAddAllocsPerDocument(t *testing.T) {
 		next++
 	})
 	t.Logf("%.1f allocations per document", allocs)
-	if allocs > 20 {
-		t.Fatalf("Add makes %.1f allocations per document, want at most 20", allocs)
+	// ceil(1.05 × 13), the most of 20 runs.
+	if allocs > 14 {
+		t.Fatalf("Add makes %.1f allocations per document, want at most 14", allocs)
 	}
 }
 

@@ -100,7 +100,7 @@ func TestMemoVariedLengthsMatchesNaive(t *testing.T) {
 	full, _, _ := ix.MemoryFootprint()
 	for _, budget := range []int{0, full / 2} {
 		ix.SetMemoryBudget(budget)
-		if _, cold := ix.cold[spread]; cold != (budget > 0) {
+		if cold := ix.termAt(spread).cold != nil; cold != (budget > 0) {
 			t.Fatalf("memory budget %d: common term cold=%v", budget, cold)
 		}
 		for _, q := range queries {
@@ -109,7 +109,7 @@ func TestMemoVariedLengthsMatchesNaive(t *testing.T) {
 			for _, stats := range []*Stats{nil, &global} {
 				dfs, totalDF := make([]int, len(oids)), ix.totalDF
 				for i, id := range oids {
-					dfs[i] = ix.df[id]
+					dfs[i] = ix.postingLen(id)
 					if stats != nil {
 						dfs[i], totalDF = stats.DF[stems[i]], stats.TotalDF
 					}
@@ -201,7 +201,7 @@ func BenchmarkEvaluateZipf(b *testing.B) {
 			queries[i] = strings.Join(words, " ")
 			_, oids := ix.ResolveQuery(queries[i])
 			for _, id := range oids {
-				postings[i] += ix.df[id]
+				postings[i] += ix.postingLen(id)
 			}
 		}
 		b.Run(shape.name, func(b *testing.B) {

@@ -19,7 +19,7 @@ func (ix *Index) TopNNaive(query string, n int) []Result {
 	scores := make(map[bat.OID]float64)
 	for _, id := range qts {
 		for _, p := range ix.PostingsOf(id) {
-			scores[p.Doc] += ix.weight(p.TF, ix.df[id], ix.docLenOf(p.Doc))
+			scores[p.Doc] += ix.weight(p.TF, ix.postingLen(id), ix.docLenOf(p.Doc))
 		}
 	}
 	return topNFromScores(scores, n)

@@ -158,7 +158,7 @@ func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, req *Reques
 		}
 	} else {
 		for _, id := range oids {
-			dfs = append(dfs, ix.df[id])
+			dfs = append(dfs, ix.postingLen(id))
 		}
 	}
 	s.dfs = dfs
@@ -180,7 +180,7 @@ func (ix *Index) evalPlan(s *scorer, stems []string, oids []bat.OID, req *Reques
 				continue // a-priori ignored fragment
 			}
 			// The local posting-list length: the physical cost.
-			cut.postings[f].Add(int64(ix.df[id]))
+			cut.postings[f].Add(int64(ix.postingLen(id)))
 		}
 		if bound, n := ix.termBound(id, dfs[i], totalDF); n > 0 {
 			scan = append(scan, scanList{q: i, id: id, df: dfs[i], postings: n, bound: bound})

@@ -98,7 +98,7 @@ func FuzzEvaluate(f *testing.F) {
 		stems, oids := ix.ResolveQuery(query)
 		dfs, totalDF := make([]int, len(oids)), ix.totalDF
 		for i, id := range oids {
-			dfs[i] = ix.df[id]
+			dfs[i] = ix.postingLen(id)
 		}
 		var stats *Stats
 		if flags&16 != 0 { // global statistics: other nodes hold more of each term
@@ -137,7 +137,7 @@ func TestEvaluateConcurrentPruning(t *testing.T) {
 		want[i], _ = ix.Evaluate(Request{Query: q, Plan: EvalPlan{N: 10}})
 		_, oids := ix.ResolveQuery(q)
 		for _, id := range oids {
-			admitted += ix.df[id]
+			admitted += ix.postingLen(id)
 		}
 	}
 	scored0, skipped0 := ix.PostingCounts()

@@ -139,16 +139,11 @@ type scanList struct {
 // logWeight need not increase with tf/|d|) becomes +Inf, which the
 // scan never prunes across.
 func (ix *Index) termBound(id bat.OID, df, totalDF int) (bound float64, postings int) {
-	var b weightBound
-	if pl := ix.plists[id]; pl != nil {
-		b, postings = pl.weightBound, len(pl.slots)
-	} else if cl, ok := ix.cold[id]; ok {
-		b, postings = cl.weightBound, cl.Len()
-	}
-	if postings == 0 {
+	t := &ix.terms[id-1]
+	if postings = t.postingLen(); postings == 0 {
 		return 0, 0
 	}
-	w := logWeight(ix.lambda, int(b.bTF), df, totalDF, int(b.bLen)) * (1 + pruneSlack)
+	w := logWeight(ix.lambda, int(t.bTF), df, totalDF, int(t.bLen)) * (1 + pruneSlack)
 	if !(w >= 0) {
 		return math.Inf(1), postings
 	}
@@ -254,9 +249,9 @@ func queryOrdered(scan []scanList) bool {
 // compressed are walked in place, in the same doc order. Weights come
 // through the scorer's memo, which the caller opened for this term.
 func (ix *Index) scanList(s *scorer, id bat.OID, candidates map[bat.OID]bool, cut, rem float64) (weighed int) {
-	pl := ix.plists[id]
-	if pl == nil {
-		return ix.scanCompressed(s, ix.cold[id].CompressedPostings, candidates, cut, rem)
+	pl := &ix.terms[id-1]
+	if pl.cold != nil {
+		return ix.scanCompressed(s, *pl.cold, candidates, cut, rem)
 	}
 	docIDs, docLens, scores := ix.docIDs, ix.docLens, s.scores
 	if cut > 0 {
@@ -356,11 +351,11 @@ func (ix *Index) rescore(s *scorer, totalDF, n int) []int32 {
 			}
 			scores[slot] += e.w
 		}
-		pl := ix.plists[l.id]
+		pl := &ix.terms[l.id-1]
 		switch {
-		case pl == nil:
+		case pl.cold != nil:
 			j := 0
-			ix.cold[l.id].Walk(func(doc bat.OID, tf int) bool {
+			pl.cold.Walk(func(doc bat.OID, tf int) bool {
 				for j < len(surv) && docIDs[surv[j]] < doc {
 					j++
 				}

@@ -1,9 +1,10 @@
 package ir
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dlsearch/internal/bat"
 )
@@ -57,25 +58,17 @@ func (ix *Index) ExportState() *IndexState {
 	st := &IndexState{
 		Lambda:    ix.lambda,
 		Epoch:     ix.epoch,
-		NextOID:   ix.seq.Peek(),
+		NextOID:   bat.OID(len(ix.terms) + 1),
 		MemBudget: ix.memBudget,
 	}
 	st.Docs = make([]DocState, len(ix.docIDs))
 	for slot, doc := range ix.docIDs {
 		st.Docs[slot] = DocState{OID: doc, URL: ix.docURLs[slot], Len: ix.docLens[slot]}
 	}
-	ids := make([]bat.OID, 0, len(ix.termID))
-	for _, id := range ix.termID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	stemOf := make(map[bat.OID]string, len(ix.termID))
-	for stem, id := range ix.termID {
-		stemOf[id] = stem
-	}
-	st.Terms = make([]TermState, len(ids))
-	for i, id := range ids {
-		st.Terms[i] = TermState{OID: id, Stem: stemOf[id], Postings: ix.PostingsOf(id)}
+	st.Terms = make([]TermState, len(ix.terms))
+	for i := range ix.terms {
+		id := bat.OID(i + 1)
+		st.Terms[i] = TermState{OID: id, Stem: ix.T.TailString(i), Postings: ix.PostingsOf(id)}
 	}
 	return st
 }
@@ -98,6 +91,8 @@ func ImportState(st *IndexState) (*Index, error) {
 	}
 	ix.epoch = st.Epoch
 	ix.baseEpoch = st.Epoch
+	ix.termID = make(map[string]bat.OID, len(st.Terms))
+	ix.docSlot = make(map[bat.OID]int32, len(st.Docs))
 
 	for _, d := range st.Docs {
 		if d.OID == bat.NilOID {
@@ -112,38 +107,37 @@ func ImportState(st *IndexState) (*Index, error) {
 		slot := ix.addDoc(d.OID, d.URL)
 		ix.docLens[slot] = d.Len
 	}
-	// The sequence resumes at NextOID. A NextOID at or below a restored
-	// term oid would hand a live oid out again on the next Add —
-	// merging two unrelated terms silently — so it fails closed here.
 	// Term oids may be sparse (states written when the sequence also
-	// issued pair oids); only their order matters. (Document oids live
-	// in the caller's global space and may legitimately exceed the
-	// node-local sequence.)
-	for _, t := range st.Terms {
-		if t.OID >= st.NextOID {
-			return nil, fmt.Errorf("ir: import: term oid %d not below the sequence position %d — a post-restore allocation would reuse it", t.OID, st.NextOID)
-		}
+	// issued pair oids), and a state may come from outside the process,
+	// so no oid of it sizes anything: its terms are renumbered densely
+	// in ascending-oid order, the only property of their oids the index
+	// relies on. A NextOID at or below a term oid still fails closed:
+	// it names a state no writer produced, whose post-restore Add would
+	// have reissued a live oid. (Document oids live in the caller's
+	// global space and may legitimately exceed the term oids.)
+	terms := st.Terms
+	byOID := func(a, b TermState) int { return cmp.Compare(a.OID, b.OID) }
+	if !slices.IsSortedFunc(terms, byOID) {
+		terms = slices.Clone(terms)
+		slices.SortFunc(terms, byOID)
 	}
-	ix.seq.Advance(st.NextOID)
-	seen := make(map[bat.OID]bool, len(st.Terms))
-	for _, t := range st.Terms {
-		if t.OID == bat.NilOID {
+	ix.terms = make([]term, 0, len(terms))
+	for i, t := range terms {
+		switch {
+		case t.OID == bat.NilOID:
 			return nil, fmt.Errorf("ir: import: nil term oid for %q", t.Stem)
-		}
-		if seen[t.OID] {
+		case i > 0 && t.OID == terms[i-1].OID:
 			return nil, fmt.Errorf("ir: import: duplicate term oid %d", t.OID)
+		case t.OID >= st.NextOID:
+			return nil, fmt.Errorf("ir: import: term oid %d not below the sequence position %d — a post-restore allocation would reuse it", t.OID, st.NextOID)
 		}
 		if _, dup := ix.termID[t.Stem]; dup {
 			return nil, fmt.Errorf("ir: import: duplicate term %q", t.Stem)
 		}
-		seen[t.OID] = true
-		ix.termID[t.Stem] = t.OID
-		ix.T.AppendString(t.OID, t.Stem)
-		pl := &plist{
-			slots:  make([]int32, 0, len(t.Postings)),
-			tfs:    make([]int32, 0, len(t.Postings)),
-			sorted: true,
-		}
+		id := ix.newTerm(t.Stem)
+		pl := &ix.terms[id-1]
+		pl.slots = make([]int32, 0, len(t.Postings))
+		pl.tfs = make([]int32, 0, len(t.Postings))
 		prev := bat.NilOID
 		for _, p := range t.Postings {
 			slot, ok := ix.docSlot[p.Doc]
@@ -161,13 +155,11 @@ func ImportState(st *IndexState) (*Index, error) {
 			pl.tfs = append(pl.tfs, int32(p.TF))
 			pl.raise(int32(p.TF), ix.docLens[slot])
 		}
-		ix.plists[t.OID] = pl
 		ix.plainBytes += 8 * len(t.Postings)
 		if df := len(t.Postings); df > 0 {
-			ix.df[t.OID] = df
 			ix.totalDF += df
-			ix.idfPos[t.OID] = ix.IDF.Len()
-			ix.IDF.AppendFloat(t.OID, 1.0/float64(df))
+			pl.idfRow = int32(ix.IDF.Len())
+			ix.IDF.AppendFloat(id, 1.0/float64(df))
 			ix.dfEpoch = append(ix.dfEpoch, st.Epoch)
 		}
 	}

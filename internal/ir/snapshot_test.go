@@ -2,6 +2,10 @@ package ir
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"dlsearch/internal/bat"
@@ -196,5 +200,57 @@ func TestImportStateFailsClosed(t *testing.T) {
 		if _, err := ImportState(st); err == nil {
 			t.Fatalf("%s: import succeeded on inconsistent state", tc.name)
 		}
+	}
+}
+
+// TestImportSparseTermOIDs: a state whose term oids are sparse, the
+// largest 2^40, and listed out of order imports with the dense oids of
+// its ascending-oid order. Nothing is allocated in proportion to the
+// oids, and the import ranks, checksums and re-exports exactly like
+// the dense state it renumbers.
+func TestImportSparseTermOIDs(t *testing.T) {
+	dense := planCorpus(100, 37).ExportState()
+	sparse := *dense
+	sparse.Terms = slices.Clone(dense.Terms)
+	for i := range sparse.Terms {
+		sparse.Terms[i].OID = bat.OID(3*i + 2)
+	}
+	sparse.Terms[len(sparse.Terms)-1].OID = 1 << 40
+	sparse.NextOID = 1<<40 + 1
+	rand.New(rand.NewSource(5)).Shuffle(len(sparse.Terms), func(i, j int) {
+		sparse.Terms[i], sparse.Terms[j] = sparse.Terms[j], sparse.Terms[i]
+	})
+
+	importAlloc := func(st *IndexState) (*Index, uint64) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix, err := ImportState(st)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("ImportState: %v", err)
+		}
+		return ix, after.TotalAlloc - before.TotalAlloc
+	}
+	want, denseBytes := importAlloc(dense)
+	got, sparseBytes := importAlloc(&sparse)
+	if sparseBytes > denseBytes+1<<20 {
+		t.Fatalf("the sparse import allocated %d bytes, the dense one %d", sparseBytes, denseBytes)
+	}
+	if got.Checksum() != want.Checksum() {
+		t.Fatal("the sparse import checksums unlike the dense one")
+	}
+	for _, q := range snapQueries {
+		sameResults(t, q, got.TopN(q, 10), want.TopN(q, 10))
+		plan := EvalPlan{N: 10, Frags: 6, Budget: 2}
+		gotRes, gotEst := evalText(got, q, plan)
+		wantRes, wantEst := evalText(want, q, plan)
+		sameResults(t, q+" budgeted", gotRes, wantRes)
+		if gotEst != wantEst {
+			t.Fatalf("%q: estimate %+v, want %+v", q, gotEst, wantEst)
+		}
+	}
+	if !reflect.DeepEqual(got.ExportState(), dense) {
+		t.Fatal("the sparse import re-exports unlike the dense state")
 	}
 }

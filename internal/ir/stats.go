@@ -1,7 +1,5 @@
 package ir
 
-import "dlsearch/internal/bat"
-
 // Stats carries collection-wide term statistics keyed by stemmed term.
 // In the distributed setting the central DBMS aggregates the local
 // statistics of every node and ships them with the query, so each node
@@ -20,7 +18,7 @@ type Stats struct {
 func (ix *Index) StatsLocal() Stats {
 	st := Stats{DF: make(map[string]int, len(ix.termID)), TotalDF: ix.totalDF, Docs: ix.DocCount()}
 	for term, id := range ix.termID {
-		st.DF[term] = ix.df[id]
+		st.DF[term] = ix.terms[id-1].postingLen()
 	}
 	return st
 }
@@ -53,21 +51,9 @@ func (ix *Index) StatsSince(since uint64) (delta Stats, ok bool) {
 	delta = Stats{DF: map[string]int{}, TotalDF: ix.totalDF, Docs: ix.DocCount()}
 	for row, e := range ix.dfEpoch {
 		if e > since {
-			id := ix.IDF.Head(row)
-			delta.DF[ix.stemAt(row, id)] = ix.df[id]
+			i := int(ix.IDF.Head(row)) - 1 // the term's row in T and in the term column
+			delta.DF[ix.T.TailString(i)] = ix.terms[i].postingLen()
 		}
 	}
 	return delta, true
-}
-
-// stemAt returns the stem of the term in IDF row row. Terms enter T
-// and IDF in the same (ascending oid) order, so the T row of the same
-// number holds it; the head probe keeps the answer right should the two
-// relations ever part ways.
-func (ix *Index) stemAt(row int, id bat.OID) string {
-	if row < ix.T.Len() && ix.T.Head(row) == id {
-		return ix.T.TailString(row)
-	}
-	stem, _ := ix.T.StringOfHead(id)
-	return stem
 }

@@ -319,45 +319,46 @@ func (l *OpLog) rollback(cause error) {
 // compacted away; only a full snapshot covers it); a from at or past
 // the current position returns an empty delta.
 func (l *OpLog) OpsSince(from uint64) ([]Op, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if from < l.base {
-		return nil, fmt.Errorf("%w: want %d, log starts at %d", ErrLogGap, from, l.base)
-	}
-	if from >= l.pos {
-		return nil, nil
-	}
-	fi, err := l.f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("persist: oplog stat: %w", err)
-	}
-	r := bufio.NewReader(io.NewSectionReader(l.f, 8+4+8, fi.Size()-(8+4+8)))
-	skip := from - l.base
-	out := make([]Op, 0, l.pos-from)
-	for p := l.base; p < l.pos; p++ {
-		op, _, err := readRecord(r)
-		if err != nil {
-			return nil, fmt.Errorf("persist: oplog read at position %d: %w", p, err)
-		}
-		if p-l.base < skip {
-			continue
-		}
+	var out []Op
+	if err := l.Replay(from, func(op Op) error {
 		out = append(out, op)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// Replay streams every op from position from to fn in order, stopping
-// at fn's first error. It is OpsSince without materialising the
-// slice — boot-time recovery uses it to fold a large suffix into the
-// index without holding two copies.
+// Replay streams every op from position from to fn in order, one
+// record at a time as it is read, stopping at fn's first error: memory
+// is one record, not the suffix, so boot recovery folds a large log
+// into the index without holding the log beside it. It fails like
+// OpsSince (ErrLogGap, or a record that no longer verifies), after
+// handing fn every op before the failing record. fn runs under the
+// log's lock and must not call back into the log.
 func (l *OpLog) Replay(from uint64, fn func(Op) error) error {
-	ops, err := l.OpsSince(from)
-	if err != nil {
-		return err
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if from < l.base {
+		return fmt.Errorf("%w: want %d, log starts at %d", ErrLogGap, from, l.base)
 	}
-	for i := range ops {
-		if err := fn(ops[i]); err != nil {
+	if from >= l.pos {
+		return nil
+	}
+	fi, err := l.f.Stat()
+	if err != nil {
+		return fmt.Errorf("persist: oplog stat: %w", err)
+	}
+	r := bufio.NewReader(io.NewSectionReader(l.f, 8+4+8, fi.Size()-(8+4+8)))
+	for p := l.base; p < l.pos; p++ {
+		op, _, err := readRecord(r)
+		if err != nil {
+			return fmt.Errorf("persist: oplog read at position %d: %w", p, err)
+		}
+		if p < from {
+			continue // verified, then skipped: records have no index
+		}
+		if err := fn(op); err != nil {
 			return err
 		}
 	}

@@ -320,6 +320,72 @@ func TestOpLogInteriorCorruptionFailsClosed(t *testing.T) {
 	}
 }
 
+// TestOpLogReplayStreams: Replay hands fn every record of an N-record
+// log once, in order, and stops at fn's first error; a record that no
+// longer verifies fails Replay and OpsSince with the same error, Replay
+// having streamed exactly the records before it.
+func TestOpLogReplayStreams(t *testing.T) {
+	const n = 10
+	ops := logOps(n)
+	l, err := OpenOpLog(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append(ops...); err != nil {
+		t.Fatal(err)
+	}
+	var got []Op
+	if err := l.Replay(0, func(op Op) error {
+		got = append(got, op)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sameOps(t, "Replay(0)", got, ops)
+
+	stop := errors.New("stop")
+	calls := 0
+	if err := l.Replay(0, func(Op) error {
+		if calls++; calls == 4 {
+			return stop
+		}
+		return nil
+	}); err != stop || calls != 4 {
+		t.Fatalf("Replay after fn's error at call 4: err %v, %d calls", err, calls)
+	}
+
+	// Flip the last payload byte of record k on disk, under the open log.
+	const k = 6
+	off := int64(8 + 4 + 8)
+	for i := range ops[:k+1] {
+		off += recordSize(&ops[i])
+	}
+	f, err := os.OpenFile(l.Path(), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off-1); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b, off-1); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	_, sinceErr := l.OpsSince(0)
+	got = got[:0]
+	replayErr := l.Replay(0, func(op Op) error {
+		got = append(got, op)
+		return nil
+	})
+	if !errors.Is(sinceErr, ErrCorrupt) || replayErr == nil || replayErr.Error() != sinceErr.Error() {
+		t.Fatalf("corrupt record %d: OpsSince %v, Replay %v; want the same ErrCorrupt", k, sinceErr, replayErr)
+	}
+	sameOps(t, "Replay up to the corrupt record", got, ops[:k])
+}
+
 // TestOpLogCompact: compaction drops the prefix, keeps the suffix,
 // and survives reopen; reads below the new base report ErrLogGap so
 // callers fall back to a full snapshot instead of assuming an empty

@@ -294,17 +294,20 @@ func (co *Coordinator) instrument() {
 		// Postings the cluster's cut-offs admitted per idf fragment. The
 		// fragments are only known once budgeted searches ran, so the
 		// series register at scrape time (registration is idempotent
-		// per label set).
+		// per label set). A request may cut finer than the default
+		// granularity (?frags=), so fragments past the default's last
+		// fold into it: an index exports at most that many series.
 		index := name
+		labels := co.cfg.Frags
+		if labels <= 0 {
+			labels = ir.DefaultFragments
+		}
 		reg.OnScrape(func() {
-			for f := range cl.FragmentPostings() {
+			for f := range min(len(cl.FragmentPostings()), labels) {
 				reg.CounterFunc("dl_cluster_frag_postings_total",
-					"Global df of the stems budgeted searches admitted, per idf fragment (frag 0 = rarest terms): the postings the cut-off sent the nodes to scan.",
+					"Global df of the stems budgeted searches admitted, per idf fragment (frag 0 = rarest terms; the last label also counts every finer fragment past it): the postings the cut-off sent the nodes to scan.",
 					obs.Labels("index", index, "frag", strconv.Itoa(f)), func() uint64 {
-						if fp := cl.FragmentPostings(); f < len(fp) {
-							return fp[f]
-						}
-						return 0
+						return foldedFragPostings(cl.FragmentPostings(), f, labels)
 					})
 			}
 		})
@@ -375,6 +378,23 @@ func (co *Coordinator) index(name string) (*dist.Cluster, string, error) {
 		return nil, "", errors.New("unknown index: " + name)
 	}
 	return c, name, nil
+}
+
+// foldedFragPostings is series f of an index's labels fragment
+// series: fragment f's admitted postings, and for the last series
+// those of every fragment from f on.
+func foldedFragPostings(fp []uint64, f, labels int) uint64 {
+	if f >= len(fp) {
+		return 0
+	}
+	if f < labels-1 {
+		return fp[f]
+	}
+	sum := uint64(0)
+	for _, v := range fp[f:] {
+		sum += v
+	}
+	return sum
 }
 
 // SearchRequest is the body of POST /search. Frags, Budget and

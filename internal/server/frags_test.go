@@ -99,6 +99,45 @@ func TestSearchFragsPerRequest(t *testing.T) {
 	}
 }
 
+// TestFragPostingsLabelsBounded: a request cutting far finer than the
+// coordinator's granularity registers no series past it. One
+// /search?frag=1000&frags=1000000000 admits every query stem, each from
+// its own df class; the index still exports at most DefaultFragments
+// frag series, and they sum to the admitted global df.
+func TestFragPostingsLabelsBounded(t *testing.T) {
+	cluster := dist.NewCluster(2, nil)
+	single := ir.NewIndex()
+	for i, text := range corpusForFrags() {
+		cluster.Add(bat.OID(i+1), "u", text)
+		single.Add(bat.OID(i+1), "u", text)
+	}
+	h := NewCoordinator(map[string]*dist.Cluster{"a": cluster}, nil).Handler()
+	const query = "seles melbourne match ball"
+	if w := postJSON(t, h, "/search?frag=1000&frags=1000000000", `{"query":"`+query+`","n":10}`); w.Code != http.StatusOK {
+		t.Fatalf("search = %d: %s", w.Code, w.Body)
+	}
+	if n := len(cluster.FragmentPostings()); n <= ir.DefaultFragments {
+		t.Fatalf("the search admitted up to fragment %d; the test needs one past %d", n-1, ir.DefaultFragments-1)
+	}
+	admitted := 0.0
+	global := single.StatsLocal()
+	stems, _ := single.ResolveQuery(query)
+	for _, stem := range stems {
+		admitted += float64(global.DF[stem])
+	}
+	series, sum := 0, 0.0
+	for _, s := range getStats(t, h).Metrics {
+		if s.Name == "dl_cluster_frag_postings_total" && s.Labels["index"] == "a" {
+			series++
+			sum += *s.Value
+		}
+	}
+	if series > ir.DefaultFragments || sum != admitted {
+		t.Fatalf("%d frag series summing to %v; want at most %d summing to the admitted df %v",
+			series, sum, ir.DefaultFragments, admitted)
+	}
+}
+
 // corpusForFrags is a corpus of many df classes: term j of a
 // thirty-term vocabulary lies in every (30-j)-th document.
 func corpusForFrags() []string {
