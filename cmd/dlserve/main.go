@@ -53,6 +53,7 @@ import (
 	"flag"
 	"fmt"
 	"io/fs"
+	"math"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux, served only on -pprof-addr
 	"os"
@@ -98,8 +99,8 @@ func main() {
 	maxConc := fs.Int("max-concurrent", server.DefaultMaxConcurrent, "bound on in-flight requests")
 	frags := fs.Int("frags", 0, "idf fragmentation granularity of budgeted /search: fragments of whole df classes the cut-off splits the vocabulary into, 0 selects the default (coordinator)")
 	fragBudget := fs.Int("frag-budget", 0, "default /search fragment budget: leading fragments evaluated, 0 = exact (coordinator)")
-	minQuality := fs.Float64("min-quality", 0, "default /search quality floor in (0,1], 0 disables (coordinator)")
-	sloMS := fs.Float64("slo-ms", 0, "target /search latency SLO in milliseconds — enables the adaptive budget controller: fragment budgets are picked from the learned quality/latency curve and overload degrades quality instead of 503ing (503 only below -min-quality); 0 keeps /search manual (coordinator)")
+	minQuality := fs.Float64("min-quality", 0, "default /search quality floor in [0,1], 0 disables: the cut-off extends a budgeted search until the query's a-priori quality meets it, and under -slo-ms no query is shed below the budget that meets it; a request's min_quality replaces it (coordinator)")
+	sloMS := fs.Float64("slo-ms", 0, "target /search latency SLO in milliseconds — enables the adaptive budget controller: fragment budgets are picked from the learned latency curve and overload degrades quality instead of 503ing (503 only for a query whose quality floor the shed budget cannot meet, under heavy load); 0 keeps /search manual (coordinator)")
 	memBudget := fs.Int("mem-budget", 0, "posting-store memory budget in bytes, cold lists held compressed, 0 disables (node)")
 	dataDir := fs.String("data-dir", "", "durability directory: restore on boot, snapshot on shutdown and on POST /node/snapshot (node)")
 	oplogDir := fs.String("oplog-dir", "", "write-ahead op log directory — ingest is logged durably before applying and replayed over the snapshot on boot; defaults to -data-dir (node)")
@@ -151,9 +152,12 @@ func main() {
 		if *addr == "" {
 			*addr = ":8080"
 		}
-		// Adaptive serving: the controller owns the per-index
-		// quality/latency curve; the coordinator feeds it every
-		// budgeted search's latency.
+		if err := checkSLOFlags(*minQuality, *sloMS); err != nil {
+			fatal(err)
+		}
+		// Adaptive serving: the controller owns the per-index latency
+		// curve; the coordinator feeds it every budgeted search's
+		// latency.
 		var ctl *slo.Controller
 		if *sloMS > 0 {
 			fragK := *frags
@@ -161,9 +165,8 @@ func main() {
 				fragK = ir.DefaultFragments
 			}
 			ctl = slo.New(slo.Config{
-				Target:     time.Duration(*sloMS * float64(time.Millisecond)),
-				MaxBudget:  fragK,
-				MinQuality: *minQuality,
+				Target:    time.Duration(*sloMS * float64(time.Millisecond)),
+				MaxBudget: fragK,
 			})
 		}
 		names := []string{*index}
@@ -574,6 +577,18 @@ func buildCluster(name, nodeURLs string, local, r int, lambda float64, nodeTimeo
 		members[i] = ln
 	}
 	return dist.NewReplicatedCluster(members, r, opts)
+}
+
+// checkSLOFlags refuses a -min-quality outside [0, 1] and a -slo-ms
+// that is negative, not finite or past time.Duration's range.
+func checkSLOFlags(minQuality, sloMS float64) error {
+	if !(minQuality >= 0 && minQuality <= 1) {
+		return fmt.Errorf("-min-quality must be in [0, 1], got %v", minQuality)
+	}
+	if !(sloMS >= 0 && sloMS*float64(time.Millisecond) < math.MaxInt64) {
+		return fmt.Errorf("-slo-ms must be a finite non-negative number of milliseconds, got %v", sloMS)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -234,4 +235,30 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// TestCheckSLOFlags: the coordinator refuses to boot with a quality
+// floor outside [0, 1] or a latency target that is negative, not
+// finite or past time.Duration's range.
+func TestCheckSLOFlags(t *testing.T) {
+	for _, tc := range []struct {
+		minQuality, sloMS float64
+		ok                bool
+	}{
+		{0, 0, true},
+		{0.5, 500, true},
+		{1, 0.001, true},
+		{-0.1, 0, false},
+		{1.1, 0, false},
+		{math.NaN(), 0, false},
+		{math.Inf(1), 0, false},
+		{0, -1, false},
+		{0, math.NaN(), false},
+		{0, math.Inf(1), false},
+		{0, 1e300, false},
+	} {
+		if err := checkSLOFlags(tc.minQuality, tc.sloMS); (err == nil) != tc.ok {
+			t.Errorf("checkSLOFlags(%v, %v) = %v, want ok %v", tc.minQuality, tc.sloMS, err, tc.ok)
+		}
+	}
 }

@@ -1007,31 +1007,19 @@ func (c *Cluster) refreshStats(ctx context.Context) (int, error) {
 // reported at all.
 func (c *Cluster) projectStats(stems []string, plan ir.EvalPlan) (ir.Stats, ir.QualityEstimate, bool) {
 	st := ir.Stats{DF: make(map[string]int, len(stems))}
-	var est ir.QualityEstimate
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for g := range c.gstats {
 		gs := &c.gstats[g]
 		if !gs.have {
-			return ir.Stats{}, est, false
+			return ir.Stats{}, ir.QualityEstimate{}, false
 		}
 		st.TotalDF += gs.st.TotalDF
 		st.Docs += gs.st.Docs
 	}
 	var dfScratch [8]int
-	dfs := dfScratch[:0]
-	for _, stem := range stems {
-		df := 0
-		for g := range c.gstats {
-			df += c.gstats[g].st.DF[stem]
-		}
-		dfs = append(dfs, df)
-	}
 	var fragScratch [8]int32
-	frag := fragScratch[:0]
-	if !plan.Exact() {
-		frag, est = ir.Cutoff(frag, c.cutTable(plan.Frags), dfs, plan)
-	}
+	dfs, frag, est := c.cutLocked(dfScratch[:0], fragScratch[:0], stems, plan)
 	for i, stem := range stems {
 		if dfs[i] == 0 {
 			continue
@@ -1049,6 +1037,50 @@ func (c *Cluster) projectStats(stems []string, plan ir.EvalPlan) (ir.Stats, ir.Q
 		st.DF[stem] = dfs[i]
 	}
 	return st, est, true
+}
+
+// cutLocked appends the stems' global df to dfs and, for a budgeted
+// plan, cuts them: it appends each stem's fragment to frag, stem i
+// admitted iff frag[i] < est.FragsUsed (see ir.Cutoff). An exact plan
+// is not cut and yields the zero estimate. The caller holds c.mu and
+// has checked that every group has reported.
+func (c *Cluster) cutLocked(dfs []int, frag []int32, stems []string, plan ir.EvalPlan) ([]int, []int32, ir.QualityEstimate) {
+	for _, stem := range stems {
+		df := 0
+		for g := range c.gstats {
+			df += c.gstats[g].st.DF[stem]
+		}
+		dfs = append(dfs, df)
+	}
+	if plan.Exact() {
+		return dfs, frag, ir.QualityEstimate{}
+	}
+	frag, est := ir.Cutoff(frag, c.cutTable(plan.Frags), dfs, plan)
+	return dfs, frag, est
+}
+
+// Estimate returns the cut-off's quality estimate for the query under
+// the plan, from the statistics each group last reported — what a
+// SearchPlan with steady statistics reports as its Quality, without
+// searching. It refreshes nothing, fans out to no node and counts no
+// admitted postings (FragmentPostings). Since it stores no statistics,
+// it adds no rebuild of the df histogram: that happens once per
+// refresh that stored new ones, in whichever cut comes first. It
+// reports false while some group has never reported at all.
+func (c *Cluster) Estimate(query string, plan ir.EvalPlan) (ir.QualityEstimate, bool) {
+	var stemScratch [8]string
+	stems := ir.QueryStems(stemScratch[:0], query)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for g := range c.gstats {
+		if !c.gstats[g].have {
+			return ir.QualityEstimate{}, false
+		}
+	}
+	var dfScratch [8]int
+	var fragScratch [8]int32
+	_, _, est := c.cutLocked(dfScratch[:0], fragScratch[:0], stems, plan)
+	return est, true
 }
 
 // clusterCut is the cluster's cut-off table: cut from the global df

@@ -3,6 +3,7 @@ package dist_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"dlsearch/internal/bat"
@@ -143,6 +144,49 @@ func TestPlanQualityMonotone(t *testing.T) {
 		if prevLocal != 1.0 || prevRemote != 1.0 {
 			t.Fatalf("q=%q: full-budget quality local %v remote %v, want 1.0", q, prevLocal, prevRemote)
 		}
+	}
+}
+
+// TestEstimateReadsLastReportedStats: Estimate is the estimate a
+// search under steady statistics reports, it refreshes nothing (an
+// ingest the cluster has not pulled yet does not move it, the next
+// search does) and it counts no admitted postings.
+func TestEstimateReadsLastReportedStats(t *testing.T) {
+	ctx := context.Background()
+	c := dist.NewCluster(2, nil)
+	loadCluster(t, c, remoteCorpus(300, 19))
+	const q = "seles match"
+	plan := ir.EvalPlan{N: 10, Frags: 6, Budget: 1}
+	if _, ok := c.Estimate(q, plan); ok {
+		t.Fatal("estimate before any group reported its statistics")
+	}
+	sr, err := c.SearchPlan(ctx, q, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	posted := c.FragmentPostings()
+	est, ok := c.Estimate(q, plan)
+	if !ok || est != sr.Quality {
+		t.Fatalf("estimate %+v (%v), search reported %+v", est, ok, sr.Quality)
+	}
+	if got := c.FragmentPostings(); !slices.Equal(got, posted) {
+		t.Fatalf("estimate counted admitted postings: %v, then %v", posted, got)
+	}
+	// "seles" grows 30-fold in documents: its idf mass shrinks.
+	for i := 0; i < 300; i++ {
+		if err := c.AddContext(ctx, bat.OID(1000+i), "u", "seles"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if stale, _ := c.Estimate(q, plan); stale != est {
+		t.Fatalf("estimate moved to %+v before any refresh, want %+v", stale, est)
+	}
+	sr, err = c.SearchPlan(ctx, q, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh, _ := c.Estimate(q, plan); sr.Quality == est || fresh != sr.Quality {
+		t.Fatalf("after the refresh: search %+v, estimate %+v, before %+v", sr.Quality, fresh, est)
 	}
 }
 

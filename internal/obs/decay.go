@@ -11,7 +11,7 @@ import (
 // histogram therefore tracks the *recent* distribution — after
 // halfLife further observations an old sample contributes half as much
 // as a fresh one — which is what a control loop wants from a live
-// system: the quality/latency curve follows the corpus and the load,
+// system: the latency curve follows the corpus and the load,
 // instead of averaging over the process's whole lifetime.
 //
 // Unlike Histogram it is mutex-guarded rather than lock-free: it lives
@@ -29,7 +29,7 @@ type DecayedHist struct {
 }
 
 // DefaultCurveHalfLife is the observation half-life the serving layer
-// uses for its quality/latency curves: recent enough to track load
+// uses for its latency curves: recent enough to track load
 // shifts within a few hundred queries, long enough that one outlier
 // cannot swing a quantile.
 const DefaultCurveHalfLife = 256

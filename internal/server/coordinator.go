@@ -66,11 +66,13 @@ type CoordinatorConfig struct {
 	// StreamFlush × line size per index, never by the stream length.
 	StreamFlush int
 	// SLO, when set, turns /search adaptive: the budget controller
-	// picks each query's fragment budget from the learned
-	// quality/latency curve, and the concurrency semaphore becomes an
+	// picks each query's fragment budget from the learned latency
+	// curve, never below the budget at which the cut-off's a-priori
+	// estimate meets the query's quality floor (MinQuality or the
+	// request's min_quality), and the concurrency semaphore becomes an
 	// admission controller — overload degrades budget (shedding
 	// quality) instead of answering 503, which is reserved for
-	// decisions clamped at the quality floor under heavy occupancy.
+	// decisions clamped at the query's floor under heavy occupancy.
 	// Requests carrying an explicit budget (body `budget` or `?frag=`)
 	// bypass the controller and keep the classic 503-when-saturated
 	// contract. nil keeps /search fully manual.
@@ -523,7 +525,7 @@ func (co *Coordinator) search(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			occupancy := float64(co.sem.InFlight()+co.sem.Waiting()+1) / float64(co.sem.Limit())
-			d := ctl.Decide(name, target, occupancy)
+			d := ctl.Decide(name, target, occupancy, queryFloor(cluster, req.Query, plan))
 			dec = &d
 			if d.Reject {
 				co.errs.Add(1)
@@ -561,6 +563,23 @@ func (co *Coordinator) search(w http.ResponseWriter, r *http.Request) {
 	co.observeSearch(name, tr, &req, sr, dec)
 }
 
+// queryFloor is the smallest fragment budget at which the cut-off's
+// a-priori estimate of the query meets the plan's quality floor, under
+// the statistics the cluster last saw: the budget below which the
+// controller may not shed. 1 when the plan has no floor or the cluster
+// cannot estimate yet; the search's own cut re-applies the floor under
+// refreshed statistics either way.
+func queryFloor(cluster *dist.Cluster, query string, plan ir.EvalPlan) int {
+	if plan.MinQuality <= 0 {
+		return 1
+	}
+	est, ok := cluster.Estimate(query, ir.EvalPlan{Frags: plan.Frags, Budget: 1, MinQuality: plan.MinQuality})
+	if !ok {
+		return 1
+	}
+	return est.FragsUsed
+}
+
 // sloTarget resolves the request's effective latency target: the
 // per-request slo_ms override (query parameter over body field) or
 // the controller's configured SLO. Overrides are validated (400 on a
@@ -569,26 +588,36 @@ func (co *Coordinator) sloTarget(w http.ResponseWriter, r *http.Request, req *Se
 	target := ctl.Target()
 	override := false
 	if req.SLOMs != nil {
-		if *req.SLOMs < 0 {
-			fail(w, http.StatusBadRequest, "slo_ms must be non-negative")
+		d, ok := msDuration(*req.SLOMs)
+		if !ok {
+			fail(w, http.StatusBadRequest, "slo_ms must be a finite non-negative number of milliseconds")
 			return 0, false
 		}
-		target = time.Duration(*req.SLOMs * float64(time.Millisecond))
-		override = true
+		target, override = d, true
 	}
 	if v := r.URL.Query().Get("slo_ms"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
+		d, ok := msDuration(f)
+		if err != nil || !ok {
 			fail(w, http.StatusBadRequest, "bad slo_ms parameter: "+v)
 			return 0, false
 		}
-		target = time.Duration(f * float64(time.Millisecond))
-		override = true
+		target, override = d, true
 	}
 	if override {
 		ctl.RecordOverride(name)
 	}
 	return target, true
+}
+
+// msDuration converts milliseconds to a duration; it reports false for
+// a negative or non-finite value and for one past time.Duration's
+// range (strconv.ParseFloat accepts "NaN", "Inf" and "1e300").
+func msDuration(ms float64) (time.Duration, bool) {
+	if !(ms >= 0 && ms*float64(time.Millisecond) < math.MaxInt64) {
+		return 0, false
+	}
+	return time.Duration(ms * float64(time.Millisecond)), true
 }
 
 // observeSearch records one finished /search into the per-index
@@ -603,7 +632,7 @@ func (co *Coordinator) observeSearch(name string, tr *obs.Trace, req *SearchRequ
 	took := tr.Elapsed()
 	co.latency[name].Observe(took.Seconds())
 	if ctl := co.cfg.SLO; ctl != nil && sr != nil && sr.Quality.FragsTotal > 0 {
-		ctl.Curve(name).ObserveCost(sr.Quality.FragsUsed, took.Seconds(), sr.Quality.Value())
+		ctl.Curve(name).ObserveCost(sr.Quality.FragsUsed, took.Seconds())
 	}
 	rec := obs.SlowQueryRecord{
 		Role:  "coordinator",
@@ -692,7 +721,7 @@ func (co *Coordinator) buildPlanInner(w http.ResponseWriter, r *http.Request, re
 	}
 	if v := q.Get("min_quality"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 || f > 1 {
+		if err != nil || !(f >= 0 && f <= 1) { // NaN fails too
 			fail(w, http.StatusBadRequest, "bad min_quality parameter: "+v)
 			return plan, false
 		}
@@ -723,9 +752,9 @@ type IndexStats struct {
 	// Groups reports every replica of every partition: reachability,
 	// routing health and snapshot age.
 	Groups []GroupStats `json:"groups,omitempty"`
-	// SLO is the budget controller's configuration and learned
-	// quality/latency curve for this index. Absent on non-adaptive
-	// coordinators.
+	// SLO is the budget controller's configuration, the coordinator's
+	// default quality floor and the learned latency curve for this
+	// index. Absent on non-adaptive coordinators.
 	SLO   *slo.IndexStats `json:"slo,omitempty"`
 	Error string          `json:"error,omitempty"`
 }
@@ -811,6 +840,7 @@ func (co *Coordinator) statsHandler(w http.ResponseWriter, r *http.Request) {
 		}
 		if ctl := co.cfg.SLO; ctl != nil {
 			s := ctl.Stats(name)
+			s.MinQuality = co.cfg.MinQuality
 			st.SLO = &s
 		}
 		// One probe of every replica serves both views: the per-replica

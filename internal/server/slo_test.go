@@ -2,10 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -206,42 +210,278 @@ func TestAdaptiveExplicitBudgetKeepsManualContract(t *testing.T) {
 	}
 }
 
-// TestAdaptiveQualityFloorRejects: when the curve proves every budget
-// the pressure asks for is below the quality floor and occupancy is
-// past the rejection threshold, the coordinator finally answers 503 —
-// quality sheds first, queries only past the floor.
+// searchBody decodes a /search answer, failing unless it is a 200.
+func searchBody(t *testing.T, w *httptest.ResponseRecorder) SearchResponse {
+	t.Helper()
+	if w.Code != http.StatusOK {
+		t.Fatalf("/search = %d, want 200: %s", w.Code, w.Body)
+	}
+	var resp SearchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// TestAdaptiveQualityFloorRejects: the floor is the query's, from the
+// cut-off's a-priori estimate, not an average over other queries. Past
+// the rejection occupancy a query whose floor budget the shed budget
+// cannot meet is refused; a query the rarest fragment already serves
+// in full is served at budget 1; and a request that waives the
+// coordinator's floor is never refused for it.
 func TestAdaptiveQualityFloorRejects(t *testing.T) {
-	ctl := slo.New(slo.Config{Target: time.Second, MaxBudget: 8, MinQuality: 0.9})
+	ctl := slo.New(slo.Config{Target: time.Second, MaxBudget: 8})
 	co, h := adaptiveFixture(t, &CoordinatorConfig{
 		Frags:         8,
 		MaxConcurrent: 1,
 		MinQuality:    0.9,
 		SLO:           ctl,
 	})
-	// Teach the curve that budgets 1..7 are fast but far below the
-	// floor: pressure has nowhere to shed to.
-	curve := ctl.Curve("a")
-	for b := 1; b <= 7; b++ {
-		for i := 0; i < 20; i++ {
-			curve.ObserveCost(b, 0.001, 0.2)
+	// One unloaded search pulls every group's statistics, so the
+	// coordinator can estimate from here on.
+	searchBody(t, postJSON(t, h, "/search", `{"query":"seles","n":10}`))
+	// "seles match ball" covers 0.81 of its idf mass below budget 7
+	// ("seles" alone) and 0.91 at it ("ball" joins): floor budget 7.
+	cluster := co.indexes["a"]
+	for _, b := range []int{6, 7} {
+		est, ok := cluster.Estimate("seles match ball", ir.EvalPlan{Frags: 8, Budget: b})
+		if !ok || (b < 7) != (est.Value() < 0.9) {
+			t.Fatalf("estimate at budget %d = %+v (%v), want the floor crossed at 7", b, est, ok)
 		}
 	}
+
 	// One slot held and one search queued: the next decision sees
 	// occupancy (1+1+1)/1 = 3 — the rejection threshold.
 	if !co.sem.TryAcquire() {
 		t.Fatal("could not saturate")
 	}
-	collect := queuedSearch(t, co, h, "/search", adaptiveQuery)
-	w := postJSON(t, h, "/search", adaptiveQuery)
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("floor-clamped overload /search = %d, want 503: %s", w.Code, w.Body)
+	floored := queuedSearch(t, co, h, "/search", adaptiveQuery)
+	refused := make(chan *httptest.ResponseRecorder, 1)
+	go func() { refused <- postJSON(t, h, "/search", adaptiveQuery) }()
+	select {
+	case w := <-refused:
+		if w.Code != http.StatusServiceUnavailable {
+			t.Fatalf("floor-clamped overload /search = %d, want 503: %s", w.Code, w.Body)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("floor-clamped overload /search queued instead of being refused")
 	}
-	if c := ctl.Counters("a"); c.Rejected == 0 || c.FloorHits == 0 {
-		t.Fatalf("controller counters after reject = %+v", c)
+	if c := ctl.Counters("a"); c.Rejected != 1 || c.FloorHits != 2 {
+		t.Fatalf("controller counters after reject = %+v, want 1 rejected of 2 floor hits", c)
+	}
+	// Still past the threshold: neither of these is refused, and
+	// neither hits its floor.
+	waived := queuedSearch(t, co, h, "/search", `{"query":"seles match ball","n":10,"min_quality":0}`)
+	rare := queuedSearch(t, co, h, "/search", `{"query":"seles","n":10}`)
+	if c := ctl.Counters("a"); c.Rejected != 1 || c.FloorHits != 2 {
+		t.Fatalf("controller counters = %+v, want no new floor hit", c)
 	}
 	co.sem.Release()
-	if w := collect(); w.Code != http.StatusOK {
-		t.Fatalf("queued search finished with %d, want 200: %s", w.Code, w.Body)
+	if got := searchBody(t, floored()).Quality; got.FragsUsed != 7 || got.Value < 0.9 {
+		t.Fatalf("floor-clamped search served %+v, want 7 fragments at quality >= 0.9", got)
+	}
+	if got := searchBody(t, waived()).Quality; got.FragsUsed != 1 {
+		t.Fatalf("waived-floor search served %+v, want the shed budget 1", got)
+	}
+	if got := searchBody(t, rare()).Quality; got.FragsUsed != 1 || got.Value != 1 {
+		t.Fatalf("rare-stem search served %+v, want full quality at budget 1", got)
+	}
+}
+
+// TestAdaptiveRequestFloor: a request's own min_quality governs
+// admission on a coordinator with no configured floor, and the search
+// admits exactly the budget the controller decided.
+func TestAdaptiveRequestFloor(t *testing.T) {
+	var buf bytes.Buffer
+	ctl := slo.New(slo.Config{Target: time.Second, MaxBudget: 8})
+	co, h := adaptiveFixture(t, &CoordinatorConfig{
+		Frags:         8,
+		MaxConcurrent: 2,
+		SLO:           ctl,
+		SlowQuery:     obs.NewSlowQueryLog(&buf, time.Nanosecond),
+	})
+	searchBody(t, postJSON(t, h, "/search", adaptiveQuery))
+	buf.Reset()
+	// Occupancy 1.5 sheds to budget 4; the request's 0.95 floor needs
+	// all 8 ("match" joins last).
+	if !co.sem.TryAcquire() || !co.sem.TryAcquire() {
+		t.Fatal("could not saturate")
+	}
+	collect := queuedSearch(t, co, h, "/search", `{"query":"seles match ball","n":10,"min_quality":0.95}`)
+	co.sem.Release()
+	got := searchBody(t, collect()).Quality
+	co.sem.Release()
+	var rec obs.SlowQueryRecord
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil || rec.SLO == nil {
+		t.Fatalf("slow-query line %q: %v", buf.String(), err)
+	}
+	if !rec.SLO.FloorHit || rec.SLO.Budget != 8 || got.FragsUsed != rec.SLO.Budget || got.Value < 0.95 {
+		t.Fatalf("decision %+v served %+v, want a floor hit at budget 8 served as decided", rec.SLO, got)
+	}
+	if c := ctl.Counters("a"); c.FloorHits != 1 {
+		t.Fatalf("controller counters = %+v, want 1 floor hit", c)
+	}
+}
+
+// TestAdaptiveFloorIsTheCutoffs: over random df vectors, queries,
+// floors and occupancies, with statistics steady, the controller's
+// floor is the cut-off's — the floor budget is the smallest budget
+// whose estimate meets the floor, the decided budget is the FragsUsed
+// of the search it admits, and served quality meets the floor
+// whenever some budget does.
+func TestAdaptiveFloorIsTheCutoffs(t *testing.T) {
+	words := strings.Fields("alpha bravo charlie delta echo foxtrot golf hotel india juliet kilo lima")
+	rng := rand.New(rand.NewSource(7))
+	ctx := context.Background()
+	for corpus := 0; corpus < 10; corpus++ {
+		// Twelve distinct dfs in 1..40: twelve df classes, so an
+		// eight-fragment table is never clamped.
+		dfs := rng.Perm(40)[:len(words)]
+		cluster := dist.NewCluster(2, nil)
+		for d := 1; d <= 40; d++ {
+			var text []string
+			for i, df := range dfs {
+				if d <= df+1 {
+					text = append(text, words[i])
+				}
+			}
+			if len(text) > 0 {
+				cluster.Add(bat.OID(d), "u", strings.Join(text, " "))
+			}
+		}
+		if _, err := cluster.GlobalStatsContext(ctx); err != nil {
+			t.Fatal(err)
+		}
+		ctl := slo.New(slo.Config{MaxBudget: 8})
+		for trial := 0; trial < 50; trial++ {
+			var q []string
+			for _, i := range rng.Perm(len(words))[:1+rng.Intn(4)] {
+				q = append(q, words[i])
+			}
+			if rng.Intn(4) == 0 {
+				q = append(q, "zulu") // unknown: no idf mass
+			}
+			query := strings.Join(q, " ")
+			plan := ir.EvalPlan{N: 10, Frags: 8, MinQuality: []float64{0, rng.Float64(), 1}[rng.Intn(3)]}
+			floor := queryFloor(cluster, query, plan)
+			if floor > 1 {
+				below, _ := cluster.Estimate(query, ir.EvalPlan{Frags: 8, Budget: floor - 1})
+				if below.Value() >= plan.MinQuality {
+					t.Fatalf("%q floor %v: budget %d already meets it, floor budget %d", query, plan.MinQuality, floor-1, floor)
+				}
+			}
+			d := ctl.Decide("p", 0, 5*rng.Float64(), floor)
+			if d.Budget < floor {
+				t.Fatalf("%q: decided budget %d below floor budget %d", query, d.Budget, floor)
+			}
+			if d.Reject {
+				continue
+			}
+			plan.Budget = d.Budget
+			sr, err := cluster.SearchPlan(ctx, query, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sr.Quality.FragsUsed != d.Budget {
+				t.Fatalf("%q floor %v: decided budget %d, search admitted %d", query, plan.MinQuality, d.Budget, sr.Quality.FragsUsed)
+			}
+			full, _ := cluster.Estimate(query, ir.EvalPlan{Frags: 8, Budget: 8})
+			if full.Value() >= plan.MinQuality && sr.Quality.Value() < plan.MinQuality-1e-12 {
+				t.Fatalf("%q: served quality %v below reachable floor %v", query, sr.Quality.Value(), plan.MinQuality)
+			}
+		}
+	}
+}
+
+// TestSearchRejectsNonFinitePlan: strconv.ParseFloat accepts "NaN",
+// "Inf" and magnitudes past time.Duration's range; none of them is a
+// plan parameter.
+func TestSearchRejectsNonFinitePlan(t *testing.T) {
+	_, h := adaptiveFixture(t, &CoordinatorConfig{
+		Frags: 8,
+		SLO:   slo.New(slo.Config{Target: time.Second, MaxBudget: 8}),
+	})
+	for _, tc := range []struct{ path, body string }{
+		{"/search?min_quality=NaN&frag=1", adaptiveQuery},
+		{"/search?slo_ms=NaN", adaptiveQuery},
+		{"/search?slo_ms=Inf", adaptiveQuery},
+		{"/search?slo_ms=1e300", adaptiveQuery},
+		{"/search", `{"query":"seles","n":10,"slo_ms":1e300}`},
+	} {
+		if w := postJSON(t, h, tc.path, tc.body); w.Code != http.StatusBadRequest {
+			t.Errorf("%s %s = %d, want 400: %s", tc.path, tc.body, w.Code, w.Body)
+		}
+	}
+}
+
+// TestAdaptiveBurstOverHTTP: a burst past the semaphore over real
+// HTTP. Without a floor every query is served, degraded; with a
+// floor, every query served meets it (refusals allowed); once the
+// bursts drain the answer is byte-identical to the unloaded one.
+func TestAdaptiveBurstOverHTTP(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, h := adaptiveFixture(t, &CoordinatorConfig{
+		Frags:         8,
+		MaxConcurrent: 2,
+		Metrics:       reg,
+		SLO:           slo.New(slo.Config{Target: 500 * time.Millisecond, MaxBudget: 8}),
+	})
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	post := func(path, body string) (int, []byte) {
+		resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0, nil
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		return resp.StatusCode, b
+	}
+	// burst issues 60 POSTs, 12-way parallel, and checks each answer.
+	burst := func(body string, check func(code int, b []byte)) {
+		var wg sync.WaitGroup
+		for range 12 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 5 {
+					check(post("/search?slo_ms=0.001", body))
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	code, baseline := post("/search", adaptiveQuery)
+	if code != http.StatusOK {
+		t.Fatalf("unloaded /search = %d: %s", code, baseline)
+	}
+
+	burst(adaptiveQuery, func(code int, b []byte) {
+		if code != http.StatusOK {
+			t.Errorf("floorless burst answered %d, want 200: %s", code, b)
+		}
+	})
+	if v := statsValue(t, getStats(t, h), "dl_slo_degraded_total", "index", "a"); v < 1 {
+		t.Fatalf("dl_slo_degraded_total = %v after the burst, want >= 1", v)
+	}
+
+	burst(`{"query":"seles match ball","n":10,"min_quality":0.9}`, func(code int, b []byte) {
+		if code == http.StatusServiceUnavailable {
+			return
+		}
+		var resp SearchResponse
+		if code != http.StatusOK || json.Unmarshal(b, &resp) != nil || resp.Quality.Value < 0.9 {
+			t.Errorf("floored burst answered %d %s, want quality >= 0.9 or 503", code, b)
+		}
+	})
+
+	code, after := post("/search", adaptiveQuery)
+	if code != http.StatusOK || !bytes.Equal(after, baseline) {
+		t.Fatalf("drained /search = %d %s, want the baseline %s", code, after, baseline)
 	}
 }
 
@@ -258,7 +498,7 @@ func TestAdaptiveSLOMsOverride(t *testing.T) {
 	curve := ctl.Curve("a")
 	for b := 1; b <= 8; b++ {
 		for i := 0; i < 20; i++ {
-			curve.ObserveCost(b, float64(b)*0.010, float64(b)/8)
+			curve.ObserveCost(b, float64(b)*0.010)
 		}
 	}
 	// Default 1s target: everything fits, full budget.

@@ -15,33 +15,6 @@ type Config struct {
 	// MaxBudget is the fragment budget of a full-quality evaluation
 	// (the cluster's fragmentation granularity).
 	MaxBudget int
-	// MinQuality is the hard quality floor in (0, 1]: the controller
-	// never chooses a budget whose observed quality falls below it,
-	// and only past this floor may admission reject. 0 disables the
-	// floor (the controller degrades all the way to budget 1, and
-	// never rejects).
-	MinQuality float64
-	// RejectOccupancy is the admission-pressure level (occupancy =
-	// (in-flight + waiting) / limit) past which a floor-clamped
-	// decision turns into a rejection: quality can no longer absorb
-	// the overload, so queries must. < 1 selects DefaultRejectOccupancy.
-	RejectOccupancy float64
-	// MinWeight is the decayed observation count a curve point needs
-	// before the controller trusts it; thinner points fall back to
-	// linear extrapolation from the nearest trusted budget. < 1
-	// selects DefaultMinWeight.
-	MinWeight float64
-	// HalfLife is the curve's observation half-life (see
-	// obs.NewDecayedHist); < 1 selects obs.DefaultCurveHalfLife.
-	HalfLife int
-	// ProbeEvery re-probes stale curve points: every ProbeEvery-th
-	// unshedded, target-limited decision explores one budget above the
-	// controller's choice, so a budget remembered as "too slow" keeps
-	// collecting fresh cost samples and can be re-learned after load
-	// drops — without probing, a budget the curve rejects is never
-	// evaluated again and its decayed observations never refresh.
-	// 0 selects DefaultProbeEvery; < 0 disables probing.
-	ProbeEvery int
 }
 
 // DefaultRejectOccupancy: with a full semaphore and twice the limit
@@ -50,7 +23,8 @@ type Config struct {
 const DefaultRejectOccupancy = 3.0
 
 // DefaultMinWeight is the evidence threshold for trusting a curve
-// point outright.
+// point outright; thinner points extrapolate from the nearest trusted
+// budget.
 const DefaultMinWeight = 4.0
 
 // MaxShedLevel caps admission-pressure budget halving: past 5 levels
@@ -59,9 +33,9 @@ const DefaultMinWeight = 4.0
 const MaxShedLevel = 5
 
 // DefaultProbeEvery: one decision in 32 explores one budget above the
-// controller's choice — frequent enough to re-learn a recovered budget
-// within a curve half-life, rare enough that the p95 impact of the
-// slower probes stays in the noise.
+// controller's choice (see Decide) — frequent enough to re-learn a
+// recovered budget within a curve half-life, rare enough that the p95
+// impact of the slower probes stays in the noise.
 const DefaultProbeEvery = 32
 
 // Decision is one controller verdict, recorded in the query trace and
@@ -72,10 +46,6 @@ type Decision struct {
 	// Predicted is the p95 latency the curve predicts for that budget
 	// (0 when the curve has no evidence — the optimistic default).
 	Predicted time.Duration
-	// PredictedQuality is the quality the curve predicts (1 when
-	// unknown: unobserved budgets are assumed full-quality, and the
-	// plan's MinQuality floor makes the cut-off extend if that's wrong).
-	PredictedQuality float64
 	// Confidence in [0, 1]: how much decayed evidence backs the
 	// prediction (0 = none, extrapolated predictions are halved).
 	Confidence float64
@@ -85,23 +55,24 @@ type Decision struct {
 	// Degraded reports whether the chosen budget is below full
 	// quality (MaxBudget).
 	Degraded bool
-	// FloorHit reports whether the quality floor clamped the budget
-	// upward — the controller wanted to degrade further and could not.
+	// FloorHit reports whether the query's floor budget clamped the
+	// budget upward — the controller wanted to degrade further and
+	// could not.
 	FloorHit bool
 	// Reject reports whether the query should be refused (503):
-	// quality is already at the floor and occupancy is past the
-	// rejection threshold.
+	// quality is already at the floor and occupancy is past
+	// DefaultRejectOccupancy.
 	Reject bool
 	// Probe reports that this decision deliberately explored one
 	// budget above the target-fitting choice to refresh the curve's
-	// evidence there (Config.ProbeEvery).
+	// evidence there (DefaultProbeEvery).
 	Probe bool
 }
 
-// Controller picks per-query fragment budgets from learned
-// quality/latency curves. One controller serves all indexes of a
-// coordinator; per-index state (curve + decision counters) is created
-// on first use. Decide and ObserveAchieved are allocation-free.
+// Controller picks per-query fragment budgets from learned latency
+// curves. One controller serves all indexes of a coordinator;
+// per-index state (curve + decision counters) is created on first
+// use. Decide and Curve.ObserveCost are allocation-free.
 type Controller struct {
 	cfg Config
 
@@ -122,29 +93,17 @@ type indexState struct {
 	shedLevel atomic.Int64
 }
 
-// New returns a controller over the given config, normalising unset
-// knobs to their defaults.
+// New returns a controller over the given config; a MaxBudget below
+// 1 selects 1.
 func New(cfg Config) *Controller {
 	if cfg.MaxBudget < 1 {
 		cfg.MaxBudget = 1
-	}
-	if cfg.RejectOccupancy < 1 {
-		cfg.RejectOccupancy = DefaultRejectOccupancy
-	}
-	if cfg.MinWeight < 1 {
-		cfg.MinWeight = DefaultMinWeight
-	}
-	if cfg.ProbeEvery == 0 {
-		cfg.ProbeEvery = DefaultProbeEvery
 	}
 	return &Controller{cfg: cfg, ix: make(map[string]*indexState)}
 }
 
 // Target returns the configured latency SLO.
 func (c *Controller) Target() time.Duration { return c.cfg.Target }
-
-// MinQuality returns the configured quality floor.
-func (c *Controller) MinQuality() float64 { return c.cfg.MinQuality }
 
 // MaxBudget returns the full-quality fragment budget.
 func (c *Controller) MaxBudget() int { return c.cfg.MaxBudget }
@@ -159,13 +118,13 @@ func (c *Controller) state(index string) *indexState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if st = c.ix[index]; st == nil {
-		st = &indexState{curve: NewCurve(c.cfg.MaxBudget, c.cfg.HalfLife)}
+		st = &indexState{curve: NewCurve(c.cfg.MaxBudget)}
 		c.ix[index] = st
 	}
 	return st
 }
 
-// Curve returns the index's quality/latency curve, creating it on
+// Curve returns the index's latency curve, creating it on
 // first use. The coordinator feeds it every budgeted search of the
 // index.
 func (c *Controller) Curve(index string) *Curve { return c.state(index).curve }
@@ -179,8 +138,8 @@ func (c *Controller) Curve(index string) *Curve { return c.state(index).curve }
 // unknown, treated optimistically.
 func (c *Controller) predict(st *indexState, budget int) (time.Duration, float64) {
 	lat, w := st.curve.Latency(budget, 0.95)
-	if w >= c.cfg.MinWeight {
-		return time.Duration(lat * float64(time.Second)), w / (w + c.cfg.MinWeight)
+	if w >= DefaultMinWeight {
+		return time.Duration(lat * float64(time.Second)), w / (w + DefaultMinWeight)
 	}
 	// Nearest trusted budget, preferring the closer and then the lower
 	// (interpolating down is safer than up: extrapolated latency for a
@@ -189,7 +148,7 @@ func (c *Controller) predict(st *indexState, budget int) (time.Duration, float64
 	best, bestLat, bestW := 0, 0.0, 0.0
 	for b := 1; b <= st.curve.MaxBudget(); b++ {
 		l, bw := st.curve.Latency(b, 0.95)
-		if bw < c.cfg.MinWeight {
+		if bw < DefaultMinWeight {
 			continue
 		}
 		if best == 0 || abs(b-budget) < abs(best-budget) {
@@ -200,7 +159,7 @@ func (c *Controller) predict(st *indexState, budget int) (time.Duration, float64
 		return 0, 0
 	}
 	scaled := bestLat * float64(budget) / float64(best)
-	return time.Duration(scaled * float64(time.Second)), bestW / (bestW + c.cfg.MinWeight) / 2
+	return time.Duration(scaled * float64(time.Second)), bestW / (bestW + DefaultMinWeight) / 2
 }
 
 func abs(v int) int {
@@ -210,32 +169,17 @@ func abs(v int) int {
 	return v
 }
 
-// floorBudget returns the smallest budget whose observed quality
-// meets the floor (budgets with no evidence are optimistically assumed
-// to meet it — the evaluation-side MinQuality extension enforces the
-// floor regardless of what the controller predicts).
-func (c *Controller) floorBudget(st *indexState) int {
-	if c.cfg.MinQuality <= 0 {
-		return 1
-	}
-	for b := 1; b <= st.curve.MaxBudget(); b++ {
-		q, w := st.curve.Quality(b)
-		if w < c.cfg.MinWeight || q >= c.cfg.MinQuality {
-			return b
-		}
-	}
-	return st.curve.MaxBudget()
-}
-
 // Decide picks the fragment budget for one query against the index:
 // the largest budget whose predicted p95 fits the target, halved once
 // per unit of admission-pressure occupancy past 1.0, clamped upward
-// to the quality floor — and rejected only when the floor leaves no
-// quality left to shed and occupancy is past the rejection threshold.
-// target <= 0 means "no latency bound" (only pressure shedding
-// applies). occupancy is (in-flight + waiting) / concurrency-limit.
-// Allocation-free.
-func (c *Controller) Decide(index string, target time.Duration, occupancy float64) Decision {
+// to the query's floor budget — and rejected only when the floor
+// leaves no quality left to shed and occupancy is past
+// DefaultRejectOccupancy. target <= 0 means "no latency bound" (only
+// pressure shedding applies). occupancy is (in-flight + waiting) /
+// concurrency-limit. floor is the smallest budget whose a-priori
+// quality meets the query's quality floor (the cut-off's FragsUsed at
+// budget 1; 1 when the query has no floor). Allocation-free.
+func (c *Controller) Decide(index string, target time.Duration, occupancy float64, floor int) Decision {
 	st := c.state(index)
 	maxB := c.cfg.MaxBudget
 
@@ -269,24 +213,24 @@ func (c *Controller) Decide(index string, target time.Duration, occupancy float6
 		budget = 1
 	}
 
-	// Quality floor: never choose a budget the curve says is below the
-	// floor; 503 only when the floor leaves nothing to shed.
-	floorHit := false
-	if fb := c.floorBudget(st); budget < fb {
-		budget, floorHit = fb, true
+	// Quality floor: never choose a budget below the query's floor
+	// budget; 503 only when the floor leaves nothing to shed.
+	floorHit := floor > budget
+	if floorHit {
+		budget = floor
 	}
-	reject := floorHit && c.cfg.MinQuality > 0 && occupancy >= c.cfg.RejectOccupancy
+	reject := floorHit && occupancy >= DefaultRejectOccupancy
 
 	// Stale-point re-probing: the target loop only ever evaluates
 	// budgets the curve predicts to fit, so a budget once learned as
 	// "too slow" would keep its decaying evidence forever. Every
-	// ProbeEvery-th unshedded, target-limited decision explores one
-	// budget above the choice — its cost sample refreshes the curve,
-	// and if load has dropped the larger budget wins the target loop
-	// again. Probing never overrides shedding or a rejection.
+	// DefaultProbeEvery-th unshedded, target-limited decision explores
+	// one budget above the choice — its cost sample refreshes the
+	// curve, and if load has dropped the larger budget wins the target
+	// loop again. Probing never overrides shedding or a rejection.
 	probe := false
-	if c.cfg.ProbeEvery > 0 && target > 0 && shed == 0 && !reject && budget < maxB {
-		if st.probeTick.Add(1)%uint64(c.cfg.ProbeEvery) == 0 {
+	if target > 0 && shed == 0 && !reject && budget < maxB {
+		if st.probeTick.Add(1)%DefaultProbeEvery == 0 {
 			budget++
 			probe = true
 			st.probes.Add(1)
@@ -295,10 +239,6 @@ func (c *Controller) Decide(index string, target time.Duration, occupancy float6
 
 	if budget != base || pred == 0 {
 		pred, conf = c.predict(st, budget)
-	}
-	pq, pw := st.curve.Quality(budget)
-	if pw < c.cfg.MinWeight {
-		pq = 1 // unobserved: assume full quality, the plan floor corrects
 	}
 
 	st.decisions.Add(1)
@@ -315,15 +255,14 @@ func (c *Controller) Decide(index string, target time.Duration, occupancy float6
 	st.shedLevel.Store(int64(shed))
 
 	return Decision{
-		Budget:           budget,
-		Predicted:        pred,
-		PredictedQuality: pq,
-		Confidence:       conf,
-		ShedLevel:        shed,
-		Degraded:         degraded,
-		FloorHit:         floorHit,
-		Reject:           reject,
-		Probe:            probe,
+		Budget:     budget,
+		Predicted:  pred,
+		Confidence: conf,
+		ShedLevel:  shed,
+		Degraded:   degraded,
+		FloorHit:   floorHit,
+		Reject:     reject,
+		Probe:      probe,
 	}
 }
 
@@ -364,8 +303,9 @@ func (c *Controller) Counters(index string) Counters {
 }
 
 // IndexStats is the `slo` block /stats reports per index: the
-// controller's configuration and its learned curve. The decision
-// counters are the dl_slo_* series of the metrics registry (Counters).
+// controller's configuration, the coordinator's default quality floor
+// and the learned latency curve. The decision counters are the dl_slo_*
+// series of the metrics registry (Counters).
 type IndexStats struct {
 	TargetMs   float64 `json:"target_ms"`
 	MinQuality float64 `json:"min_quality,omitempty"`
@@ -374,12 +314,12 @@ type IndexStats struct {
 }
 
 // Stats returns the index's /stats block: configuration plus the
-// observed quality/latency curve.
+// observed latency curve. MinQuality is the caller's to fill: the
+// floor is the coordinator's, not the controller's.
 func (c *Controller) Stats(index string) IndexStats {
 	s := IndexStats{
-		TargetMs:   float64(c.cfg.Target) / float64(time.Millisecond),
-		MinQuality: c.cfg.MinQuality,
-		MaxBudget:  c.cfg.MaxBudget,
+		TargetMs:  float64(c.cfg.Target) / float64(time.Millisecond),
+		MaxBudget: c.cfg.MaxBudget,
 	}
 	c.mu.RLock()
 	st := c.ix[index]
