@@ -48,10 +48,11 @@ var allocBudgets = []struct {
 	{row: "server/search/codec=wire/traced/nodes=2", bound: 51},
 	{row: "server/search/codec=wire/traced/nodes=4", bound: 84},
 	{row: "server/search/codec=wire/traced/nodes=8", bound: 154},
-	{row: "server/search/budget=1-of-8", bound: 470},
-	{row: "server/search/budget=2-of-8", bound: 470},
-	{row: "server/search/budget=4-of-8", bound: 470},
-	{row: "server/search/budget=8-of-8", bound: 470},
+	{row: "server/search/budget=1-of-8", bound: 450},
+	{row: "server/search/budget=2-of-8", bound: 459},
+	{row: "server/search/budget=4-of-8", bound: 464},
+	{row: "server/search/budget=8-of-8", bound: 468},
+	{row: "server/search/budget=1-of-8/nothing-admitted", bound: 5},
 	{row: "server/stream/docs=1000", bound: 10035},
 }
 
@@ -234,8 +235,9 @@ func serverAllocOps(t *testing.T) map[string]func() error {
 		return c
 	}
 	// traced is non-empty for rows whose every search carries a fresh
-	// request-ID trace in its context, as each coordinator /search does.
-	search := func(c *dist.Cluster, query string, plan ir.EvalPlan, traced string) func() error {
+	// request-ID trace in its context, as each coordinator /search does;
+	// results is the ranking's length.
+	search := func(c *dist.Cluster, query string, plan ir.EvalPlan, traced string, results int) func() error {
 		return func() error {
 			ctx := ctx
 			if traced != "" {
@@ -245,7 +247,7 @@ func serverAllocOps(t *testing.T) map[string]func() error {
 			if err != nil {
 				return err
 			}
-			if len(sr.Results) != plan.N || !sr.Complete() {
+			if len(sr.Results) != results || !sr.Complete() {
 				return fmt.Errorf("results=%d dropped=%v", len(sr.Results), sr.Dropped)
 			}
 			return nil
@@ -258,7 +260,7 @@ func serverAllocOps(t *testing.T) map[string]func() error {
 	}{{"binary", dist.CodecBinary, ""}, {"wire", dist.CodecWire, ""}, {"wire/traced", dist.CodecWire, "3dcc9328f078fc1b"}} {
 		for _, k := range []int{1, 2, 4, 8} {
 			ops[fmt.Sprintf("search/codec=%s/nodes=%d", cc.name, k)] =
-				search(cluster(k, cc.codec), "champion winner serve", ir.EvalPlan{N: 10}, cc.traced)
+				search(cluster(k, cc.codec), "champion winner serve", ir.EvalPlan{N: 10}, cc.traced, 10)
 		}
 	}
 	// The query holds a term of the rarest of the corpus's eight
@@ -266,8 +268,12 @@ func serverAllocOps(t *testing.T) map[string]func() error {
 	budgeted := cluster(4, dist.CodecBinary)
 	for _, budget := range []int{1, 2, 4, 8} {
 		ops[fmt.Sprintf("search/budget=%d-of-8", budget)] =
-			search(budgeted, "seles champion trophy match", ir.EvalPlan{N: 10, Frags: 8, Budget: budget}, "")
+			search(budgeted, "seles champion trophy match", ir.EvalPlan{N: 10, Frags: 8, Budget: budget}, "", 10)
 	}
+	// Common stems only: none lies in the rarest fragment, so budget 1
+	// admits nothing and the coordinator answers without a node call.
+	ops["search/budget=1-of-8/nothing-admitted"] =
+		search(budgeted, "match ball court", ir.EvalPlan{N: 10, Frags: 8, Budget: 1}, "", 0)
 
 	const streamDocs = 1000
 	var body strings.Builder

@@ -46,8 +46,11 @@
 // makes the a-priori cut-off of [BHC+01] once, under the collection's
 // df (ir.Cutoff), and ships every partition only the admitted stems'
 // statistics, so each node scores only the budgeted prefix below its
-// RES set. The cut-off, the ranking and the ir.QualityEstimate are
-// those of a single index over the whole collection.
+// RES set. The cut also decides which partitions are read: only those
+// holding a posting of an admitted stem are asked, and a search that
+// admits nothing asks none. The cut-off, the ranking and the
+// ir.QualityEstimate are those of a single index over the whole
+// collection.
 package dist
 
 import (
@@ -251,6 +254,10 @@ type groupStats struct {
 	have  bool     // pulled at least once
 	fresh bool     // reflects every Add routed to the group through this cluster
 	gen   uint64   // bumped by every invalidation; guards refresh races
+	// diverged marks statistics pulled from a replica marked diverged:
+	// it may miss committed postings, so its df cannot rule the group
+	// out of a search.
+	diverged bool
 }
 
 // invalidate marks the statistics stale; the caller holds Cluster.mu.
@@ -405,7 +412,7 @@ func (c *Cluster) ReplicaHealth() [][]ReplicaHealth {
 
 // Telemetry is the cluster's cumulative availability accounting.
 type Telemetry struct {
-	Searches uint64 // searches served (SearchPlan calls that fanned out)
+	Searches uint64 // searches served (SearchPlan calls with N > 0, whether they asked a node or not)
 	// Failovers counts replica failovers across EVERY read path —
 	// searches, statistics aggregation and load probes alike — so with
 	// a dead primary it can legitimately exceed Searches.
@@ -950,6 +957,7 @@ func (c *Cluster) refreshStats(ctx context.Context) (int, error) {
 	c.mu.Unlock()
 
 	pulled := make([]ir.Stats, len(stale))
+	diverged := make([]bool, len(stale))
 	errs := make([]error, len(stale))
 	var wg sync.WaitGroup
 	for i, g := range stale {
@@ -957,7 +965,7 @@ func (c *Cluster) refreshStats(ctx context.Context) (int, error) {
 		go func(i, g int) {
 			defer wg.Done()
 			var fo int
-			pulled[i], fo, _, errs[i] = groupCall(c, ctx, g, 1, func(nctx context.Context, n Node) (ir.Stats, error) {
+			pulled[i], fo, diverged[i], errs[i] = groupCall(c, ctx, g, 1, func(nctx context.Context, n Node) (ir.Stats, error) {
 				return n.Stats(nctx)
 			})
 			if fo > 0 {
@@ -980,7 +988,7 @@ func (c *Cluster) refreshStats(ctx context.Context) (int, error) {
 			continue
 		}
 		gs := &c.gstats[g]
-		gs.st, gs.have = pulled[i], true
+		gs.st, gs.have, gs.diverged = pulled[i], true, diverged[i]
 		c.statsGen++
 		if gs.gen == gens[i] {
 			gs.fresh = true
@@ -1005,17 +1013,30 @@ func (c *Cluster) refreshStats(ctx context.Context) (int, error) {
 // estimate is the cut-off's. It reads whatever each group last
 // reported, fresh or not, and reports false while some group has never
 // reported at all.
-func (c *Cluster) projectStats(stems []string, plan ir.EvalPlan) (ir.Stats, ir.QualityEstimate, bool) {
+//
+// It also decides which groups the search asks, appending one flag per
+// group to ask and returning how many are set: a group is asked when
+// it reported a posting of an admitted stem (an exact plan admits
+// every stem with a global df), or when its statistics are not fresh
+// or came from a diverged replica, since then it may hold postings it
+// has not reported. A node scores only the stems it is shipped, so a
+// group holding none of them would answer the empty ranking.
+func (c *Cluster) projectStats(ask []bool, stems []string, plan ir.EvalPlan) (ir.Stats, ir.QualityEstimate, []bool, int, bool) {
 	st := ir.Stats{DF: make(map[string]int, len(stems))}
+	asked := 0
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for g := range c.gstats {
 		gs := &c.gstats[g]
 		if !gs.have {
-			return ir.Stats{}, ir.QualityEstimate{}, false
+			return ir.Stats{}, ir.QualityEstimate{}, ask, 0, false
 		}
 		st.TotalDF += gs.st.TotalDF
 		st.Docs += gs.st.Docs
+		ask = append(ask, !gs.fresh || gs.diverged)
+		if ask[g] {
+			asked++
+		}
 	}
 	var dfScratch [8]int
 	var fragScratch [8]int32
@@ -1035,8 +1056,14 @@ func (c *Cluster) projectStats(stems []string, plan ir.EvalPlan) (ir.Stats, ir.Q
 			c.fragPostings[f] += uint64(dfs[i])
 		}
 		st.DF[stem] = dfs[i]
+		for g := range c.gstats {
+			if !ask[g] && c.gstats[g].st.DF[stem] > 0 {
+				ask[g] = true
+				asked++
+			}
+		}
 	}
-	return st, est, true
+	return st, est, ask, asked, true
 }
 
 // cutLocked appends the stems' global df to dfs and, for a budgeted
@@ -1186,8 +1213,11 @@ type SearchResult struct {
 	StaleStats bool
 }
 
-// Complete reports whether every partition answered in time with fresh
-// global statistics from a replica holding the full committed state.
+// Complete reports whether every partition the search asked answered
+// in time with fresh global statistics from a replica holding the full
+// committed state. A partition the search did not ask (it holds no
+// posting the cut-off admitted) cannot be dropped, so a search over a
+// dead partition is complete when it admits nothing there.
 func (r *SearchResult) Complete() bool {
 	return len(r.Dropped) == 0 && len(r.Diverged) == 0 && !r.StaleStats
 }
@@ -1201,13 +1231,14 @@ func (r *SearchResult) FailoverTotal() int {
 	return n
 }
 
-// Search evaluates the query on every partition in parallel — one
-// worker per replica group, shared-nothing — and fans the per-node RES
-// sets in through the central ir.Merge. Within a group the worker
-// routes to the healthiest replica and fails over on error or missed
-// deadline; a partition whose every replica fails is dropped, the
-// merge proceeds over the responsive partitions and the dropped
-// indices are reported in the result, deterministically ordered. With
+// Search evaluates the query in parallel on the partitions that can
+// rank a document (see SearchPlan) — one worker per asked replica
+// group, shared-nothing — and fans the per-node RES sets in through the
+// central ir.Merge. Within a group the worker routes to the healthiest
+// replica and fails over on error or missed deadline; a partition
+// whose every replica fails is dropped, the merge proceeds over the
+// responsive partitions and the dropped indices are reported in the
+// result, deterministically ordered. With
 // no drops the merged ranking is identical to the TopN of a single
 // index holding the whole collection — even when individual replicas
 // died, as long as each partition kept one responsive replica.
@@ -1233,6 +1264,19 @@ func (c *Cluster) Search(ctx context.Context, query string, n int) (*SearchResul
 // replicated. ?frags= changes nothing on the nodes, so any granularity
 // costs only the table it cuts. An exact plan (zero Budget) is exactly
 // Search.
+//
+// The cut also decides which partitions are read. A node scores only
+// the stems it is shipped, so the search asks only the groups that
+// reported a posting of an admitted stem (under an exact plan, of any
+// stem with a global df), plus every group whose statistics are not
+// fresh or were pulled from a diverged replica (which may miss
+// committed postings), and a group not asked adds the empty ranking to
+// the merge.
+// When the cut admits nothing, the coordinator answers alone: the
+// empty ranking and the estimate, with no node call. A partition not
+// asked cannot be dropped, however dead it is. A search racing an
+// ingest sees a group it skipped as of the statistics it was cut with,
+// as it sees the df of every group it asks.
 func (c *Cluster) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan) (*SearchResult, error) {
 	sr := &SearchResult{}
 	if plan.N <= 0 {
@@ -1248,7 +1292,8 @@ func (c *Cluster) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan
 	// the exact plan: what scoring reads (see ir.Request.Stats), a few
 	// hundred bytes instead of the vocabulary.
 	var scratch [8]string
-	global, est, ok := c.projectStats(ir.QueryStems(scratch[:0], query), plan)
+	var askScratch [8]bool
+	global, est, ask, asked, ok := c.projectStats(askScratch[:0], ir.QueryStems(scratch[:0], query), plan)
 	if err != nil {
 		if !ok {
 			return nil, err
@@ -1257,7 +1302,8 @@ func (c *Cluster) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan
 	}
 	if tr != nil {
 		tr.AddSpanDetail("stats", statsStart,
-			"groups_refreshed="+strconv.Itoa(refreshed)+" stems_shipped="+strconv.Itoa(len(global.DF)))
+			"groups_refreshed="+strconv.Itoa(refreshed)+" stems_shipped="+strconv.Itoa(len(global.DF))+
+				" groups_asked="+strconv.Itoa(asked))
 	}
 	sr.Quality = est
 	nodePlan := ir.EvalPlan{N: plan.N}
@@ -1270,8 +1316,11 @@ func (c *Cluster) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan
 		diverged bool
 		err      error
 	}
-	ch := make(chan groupRes, len(c.groups))
-	for g := range c.groups {
+	ch := make(chan groupRes, asked)
+	for g, a := range ask {
+		if !a {
+			continue // holds no shipped stem: its ranking is empty
+		}
 		go func(g int) {
 			r, fo, diverged, err := groupCall(c, ctx, g, 1, func(nctx context.Context, n Node) ([]ir.Result, error) {
 				res, _, err := n.SearchPlan(nctx, query, nodePlan, global)
@@ -1281,14 +1330,14 @@ func (c *Cluster) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan
 		}(g)
 	}
 	rankings := make([][]ir.Result, len(c.groups))
-	answered := make([]bool, len(c.groups))
-	pending := len(c.groups)
+	// From here ask[g] marks the groups still owed an answer; with none
+	// asked the merge alone answers.
 collect:
-	for pending > 0 {
+	for pending := asked; pending > 0; {
 		select {
 		case r := <-ch:
 			pending--
-			answered[r.g] = true
+			ask[r.g] = false
 			if r.fo > 0 {
 				if sr.Failovers == nil {
 					sr.Failovers = map[int]int{}
@@ -1308,8 +1357,8 @@ collect:
 			// Overall deadline: whatever has not answered yet is a
 			// straggler. The workers still drain into the buffered
 			// channel and exit; their late results are discarded.
-			for g, ok := range answered {
-				if !ok {
+			for g, waiting := range ask {
+				if waiting {
 					sr.fail(g, ctx.Err())
 				}
 			}

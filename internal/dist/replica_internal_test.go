@@ -165,10 +165,18 @@ func TestReplicatedLocalEqualsUnreplicated(t *testing.T) {
 
 // readFailNode wraps an inner node; reads fail while broken is set.
 // Stats keeps working so statistics aggregation stays healthy and the
-// test isolates the query routing path.
+// test isolates the query routing path, unless statsBroken is set too.
 type readFailNode struct {
 	Node
-	broken atomic.Bool
+	broken      atomic.Bool
+	statsBroken atomic.Bool
+}
+
+func (n *readFailNode) Stats(ctx context.Context) (ir.Stats, error) {
+	if n.statsBroken.Load() {
+		return ir.Stats{}, errReadBroken
+	}
+	return n.Node.Stats(ctx)
 }
 
 var errReadBroken = errors.New("read broken")
@@ -235,6 +243,25 @@ func TestDivergedReplicaQuarantinedAndFlagged(t *testing.T) {
 		// so its RES set is empty — exactly the silent-miss the flag
 		// exists to expose.
 		t.Fatalf("diverged replica returned %+v", sr.Results)
+	}
+	// The primary's statistics die too, and an invalidation makes the
+	// next pull fail over to the diverged replica, whose df for
+	// "champion" is 0: neither plan admits a stem. Statistics from a
+	// replica that may miss committed postings cannot rule its
+	// partition out, so the partition is still asked and flagged.
+	primary.statsBroken.Store(true)
+	for _, plan := range []ir.EvalPlan{{N: 5}, {N: 5, Frags: 8, Budget: 1}} {
+		c.InvalidateStats()
+		sr, err = c.SearchPlan(context.Background(), "champion", plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.StaleStats || len(sr.Dropped) != 0 || len(sr.Results) != 0 {
+			t.Fatalf("plan %+v: search over diverged statistics = %+v", plan, sr)
+		}
+		if len(sr.Diverged) != 1 || sr.Diverged[0] != 0 || sr.Complete() {
+			t.Fatalf("plan %+v: partition with diverged statistics not asked and flagged: %+v", plan, sr)
+		}
 	}
 }
 

@@ -409,8 +409,9 @@ func TestNodeStatsSinceNeverFails(t *testing.T) {
 }
 
 // TestSearchTraceStatsDetail: the stats span of a traced search says
-// how many partitions it had to refresh and how many stems it shipped —
-// the query's own that the cut-off admits.
+// how many partitions it had to refresh, how many stems it shipped —
+// the query's own that the cut-off admits — and how many partitions it
+// asked: those holding a shipped stem.
 func TestSearchTraceStatsDetail(t *testing.T) {
 	c := dist.NewCluster(2, nil)
 	c.Add(1, "u", "melbourne champion")
@@ -419,9 +420,9 @@ func TestSearchTraceStatsDetail(t *testing.T) {
 		budget int
 		want   string
 	}{
-		{1, "groups_refreshed=2 stems_shipped=1"}, // both partitions ingested; "champion" (df 2) is cut, "zanzibar" has no df to ship
-		{2, "groups_refreshed=0 stems_shipped=2"},
-		{0, "groups_refreshed=0 stems_shipped=2"}, // an exact plan: the query's own, not melbourn
+		{1, "groups_refreshed=2 stems_shipped=1 groups_asked=1"}, // both partitions ingested; "champion" (df 2) is cut, "zanzibar" has no df to ship, only partition 1 holds "serve"
+		{2, "groups_refreshed=0 stems_shipped=2 groups_asked=2"},
+		{0, "groups_refreshed=0 stems_shipped=2 groups_asked=2"}, // an exact plan: the query's own, not melbourn
 	} {
 		want := tc.want
 		tr := obs.NewTrace("")

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -202,5 +203,104 @@ func TestLocalNodeResolver(t *testing.T) {
 	sameRanking(t, "resolver path", cc.TopN("melbourne trophy volley", 10), want)
 	if resolved.Load() == 0 {
 		t.Fatal("resolver never invoked")
+	}
+}
+
+// switchableNode answers like the node it wraps until killed; from then
+// on searches and statistics pulls hang until their deadline and
+// ingest fails. It counts the searches that reach it, dead or alive.
+type switchableNode struct {
+	Node
+	dead     atomic.Bool
+	searches atomic.Int64
+}
+
+func (n *switchableNode) SearchPlan(ctx context.Context, q string, p ir.EvalPlan, g ir.Stats) ([]ir.Result, ir.QualityEstimate, error) {
+	n.searches.Add(1)
+	if n.dead.Load() {
+		<-ctx.Done()
+		return nil, ir.QualityEstimate{}, ctx.Err()
+	}
+	return n.Node.SearchPlan(ctx, q, p, g)
+}
+
+func (n *switchableNode) Stats(ctx context.Context) (ir.Stats, error) {
+	if n.dead.Load() {
+		<-ctx.Done()
+		return ir.Stats{}, ctx.Err()
+	}
+	return n.Node.Stats(ctx)
+}
+
+func (n *switchableNode) AddBatch(ctx context.Context, docs []Doc) error {
+	if n.dead.Load() {
+		return errNodeDown
+	}
+	return n.Node.AddBatch(ctx, docs)
+}
+
+// TestUnaskedPartitionCannotDrop: a search asks only the partitions
+// holding a posting its cut-off admits, so a dead partition drops only
+// from the searches that needed it. Once an ingest made its statistics
+// stale and their refresh failed, the dead partition is asked whatever
+// its last statistics said, and drops.
+func TestUnaskedPartitionCannotDrop(t *testing.T) {
+	live := NewLocalNode(ir.NewIndex())
+	dead := &switchableNode{Node: NewLocalNode(ir.NewIndex())}
+	c := NewClusterOf([]Node{live, dead}, &Options{NodeTimeout: 50 * time.Millisecond})
+	// Round-robin: odd oids land on partition 0, even ones on 1. Only
+	// partition 0 holds "zanzibar"; both hold "match".
+	for i, d := range []string{"zanzibar match", "match ball", "match court", "ball court", "match game", "game ball"} {
+		c.Add(bat.OID(i+1), "u", d)
+	}
+	ctx := context.Background()
+	budgeted := ir.EvalPlan{N: 10, Frags: 8, Budget: 1}
+	if sr, err := c.SearchPlan(ctx, "zanzibar", budgeted); err != nil || !sr.Complete() || len(sr.Results) != 1 {
+		t.Fatalf("healthy search: %+v, %v", sr, err)
+	}
+	if n := dead.searches.Load(); n != 0 {
+		t.Fatalf("partition 1 holds no admitted stem but was searched %d times", n)
+	}
+	dead.dead.Store(true)
+
+	sr, err := c.SearchPlan(ctx, "zanzibar", budgeted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sr.Complete() || len(sr.Dropped) != 0 || len(sr.Results) != 1 {
+		t.Fatalf("search admitting nothing on the dead partition: dropped %v stale %v, %d results", sr.Dropped, sr.StaleStats, len(sr.Results))
+	}
+	if n := dead.searches.Load(); n != 0 {
+		t.Fatalf("the dead partition was searched %d times", n)
+	}
+
+	sr, err = c.SearchPlan(ctx, "match", ir.EvalPlan{N: 10, Frags: 8, Budget: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Complete() || !slices.Equal(sr.Dropped, []int{1}) || !errors.Is(sr.Errs[1], context.DeadlineExceeded) {
+		t.Fatalf("search admitting a posting on the dead partition: dropped %v (%v), want [1]", sr.Dropped, sr.Errs)
+	}
+	if n := dead.searches.Load(); n != 1 {
+		t.Fatalf("the dead partition was searched %d times, want 1", n)
+	}
+
+	// An ingest routed to the dead partition fails, but leaves its
+	// statistics stale; their refresh fails too.
+	if err := c.AddContext(ctx, 8, "u", "zanzibar"); err == nil {
+		t.Fatal("ingest into the dead partition succeeded")
+	}
+	sr, err = c.SearchPlan(ctx, "zanzibar", budgeted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sr.StaleStats || !slices.Equal(sr.Dropped, []int{1}) {
+		t.Fatalf("search over stale statistics: stale %v dropped %v, want stale and [1]", sr.StaleStats, sr.Dropped)
+	}
+	if n := dead.searches.Load(); n != 2 {
+		t.Fatalf("the dead partition was searched %d times, want 2", n)
+	}
+	if len(sr.Results) != 1 {
+		t.Fatalf("%d results, want partition 0's document", len(sr.Results))
 	}
 }

@@ -84,8 +84,12 @@ func TestSearchFragsPerRequest(t *testing.T) {
 			}
 		})
 	}
-	if hostileAllocs, clampedAllocs := allocs(1_000_000_000), allocs(classes); hostileAllocs > clampedAllocs {
-		t.Fatalf("frags=1e9 search: %v allocs, frags=%d: %v", hostileAllocs, classes, clampedAllocs)
+	// The race detector makes sync.Pool drop items at random, so two
+	// allocation counts compare only without it.
+	if !raceEnabled {
+		if hostileAllocs, clampedAllocs := allocs(1_000_000_000), allocs(classes); hostileAllocs > clampedAllocs {
+			t.Fatalf("frags=1e9 search: %v allocs, frags=%d: %v", hostileAllocs, classes, clampedAllocs)
+		}
 	}
 
 	for i := 0; i < 6; i++ {
