@@ -192,6 +192,7 @@ func distAllocOps(t *testing.T) map[string]func() error {
 	instrumented.SetMetrics(&dist.NodeMetrics{
 		Scoring:    reg.Histogram("dl_node_scoring_seconds", "scoring wall time", "", obs.LatencyBounds()),
 		IngestDocs: reg.Counter("dl_node_ingest_docs_total", "ingested docs", ""),
+		LockWait:   dist.LockWait{Search: reg.Histogram("dl_node_lock_wait_seconds", "lock wait", "", obs.LatencyBounds())},
 	})
 	search := func(node *dist.LocalNode) func() error {
 		return func() error {

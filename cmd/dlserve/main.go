@@ -304,7 +304,7 @@ func runNode(ctx context.Context, addr string, lambda float64, cacheCap, maxConc
 	}
 	var oplog *persist.OpLog
 	if oplogDir != "" && resyncFrom == "" {
-		oplog = openAndReplayLog(oplogDir, snapPos, ix)
+		oplog = openAndReplayLog(oplogDir, snapPos, ix, reg)
 	}
 	resynced := false
 	if resyncFrom != "" {
@@ -443,8 +443,10 @@ func runNode(ctx context.Context, addr string, lambda float64, cacheCap, maxConc
 // hole in it means acknowledged writes are unrecoverable here (boot
 // with -resync to pull the fragment from a live peer instead). Replay
 // starts at the log's base, not the snapshot position: the overlap is
-// deduplicated by oid, and over-replay is the cheap direction.
-func openAndReplayLog(dir string, snapPos uint64, ix *ir.Index) *persist.OpLog {
+// deduplicated by oid, and over-replay is the cheap direction. What
+// the open and the replay took is reg's dl_node_boot_replay_seconds.
+func openAndReplayLog(dir string, snapPos uint64, ix *ir.Index, reg *obs.Registry) *persist.OpLog {
+	start := time.Now()
 	l, err := persist.OpenOpLog(dir)
 	if err != nil {
 		fatal(fmt.Errorf("refusing to serve: %w", err))
@@ -465,9 +467,12 @@ func openAndReplayLog(dir string, snapPos uint64, ix *ir.Index) *persist.OpLog {
 	}); err != nil {
 		fatal(fmt.Errorf("refusing to serve: op log replay: %w", err))
 	}
+	took := time.Since(start)
+	reg.Gauge("dl_node_boot_replay_seconds",
+		"Time this node's boot spent opening, verifying and replaying its op log.", "").Set(took.Seconds())
 	if l.Pos() > snapPos {
-		logger.Infof("replayed op log %d..%d (%d new docs), now %d docs",
-			snapPos, l.Pos(), replayed, ix.DocCount())
+		logger.Infof("replayed op log %d..%d (%d new docs) in %s, now %d docs",
+			snapPos, l.Pos(), replayed, took.Round(time.Microsecond), ix.DocCount())
 	}
 	return l
 }
@@ -562,6 +567,7 @@ func buildCluster(name, nodeURLs string, local, r int, lambda float64, nodeTimeo
 	nm := &dist.NodeMetrics{
 		Scoring:    reg.Histogram("dl_node_scoring_seconds", "Local query evaluation wall time.", "", obs.LatencyBounds()),
 		IngestDocs: reg.Counter("dl_node_ingest_docs_total", "Documents indexed on in-process nodes.", ""),
+		LockWait:   server.NodeLockWait(reg),
 	}
 	members := make([]dist.Node, local)
 	for i := range members {

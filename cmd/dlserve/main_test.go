@@ -145,11 +145,9 @@ func TestREADMEMetricTable(t *testing.T) {
 	documented := readmeMetrics(t, "../../README.md")
 
 	nodeReg := obs.NewRegistry()
-	oplog, err := persist.OpenOpLog(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns := server.NewNodeServer(ir.NewIndex(), &server.NodeConfig{
+	ix := ir.NewIndex()
+	oplog := openAndReplayLog(t.TempDir(), 0, ix, nodeReg)
+	ns := server.NewNodeServer(ix, &server.NodeConfig{
 		Metrics: nodeReg,
 		Cache:   core.NewQueryCache(8),
 		OpLog:   oplog,
@@ -225,6 +223,38 @@ func TestREADMEMetricTable(t *testing.T) {
 		if _, ok := registered[name]; !ok {
 			t.Errorf("the README table lists %s, which nothing registers", name)
 		}
+	}
+}
+
+// TestBootReplayGauge: a node booting on a log of two batches replays
+// both, and its registry's dl_node_boot_replay_seconds reads what that
+// took.
+func TestBootReplayGauge(t *testing.T) {
+	dir := t.TempDir()
+	l, err := persist.OpenOpLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range [][]persist.Op{
+		{{Doc: 1, URL: "d1", Text: "melbourne champion trophy"}, {Doc: 2, URL: "d2", Text: "seles wins the final"}},
+		{{Doc: 3, URL: "d3", Text: "hingis loses the final"}},
+	} {
+		if err := l.Append(batch...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	ix := ir.NewIndex()
+	l = openAndReplayLog(dir, 0, ix, reg)
+	defer l.Close()
+	if ix.DocCount() != 3 || l.Pos() != 3 {
+		t.Fatalf("replayed %d docs to position %d, want 3 and 3", ix.DocCount(), l.Pos())
+	}
+	if got := reg.Gauge("dl_node_boot_replay_seconds", "", "").Value(); !(got > 0) {
+		t.Fatalf("dl_node_boot_replay_seconds = %v, want > 0", got)
 	}
 }
 

@@ -191,6 +191,47 @@ type NodeMetrics struct {
 	// IngestDocs counts freshly indexed documents (duplicates a
 	// retried write re-posts are not counted).
 	IngestDocs *obs.Counter
+	// LockWait observes how long each operation waited for the node's
+	// lock, in seconds.
+	LockWait LockWait
+}
+
+// LockWait holds one histogram per kind of operation that takes a
+// LocalNode's lock; a nil histogram observes nothing.
+type LockWait struct {
+	Search *obs.Histogram // evaluations, under the read lock
+	Add    *obs.Histogram // AddBatch and ApplyOps, under the write lock
+	Stats  *obs.Histogram // StatsSince, which freezes under the write lock
+}
+
+// lockWait returns the lock-wait histograms of m, none when m is nil.
+func (m *NodeMetrics) lockWait() LockWait {
+	if m == nil {
+		return LockWait{}
+	}
+	return m.LockWait
+}
+
+// lock takes the node's write lock, observing the wait on h.
+func (n *LocalNode) lock(h *obs.Histogram) {
+	if h == nil {
+		n.mu.Lock()
+		return
+	}
+	start := time.Now()
+	n.mu.Lock()
+	h.ObserveSince(start)
+}
+
+// rlock takes the node's read lock, observing the wait on h.
+func (n *LocalNode) rlock(h *obs.Histogram) {
+	if h == nil {
+		n.mu.RLock()
+		return
+	}
+	start := time.Now()
+	n.mu.RLock()
+	h.ObserveSince(start)
 }
 
 // SetMetrics attaches node-side instrumentation. Set it before the
@@ -318,7 +359,7 @@ func (n *LocalNode) logThenApply(docs []Doc) error {
 // existing document remains an ir.Index-level operation for engines
 // that own their index outright.
 func (n *LocalNode) AddBatch(_ context.Context, docs []Doc) error {
-	n.mu.Lock()
+	n.lock(n.met.lockWait().Add)
 	defer n.mu.Unlock()
 	return n.logThenApply(docs)
 }
@@ -349,7 +390,7 @@ func (n *LocalNode) OpsSince(_ context.Context, from uint64) ([]persist.Op, erro
 // advances in lockstep with the source's; only not-yet-indexed
 // documents are applied.
 func (n *LocalNode) ApplyOps(_ context.Context, from uint64, ops []persist.Op) error {
-	n.mu.Lock()
+	n.lock(n.met.lockWait().Add)
 	defer n.mu.Unlock()
 	if from != n.pos {
 		return fmt.Errorf("%w: delta starts at %d, node is at %d", ErrPosMismatch, from, n.pos)
@@ -431,7 +472,7 @@ func newIncarnation() uint64 {
 // RestoreState, below the index's base epoch, or from the future —
 // gets the full block. now is the version of the returned reading.
 func (n *LocalNode) StatsSince(since StatsVersion) (st ir.Stats, now StatsVersion, delta bool) {
-	n.mu.Lock()
+	n.lock(n.met.lockWait().Stats)
 	defer n.mu.Unlock()
 	n.ix.Freeze()
 	now = StatsVersion{Incarnation: n.incarnation, Epoch: n.ix.Epoch()}
@@ -466,7 +507,7 @@ func (n *LocalNode) SearchPlan(_ context.Context, query string, plan ir.EvalPlan
 // On a clean index a resolver, when injected, supplies the (cached)
 // pre-resolved terms; the result is identical either way.
 func (n *LocalNode) evaluate(query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate) {
-	n.mu.RLock()
+	n.rlock(n.met.lockWait().Search)
 	defer n.mu.RUnlock()
 	// ir.Request's pointers escape with its query (the resolved stems
 	// alias it), so &global would move the parameter to the heap on every

@@ -10,6 +10,7 @@ import (
 
 	"dlsearch/internal/bat"
 	"dlsearch/internal/ir"
+	"dlsearch/internal/obs"
 	"dlsearch/internal/persist"
 )
 
@@ -306,6 +307,54 @@ func TestApplyOpsPositionExact(t *testing.T) {
 	bare := NewLocalNode(ir.NewIndex())
 	if _, err := bare.OpsSince(context.Background(), 0); !errors.Is(err, ErrDeltaUnavailable) {
 		t.Fatalf("log-less OpsSince: %v, want ErrDeltaUnavailable", err)
+	}
+}
+
+// TestNodeLockWait: each operation that takes the node's lock observes
+// its wait once, under its own kind, and a search queued behind a held
+// write lock (an ingest's fsync, say) observes at least the hold.
+func TestNodeLockWait(t *testing.T) {
+	n := loggedNode(t)
+	w := LockWait{Search: obs.NewHistogram(obs.LatencyBounds()),
+		Add: obs.NewHistogram(obs.LatencyBounds()), Stats: obs.NewHistogram(obs.LatencyBounds())}
+	n.SetMetrics(&NodeMetrics{LockWait: w})
+	ctx := context.Background()
+	if err := n.AddBatch(ctx, []Doc{{OID: 1, URL: "u", Text: "champion trophy"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.ApplyOps(ctx, 1, []persist.Op{{Doc: 2, URL: "u", Text: "champion"}}); err != nil {
+		t.Fatal(err)
+	}
+	global, _ := n.Stats(ctx)
+	if _, _, err := n.SearchPlan(ctx, "champion", ir.EvalPlan{N: 5}, global); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		op   string
+		h    *obs.Histogram
+		want uint64
+	}{{"search", w.Search, 1}, {"add", w.Add, 2}, {"stats", w.Stats, 1}} {
+		if got := c.h.Snapshot().Count; got != c.want {
+			t.Errorf("%s: %d waits observed, want %d", c.op, got, c.want)
+		}
+	}
+
+	const hold = 50 * time.Millisecond
+	n.mu.Lock()
+	started, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		close(started)
+		n.SearchPlan(ctx, "champion", ir.EvalPlan{N: 5}, global)
+	}()
+	<-started
+	time.Sleep(hold)
+	n.mu.Unlock()
+	<-done
+	// Half the hold: the search may start waiting a little after it
+	// signalled.
+	if s := w.Search.Snapshot(); s.Count != 2 || s.Sum < hold.Seconds()/2 {
+		t.Fatalf("a search behind a %s write lock: %d waits, %.4f s in all", hold, s.Count, s.Sum)
 	}
 }
 

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dlsearch/internal/bat"
 )
@@ -97,19 +99,101 @@ func TestAddStateGolden(t *testing.T) {
 }
 
 // addVocab is FuzzIndexAdd's vocabulary: words that share a stem
-// ("court"/"courts") or differ only in case, so one term collects
-// tokens of several spellings.
+// ("court"/"courts", four inflections of "connect") or differ only in
+// case, so one term collects tokens of several spellings; stop words;
+// a word longer than Add's 32-byte stem scratch; and words with a
+// separator inside ("court's", an en dash), which split into two
+// tokens.
 var addVocab = []string{"seles", "Seles", "graf", "court", "courts", "volley",
-	"volleys", "trophy", "melbourne", "match", "matches", "rally"}
+	"volleys", "trophy", "melbourne", "match", "matches", "rally",
+	"the", "of", "connect", "connected", "connecting", "connection",
+	"pneumonoultramicroscopicsilicovolcanoconiosis", "court's", "melbourne–open"}
 
-// FuzzIndexAdd holds Add to a map oracle. The fuzz bytes decode to a
+// addOracle is a map model of what Add builds: documents in first-add
+// order with their first url and total length, and each stem's
+// postings, stems in first-appearance order. It splits text with
+// Tokenize and drops stop words with IsStopWord, so it shares nothing
+// with Add's word table.
+type addOracle struct {
+	docOrder  []bat.OID
+	docs      map[bat.OID]*DocState
+	stemOrder []string
+	postings  map[string]map[bat.OID]int
+}
+
+func newAddOracle() *addOracle {
+	return &addOracle{docs: map[bat.OID]*DocState{}, postings: map[string]map[bat.OID]int{}}
+}
+
+func (o *addOracle) add(doc bat.OID, url, text string) {
+	d := o.docs[doc]
+	if d == nil {
+		d = &DocState{OID: doc, URL: url}
+		o.docs[doc] = d
+		o.docOrder = append(o.docOrder, doc)
+	}
+	for _, tok := range Tokenize(text) {
+		if IsStopWord(tok) {
+			continue
+		}
+		d.Len++
+		stem := Stem(tok)
+		if o.postings[stem] == nil {
+			o.postings[stem] = map[bat.OID]int{}
+			o.stemOrder = append(o.stemOrder, stem)
+		}
+		o.postings[stem][doc]++
+	}
+}
+
+// check fails t unless the index's exported state holds exactly the
+// oracle's documents and terms (dense oids in first-appearance order,
+// postings and tfs by ascending document) and its local statistics
+// the oracle's dfs.
+func (o *addOracle) check(t *testing.T, ix *Index) {
+	t.Helper()
+	st := ix.ExportState()
+	if len(st.Docs) != len(o.docOrder) {
+		t.Fatalf("%d documents, oracle %d", len(st.Docs), len(o.docOrder))
+	}
+	for i, doc := range o.docOrder {
+		if want := *o.docs[doc]; st.Docs[i] != want {
+			t.Fatalf("document %d = %+v, oracle %+v", i, st.Docs[i], want)
+		}
+	}
+	if len(st.Terms) != len(o.stemOrder) || st.NextOID != bat.OID(len(o.stemOrder)+1) {
+		t.Fatalf("%d terms, next oid %d; oracle %d terms", len(st.Terms), st.NextOID, len(o.stemOrder))
+	}
+	local := ix.StatsLocal()
+	totalDF := 0
+	for i, stem := range o.stemOrder {
+		term := st.Terms[i]
+		if term.OID != bat.OID(i+1) || term.Stem != stem {
+			t.Fatalf("term %d = oid %d %q, oracle oid %d %q", i, term.OID, term.Stem, i+1, stem)
+		}
+		want := make([]Posting, 0, len(o.postings[stem]))
+		for doc, tf := range o.postings[stem] {
+			want = append(want, Posting{Doc: doc, TF: tf})
+		}
+		slices.SortFunc(want, func(a, b Posting) int { return int(a.Doc) - int(b.Doc) })
+		if !slices.Equal(term.Postings, want) {
+			t.Fatalf("term %q postings %v, oracle %v", stem, term.Postings, want)
+		}
+		if local.DF[stem] != len(want) {
+			t.Fatalf("term %q df %d, oracle %d", stem, local.DF[stem], len(want))
+		}
+		totalDF += len(want)
+	}
+	if local.TotalDF != totalDF || local.Docs != len(o.docOrder) {
+		t.Fatalf("totals %d df / %d docs, oracle %d / %d", local.TotalDF, local.Docs, totalDF, len(o.docOrder))
+	}
+}
+
+// FuzzIndexAdd holds Add to addOracle. The fuzz bytes decode to a
 // sequence of adds — documents re-added (their postings fold) and
 // arriving out of oid order, words repeating within a document — with
 // Freeze and memory-budget changes interleaved, so lists are compressed
-// and re-inflated between adds. The exported state must hold exactly
-// the oracle's documents (first-add order, first url, total length)
-// and terms (dense oids in first-appearance order, postings and tfs by
-// ascending document), and the local statistics its dfs; a second
+// and re-inflated between adds. Beyond the oracle's state, a second
 // index fed the same adds in document-oid order must checksum alike.
 func FuzzIndexAdd(f *testing.F) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -123,17 +207,10 @@ func FuzzIndexAdd(f *testing.F) {
 			doc       bat.OID
 			url, text string
 		}
-		type docInfo struct {
-			url string
-			len int32
-		}
 		in := fuzzInput(data)
 		ix := NewIndex()
+		oracle := newAddOracle()
 		var adds []add
-		var docOrder []bat.OID
-		docs := map[bat.OID]*docInfo{}
-		var stemOrder []string
-		postings := map[string]map[bat.OID]int{}
 		for ops := 0; len(in) > 0 && ops < 200; ops++ {
 			switch op := in.next(); {
 			case op%16 == 13:
@@ -151,59 +228,10 @@ func FuzzIndexAdd(f *testing.F) {
 				a := add{doc, fmt.Sprintf("u%d-%d", doc, ops), strings.Join(words, " ")}
 				adds = append(adds, a)
 				ix.Add(a.doc, a.url, a.text)
-				d := docs[doc]
-				if d == nil {
-					d = &docInfo{url: a.url}
-					docs[doc] = d
-					docOrder = append(docOrder, doc)
-				}
-				d.len += int32(len(words))
-				for _, w := range words {
-					stem := Stem(strings.ToLower(w))
-					if postings[stem] == nil {
-						postings[stem] = map[bat.OID]int{}
-						stemOrder = append(stemOrder, stem)
-					}
-					postings[stem][doc]++
-				}
+				oracle.add(a.doc, a.url, a.text)
 			}
 		}
-
-		st := ix.ExportState()
-		if len(st.Docs) != len(docOrder) {
-			t.Fatalf("%d documents, oracle %d", len(st.Docs), len(docOrder))
-		}
-		for i, doc := range docOrder {
-			if want := (DocState{OID: doc, URL: docs[doc].url, Len: docs[doc].len}); st.Docs[i] != want {
-				t.Fatalf("document %d = %+v, oracle %+v", i, st.Docs[i], want)
-			}
-		}
-		if len(st.Terms) != len(stemOrder) || st.NextOID != bat.OID(len(stemOrder)+1) {
-			t.Fatalf("%d terms, next oid %d; oracle %d terms", len(st.Terms), st.NextOID, len(stemOrder))
-		}
-		local := ix.StatsLocal()
-		totalDF := 0
-		for i, stem := range stemOrder {
-			term := st.Terms[i]
-			if term.OID != bat.OID(i+1) || term.Stem != stem {
-				t.Fatalf("term %d = oid %d %q, oracle oid %d %q", i, term.OID, term.Stem, i+1, stem)
-			}
-			want := make([]Posting, 0, len(postings[stem]))
-			for doc, tf := range postings[stem] {
-				want = append(want, Posting{Doc: doc, TF: tf})
-			}
-			slices.SortFunc(want, func(a, b Posting) int { return int(a.Doc) - int(b.Doc) })
-			if !slices.Equal(term.Postings, want) {
-				t.Fatalf("term %q postings %v, oracle %v", stem, term.Postings, want)
-			}
-			if local.DF[stem] != len(want) {
-				t.Fatalf("term %q df %d, oracle %d", stem, local.DF[stem], len(want))
-			}
-			totalDF += len(want)
-		}
-		if local.TotalDF != totalDF || local.Docs != len(docOrder) {
-			t.Fatalf("totals %d df / %d docs, oracle %d / %d", local.TotalDF, local.Docs, totalDF, len(docOrder))
-		}
+		oracle.check(t, ix)
 
 		sorted := NewIndex()
 		slices.SortStableFunc(adds, func(a, b add) int { return int(a.doc) - int(b.doc) })
@@ -214,4 +242,95 @@ func FuzzIndexAdd(f *testing.F) {
 			t.Fatalf("checksum %s in document-oid order, %s as added", got, want)
 		}
 	})
+}
+
+// TestWordTableBounded feeds Add many more spellings of a few stems
+// than the word table may hold. The table must never pass its bound,
+// and must reach it, so words past the bound take the stemmer's path;
+// no key may point into a document's text, and the index must still
+// equal addOracle's. An index exported halfway
+// and re-imported starts its table empty, with renumbered term oids,
+// and after the second half's adds must equal one fed every add.
+func TestWordTableBounded(t *testing.T) {
+	bases := []string{"connect", "report", "conduct", "contract", "convert",
+		"depart", "detect", "direct", "expect", "export", "inspect", "invent",
+		"perform", "project", "protect", "reflect", "select", "suspect",
+		"transport", "collect"}
+	suffixes := []string{"", "s", "ed", "ing", "ings", "er", "ers", "ment", "ments",
+		"ation", "ations", "ize", "izes", "ized", "izing", "ization", "ful", "ness"}
+	var spellings []string
+	stems := map[string]bool{}
+	for _, b := range bases {
+		for _, s := range suffixes {
+			spellings = append(spellings, b+s)
+			stems[Stem(b+s)] = true
+		}
+	}
+	if bound := 2*len(stems) + len(stopWords); len(spellings) <= bound {
+		t.Fatalf("%d spellings of %d stems fit the bound %d: the test cannot pass it", len(spellings), len(stems), bound)
+	}
+	rng := rand.New(rand.NewSource(5))
+	texts := make([]string, 400)
+	for i := range texts {
+		words := make([]string, 5+rng.Intn(30))
+		for j := range words {
+			if rng.Intn(5) == 0 {
+				words[j] = "the"
+			} else {
+				words[j] = spellings[rng.Intn(len(spellings))]
+			}
+		}
+		texts[i] = strings.Join(words, " ")
+	}
+
+	ix, oracle := NewIndex(), newAddOracle()
+	full := false
+	for i, text := range texts {
+		doc := bat.OID(1 + rng.Intn(300)) // some documents re-added
+		ix.Add(doc, fmt.Sprintf("u%d", i), text)
+		oracle.add(doc, fmt.Sprintf("u%d", i), text)
+		if len(ix.words) > ix.wordsCap() {
+			t.Fatalf("after add %d the table holds %d words, bound %d", i, len(ix.words), ix.wordsCap())
+		}
+		full = full || len(ix.words) == ix.wordsCap()
+	}
+	if !full {
+		t.Fatalf("the table never reached its bound (%d of %d)", len(ix.words), ix.wordsCap())
+	}
+	// The texts are lower-case, so their tokens alias them; a key that
+	// did too would keep its document's whole text alive.
+	for w := range ix.words {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(w)))
+		for _, text := range texts {
+			if base := uintptr(unsafe.Pointer(unsafe.StringData(text))); p >= base && p < base+uintptr(len(text)) {
+				t.Fatalf("table key %q points into a document's text", w)
+			}
+		}
+	}
+	oracle.check(t, ix)
+
+	half := len(texts) / 2
+	first, fresh := NewIndex(), NewIndex()
+	for i, text := range texts[:half] {
+		first.Add(bat.OID(i+1), "u", text)
+		fresh.Add(bat.OID(i+1), "u", text)
+	}
+	imported, err := ImportState(first.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(imported.words) != 0 {
+		t.Fatalf("an imported index starts with %d words in its table", len(imported.words))
+	}
+	for i, text := range texts[half:] {
+		imported.Add(bat.OID(half+i+1), "u", text)
+		fresh.Add(bat.OID(half+i+1), "u", text)
+	}
+	got, want := imported.ExportState(), fresh.ExportState()
+	if !reflect.DeepEqual(got.Docs, want.Docs) || !reflect.DeepEqual(got.Terms, want.Terms) || got.NextOID != want.NextOID {
+		t.Fatal("adds after an import differ from the same adds to a fresh index")
+	}
+	if imported.Checksum() != fresh.Checksum() {
+		t.Fatal("checksum after import and adds differs from a fresh index's")
+	}
 }

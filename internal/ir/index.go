@@ -96,10 +96,11 @@ func (t *term) postingLen() int {
 // As in the paper's BATs, term oids are dense: the term of oid id is
 // row id-1 of T and of the term column, which holds its posting
 // columns, its IDF row and its pending-work flag, so nothing past the
-// stem → oid dictionary is found by hashing. Add issues oids 1, 2, …
-// in first-appearance order; ImportState renumbers a state's terms
-// densely in ascending-oid order. applyMemoryBudget's oid tie-break
-// relies on only that order, not on the oid values.
+// word → oid table and the stem → oid dictionary is found by hashing.
+// Add issues oids 1, 2, … in first-appearance order; ImportState
+// renumbers a state's terms densely in ascending-oid order.
+// applyMemoryBudget's oid tie-break relies on only that order, not on
+// the oid values.
 //
 // A term's DT/TF tuples live either in its plain posting columns or,
 // under a memory budget, delta+varint compressed (cold) — never both.
@@ -118,6 +119,13 @@ type Index struct {
 
 	termID map[string]bat.OID
 	terms  []term // the term column: terms[id-1] is term oid id
+
+	// words caches what Add derives from a surface word: its term oid,
+	// or NilOID for a stop word. Stemming is a pure function, so the
+	// table is derived state: never exported, persisted or shipped,
+	// and an imported index starts it empty. Its size is bounded by
+	// wordsCap.
+	words map[string]bat.OID
 
 	// Columnar document store: slot = dense insertion index.
 	docIDs  []bat.OID
@@ -178,9 +186,14 @@ func NewIndex() *Index {
 		IDF:     bat.New("IDF", bat.KindFloat),
 		lambda:  DefaultLambda,
 		termID:  make(map[string]bat.OID),
+		words:   make(map[string]bat.OID),
 		docSlot: make(map[bat.OID]int32),
 	}
 }
+
+// wordsCap bounds the surface-word table: two spellings per term, plus
+// the stop list. Past it, an unseen word is resolved but not kept.
+func (ix *Index) wordsCap() int { return 2*len(ix.terms) + len(stopWords) }
 
 // termAt returns the column row of a term oid, nil for an oid the index
 // never issued. The pointer is valid only until the next Add.
@@ -231,20 +244,26 @@ func (ix *Index) addDoc(doc bat.OID, url string) int32 {
 // occurrences into its existing postings. Add must not run
 // concurrently with queries.
 //
-// Each stem resolves straight to its term oid; only a stem the index
-// has never seen allocates its vocabulary key. A token counts towards
-// its term's tf in the term's column row, and the distinct terms are
-// then applied in first-appearance order: each posting lands in its
-// own list, so the order changes nothing, and no sort is needed.
+// A word the index has seen resolves to its term oid, or to nothing
+// for a stop word, with one hash of its bytes. Only an unseen word is
+// stopped, stemmed and looked up by its stem (resolveWord). A token
+// counts towards its term's tf in the term's column row, and the
+// distinct terms are then applied in first-appearance order: each
+// posting lands in its own list, so the order changes nothing, and no
+// sort is needed.
 func (ix *Index) Add(doc bat.OID, url, text string) {
 	var scratch [32]byte // longer stems spill to the heap
+	stem := scratch[:0]
 	ids := ix.addIDs[:0]
 	tokens := int32(0)
 	low := strings.ToLower(text) // text itself when already lower-case
-	for stem, tok, i := nextStem(low, 0, scratch[:0]); tok != ""; stem, tok, i = nextStem(low, i, stem) {
-		id, known := ix.termID[string(stem)]
+	for tok, i := nextToken(low, 0); tok != ""; tok, i = nextToken(low, i) {
+		id, known := ix.words[tok]
 		if !known {
-			id = ix.newTerm(string(stem))
+			id, stem = ix.resolveWord(tok, stem)
+		}
+		if id == bat.NilOID {
+			continue // a stop word
 		}
 		t := &ix.terms[id-1]
 		if t.addTF == 0 {
@@ -292,6 +311,33 @@ func (ix *Index) Add(doc bat.OID, url, text string) {
 		t.tfs = append(t.tfs, tf)
 		ix.plainBytes += 8
 	}
+}
+
+// resolveWord is Add's path for a word the table does not hold: the
+// word is stopped or stemmed, and its stem resolved to a term oid (a
+// new term when unseen). The answer is kept in the table while it is
+// below its bound. tok aliases the document's text, so the key is a
+// copy of it, or the vocabulary's own key when the word is its stem.
+// buf is the stem scratch, returned for reuse.
+func (ix *Index) resolveWord(tok string, buf []byte) (bat.OID, []byte) {
+	id, key := bat.NilOID, ""
+	if !stopWords[tok] {
+		buf = stemInto(buf, tok)
+		var known bool
+		if id, known = ix.termID[string(buf)]; !known {
+			id = ix.newTerm(string(buf))
+		}
+		if string(buf) == tok {
+			key = ix.T.TailString(int(id - 1))
+		}
+	}
+	if len(ix.words) < ix.wordsCap() {
+		if key == "" {
+			key = strings.Clone(tok)
+		}
+		ix.words[key] = id
+	}
+	return id, buf
 }
 
 // fold adds tf to the document's posting if the list holds one, so a

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -356,16 +357,40 @@ func TestAddAllocsPerDocument(t *testing.T) {
 	}
 }
 
-// BenchmarkIndexAdd adds lib20k-shaped documents to a warm index.
+// docShapes are the document-length shapes of the Zipf benchmarks:
+// lib20k's constant 80 words, and log-normal lengths around the same
+// median (5–600 words).
+var docShapes = []struct {
+	name   string
+	docLen func(*rand.Rand) int
+}{
+	{"len=80", func(*rand.Rand) int { return 80 }},
+	{"len=lognormal", func(r *rand.Rand) int {
+		return min(600, max(5, int(math.Round(80*math.Exp(0.6*r.NormFloat64())))))
+	}},
+}
+
+// BenchmarkIndexAdd adds documents of each shape to a warm index of
+// 4 000 documents of the same shape, over lib20k's 20 000-word Zipf
+// vocabulary.
 func BenchmarkIndexAdd(b *testing.B) {
-	ix := lib20kIndex(1, 4000)
-	texts := lib20kTexts(2, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Add(bat.OID(4001+i), "u", texts[i%len(texts)])
+	const warm, vocab = 4000, 20000
+	for _, shape := range docShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			ix := NewIndex()
+			for d, text := range zipfTexts(1, warm, vocab, shape.docLen) {
+				ix.Add(bat.OID(d+1), fmt.Sprintf("d%d", d+1), text)
+			}
+			ix.Freeze()
+			texts := zipfTexts(2, 4096, vocab, shape.docLen)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix.Add(bat.OID(warm+1+i), "u", texts[i%len(texts)])
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/doc")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/doc")
 }
 
 // TestIncrementalFragmentsDeterministic: two indexes holding the same

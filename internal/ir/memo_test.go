@@ -175,16 +175,7 @@ func TestLogWeightGolden(t *testing.T) {
 // share of them MaxScore weighed.
 func BenchmarkEvaluateZipf(b *testing.B) {
 	const docs, vocab = 10000, 20000
-	shapes := []struct {
-		name   string
-		docLen func(*rand.Rand) int
-	}{
-		{"len=80", func(*rand.Rand) int { return 80 }},
-		{"len=lognormal", func(r *rand.Rand) int {
-			return min(600, max(5, int(math.Round(80*math.Exp(0.6*r.NormFloat64())))))
-		}},
-	}
-	for _, shape := range shapes {
+	for _, shape := range docShapes {
 		ix := NewIndex()
 		for d, text := range zipfTexts(1, docs, vocab, shape.docLen) {
 			ix.Add(bat.OID(d+1), fmt.Sprintf("d%d", d+1), text)

@@ -552,6 +552,110 @@ func FuzzDecodeOps(f *testing.F) {
 	})
 }
 
+// FuzzOpLogRecover damages a log the way a crash or a failing disk
+// would and holds OpenOpLog to its recovery contract. The fuzz bytes
+// choose the batches appended (texts long enough for a multi-byte
+// length varint among them), then either cut the file at one byte or
+// flip one byte. No input may panic the open. A cut at or past the
+// 20-byte header never fails closed: the log opens at the last whole
+// record, and TruncatedBytes is the remainder. (A cut inside the
+// header, left only by a crash while the log is created or reset,
+// names no base and fails closed; a cut at 0 is a fresh log.) A flip
+// may fail the open, with ErrCorrupt or as an unsupported version.
+// Whatever opens replays a prefix of the appended ops, unaltered and
+// in order.
+func FuzzOpLogRecover(f *testing.F) {
+	f.Add([]byte{2, 1, 3, 0, 9, 0, 0, 40})
+	f.Add([]byte{3, 3, 9, 2, 1, 8, 0, 1, 7, 1, 0, 90, 0x10})
+	f.Add([]byte{1, 2, 9, 9, 1, 0, 21, 0x40})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := data
+		next := func() int {
+			if len(in) == 0 {
+				return 0
+			}
+			b := in[0]
+			in = in[1:]
+			return int(b)
+		}
+		dir := t.TempDir()
+		l, err := OpenOpLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ops []Op
+		for batches := 1 + next()%4; batches > 0; batches-- {
+			batch := make([]Op, 1+next()%4)
+			for i := range batch {
+				doc := len(ops) + i + 1
+				batch[i] = Op{Doc: bat.OID(doc), URL: fmt.Sprintf("d%d", doc),
+					Text: strings.Repeat("melbourne champion ", next()%10)}
+			}
+			if err := l.Append(batch...); err != nil {
+				t.Fatal(err)
+			}
+			ops = append(ops, batch...)
+		}
+		path := l.Path()
+		l.Close()
+		whole, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const hdr = 8 + 4 + 8
+		at := next()<<8 | next()
+		flip := next()%2 == 1
+		damaged := bytes.Clone(whole)
+		if flip {
+			damaged[at%len(damaged)] ^= byte(1 + next()%255)
+		} else {
+			damaged = damaged[:at%(len(damaged)+1)]
+		}
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err = OpenOpLog(dir)
+		switch {
+		case !flip && len(damaged) > 0 && len(damaged) < hdr:
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("cut at %d inside the header: %v, want ErrCorrupt", len(damaged), err)
+			}
+			return
+		case !flip:
+			if err != nil {
+				t.Fatalf("cut at %d of %d: %v", len(damaged), len(whole), err)
+			}
+			kept := 0 // the records the cut left whole
+			for off := int64(hdr); kept < len(ops) && off+recordSize(&ops[kept]) <= int64(len(damaged)); kept++ {
+				off += recordSize(&ops[kept])
+			}
+			if l.Pos() != uint64(kept) {
+				t.Fatalf("cut at %d: pos %d, want %d whole records", len(damaged), l.Pos(), kept)
+			}
+			if rest := max(0, int64(len(damaged))-hdr-OpsSize(ops[:kept])); l.TruncatedBytes() != rest {
+				t.Fatalf("cut at %d: truncated %d bytes, want %d", len(damaged), l.TruncatedBytes(), rest)
+			}
+		case err != nil:
+			if !errors.Is(err, ErrCorrupt) && !strings.HasPrefix(err.Error(), "persist: unsupported oplog version") {
+				t.Fatalf("flip rejected with %v, want ErrCorrupt or an unsupported version", err)
+			}
+			return
+		}
+		defer l.Close()
+		var replayed []Op
+		if err := l.Replay(l.Base(), func(op Op) error {
+			replayed = append(replayed, op)
+			return nil
+		}); err != nil {
+			t.Fatalf("replay of an opened log: %v", err)
+		}
+		if uint64(len(replayed)) != l.Pos()-l.Base() || len(replayed) > len(ops) {
+			t.Fatalf("replayed %d ops between positions %d and %d, appended %d", len(replayed), l.Base(), l.Pos(), len(ops))
+		}
+		sameOps(t, "replayed prefix", replayed, ops[:len(replayed)])
+	})
+}
+
 // TestSnapshotCarriesLogPos: the v2 snapshot format persists the
 // op-log position so boot knows where replay starts.
 func TestSnapshotCarriesLogPos(t *testing.T) {

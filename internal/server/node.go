@@ -164,6 +164,7 @@ func NewNodeServer(ix *ir.Index, cfg *NodeConfig) *NodeServer {
 				Scoring: s.scoring,
 				IngestDocs: reg.Counter("dl_node_ingest_docs_total",
 					"Documents freshly indexed on this node (retried duplicates excluded).", ""),
+				LockWait: NodeLockWait(reg),
 			})
 			if cfg.Cache != nil {
 				InstrumentQueryCache(reg, cfg.Cache)
@@ -188,6 +189,17 @@ func NewNodeServer(ix *ir.Index, cfg *NodeConfig) *NodeServer {
 	s.sem = newSemaphore(s.maxConc)
 	s.initWireMetrics(s.reg)
 	return s
+}
+
+// NodeLockWait registers dl_node_lock_wait_seconds{op} on reg: how
+// long a node's searches, writes and statistics pulls wait for the
+// node's lock.
+func NodeLockWait(reg *obs.Registry) dist.LockWait {
+	const help = "Time a node operation waited for the node's lock: evaluations (search), AddBatch and ApplyOps (add), statistics pulls, which freeze (stats)."
+	wait := func(op string) *obs.Histogram {
+		return reg.Histogram("dl_node_lock_wait_seconds", help, obs.Labels("op", op), obs.LatencyBounds())
+	}
+	return dist.LockWait{Search: wait("search"), Add: wait("add"), Stats: wait("stats")}
 }
 
 // InstrumentQueryCache registers a query cache on reg: its traffic as
