@@ -22,8 +22,12 @@
 //
 // A record's POSITION is base plus its index in the file: position p
 // means "p operations precede this one in this node's history".
-// Compaction (a snapshot at position p) rewrites the file atomically
-// with base = p, dropping the records a snapshot now covers.
+// Compaction (a snapshot at position p) rewrites the file with
+// base = p, dropping the records a snapshot now covers. Creation,
+// compaction and reset all write a whole new file through replaceFile
+// (temp file, fsync, rename), so a crash mid-rewrite leaves the
+// previous log intact, and a file cut inside its header can only be
+// corruption.
 //
 // Failure semantics mirror the snapshot format's, with one deliberate
 // asymmetry: a record cut short by the end of the file — the torn
@@ -67,6 +71,34 @@ const MaxOpBytes = 1 << 30
 
 // oplogMagic identifies a dlsearch op-log file.
 var oplogMagic = [8]byte{'D', 'L', 'O', 'P', 'L', 'G', 0, 1}
+
+// logHeaderSize is the magic/version/base header that opens both a log
+// file and a delta stream.
+const logHeaderSize = 8 + 4 + 8
+
+// putLogHeader encodes the header for base into hdr.
+func putLogHeader(hdr []byte, base uint64) {
+	copy(hdr[:8], oplogMagic[:])
+	binary.LittleEndian.PutUint32(hdr[8:12], OpLogVersion)
+	binary.LittleEndian.PutUint64(hdr[12:20], base)
+}
+
+// readLogHeader reads and checks the header, returning its base; what
+// ("oplog" or "delta") names the stream in errors. A short, foreign or
+// damaged header is ErrCorrupt; an unknown version is not.
+func readLogHeader(r io.Reader, what string) (uint64, error) {
+	var hdr [logHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, fmt.Errorf("%w: %s header truncated: %v", ErrCorrupt, what, err)
+	}
+	if !bytes.Equal(hdr[:8], oplogMagic[:]) {
+		return 0, fmt.Errorf("%w: bad %s magic", ErrCorrupt, what)
+	}
+	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != OpLogVersion {
+		return 0, fmt.Errorf("persist: unsupported %s version %d (this build reads %d)", what, v, OpLogVersion)
+	}
+	return binary.LittleEndian.Uint64(hdr[12:20]), nil
+}
 
 // ErrLogGap reports a read below the log's base position: the
 // requested suffix was compacted away and only a full snapshot can
@@ -135,7 +167,7 @@ func OpenOpLog(dir string) (*OpLog, error) {
 	}
 	l := &OpLog{f: f, path: path}
 	if err := l.recover(); err != nil {
-		f.Close()
+		l.f.Close()
 		return nil, err
 	}
 	return l, nil
@@ -149,23 +181,15 @@ func (l *OpLog) recover() error {
 		return fmt.Errorf("persist: oplog stat: %w", err)
 	}
 	if fi.Size() == 0 {
-		// Fresh log: write the header for base 0.
-		return l.writeHeader(0)
+		// Fresh log: replace it with a header for base 0.
+		return l.rewrite(0, 0)
 	}
 	r := bufio.NewReader(io.NewSectionReader(l.f, 0, fi.Size()))
-	var hdr [8 + 4 + 8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("%w: oplog header truncated: %v", ErrCorrupt, err)
+	if l.base, err = readLogHeader(r, "oplog"); err != nil {
+		return err
 	}
-	if !bytes.Equal(hdr[:8], oplogMagic[:]) {
-		return fmt.Errorf("%w: bad oplog magic", ErrCorrupt)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != OpLogVersion {
-		return fmt.Errorf("persist: unsupported oplog version %d (this build reads %d)", v, OpLogVersion)
-	}
-	l.base = binary.LittleEndian.Uint64(hdr[12:20])
 	l.pos = l.base
-	good := int64(len(hdr)) // offset past the last intact record
+	good := int64(logHeaderSize) // offset past the last intact record
 	for {
 		_, n, err := readRecord(r)
 		if err == nil {
@@ -194,30 +218,6 @@ func (l *OpLog) recover() error {
 	if _, err := l.f.Seek(0, io.SeekEnd); err != nil {
 		return fmt.Errorf("persist: oplog seek: %w", err)
 	}
-	return nil
-}
-
-// writeHeader initialises an empty log file at the given base.
-func (l *OpLog) writeHeader(base uint64) error {
-	var hdr [8 + 4 + 8]byte
-	copy(hdr[:8], oplogMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], OpLogVersion)
-	binary.LittleEndian.PutUint64(hdr[12:20], base)
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("persist: oplog truncate: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("persist: oplog seek: %w", err)
-	}
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("persist: oplog header: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("persist: oplog sync: %w", err)
-	}
-	l.base = base
-	l.pos = base
-	l.size = int64(len(hdr))
 	return nil
 }
 
@@ -339,17 +339,19 @@ func (l *OpLog) OpsSince(from uint64) ([]Op, error) {
 func (l *OpLog) Replay(from uint64, fn func(Op) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.records(from, fn)
+}
+
+// records is Replay with l.mu held: it verifies every record from base
+// and hands fn those at or past from.
+func (l *OpLog) records(from uint64, fn func(Op) error) error {
 	if from < l.base {
 		return fmt.Errorf("%w: want %d, log starts at %d", ErrLogGap, from, l.base)
 	}
 	if from >= l.pos {
 		return nil
 	}
-	fi, err := l.f.Stat()
-	if err != nil {
-		return fmt.Errorf("persist: oplog stat: %w", err)
-	}
-	r := bufio.NewReader(io.NewSectionReader(l.f, 8+4+8, fi.Size()-(8+4+8)))
+	r := bufio.NewReader(io.NewSectionReader(l.f, logHeaderSize, l.size-logHeaderSize))
 	for p := l.base; p < l.pos; p++ {
 		op, _, err := readRecord(r)
 		if err != nil {
@@ -366,88 +368,60 @@ func (l *OpLog) Replay(from uint64, fn func(Op) error) error {
 }
 
 // Compact drops every record below keepFrom — typically the position
-// a just-written snapshot recorded, which now covers them. The log is
-// rewritten atomically (temp file, fsync, rename), so a crash
-// mid-compaction leaves the previous log intact. Records at or past
-// keepFrom (appended after the snapshot's cut) are preserved,
-// streamed to the replacement file one record at a time — compaction
-// memory is one record, not the surviving suffix, so a node with a
-// large post-snapshot backlog compacts without a proportional
-// allocation spike. A keepFrom past the current position is clamped;
-// one below base is a no-op (already compacted).
+// a just-written snapshot recorded, which now covers them. Records at
+// or past keepFrom (appended after the snapshot's cut) are kept, and
+// the log is rewritten atomically (rewrite), so a crash mid-compaction
+// leaves the previous log intact. A keepFrom past the current position
+// is clamped; one at or below base is a no-op (already compacted).
 func (l *OpLog) Compact(keepFrom uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if keepFrom > l.pos {
-		keepFrom = l.pos
-	}
+	keepFrom = min(keepFrom, l.pos)
 	if keepFrom <= l.base {
 		return nil
 	}
-	dir := filepath.Dir(l.path)
-	tmp, err := os.CreateTemp(dir, ".oplog-*")
-	if err != nil {
-		return fmt.Errorf("persist: oplog compact: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	var hdr [8 + 4 + 8]byte
-	copy(hdr[:8], oplogMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], OpLogVersion)
-	binary.LittleEndian.PutUint64(hdr[12:20], keepFrom)
-	w := bufio.NewWriterSize(tmp, 1<<16)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("persist: oplog compact write: %w", err)
-	}
-	size := int64(len(hdr))
-	if keepFrom < l.pos {
-		fi, err := l.f.Stat()
-		if err != nil {
-			return fmt.Errorf("persist: oplog stat: %w", err)
-		}
-		r := bufio.NewReader(io.NewSectionReader(l.f, 8+4+8, fi.Size()-(8+4+8)))
+	return l.rewrite(keepFrom, keepFrom)
+}
+
+// Reset replaces the log with an empty one starting at base — the
+// position of the full snapshot that just replaced this node's whole
+// state (RestoreState): every logged record is subsumed by it. Like
+// Compact it rewrites atomically, so a crash mid-reset leaves the old
+// log whole.
+func (l *OpLog) Reset(base uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.rewrite(base, l.pos)
+}
+
+// rewrite is the only code that writes a log file's header: it
+// replaces the file (replaceFile) with one based at base that holds the
+// records from position from to pos, then reopens it. The records are
+// streamed one at a time, so memory is one record, not the surviving
+// suffix. The caller holds l.mu (or owns l, during recover).
+func (l *OpLog) rewrite(base, from uint64) error {
+	size := int64(logHeaderSize)
+	err := replaceFile(l.path, func(f io.Writer) error {
+		w := bufio.NewWriterSize(f, 1<<16)
+		var hdr [logHeaderSize]byte
+		putLogHeader(hdr[:], base)
+		w.Write(hdr[:]) // a bufio.Writer's error sticks until Flush
 		var rec bytes.Buffer
-		for p := l.base; p < l.pos; p++ {
-			op, _, err := readRecord(r)
-			if err != nil {
-				return fmt.Errorf("persist: oplog read at position %d: %w", p, err)
-			}
-			if p < keepFrom {
-				continue // dropped: verified and discarded, never buffered
-			}
+		if err := l.records(from, func(op Op) error {
 			rec.Reset()
 			appendRecord(&rec, &op)
-			if _, err := w.Write(rec.Bytes()); err != nil {
-				return fmt.Errorf("persist: oplog compact write: %w", err)
-			}
 			size += int64(rec.Len())
+			_, err := w.Write(rec.Bytes())
+			return err
+		}); err != nil {
+			return err
 		}
+		return w.Flush()
+	})
+	if err != nil {
+		return err
 	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("persist: oplog compact write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("persist: oplog compact sync: %w", err)
-	}
-	name := tmp.Name()
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("persist: oplog compact close: %w", err)
-	}
-	tmp = nil
-	if err := os.Rename(name, l.path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("persist: oplog compact rename: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	// Swap the open handle to the new file.
-	f, err := os.OpenFile(l.path, os.O_RDWR, 0o644)
+	f, err := os.OpenFile(l.path, os.O_RDWR, 0)
 	if err != nil {
 		return fmt.Errorf("persist: oplog reopen: %w", err)
 	}
@@ -457,18 +431,10 @@ func (l *OpLog) Compact(keepFrom uint64) error {
 	}
 	l.f.Close()
 	l.f = f
-	l.base = keepFrom
+	l.pos = base + (l.pos - from)
+	l.base = base
 	l.size = size
 	return nil
-}
-
-// Reset replaces the log with an empty one starting at base — the
-// position of the full snapshot that just replaced this node's whole
-// state (RestoreState): every logged record is subsumed by it.
-func (l *OpLog) Reset(base uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.writeHeader(base)
 }
 
 // Close closes the log file. Appends after Close fail.
@@ -592,11 +558,9 @@ func decodeOpPayload(payload []byte) (Op, error) {
 
 // EncodeOps writes a delta stream to w.
 func EncodeOps(w io.Writer, from uint64, ops []Op) error {
-	var hdr [8 + 4 + 8 + 8]byte
-	copy(hdr[:8], oplogMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], OpLogVersion)
-	binary.LittleEndian.PutUint64(hdr[12:20], from)
-	binary.LittleEndian.PutUint64(hdr[20:28], uint64(len(ops)))
+	var hdr [logHeaderSize + 8]byte
+	putLogHeader(hdr[:], from)
+	binary.LittleEndian.PutUint64(hdr[logHeaderSize:], uint64(len(ops)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("persist: delta header: %w", err)
 	}
@@ -617,18 +581,14 @@ func EncodeOps(w io.Writer, from uint64, ops []Op) error {
 // trustworthy as "applied".
 func DecodeOps(r io.Reader) (from uint64, ops []Op, err error) {
 	br := bufio.NewReader(r)
-	var hdr [8 + 4 + 8 + 8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, nil, fmt.Errorf("%w: delta header: %v", ErrCorrupt, err)
+	if from, err = readLogHeader(br, "delta"); err != nil {
+		return 0, nil, err
 	}
-	if !bytes.Equal(hdr[:8], oplogMagic[:]) {
-		return 0, nil, fmt.Errorf("%w: bad delta magic", ErrCorrupt)
+	var cnt [8]byte
+	if _, err := io.ReadFull(br, cnt[:]); err != nil {
+		return 0, nil, fmt.Errorf("%w: delta header truncated: %v", ErrCorrupt, err)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != OpLogVersion {
-		return 0, nil, fmt.Errorf("persist: unsupported delta version %d (this build reads %d)", v, OpLogVersion)
-	}
-	from = binary.LittleEndian.Uint64(hdr[12:20])
-	count := binary.LittleEndian.Uint64(hdr[20:28])
+	count := binary.LittleEndian.Uint64(cnt[:])
 	if count > 1<<32 {
 		return 0, nil, fmt.Errorf("%w: absurd delta record count %d", ErrCorrupt, count)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -386,6 +387,30 @@ func TestOpLogReplayStreams(t *testing.T) {
 	sameOps(t, "Replay up to the corrupt record", got, ops[:k])
 }
 
+// holdOld opens a second read handle on the log file at path and
+// returns a check that the handle still reads every byte the file held
+// now. Called after a rewrite, it shows the rewrite replaced the file
+// instead of truncating it under its readers: until the rename, a
+// crash leaves the old log whole.
+func holdOld(t *testing.T, path string) func() {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { old.Close() })
+	return func() {
+		t.Helper()
+		if got, err := io.ReadAll(old); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("the old handle reads %d bytes (err %v), want the %d the log held before the rewrite", len(got), err, len(want))
+		}
+	}
+}
+
 // TestOpLogCompact: compaction drops the prefix, keeps the suffix,
 // and survives reopen; reads below the new base report ErrLogGap so
 // callers fall back to a full snapshot instead of assuming an empty
@@ -401,9 +426,11 @@ func TestOpLogCompact(t *testing.T) {
 	if err := l.Append(ops...); err != nil {
 		t.Fatal(err)
 	}
+	checkOld := holdOld(t, l.Path())
 	if err := l.Compact(20); err != nil {
 		t.Fatal(err)
 	}
+	checkOld()
 	if l.Base() != 20 || l.Pos() != 30 {
 		t.Fatalf("after compact: base=%d pos=%d, want 20/30", l.Base(), l.Pos())
 	}
@@ -445,22 +472,34 @@ func TestOpLogCompact(t *testing.T) {
 }
 
 // TestOpLogReset: Reset discards all records and rebases — the
-// snapshot-restore path where the pulled state subsumes the log.
+// snapshot-restore path where the pulled state subsumes the log. It
+// replaces the file rather than truncating it in place, so the old log
+// stays whole until the new one is durable, and the rebase survives a
+// reopen.
 func TestOpLogReset(t *testing.T) {
 	dir := t.TempDir()
 	l, err := OpenOpLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
 	if err := l.Append(logOps(5)...); err != nil {
 		t.Fatal(err)
 	}
+	checkOld := holdOld(t, l.Path())
 	if err := l.Reset(42); err != nil {
 		t.Fatal(err)
 	}
+	checkOld()
 	if l.Base() != 42 || l.Pos() != 42 {
 		t.Fatalf("after reset: base=%d pos=%d, want 42/42", l.Base(), l.Pos())
+	}
+	l.Close()
+	if l, err = OpenOpLog(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.Base() != 42 || l.Pos() != 42 {
+		t.Fatalf("reopen after reset: base=%d pos=%d, want 42/42", l.Base(), l.Pos())
 	}
 	if _, err := l.OpsSince(0); !errors.Is(err, ErrLogGap) {
 		t.Fatalf("OpsSince(0) after reset: %v, want ErrLogGap", err)
@@ -653,6 +692,89 @@ func FuzzOpLogRecover(f *testing.F) {
 			t.Fatalf("replayed %d ops between positions %d and %d, appended %d", len(replayed), l.Base(), l.Pos(), len(ops))
 		}
 		sameOps(t, "replayed prefix", replayed, ops[:len(replayed)])
+	})
+}
+
+// FuzzOpLogRewrite holds the position arithmetic of the log's rewrites
+// to a model of (base, ops). The fuzz bytes drive a sequence of
+// Append(n), Compact(k) with k below, inside and past the log,
+// Reset(b) with b below, at and above Pos, and close-and-reopen; after
+// every step Base, Pos and OpsSince(Base()) must equal the model's.
+func FuzzOpLogRewrite(f *testing.F) {
+	f.Add([]byte{0, 3, 1, 3, 3, 0, 2, 1, 2, 4, 0, 1})
+	f.Add([]byte{0, 4, 0, 2, 1, 5, 1, 0, 3, 2, 0, 0, 1, 1})
+	f.Add([]byte{2, 9, 0, 1, 3, 1, 2, 2, 0, 3, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := data
+		next := func() int {
+			if len(in) == 0 {
+				return 0
+			}
+			b := in[0]
+			in = in[1:]
+			return int(b)
+		}
+		dir := t.TempDir()
+		l, err := OpenOpLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { l.Close() }()
+		var base uint64 // the model: the log holds ops, the first at base
+		var ops []Op
+		doc := 0
+		// around picks a position from two below base to two past pos.
+		around := func() uint64 {
+			lo := base - min(base, 2)
+			return lo + uint64(next())%(base+uint64(len(ops))+3-lo)
+		}
+		for step := 0; step < 24 && len(in) > 0; step++ {
+			var what string
+			switch next() % 4 {
+			case 0:
+				batch := make([]Op, 1+next()%4)
+				for i := range batch {
+					doc++
+					batch[i] = Op{Doc: bat.OID(doc), URL: fmt.Sprintf("d%d", doc), Text: strings.Repeat("court ", doc%5)}
+				}
+				what = fmt.Sprintf("Append(%d)", len(batch))
+				if err := l.Append(batch...); err != nil {
+					t.Fatal(err)
+				}
+				ops = append(ops, batch...)
+			case 1:
+				k := around()
+				what = fmt.Sprintf("Compact(%d)", k)
+				if err := l.Compact(k); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if k = min(k, base+uint64(len(ops))); k > base {
+					ops = ops[k-base:]
+					base = k
+				}
+			case 2:
+				b := around()
+				what = fmt.Sprintf("Reset(%d)", b)
+				if err := l.Reset(b); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				base, ops = b, nil
+			case 3:
+				what = "reopen"
+				l.Close()
+				if l, err = OpenOpLog(dir); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			}
+			if l.Base() != base || l.Pos() != base+uint64(len(ops)) {
+				t.Fatalf("step %d %s: base=%d pos=%d, model %d/%d", step, what, l.Base(), l.Pos(), base, base+uint64(len(ops)))
+			}
+			got, err := l.OpsSince(base)
+			if err != nil {
+				t.Fatalf("step %d %s: OpsSince(%d): %v", step, what, base, err)
+			}
+			sameOps(t, fmt.Sprintf("step %d %s", step, what), got, ops)
+		}
 	})
 }
 

@@ -133,34 +133,40 @@ func Load(r io.Reader) (*ir.IndexState, error) {
 // rename, so readers (and crashes) only ever observe the previous
 // complete snapshot or the new complete snapshot.
 func SaveFile(path string, st *ir.IndexState) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snap-*")
+	return replaceFile(path, func(w io.Writer) error { return Save(w, st) })
+}
+
+// replaceFile is the one way this package replaces a durable file:
+// write fills a temp file in path's directory, which is fsynced,
+// closed and renamed over path, and the directory is synced
+// (best-effort: some filesystems reject directory fsync). On any error
+// the temp file is removed and path is untouched, so a crash at any
+// point leaves either the old file whole or the new one whole, and a
+// handle open on the old file keeps reading it.
+func replaceFile(path string, write func(io.Writer) error) error {
+	dir, name := filepath.Dir(path), filepath.Base(path)
+	tmp, err := os.CreateTemp(dir, "."+name+"-*")
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
+	err = write(tmp)
+	if err == nil {
+		if err = tmp.Sync(); err != nil {
+			err = fmt.Errorf("persist: sync %s: %w", name, err)
 		}
-	}()
-	if err := Save(tmp, st); err != nil {
+	}
+	if cerr := tmp.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("persist: close %s: %w", name, cerr)
+	}
+	if err == nil {
+		if err = os.Rename(tmp.Name(), path); err != nil {
+			err = fmt.Errorf("persist: rename %s: %w", name, err)
+		}
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("persist: sync: %w", err)
-	}
-	name := tmp.Name()
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("persist: close: %w", err)
-	}
-	tmp = nil
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("persist: rename: %w", err)
-	}
-	// Durability of the rename itself: sync the directory, best-effort
-	// (some filesystems reject directory fsync).
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()

@@ -29,7 +29,7 @@ func postJSON(t *testing.T, h http.Handler, path, body string) *httptest.Respons
 	return w
 }
 
-func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
+func get(t testing.TB, h http.Handler, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))

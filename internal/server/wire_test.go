@@ -20,7 +20,7 @@ import (
 )
 
 // postWire posts a raw body with the binary wire Content-Type.
-func postWire(t *testing.T, h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+func postWire(t testing.TB, h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 	req.Header.Set("Content-Type", persist.WireContentType)
@@ -31,7 +31,7 @@ func postWire(t *testing.T, h http.Handler, path string, body []byte) *httptest.
 }
 
 // encodeFrame returns the frame one WireBuffer encode call produces.
-func encodeFrame(t *testing.T, encode func(*persist.WireBuffer)) []byte {
+func encodeFrame(t testing.TB, encode func(*persist.WireBuffer)) []byte {
 	t.Helper()
 	wb := persist.GetWireBuffer()
 	defer persist.PutWireBuffer(wb)
@@ -43,7 +43,7 @@ func encodeFrame(t *testing.T, encode func(*persist.WireBuffer)) []byte {
 }
 
 // addFrame is one add-batch frame carrying ops.
-func addFrame(t *testing.T, ops ...persist.Op) []byte {
+func addFrame(t testing.TB, ops ...persist.Op) []byte {
 	t.Helper()
 	return encodeFrame(t, func(wb *persist.WireBuffer) { wb.EncodeAddBatchRequest(ops) })
 }
