@@ -53,7 +53,7 @@ var allocBudgets = []struct {
 	{row: "server/search/budget=4-of-8", bound: 464},
 	{row: "server/search/budget=8-of-8", bound: 468},
 	{row: "server/search/budget=1-of-8/nothing-admitted", bound: 5},
-	{row: "server/stream/docs=1000", bound: 10035},
+	{row: "server/stream/docs=1000", bound: 4630},
 }
 
 // allocRuns is how many operations each row's count averages over.

@@ -24,6 +24,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -87,20 +88,26 @@ func fail(w http.ResponseWriter, status int, msg string) {
 func readJSON(w http.ResponseWriter, r *http.Request, maxBody int64, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			fail(w, http.StatusRequestEntityTooLarge, "request body too large")
-		} else {
-			fail(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
+	err := dec.Decode(v)
+	trailing := false
+	if err == nil {
+		// Only whitespace may follow the value: Token reports io.EOF
+		// exactly then (More would pass a stray ']' or '}').
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		return false
+		trailing = true
 	}
-	if dec.More() {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		fail(w, http.StatusRequestEntityTooLarge, "request body too large")
+	case trailing:
 		fail(w, http.StatusBadRequest, "trailing data after JSON body")
-		return false
+	default:
+		fail(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 	}
-	return true
+	return false
 }
 
 // requireMethod answers 405 unless the request uses the method.

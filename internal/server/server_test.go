@@ -197,6 +197,34 @@ func TestCoordinatorValidation(t *testing.T) {
 	}
 }
 
+// TestReadJSONTrailingData: after a JSON request body only whitespace
+// may follow; a stray closer, a bare word or a second value is 400.
+func TestReadJSONTrailingData(t *testing.T) {
+	_, h := testCoordinator(t, nil)
+	const body = `{"index":"articles","query":"champion","n":10}`
+	for _, c := range []struct {
+		name, suffix string
+		status       int
+	}{
+		{"stray ]", "]", http.StatusBadRequest},
+		{"stray }", "}", http.StatusBadRequest},
+		{"bare word", "x", http.StatusBadRequest},
+		{"second object", ` {"query":"winner","n":1}`, http.StatusBadRequest},
+		{"newline", "\n", http.StatusOK},
+		{"spaces", "  \t \r\n ", http.StatusOK},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := postJSON(t, h, "/search", body+c.suffix)
+			if w.Code != c.status {
+				t.Fatalf("status = %d, want %d (body %s)", w.Code, c.status, w.Body)
+			}
+			if c.status == http.StatusBadRequest && !strings.Contains(w.Body.String(), "trailing data after JSON body") {
+				t.Fatalf("body %s, want the trailing-data error", w.Body)
+			}
+		})
+	}
+}
+
 // TestCoordinatorSearchAddStats drives the full serving loop: add
 // documents, search them, read the counters back.
 func TestCoordinatorSearchAddStats(t *testing.T) {

@@ -83,10 +83,13 @@ type StreamSummaryLine struct {
 	Errors    int  `json:"errors"`
 }
 
-// pendingStreamDoc is one queued IR document awaiting its batch flush.
-type pendingStreamDoc struct {
-	line int
-	doc  dist.Doc
+// streamWindow is one index's flush window of POST /add/stream: the
+// IR documents queued for its next batch, in line order, with their
+// line numbers and each queued oid's position among them.
+type streamWindow struct {
+	docs  []dist.Doc
+	lines []int
+	at    map[bat.OID]int
 }
 
 // addStream serves POST /add/stream: NDJSON ingest decoded one line
@@ -120,34 +123,24 @@ func (co *Coordinator) addStream(w http.ResponseWriter, r *http.Request) {
 	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 
 	var sum StreamSummaryLine
-	pending := map[string][]pendingStreamDoc{}
-	pendingOIDs := map[string]map[bat.OID]bool{}
+	windows := map[string]*streamWindow{}
 
 	// flushIndex commits one index's queued documents in one cluster
-	// round-trip and emits their outcome records in line order.
+	// round-trip and emits their outcome records in line order: each
+	// record fills its document's slot of the window.
 	flushIndex := func(name string) {
-		batch := pending[name]
-		if len(batch) == 0 {
+		win := windows[name]
+		if win == nil || len(win.docs) == 0 {
 			return
 		}
-		delete(pending, name)
-		delete(pendingOIDs, name)
-		cluster := co.indexes[name]
-		docs := make([]dist.Doc, len(batch))
-		lineOf := make(map[bat.OID]int, len(batch))
-		for i, p := range batch {
-			docs[i] = p.doc
-			lineOf[p.doc.OID] = p.line
+		recs := make([]StreamResultLine, len(win.docs))
+		for i, line := range win.lines {
+			recs[i].Line = line
 		}
-		var recs []StreamResultLine
-		for _, p := range cluster.AddBatchResults(r.Context(), docs) {
+		for _, p := range co.indexes[name].AddBatchResults(r.Context(), win.docs) {
 			for _, oid := range p.Docs {
-				rec := StreamResultLine{
-					Line:      lineOf[oid],
-					Doc:       uint64(oid),
-					Replicas:  p.Replicas,
-					Committed: p.Committed,
-				}
+				rec := &recs[win.at[oid]]
+				rec.Doc, rec.Replicas, rec.Committed = uint64(oid), p.Replicas, p.Committed
 				switch {
 				case p.Err == nil:
 					sum.Committed++
@@ -160,10 +153,11 @@ func (co *Coordinator) addStream(w http.ResponseWriter, r *http.Request) {
 					rec.Degraded = true
 					rec.Error = p.Err.Error()
 				}
-				recs = append(recs, rec)
 			}
 		}
-		sort.Slice(recs, func(i, j int) bool { return recs[i].Line < recs[j].Line })
+		win.docs = win.docs[:0]
+		win.lines = win.lines[:0]
+		clear(win.at)
 		for _, rec := range recs {
 			emit(rec)
 		}
@@ -182,13 +176,21 @@ func (co *Coordinator) addStream(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		sum.Lines++
+		// The common flat line decodes without reflection; any other
+		// line, malformed ones included, goes through encoding/json,
+		// into its own StreamLine so that only this path pays its
+		// escape to the heap.
 		var sl StreamLine
-		if err := json.Unmarshal(raw, &sl); err != nil {
-			// Malformed framing: report and stop — everything after this
-			// byte offset is untrustworthy.
-			sum.Errors++
-			emit(StreamResultLine{Line: line, Error: "malformed JSON: " + err.Error()})
-			break
+		if !decodeStreamLine(raw, &sl) {
+			slow := new(StreamLine)
+			if err := json.Unmarshal(raw, slow); err != nil {
+				// Malformed framing: report and stop — everything after
+				// this byte offset is untrustworthy.
+				sum.Errors++
+				emit(StreamResultLine{Line: line, Error: "malformed JSON: " + err.Error()})
+				break
+			}
+			sl = *slow
 		}
 		switch {
 		case sl.Webspace != nil:
@@ -248,7 +250,12 @@ func (co *Coordinator) addStream(w http.ResponseWriter, r *http.Request) {
 					continue
 				}
 			}
-			if pendingOIDs[name][doc] {
+			win := windows[name]
+			if win == nil {
+				win = &streamWindow{at: map[bat.OID]int{}}
+				windows[name] = win
+			}
+			if _, queued := win.at[doc]; queued {
 				// The oid is already queued in this flush window (the
 				// same owner twice, or a repeated explicit doc id).
 				// Flush first: batched together the two lines would
@@ -258,15 +265,10 @@ func (co *Coordinator) addStream(w http.ResponseWriter, r *http.Request) {
 				// the node's ordinary re-posted-oid semantics.
 				flushIndex(name)
 			}
-			if pendingOIDs[name] == nil {
-				pendingOIDs[name] = map[bat.OID]bool{}
-			}
-			pendingOIDs[name][doc] = true
-			pending[name] = append(pending[name], pendingStreamDoc{
-				line: line,
-				doc:  dist.Doc{OID: doc, URL: sl.URL, Text: sl.Text},
-			})
-			if len(pending[name]) >= flushEvery {
+			win.at[doc] = len(win.docs)
+			win.docs = append(win.docs, dist.Doc{OID: doc, URL: sl.URL, Text: sl.Text})
+			win.lines = append(win.lines, line)
+			if len(win.docs) >= flushEvery {
 				flushIndex(name)
 			}
 		}
@@ -281,8 +283,8 @@ func (co *Coordinator) addStream(w http.ResponseWriter, r *http.Request) {
 		emit(StreamResultLine{Line: line + 1, Error: msg})
 	}
 	// Flush the remaining batches in a deterministic order.
-	names := make([]string, 0, len(pending))
-	for name := range pending {
+	names := make([]string, 0, len(windows))
+	for name := range windows {
 		names = append(names, name)
 	}
 	sort.Strings(names)
